@@ -18,11 +18,10 @@ from .fock import (DensityOperator, annihilation_matrix, coherent_state,
                    default_dim, displaced_thermal, displacement_operator,
                    quantum_chi2_direct, relative_entropy, thermal_state,
                    von_neumann_entropy)
-from .rates import (Ensemble, build_ensemble, build_xi, delta_B, delta_E,
-                    ensemble_average_state, holevo_rate, quantum_rate,
-                    xi_index_marginal, xi_mode_marginal)
+from .rates import (Ensemble, EnsembleRates, build_ensemble, build_xi,
+                    delta_B, delta_E, ensemble_average_state, ensemble_rates,
+                    holevo_rate, quantum_rate, xi_index_marginal,
+                    xi_mode_marginal)
 from .polar import (InducedChannel, PolarCode, bec_bhattacharyya,
-                    bec_frozen_set, bit_llr, construct_code,
-                    construct_multilevel,
-                    heterodyne_sample, induced_channel, polar_transform,
-                    sc_decode, simulate)
+                    bec_frozen_set, construct_code, construct_multilevel,
+                    induced_channel, polar_transform, sc_decode, simulate)

@@ -27,9 +27,10 @@ class ChannelParams:
     """Channel parameters plus every derived scalar used downstream.
 
     ``Nc`` is the added noise, ``Nprime`` the output mean photon number for
-    the Gaussian input, ``s`` the signal-to-noise ratio of the equivalent
-    classical AWGN problem, and ``c_decay`` the guaranteed exponential decay
-    constant of the Gauss-Hermite gap bound.  ``cgap``/``dgap`` are the kernel
+    the Gaussian input (``Nc_E``/``Nprime_E`` the same two on the environment
+    side), ``s`` the signal-to-noise ratio of the equivalent classical AWGN
+    problem, and ``c_decay`` the guaranteed exponential decay constant of the
+    Gauss-Hermite gap bound.  ``cgap``/``dgap`` are the kernel
     constants, ``t`` the inverse-square-root growth factor of the thermal
     output state.
     """
@@ -39,6 +40,8 @@ class ChannelParams:
     N: float
     Nc: float
     Nprime: float
+    Nc_E: float
+    Nprime_E: float
     s: float
     c_decay: float
     cgap: float
@@ -49,10 +52,14 @@ class ChannelParams:
 def channel_params(k: float, N0: float, N: float) -> ChannelParams:
     """Validate ``(k, N0, N)`` and compute all derived scalars.
 
-    Raises ``ValueError`` for out-of-range parameters and for the degenerate
-    identity channel ``k == 1, N0 == 0`` (the additive-noise-only formulation
-    needed to make ``k == 1`` meaningful is out of scope).
+    Raises ``ValueError`` for non-finite or out-of-range parameters and for
+    the degenerate identity channel ``k == 1, N0 == 0`` (the
+    additive-noise-only formulation needed to make ``k == 1`` meaningful is
+    out of scope).
     """
+    for name, value in (("k", k), ("N0", N0), ("N", N)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not 0.0 < k <= 1.0:
         raise ValueError(f"transmittivity k must be in (0, 1], got {k}")
     if N0 < 0.0:
@@ -64,14 +71,16 @@ def channel_params(k: float, N0: float, N: float) -> ChannelParams:
 
     Nc = (1.0 - k * k) * N0
     Nprime = k * k * N + Nc
+    Nc_E = k * k * N0
+    Nprime_E = (1.0 - k * k) * N + Nc_E
     dgap = math.sqrt(Nprime * (Nprime + 1.0))
     cgap = Nprime - Nc  # equals k^2 N
     s = k * k * N / (dgap - k * k * N)
     c_decay = 2.0 * math.log((1.0 + s) / s)
     t = math.sqrt((Nprime + 1.0) / Nprime)
     return ChannelParams(
-        k=k, N0=N0, N=N, Nc=Nc, Nprime=Nprime, s=s,
-        c_decay=c_decay, cgap=cgap, dgap=dgap, t=t,
+        k=k, N0=N0, N=N, Nc=Nc, Nprime=Nprime, Nc_E=Nc_E, Nprime_E=Nprime_E,
+        s=s, c_decay=c_decay, cgap=cgap, dgap=dgap, t=t,
     )
 
 
@@ -85,7 +94,7 @@ def output_state_E(p: ChannelParams, z: complex) -> DisplacedThermalSpec:
     -sqrt(1-k^2) z."""
     return DisplacedThermalSpec(
         center=-math.sqrt(1.0 - p.k * p.k) * z,
-        width=p.k * p.k * p.N0,
+        width=p.Nc_E,
     )
 
 
@@ -107,6 +116,4 @@ def capacity_C(p: ChannelParams) -> float:
 def gaussian_rate_limit(p: ChannelParams) -> float:
     """Gaussian coherent information, bits: the B-side Holevo quantity minus
     the E-side one, each evaluated for the Gaussian input."""
-    e_out = (1.0 - p.k * p.k) * p.N + p.k * p.k * p.N0
-    e_env = p.k * p.k * p.N0
-    return capacity_C(p) - (g_entropy(e_out) - g_entropy(e_env))
+    return capacity_C(p) - (g_entropy(p.Nprime_E) - g_entropy(p.Nc_E))

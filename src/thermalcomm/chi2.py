@@ -19,10 +19,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from .channel import ChannelParams
-from .constellations import (ComplexConstellation, RealConstellation,
-                             classical_chi2_kernel)
-
-_DPS = 50
+from .constellations import (_DPS, ComplexConstellation, RealConstellation,
+                             _gaussian_kernel_chi2, classical_chi2_kernel)
 
 
 def kernel_K(s: float, x: float, xp: float) -> float:
@@ -130,25 +128,9 @@ def quantum_chi2_constellation(p: ChannelParams, Q: ComplexConstellation) -> flo
         Nc = (1 - k2) * mpf(p.N0)
         Np = k2 * mpf(p.N) + Nc
         denom = Np + 2 * Np * Nc - Nc * Nc
-        mpref = Np * (Np + 1) / denom
-        cgap = Np - Nc
-        dgap = mp.sqrt(Np * (Np + 1))
-        zs = [(mpf(z.real), mpf(z.imag)) for z in Q.points]
-        qs = [mpf(q) for q in Q.probs]
-        n = len(zs)
-        total = mpf(0)
-        for i in range(n):
-            xi, yi = zs[i]
-            ri2 = xi * xi + yi * yi
-            for j in range(i, n):
-                xj, yj = zs[j]
-                rj2 = xj * xj + yj * yj
-                cross = xi * xj + yi * yj
-                expo = -k2 * (cgap * (ri2 + rj2) - 2 * dgap * cross) / denom
-                rij = mpref * mp.exp(expo) - 1
-                w = qs[i] * qs[j]
-                total += w * rij if i == j else 2 * w * rij
-        result = float(total)
+        result = _gaussian_kernel_chi2(
+            Q.points, Q.probs, Np * (Np + 1) / denom,
+            k2 * (Np - Nc) / denom, k2 * mp.sqrt(Np * (Np + 1)) / denom)
     if result < -1e-12:
         raise ValueError(f"quantum chi-square came out negative: {result}")
     return result

@@ -55,9 +55,7 @@ class RunConfig:
 def cmd_rates(config: RunConfig) -> list[dict]:
     """Rate table rows over the kind x m grid, preceded by the capacity and
     Gaussian coherent-information reference rows."""
-    from .rates import ensemble_average_state, build_ensemble
-    from .fock import von_neumann_entropy
-    from .channel import g_entropy
+    from .rates import ensemble_rates
 
     p = channel_params(config.k, config.n0, config.n)
     rows = [
@@ -72,22 +70,16 @@ def cmd_rates(config: RunConfig) -> list[dict]:
         for m in range(config.m_min, config.m_max + 1):
             c = make_constellation(kind, m)
             Q = product_constellation(c, config.n)
-            rho_b = ensemble_average_state(build_ensemble(p, Q, "B"), config.dim)
-            rho_e = ensemble_average_state(build_ensemble(p, Q, "E"), config.dim)
-            h_b = von_neumann_entropy(rho_b)
-            h_e = von_neumann_entropy(rho_e)
-            classical = h_b - g_entropy(p.Nc)
-            quantum = classical - (h_e - g_entropy(p.k * p.k * p.N0))
-            mu_e = (1.0 - p.k * p.k) * p.N + p.k * p.k * p.N0
+            r = ensemble_rates(p, Q, config.dim)
             rows.append({
                 "kind": kind, "m": m,
-                "classical_rate_bits": classical,
-                "quantum_rate_bits": quantum,
-                "delta_B": g_entropy(p.Nprime) - h_b,
-                "delta_E": g_entropy(mu_e) - h_e,
+                "classical_rate_bits": r.classical,
+                "quantum_rate_bits": r.quantum,
+                "delta_B": r.delta_B,
+                "delta_E": r.delta_E,
                 "chi2_bound": delta_B_bound(p, c),
-                "dim": rho_b.dim,
-                "trace_deficit": max(rho_b.truncation_tol, rho_e.truncation_tol),
+                "dim": r.dim,
+                "trace_deficit": r.trace_deficit,
             })
     return rows
 
@@ -136,7 +128,7 @@ def cmd_constellation(config: RunConfig) -> list[dict]:
 def cmd_polar(config: RunConfig) -> dict:
     """Construct multilevel codes whose sum rate is rate_fraction times the
     estimated heterodyne mutual information, then simulate; returns the
-    report."""
+    report, whose mutual-information fields are that same estimate."""
     import numpy as np
     from .polar import estimate_level_mi
 
@@ -152,13 +144,15 @@ def cmd_polar(config: RunConfig) -> dict:
     mi_rng = np.random.default_rng(config.seed)
     level_mi = [estimate_level_mi(ch, lv, 20_000, mi_rng)
                 for lv in range(ch.levels)]
+    mi = float(sum(level_mi))
     construction_seed = config.seed + 1000
-    sum_rate = config.rate_fraction * float(sum(level_mi))
-    codes = construct_multilevel(ch, n, sum_rate, config.mc_budget,
-                                 construction_seed)
+    codes = construct_multilevel(ch, n, config.rate_fraction * mi,
+                                 config.mc_budget, construction_seed)
 
     report = simulate(ch, codes, config.trials, config.seed + 2000)
     report.update({
+        "level_mi_bits": level_mi,
+        "mi_estimate_bits": mi,
         "version": __version__,
         "channel": {"k": config.k, "N0": config.n0, "N": config.n},
         "constellation_kind": kind,
@@ -231,6 +225,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         config.fmt = args.format
     if getattr(args, "kinds", None):
         config.kinds = args.kinds
+    if config.fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {config.fmt!r}")
     for kind in config.kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown constellation kind {kind!r}")

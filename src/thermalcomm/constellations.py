@@ -24,7 +24,7 @@ from .errors import NumericFailure
 
 KINDS = ("equilattice", "quantile", "random_walk", "gauss_hermite")
 
-_KERNEL_DPS = 50  # digits for the kernel double sum; chi2 can be ~1e-30
+_DPS = 50  # digits for the kernel double sums; chi2 can be ~1e-30
 
 
 @dataclass(frozen=True)
@@ -199,28 +199,41 @@ def classical_chi2_kernel(c: RealConstellation, s: float) -> float:
     1 + chi^2 = sum_ij p_i p_j K_s(x_i, x_j).
 
     Evaluated in high precision: the sum is O(1) while chi^2 itself can be
-    as small as 1e-30, so the trailing -1 cancels catastrophically in double.
-    The -1 is absorbed term by term as sum_ij p_i p_j (K - 1), which removes
-    the (sum p)^2 - 1 rounding offset of the stored probabilities; that
-    offset is linear in the input rounding while every other term enters
-    squared.
+    as small as 1e-30, so the trailing -1 cancels catastrophically in double
+    (see ``_gaussian_kernel_chi2``).
     """
     if s <= 0.0:
         raise ValueError(f"signal-to-noise ratio s must be > 0, got {s}")
-    with mp.workdps(_KERNEL_DPS):
+    with mp.workdps(_DPS):
         ss = mpf(s)
-        pref = (1 + ss) / mp.sqrt(1 + 2 * ss)
         a = ss / (2 * (1 + 2 * ss))
-        x = [mpf(v) for v in c.points]
-        p = [mpf(v) for v in c.probs]
-        total = mpf(0)
-        for i in range(c.m):
-            for j in range(i, c.m):
-                xi, xj = x[i], x[j]
-                kij = pref * mp.exp(-a * (ss * (xi - xj) ** 2 - 2 * xi * xj)) - 1
-                w = p[i] * p[j]
-                total += w * kij if i == j else 2 * w * kij
-        return float(total)
+        # -a (s (x - x')^2 - 2 x x') = -a s (x^2 + x'^2) + 2 a (1 + s) x x'
+        return _gaussian_kernel_chi2(c.points, c.probs,
+                                     (1 + ss) / mp.sqrt(1 + 2 * ss),
+                                     a * ss, a * (1 + ss))
+
+
+def _gaussian_kernel_chi2(points, probs, pref, A, B) -> float:
+    """sum_ij p_i p_j (pref exp(-A (|u_i|^2 + |u_j|^2) + 2 B <u_i, u_j>) - 1)
+    over real or complex points u, accumulated at ``_DPS`` digits.
+
+    Every chi-square kernel double sum has this form.  The -1 is folded into
+    each term, so the (sum p)^2 - 1 rounding offset of the stored
+    probabilities never enters: that offset is linear in the input rounding
+    while every other term enters squared.  Call inside ``mp.workdps(_DPS)``
+    with ``pref``, ``A`` and ``B`` already derived in working precision.
+    """
+    u = [(mpf(complex(z).real), mpf(complex(z).imag)) for z in points]
+    p = [mpf(q) for q in probs]
+    r2 = [x * x + y * y for x, y in u]
+    total = mpf(0)
+    for i in range(len(u)):
+        for j in range(i, len(u)):
+            cross = u[i][0] * u[j][0] + u[i][1] * u[j][1]
+            kij = pref * mp.exp(-A * (r2[i] + r2[j]) + 2 * B * cross) - 1
+            w = p[i] * p[j]
+            total += w * kij if i == j else 2 * w * kij
+    return float(total)
 
 
 def product_constellation(c: RealConstellation, N: float) -> ComplexConstellation:

@@ -151,9 +151,16 @@ def displaced_thermal(alpha: complex, Nbar: float, dim: int) -> DensityOperator:
         p = thermal_state(Nbar, dim).matrix.real.diagonal()
         scaled = D * np.sqrt(p)[np.newaxis, :]
         mat = scaled @ scaled.conj().T
+    return _density_operator(mat)
+
+
+def _density_operator(mat: np.ndarray) -> DensityOperator:
+    """Wrap an assembled state matrix: Hermitize it and record its trace
+    deficit as the truncation tolerance."""
     mat = (mat + mat.conj().T) / 2.0
     deficit = max(0.0, 1.0 - float(np.trace(mat).real))
-    return DensityOperator(matrix=mat, dim=dim, truncation_tol=deficit)
+    return DensityOperator(matrix=mat, dim=mat.shape[0],
+                           truncation_tol=deficit)
 
 
 def _eigvals(rho: DensityOperator) -> np.ndarray:

@@ -15,7 +15,7 @@ quadrature's levels first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -29,16 +29,13 @@ _TANH_CLIP = 1.0 - 1e-16
 
 @dataclass(frozen=True)
 class PolarCode:
-    """Blocklength, sorted frozen index set, and the frozen bit values."""
+    """Blocklength and sorted frozen index set; frozen bits are zero."""
 
     n: int
     frozen: np.ndarray
-    frozen_values: np.ndarray
 
     def __post_init__(self):
         _check_power_of_two(self.n, "blocklength")
-        if len(self.frozen) != len(self.frozen_values):
-            raise ValueError("frozen and frozen_values lengths differ")
         if len(self.frozen) and (
                 self.frozen[0] < 0 or self.frozen[-1] >= self.n
                 or np.any(np.diff(self.frozen) <= 0)):
@@ -108,14 +105,19 @@ class InducedChannel:
 
         Returns (transmitted bits of the level, LLRs).
         """
-        q, bpos = divmod(level, self.nbits)
-        m = len(self.amplitudes)
-        j = rng.integers(0, m, size=n)
-        yq = self.params.k * self.amplitudes[j] + rng.normal(
-            scale=math.sqrt(self.noise_var), size=n)
-        bits = self.point_bits[j, bpos]
-        priors = self.point_bits[j, :bpos]
-        return bits, self.level_llrs(level, priors, yq)
+        bpos = level % self.nbits
+        j = rng.integers(0, len(self.amplitudes), size=n)
+        yq = self._heterodyne(rng, j)
+        return self.point_bits[j, bpos], self.level_llrs(
+            level, self.point_bits[j, :bpos], yq)
+
+    def _heterodyne(self, rng: np.random.Generator,
+                    j: np.ndarray) -> np.ndarray:
+        """One heterodyne quadrature outcome per amplitude index in ``j``:
+        k times the amplitude plus Gaussian noise of variance (Nc + 1)/2
+        (the Husimi Q function of the output state)."""
+        return self.params.k * self.amplitudes[j] + rng.normal(
+            scale=math.sqrt(self.noise_var), size=j.shape)
 
     def level_llrs(self, level: int, priors: np.ndarray,
                    yq: np.ndarray) -> np.ndarray:
@@ -175,24 +177,6 @@ def induced_channel(p: ChannelParams, c: RealConstellation,
                           nbits=nbits, point_bits=point_bits)
 
 
-def heterodyne_sample(p: ChannelParams, z: complex,
-                      rng: np.random.Generator) -> complex:
-    """One heterodyne outcome for coherent input |z>: k z plus circular
-    Gaussian noise of per-quadrature variance (Nc + 1)/2 (the Husimi Q
-    function of the output state)."""
-    sd = math.sqrt((p.Nc + 1.0) / 2.0)
-    return p.k * z + complex(rng.normal(scale=sd), rng.normal(scale=sd))
-
-
-def bit_llr(ch: InducedChannel, level: int, prior_bits, y: complex) -> float:
-    """Scalar LLR of one level's bit given the decoded lower levels of the
-    same quadrature and the heterodyne outcome ``y``."""
-    q = level // ch.nbits
-    yq = y.real if q == 0 else y.imag
-    priors = np.asarray(prior_bits, dtype=np.int8).reshape(1, -1)
-    return float(ch.level_llrs(level, priors, np.array([yq]))[0])
-
-
 def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = np.clip(np.tanh(a / 2.0) * np.tanh(b / 2.0), -_TANH_CLIP, _TANH_CLIP)
     return 2.0 * np.arctanh(prod)
@@ -219,16 +203,16 @@ def _sc_batch(llr: np.ndarray, decide, idx0: int) -> np.ndarray:
 
 def sc_decode_batch(code: PolarCode, llr: np.ndarray) -> np.ndarray:
     """SC-decode each row of a (batch, n) LLR array; returns the full
-    input-bit estimates with frozen positions forced."""
+    input-bit estimates with frozen positions forced to zero."""
     llr = np.asarray(llr, dtype=float)
     if llr.shape[1] != code.n:
         raise ValueError(f"LLR length must be {code.n}, got {llr.shape[1]}")
-    frozen_map = dict(zip(code.frozen.tolist(), code.frozen_values.tolist()))
+    frozen = set(code.frozen.tolist())
     nrows = llr.shape[0]
 
     def decide(i, col):
-        if i in frozen_map:
-            return np.full(nrows, frozen_map[i], dtype=np.int8)
+        if i in frozen:
+            return np.zeros(nrows, dtype=np.int8)
         return (col < 0).astype(np.int8)
 
     return _sc_batch(llr, decide, 0)
@@ -236,7 +220,7 @@ def sc_decode_batch(code: PolarCode, llr: np.ndarray) -> np.ndarray:
 
 def sc_decode(code: PolarCode, llr: np.ndarray) -> np.ndarray:
     """Successive cancellation over the polar butterfly; returns the full
-    length-n input-bit estimate with frozen positions forced."""
+    length-n input-bit estimate with frozen positions forced to zero."""
     return sc_decode_batch(code, np.asarray(llr, dtype=float)[None, :])[0]
 
 
@@ -325,9 +309,7 @@ def construct_code(ch, level: int, n: int, target_rate: float,
     p_err = _genie_error_probs(ch, level, n, mc_budget, rng)
     n_frozen = n - int(round(target_rate * n))
     order = np.lexsort((-np.arange(n), p_err))[::-1]  # worst first
-    frozen = np.sort(order[:n_frozen])
-    return PolarCode(n=n, frozen=frozen,
-                     frozen_values=np.zeros(n_frozen, dtype=np.int8))
+    return PolarCode(n=n, frozen=np.sort(order[:n_frozen]))
 
 
 def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
@@ -376,13 +358,8 @@ def construct_multilevel(ch, n: int, sum_rate: float, mc_budget: int,
     info = np.zeros(flat.size, dtype=bool)
     info[np.argsort(flat, kind="stable")[:k_total]] = True
     info = info.reshape(p_err.shape)
-    codes = []
-    for lv in range(ch.levels):
-        frozen = np.nonzero(~info[lv])[0]
-        codes.append(PolarCode(n=n, frozen=frozen,
-                               frozen_values=np.zeros(len(frozen),
-                                                      dtype=np.int8)))
-    return codes
+    return [PolarCode(n=n, frozen=np.nonzero(~info[lv])[0])
+            for lv in range(ch.levels)]
 
 
 def estimate_level_mi(ch, level: int, samples: int,
@@ -404,14 +381,13 @@ def _inverse_gray(v: np.ndarray) -> np.ndarray:
 
 
 def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
-             seed: int, mi_samples: int = 20_000) -> dict:
+             seed: int) -> dict:
     """Multilevel polar-coded transmission over the induced channel.
 
     ``codes`` holds one code per bit level, all of the same blocklength.
     Levels are decoded in order, each level's re-encoded decisions feeding
     the next level's LLRs.  Returns a report dict with per-level BER, frame
-    error rate, effective throughput in bits per mode, and the heterodyne
-    mutual-information estimate.
+    error rate and effective throughput in bits per mode.
     """
     if len(codes) != ch.levels:
         raise ValueError(f"need {ch.levels} codes, got {len(codes)}")
@@ -419,11 +395,6 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     if any(c.n != n for c in codes):
         raise ValueError("all level codes must share the blocklength")
     rng = np.random.default_rng(seed)
-
-    mi_rng = np.random.default_rng(seed + 1)
-    level_mi = [estimate_level_mi(ch, lv, mi_samples, mi_rng)
-                for lv in range(ch.levels)]
-
     bit_errors = np.zeros(ch.levels)
     info_bits = np.array([c.n - len(c.frozen) for c in codes])
     frame_bad = np.zeros(trials, dtype=bool)
@@ -432,21 +403,17 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
         u_levels, x_levels = [], []
         for code in codes:
             u = np.zeros((trials, n), dtype=np.int8)
-            u[:, code.frozen] = code.frozen_values
             u[:, code.info_set] = rng.integers(
                 0, 2, size=(trials, len(code.info_set)))
             u_levels.append(u)
             x_levels.append(_transform_batch(u))
         # map label bits to symbols per quadrature and sample heterodyne
-        sd = math.sqrt(ch.noise_var)
         ys = []
         for q in range(2):
             label = np.zeros((trials, n), dtype=np.int64)
             for b in range(ch.nbits):
                 label = (label << 1) | x_levels[q * ch.nbits + b]
-            j = _inverse_gray(label)
-            ys.append(ch.params.k * ch.amplitudes[j]
-                      + rng.normal(scale=sd, size=(trials, n)))
+            ys.append(ch._heterodyne(rng, _inverse_gray(label)))
         # decode level by level, feeding decisions forward
         for q in range(2):
             priors = np.zeros((trials * n, 0), dtype=np.int8)
@@ -471,8 +438,6 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
         "blocklength": n,
         "levels": ch.levels,
         "level_rates": [c.rate for c in codes],
-        "level_mi_bits": level_mi,
-        "mi_estimate_bits": float(sum(level_mi)),
         "level_ber": [float(b / (k * trials)) if k else 0.0
                       for b, k in zip(bit_errors, info_bits)] if trials else None,
         "fer": fer,

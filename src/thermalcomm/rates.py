@@ -16,20 +16,30 @@ import numpy as np
 from .channel import (ChannelParams, DisplacedThermalSpec, g_entropy,
                       output_state_B, output_state_E)
 from .constellations import ComplexConstellation
-from .fock import (DensityOperator, coherent_state, default_dim,
-                   displaced_thermal, relative_entropy, thermal_state,
-                   von_neumann_entropy)
+from .fock import (DensityOperator, _density_operator, coherent_state,
+                   default_dim, displaced_thermal, relative_entropy,
+                   thermal_state, von_neumann_entropy)
 
 
 @dataclass(frozen=True)
 class Ensemble:
     """Probability-weighted displaced-thermal output ensemble on one side of
-    the channel (``side`` is "B" for the receiver, "E" for the environment)."""
+    the channel."""
 
     probs: np.ndarray
     specs: tuple[DisplacedThermalSpec, ...]
-    side: str
-    params: ChannelParams
+
+
+@dataclass(frozen=True)
+class EnsembleRates:
+    """Every rate-table quantity of one constellation, in bits per mode."""
+
+    classical: float
+    quantum: float
+    delta_B: float
+    delta_E: float
+    dim: int
+    trace_deficit: float
 
 
 @dataclass(frozen=True)
@@ -41,14 +51,15 @@ class BipartiteStateVector:
 
 
 def build_ensemble(p: ChannelParams, Q: ComplexConstellation, side: str) -> Ensemble:
-    """Map each constellation point through the channel to the given side."""
+    """Map each constellation point through the channel to the given side,
+    "B" for the receiver or "E" for the environment."""
     if side == "B":
         specs = tuple(output_state_B(p, z) for z in Q.points)
     elif side == "E":
         specs = tuple(output_state_E(p, z) for z in Q.points)
     else:
         raise ValueError(f"side must be 'B' or 'E', got {side!r}")
-    return Ensemble(probs=Q.probs, specs=specs, side=side, params=p)
+    return Ensemble(probs=Q.probs, specs=specs)
 
 
 def ensemble_dim(e: Ensemble) -> int:
@@ -76,26 +87,40 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
         mat = np.zeros((dim, dim), dtype=complex)
         for q, s in zip(e.probs, e.specs):
             mat += q * displaced_thermal(s.center, width, dim).matrix
-    mat = (mat + mat.conj().T) / 2.0
-    deficit = max(0.0, 1.0 - float(np.trace(mat).real))
-    return DensityOperator(matrix=mat, dim=dim, truncation_tol=deficit)
+    return _density_operator(mat)
+
+
+def ensemble_rates(p: ChannelParams, Q: ComplexConstellation,
+                   dim: int | None = None) -> EnsembleRates:
+    """All rate quantities from one average state and one eigensolve per
+    side: the classical rate I(Z_m : B_m) = H(rho_m^B) - g(Nc), the quantum
+    rate I(Z_m : B) - I(Z_m : E), and the gaps g(N') - H(rho_m^B) and
+    g(N'_E) - H(rho_m^E).  ``dim`` is the B-side truncation dimension and
+    ``trace_deficit`` the larger of the two sides' deficits."""
+    rho_b = ensemble_average_state(build_ensemble(p, Q, "B"), dim)
+    rho_e = ensemble_average_state(build_ensemble(p, Q, "E"), dim)
+    h_b = von_neumann_entropy(rho_b)
+    h_e = von_neumann_entropy(rho_e)
+    classical = h_b - g_entropy(p.Nc)
+    return EnsembleRates(
+        classical=classical,
+        quantum=classical - (h_e - g_entropy(p.Nc_E)),
+        delta_B=g_entropy(p.Nprime) - h_b,
+        delta_E=g_entropy(p.Nprime_E) - h_e,
+        dim=rho_b.dim,
+        trace_deficit=max(rho_b.truncation_tol, rho_e.truncation_tol))
 
 
 def holevo_rate(p: ChannelParams, Q: ComplexConstellation,
                 dim: int | None = None) -> float:
-    """Classical rate I(Z_m : B_m) = H(rho_m^B) - g(Nc), bits per mode."""
-    rho = ensemble_average_state(build_ensemble(p, Q, "B"), dim)
-    return von_neumann_entropy(rho) - g_entropy(p.Nc)
+    """Classical rate I(Z_m : B_m), bits per mode."""
+    return ensemble_rates(p, Q, dim).classical
 
 
 def quantum_rate(p: ChannelParams, Q: ComplexConstellation,
                  dim: int | None = None) -> float:
     """Quantum rate I(Z_m : B) - I(Z_m : E), bits per mode."""
-    rho_b = ensemble_average_state(build_ensemble(p, Q, "B"), dim)
-    rho_e = ensemble_average_state(build_ensemble(p, Q, "E"), dim)
-    hb = von_neumann_entropy(rho_b) - g_entropy(p.Nc)
-    he = von_neumann_entropy(rho_e) - g_entropy(p.k * p.k * p.N0)
-    return hb - he
+    return ensemble_rates(p, Q, dim).quantum
 
 
 def delta_B(p: ChannelParams, Q: ComplexConstellation,
@@ -112,10 +137,8 @@ def delta_B(p: ChannelParams, Q: ComplexConstellation,
 
 def delta_E(p: ChannelParams, Q: ComplexConstellation,
             dim: int | None = None) -> float:
-    """The E-side gap g(E-output photon number) - H(rho_m^E); nonnegative."""
-    rho = ensemble_average_state(build_ensemble(p, Q, "E"), dim)
-    mu_e = (1.0 - p.k * p.k) * p.N + p.k * p.k * p.N0
-    return g_entropy(mu_e) - von_neumann_entropy(rho)
+    """The E-side gap g(N'_E) - H(rho_m^E); nonnegative."""
+    return ensemble_rates(p, Q, dim).delta_E
 
 
 def build_xi(Q: ComplexConstellation, dim: int | None = None) -> BipartiteStateVector:
@@ -137,8 +160,4 @@ def xi_index_marginal(xi: BipartiteStateVector) -> np.ndarray:
 def xi_mode_marginal(xi: BipartiteStateVector) -> DensityOperator:
     """Reduced state on the mode register (index traced out):
     sum_j Q_j |z_j><z_j|."""
-    mat = xi.amplitudes.T @ xi.amplitudes.conj()
-    mat = (mat + mat.conj().T) / 2.0
-    dim = mat.shape[0]
-    deficit = max(0.0, 1.0 - float(np.trace(mat).real))
-    return DensityOperator(matrix=mat, dim=dim, truncation_tol=deficit)
+    return _density_operator(xi.amplitudes.T @ xi.amplitudes.conj())

@@ -43,6 +43,10 @@ def test_snr_gap_identity(k, N0, N):
     (0.8, 0.0, 0.0),
     (0.8, 0.0, -3.0),
     (1.0, 0.0, 1.0),
+    (0.8, math.nan, 7.0),
+    (0.8, math.inf, 7.0),
+    (0.8, 0.0, math.nan),
+    (0.8, 0.0, math.inf),
 ])
 def test_invalid_parameters_rejected(k, N0, N):
     with pytest.raises(ValueError):

@@ -135,6 +135,15 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert code == 2
 
 
+def test_config_file_rejects_unknown_format(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\n")
+    code, text = run_cli(["rates", "--config", str(cfg), "--m-max", "3",
+                          "--dim", "40", "--kinds", "equilattice"])
+    assert code == 2
+    assert text == ""
+
+
 def test_out_flag_writes_file(tmp_path):
     dest = tmp_path / "table.csv"
     code, text = run_cli(["rates", "--m-max", "3", "--dim", "40",
@@ -167,3 +176,13 @@ def test_polar_construction_only_run():
     assert rep["level_ber"] is None
     assert rep["level_rates"] is not None
     jsonschema.validate(rep, load_schema("polar_report.schema.json"))
+
+
+def test_polar_report_rate_recomputes_from_its_own_estimate():
+    # the codes are sized from the reported estimate, so the report's own
+    # numbers give back its sum rate
+    rep = cmd_polar(SMALL_POLAR)
+    n = rep["blocklength"]
+    assert rep["mi_estimate_bits"] == sum(rep["level_mi_bits"])
+    assert rep["sum_rate_bits_per_mode"] == round(
+        rep["rate_fraction"] * rep["mi_estimate_bits"] * n) / n

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermalcomm import (PolarCode, bec_bhattacharyya, bec_frozen_set,
-                         bit_llr, channel_params, construct_code,
+                         channel_params, construct_code,
                          construct_multilevel, induced_channel,
                          make_constellation, polar_transform, sc_decode,
                          simulate)
 from thermalcomm.polar import (ErasureChannel, _inverse_gray,
                                estimate_level_mi, genie_error_counts,
-                               heterodyne_sample, sc_decode_batch)
+                               sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -119,13 +119,19 @@ def test_induced_channel_rejects_bad_input():
 
 
 def test_heterodyne_noise_variance():
+    ch = make_channel(4)
     rng = np.random.default_rng(0)
-    z = 1.0 + 1.0j
-    y = np.array([heterodyne_sample(P, z, rng) for _ in range(40_000)])
-    assert np.mean(y.real) == pytest.approx(P.k * z.real, abs=0.02)
+    j = np.full(40_000, 3)  # one fixed amplitude per quadrature
+    y = ch._heterodyne(rng, j) + 1j * ch._heterodyne(rng, j)
+    assert np.mean(y.real) == pytest.approx(P.k * ch.amplitudes[3], abs=0.02)
     target = (P.Nc + 1.0) / 2.0
     assert np.var(y.real) == pytest.approx(target, rel=0.02)
     assert np.var(y.imag) == pytest.approx(target, rel=0.02)
+
+
+def msb_llr(ch, y):
+    """LLR of the real quadrature's first level for heterodyne outcome y."""
+    return float(ch.level_llrs(0, np.zeros((1, 0)), np.array([y.real]))[0])
 
 
 def test_bpsk_llr_closed_form():
@@ -136,7 +142,7 @@ def test_bpsk_llr_closed_form():
     a = p.k * math.sqrt(p.N / 2.0)
     var = (p.Nc + 1.0) / 2.0
     for y in (0.4 + 0.2j, -1.3 - 0.9j, 2.0 + 0j):
-        got = bit_llr(ch, 0, (), y)
+        got = msb_llr(ch, y)
         want = 2.0 * a * y.real / var
         assert abs(got) == pytest.approx(abs(want), rel=1e-9)
         assert math.copysign(1, got) * math.copysign(1, want) in (-1.0, 1.0)
@@ -146,8 +152,8 @@ def test_bpsk_llr_sign_consistency():
     # a strongly positive observation must favour one bit value and a
     # strongly negative observation the other
     ch = make_channel(2)
-    lp = bit_llr(ch, 0, (), 5.0 + 0j)
-    lm = bit_llr(ch, 0, (), -5.0 + 0j)
+    lp = msb_llr(ch, 5.0 + 0j)
+    lm = msb_llr(ch, -5.0 + 0j)
     assert lp * lm < 0
 
 
@@ -171,8 +177,7 @@ def test_sc_decode_noiseless_roundtrip():
     n = 64
     rng = np.random.default_rng(9)
     frozen = np.sort(rng.choice(n, size=n // 2, replace=False))
-    code = PolarCode(n=n, frozen=frozen,
-                     frozen_values=np.zeros(n // 2, dtype=np.int8))
+    code = PolarCode(n=n, frozen=frozen)
     u = np.zeros(n, dtype=np.int8)
     info = code.info_set
     u[info] = rng.integers(0, 2, size=len(info))
@@ -185,8 +190,7 @@ def test_sc_decode_batch_matches_scalar():
     n = 32
     rng = np.random.default_rng(21)
     frozen = np.sort(rng.choice(n, size=n // 2, replace=False))
-    code = PolarCode(n=n, frozen=frozen,
-                     frozen_values=np.zeros(n // 2, dtype=np.int8))
+    code = PolarCode(n=n, frozen=frozen)
     llr = rng.normal(size=(8, n)) * 3.0
     batch = sc_decode_batch(code, llr)
     for i in range(8):
@@ -195,16 +199,13 @@ def test_sc_decode_batch_matches_scalar():
 
 def test_polar_code_validation():
     with pytest.raises(ValueError):
-        PolarCode(n=12, frozen=np.array([0]),
-                  frozen_values=np.array([0], dtype=np.int8))
+        PolarCode(n=12, frozen=np.array([0]))
     with pytest.raises(ValueError):
-        PolarCode(n=8, frozen=np.array([0, 9]),
-                  frozen_values=np.zeros(2, dtype=np.int8))
+        PolarCode(n=8, frozen=np.array([0, 9]))
 
 
 def test_code_rate_property():
-    code = PolarCode(n=8, frozen=np.array([0, 1, 2]),
-                     frozen_values=np.zeros(3, dtype=np.int8))
+    code = PolarCode(n=8, frozen=np.array([0, 1, 2]))
     assert code.rate == pytest.approx(5 / 8)
     np.testing.assert_array_equal(code.info_set, [3, 4, 5, 6, 7])
 

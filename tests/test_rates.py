@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermalcomm import (build_ensemble, build_xi, capacity_C, channel_params,
-                         delta_B, delta_E, ensemble_average_state,
+                         delta_B, delta_E, ensemble_average_state, g_entropy,
                          gaussian_rate_limit, holevo_rate, make_constellation,
                          product_constellation, quantum_rate,
                          von_neumann_entropy, xi_index_marginal,
@@ -39,6 +39,13 @@ def test_holevo_rate_against_gram_oracle(kind):
     scaled = [P.k * z for z in Q.points]
     expect = coherent_mixture_entropy_gram(scaled, Q.probs)
     assert holevo_rate(P, Q) == pytest.approx(expect, abs=1e-8)
+    # at N0 = 0 the environment states are coherent at -sqrt(1-k^2) z too
+    h_b = expect
+    h_e = coherent_mixture_entropy_gram(
+        [-math.sqrt(1.0 - P.k ** 2) * z for z in Q.points], Q.probs)
+    assert quantum_rate(P, Q) == pytest.approx(h_b - h_e, abs=1e-8)
+    assert delta_E(P, Q) == pytest.approx(
+        g_entropy((1.0 - P.k ** 2) * P.N) - h_e, abs=1e-8)
 
 
 def test_holevo_rate_below_capacity():
