@@ -7,6 +7,11 @@ ordinary Monte-Carlo link simulation.  Note this front-end achieves the
 heterodyne rate, which is strictly below the Holevo rate the quantum decoder
 would reach; the rates module computes the latter.
 
+The demapper is table-driven: each bit position has a table of the points
+under every label prefix, so one level's LLRs are a gather of candidate
+centers and a logaddexp pass.  Successive cancellation carries the partial
+sums of decided bits up the butterfly instead of re-encoding each subtree.
+
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
 quadrature's levels first.
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import ChannelParams
 from .constellations import ComplexConstellation, RealConstellation
@@ -87,6 +91,9 @@ class InducedChannel:
     amplitudes: np.ndarray  # per-quadrature real amplitudes, ascending
     nbits: int
     point_bits: np.ndarray  # (m, nbits) Gray label bits, MSB first
+    # per bit position b: (2**b, 2, m >> (b+1)) point indices whose first b
+    # label bits spell the row's pattern, split by the value of bit b
+    label_tables: tuple[np.ndarray, ...]
 
     @property
     def levels(self) -> int:
@@ -123,8 +130,12 @@ class InducedChannel:
                    yq: np.ndarray) -> np.ndarray:
         """Vectorized LLRs for one level: log-ratio of the Gaussian
         likelihoods marginalized over the points consistent with the
-        lower-level bits.  ``yq`` is the relevant quadrature of y."""
-        q, bpos = divmod(level, self.nbits)
+        lower-level bits.  ``yq`` is the relevant quadrature of y.
+
+        The lower-level bits form a label-prefix pattern that indexes the
+        level's point table, so each outcome gathers the centers of its two
+        candidate subsets and reduces each with np.logaddexp."""
+        bpos = level % self.nbits
         if not 0 <= level < self.levels:
             raise ValueError(f"level must be in [0, {self.levels}), got {level}")
         yq = np.asarray(yq, dtype=float)
@@ -133,27 +144,21 @@ class InducedChannel:
         for b in range(bpos):
             pattern = (pattern << 1) | priors[:, b]
 
+        centers = self.params.k * self.amplitudes[self.label_tables[bpos]]
         scale = -1.0 / (2.0 * self.noise_var)
-        centers = self.params.k * self.amplitudes
-        llr = np.empty(len(yq))
-        for pat in np.unique(pattern):
-            mask = pattern == pat
-            sub0, sub1 = self._subsets(bpos, int(pat))
-            e0 = scale * (yq[mask, None] - centers[sub0][None, :]) ** 2
-            e1 = scale * (yq[mask, None] - centers[sub1][None, :]) ** 2
-            llr[mask] = logsumexp(e0, axis=1) - logsumexp(e1, axis=1)
-        return llr
-
-    def _subsets(self, bpos: int, pattern: int) -> tuple[np.ndarray, np.ndarray]:
-        """Point indices whose first ``bpos`` label bits equal ``pattern``,
-        split by the value of bit ``bpos``."""
-        sel = np.ones(len(self.amplitudes), dtype=bool)
-        for b in range(bpos):
-            want = (pattern >> (bpos - 1 - b)) & 1
-            sel &= self.point_bits[:, b] == want
-        idx = np.nonzero(sel)[0]
-        return (idx[self.point_bits[idx, bpos] == 0],
-                idx[self.point_bits[idx, bpos] == 1])
+        lse = []
+        for bit in (0, 1):
+            # fold each candidate's exponent -(y - c)^2 / (2 var) into a
+            # running log-sum-exp
+            acc = None
+            for c in centers[:, bit, :].T:
+                e = c[pattern]
+                np.subtract(yq, e, out=e)
+                np.square(e, out=e)
+                e *= scale
+                acc = e if acc is None else np.logaddexp(acc, e, out=acc)
+            lse.append(acc)
+        return lse[0] - lse[1]
 
 
 def induced_channel(p: ChannelParams, c: RealConstellation,
@@ -173,8 +178,13 @@ def induced_channel(p: ChannelParams, c: RealConstellation,
     gray = j ^ (j >> 1)
     point_bits = ((gray[:, None] >> (nbits - 1 - np.arange(nbits))[None, :]) & 1
                   ).astype(np.int8)
+    # stable sort by the first b+1 label bits, most significant first
+    label_tables = tuple(
+        np.lexsort(point_bits[:, b::-1].T).reshape(1 << b, 2, -1)
+        for b in range(nbits))
     return InducedChannel(params=p, constellation=Q, amplitudes=amplitudes,
-                          nbits=nbits, point_bits=point_bits)
+                          nbits=nbits, point_bits=point_bits,
+                          label_tables=label_tables)
 
 
 def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,19 +196,25 @@ def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return b + (1.0 - 2.0 * u) * a
 
 
-def _sc_batch(llr: np.ndarray, decide, idx0: int) -> np.ndarray:
+def _sc_batch(llr: np.ndarray, decide,
+              idx0: int) -> tuple[np.ndarray, np.ndarray]:
     """SC recursion over a (batch, n) LLR array; ``decide(i, llr_col)``
     returns the batch's decisions for input index ``i``.  Trials are
-    independent, so the whole batch moves through the butterfly together."""
+    independent, so the whole batch moves through the butterfly together.
+
+    Returns the decided inputs u and their partial sums x = u F^{x log2 n};
+    each half's x comes back up the recursion, so no subtree is
+    re-encoded."""
     n = llr.shape[1]
     if n == 1:
-        return decide(idx0, llr[:, 0]).astype(np.int8)[:, None]
+        u = decide(idx0, llr[:, 0]).astype(np.int8)[:, None]
+        return u, u
     half = n // 2
     a, b = llr[:, :half], llr[:, half:]
-    u_left = _sc_batch(_f(a, b), decide, idx0)
-    left_code = _transform_batch(u_left)
-    u_right = _sc_batch(_g(a, b, left_code), decide, idx0 + half)
-    return np.concatenate([u_left, u_right], axis=1)
+    u_left, x_left = _sc_batch(_f(a, b), decide, idx0)
+    u_right, x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half)
+    return (np.concatenate([u_left, u_right], axis=1),
+            np.concatenate([x_left ^ x_right, x_right], axis=1))
 
 
 def sc_decode_batch(code: PolarCode, llr: np.ndarray) -> np.ndarray:
@@ -215,7 +231,7 @@ def sc_decode_batch(code: PolarCode, llr: np.ndarray) -> np.ndarray:
             return np.zeros(nrows, dtype=np.int8)
         return (col < 0).astype(np.int8)
 
-    return _sc_batch(llr, decide, 0)
+    return _sc_batch(llr, decide, 0)[0]
 
 
 def sc_decode(code: PolarCode, llr: np.ndarray) -> np.ndarray:
@@ -408,12 +424,13 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
             u_levels.append(u)
             x_levels.append(_transform_batch(u))
         # map label bits to symbols per quadrature and sample heterodyne
+        amp_index = _inverse_gray(np.arange(len(ch.amplitudes)))
         ys = []
         for q in range(2):
             label = np.zeros((trials, n), dtype=np.int64)
             for b in range(ch.nbits):
                 label = (label << 1) | x_levels[q * ch.nbits + b]
-            ys.append(ch._heterodyne(rng, _inverse_gray(label)))
+            ys.append(ch._heterodyne(rng, amp_index[label]))
         # decode level by level, feeding decisions forward
         for q in range(2):
             priors = np.zeros((trials * n, 0), dtype=np.int8)

@@ -16,9 +16,14 @@ import numpy as np
 from .channel import (ChannelParams, DisplacedThermalSpec, g_entropy,
                       output_state_B, output_state_E)
 from .constellations import ComplexConstellation
+from .errors import TruncationError
 from .fock import (DensityOperator, _density_operator, coherent_state,
                    default_dim, displaced_thermal, relative_entropy,
                    thermal_state, von_neumann_entropy)
+
+# Largest Fock trace deficit a rate is reported at; beyond it the entropies
+# of the truncated average state are not to be trusted.
+TRUNCATION_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -90,15 +95,28 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
     return _density_operator(mat)
 
 
+def _checked_average_state(p: ChannelParams, Q: ComplexConstellation,
+                           side: str, dim: int | None) -> DensityOperator:
+    """The side's ensemble average state; raises ``TruncationError`` when
+    its trace deficit exceeds ``TRUNCATION_TOL``."""
+    rho = ensemble_average_state(build_ensemble(p, Q, side), dim)
+    if rho.truncation_tol > TRUNCATION_TOL:
+        raise TruncationError(
+            f"{side}-side trace deficit {rho.truncation_tol:.3g} exceeds "
+            f"{TRUNCATION_TOL:g} at dim {rho.dim}; raise the dimension")
+    return rho
+
+
 def ensemble_rates(p: ChannelParams, Q: ComplexConstellation,
                    dim: int | None = None) -> EnsembleRates:
     """All rate quantities from one average state and one eigensolve per
     side: the classical rate I(Z_m : B_m) = H(rho_m^B) - g(Nc), the quantum
     rate I(Z_m : B) - I(Z_m : E), and the gaps g(N') - H(rho_m^B) and
     g(N'_E) - H(rho_m^E).  ``dim`` is the B-side truncation dimension and
-    ``trace_deficit`` the larger of the two sides' deficits."""
-    rho_b = ensemble_average_state(build_ensemble(p, Q, "B"), dim)
-    rho_e = ensemble_average_state(build_ensemble(p, Q, "E"), dim)
+    ``trace_deficit`` the larger of the two sides' deficits; a deficit
+    above ``TRUNCATION_TOL`` on either side raises ``TruncationError``."""
+    rho_b = _checked_average_state(p, Q, "B", dim)
+    rho_e = _checked_average_state(p, Q, "E", dim)
     h_b = von_neumann_entropy(rho_b)
     h_e = von_neumann_entropy(rho_e)
     classical = h_b - g_entropy(p.Nc)
@@ -127,8 +145,8 @@ def delta_B(p: ChannelParams, Q: ComplexConstellation,
             dim: int | None = None) -> tuple[float, float]:
     """The B-side gap, both as an entropy difference g(N') - H(rho_m^B) and
     as the relative entropy D(rho_m^B || tau_N'); the two agree up to
-    truncation error."""
-    rho = ensemble_average_state(build_ensemble(p, Q, "B"), dim)
+    truncation error, whose deficit must be within ``TRUNCATION_TOL``."""
+    rho = _checked_average_state(p, Q, "B", dim)
     entropy_form = g_entropy(p.Nprime) - von_neumann_entropy(rho)
     tau = thermal_state(p.Nprime, rho.dim)
     relent_form = relative_entropy(rho, tau)

@@ -109,6 +109,14 @@ def test_usage_error_polar_nonuniform_kind():
     assert code == 2
 
 
+def test_truncation_error_exit_code():
+    # at dim 5 the B-side state loses almost half its trace
+    code, text = run_cli(["rates", "--dim", "5", "--m-max", "3",
+                          "--kinds", "equilattice"])
+    assert code == 4
+    assert text == ""
+
+
 def test_polar_rejects_csv_format():
     code, _ = run_cli(["polar", "--format", "csv", "--blocklength", "64",
                        "--trials", "0", "--mc-budget", "100"])
@@ -156,6 +164,19 @@ def test_out_flag_writes_file(tmp_path):
 
 SMALL_POLAR = RunConfig(m_min=2, blocklength=128, trials=40, mc_budget=200,
                         fmt="json")
+SMALL_POLAR_16QAM = RunConfig(m_min=4, blocklength=128, trials=40,
+                              mc_budget=200, fmt="json")
+
+# fixed-seed fer, level_ber, level_rates and mi_estimate_bits: a change to
+# the demapper, the construction or the SC decoder that alters any decision
+# moves one of them
+GOLDEN_POLAR = [
+    (SMALL_POLAR, 0.0, [0.0, 0.0], [0.640625, 0.6640625], 1.8658595295256477),
+    (SMALL_POLAR_16QAM, 0.275,
+     [0.021323529411764706, 0.02214285714285714, 0.029710144927536233,
+      0.019444444444444445],
+     [0.53125, 0.2734375, 0.5390625, 0.28125], 2.323828034523765),
+]
 
 
 def test_polar_report_schema_and_determinism():
@@ -166,6 +187,16 @@ def test_polar_report_schema_and_determinism():
     assert rep1["blocklength"] == 128
     assert rep1["trials"] == 40
     assert 0.0 <= rep1["fer"] <= 1.0
+
+
+@pytest.mark.parametrize("config, fer, level_ber, level_rates, mi",
+                         GOLDEN_POLAR, ids=["m2", "m4"])
+def test_polar_report_matches_golden(config, fer, level_ber, level_rates, mi):
+    rep = cmd_polar(config)
+    assert rep["fer"] == fer
+    assert rep["level_ber"] == level_ber
+    assert rep["level_rates"] == level_rates
+    assert rep["mi_estimate_bits"] == pytest.approx(mi, rel=1e-12, abs=0.0)
 
 
 def test_polar_construction_only_run():

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from thermalcomm import (PolarCode, bec_bhattacharyya, bec_frozen_set,
                          channel_params, construct_code,
                          construct_multilevel, induced_channel,
                          make_constellation, polar_transform, sc_decode,
                          simulate)
-from thermalcomm.polar import (ErasureChannel, _inverse_gray,
+from thermalcomm.polar import (ErasureChannel, _inverse_gray, _sc_batch,
                                estimate_level_mi, genie_error_counts,
                                sc_decode_batch)
 
@@ -157,6 +158,42 @@ def test_bpsk_llr_sign_consistency():
     assert lp * lm < 0
 
 
+def oracle_level_llrs(m, level, priors, yq, p=P):
+    """Brute force: for each outcome, scipy logsumexp over the points whose
+    Gray-label prefix equals its priors, split by the level's bit."""
+    nbits = int(math.log2(m))
+    bpos = level % nbits
+    labels = [[((i ^ (i >> 1)) >> (nbits - 1 - b)) & 1
+               for b in range(nbits)] for i in range(m)]
+    centers = p.k * math.sqrt(p.N / 2.0) * make_constellation(
+        "equilattice", m).points
+    var = (p.Nc + 1.0) / 2.0
+    out = np.empty(len(yq))
+    for t, (pri, y) in enumerate(zip(priors, yq)):
+        match = [i for i in range(m) if labels[i][:bpos] == list(pri)]
+        e = {bit: [-(y - centers[i]) ** 2 / (2.0 * var) for i in match
+                   if labels[i][bpos] == bit] for bit in (0, 1)}
+        out[t] = logsumexp(e[0]) - logsumexp(e[1])
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_level_llrs_match_brute_force_oracle(m):
+    ch = make_channel(m)
+    rng = np.random.default_rng(100 + m)
+    for level in range(ch.levels):
+        bpos = level % ch.nbits
+        yq = np.concatenate([
+            P.k * ch.amplitudes[rng.integers(0, m, 150)]
+            + rng.normal(scale=math.sqrt(ch.noise_var), size=150),
+            rng.uniform(-30.0, 30.0, 50)])
+        priors = rng.integers(0, 2, size=(len(yq), bpos)).astype(np.int8)
+        got = ch.level_llrs(level, priors, yq)
+        want = oracle_level_llrs(m, level, priors, yq)
+        tol = 1e-12 * np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= tol)
+
+
 def test_estimate_level_mi_in_unit_interval():
     ch = make_channel(4)
     rng = np.random.default_rng(5)
@@ -195,6 +232,17 @@ def test_sc_decode_batch_matches_scalar():
     batch = sc_decode_batch(code, llr)
     for i in range(8):
         np.testing.assert_array_equal(batch[i], sc_decode(code, llr[i]))
+
+
+def test_sc_partial_sums_are_the_transform_of_the_decisions():
+    # whatever the decisions, the partial sums SC carries up the butterfly
+    # must be the polar transform of the decided inputs
+    rng = np.random.default_rng(5)
+    llr = rng.normal(size=(16, 64))
+    flips = rng.integers(0, 2, size=(16, 64)).astype(np.int8)
+    u, x = _sc_batch(llr, lambda i, col: (col < 0) ^ flips[:, i], 0)
+    for row_u, row_x in zip(u, x):
+        np.testing.assert_array_equal(row_x, polar_transform(row_u))
 
 
 def test_polar_code_validation():
