@@ -52,7 +52,9 @@ class ChannelParams:
 def channel_params(k: float, N0: float, N: float) -> ChannelParams:
     """Validate ``(k, N0, N)`` and compute all derived scalars.
 
-    Raises ``ValueError`` for non-finite or out-of-range parameters and for
+    Raises ``ValueError`` for non-finite or out-of-range parameters, for
+    parameters whose ``s`` or ``c_decay`` is not a finite positive double
+    (k^2 N underflows, or sqrt(N'(N'+1)) rounds to N'), and for
     the degenerate identity channel ``k == 1, N0 == 0`` (the
     additive-noise-only formulation needed to make ``k == 1`` meaningful is
     out of scope).
@@ -75,8 +77,13 @@ def channel_params(k: float, N0: float, N: float) -> ChannelParams:
     Nprime_E = (1.0 - k * k) * N + Nc_E
     dgap = math.sqrt(Nprime * (Nprime + 1.0))
     cgap = Nprime - Nc  # equals k^2 N
-    s = k * k * N / (dgap - k * k * N)
-    c_decay = 2.0 * math.log((1.0 + s) / s)
+    excess = dgap - k * k * N
+    s = k * k * N / excess if excess > 0.0 else math.inf
+    c_decay = 2.0 * math.log((1.0 + s) / s) if 0.0 < s < math.inf else math.inf
+    if not math.isfinite(c_decay):
+        raise ValueError(
+            f"(k, N0, N) = ({k:g}, {N0:g}, {N:g}): the signal-to-noise ratio "
+            "is outside the range double precision resolves")
     t = math.sqrt((Nprime + 1.0) / Nprime)
     return ChannelParams(
         k=k, N0=N0, N=N, Nc=Nc, Nprime=Nprime, Nc_E=Nc_E, Nprime_E=Nprime_E,

@@ -90,11 +90,13 @@ def cmd_chi2(config: RunConfig) -> list[dict]:
 
     ``delta_B_actual`` is reported in nats: the chi-square bound dominates
     the natural-log relative entropy, and the bits conversion (x 1/ln 2)
-    can cross the bound where it is tight.  Rate tables stay in bits.
+    can cross the bound where it is tight.  Rate tables stay in bits.  It
+    is null where the gap is below ``rates.GAP_RESOLUTION``, whose noise
+    can come out negative or above the bound.
     """
     import math
     from .constellations import classical_chi2_kernel
-    from .rates import delta_B
+    from .rates import GAP_RESOLUTION, delta_B
 
     p = channel_params(config.k, config.n0, config.n)
     rows = []
@@ -107,7 +109,8 @@ def cmd_chi2(config: RunConfig) -> list[dict]:
                 "kind": kind, "m": m, "s": p.s,
                 "chi2_classical": classical_chi2_kernel(c, p.s),
                 "delta_B_bound": delta_B_bound(p, c),
-                "delta_B_actual": db_entropy * math.log(2.0),
+                "delta_B_actual": (db_entropy * math.log(2.0)
+                                   if db_entropy >= GAP_RESOLUTION else None),
                 "c_decay": p.c_decay,
             })
     return rows

@@ -85,11 +85,11 @@ def annihilation_matrix(dim: int) -> np.ndarray:
 
 
 def _laguerre_lower_triangle(alpha: complex, dim: int) -> np.ndarray:
-    """Entries <m|D(alpha)|n> for m >= n via the associated-Laguerre closed
-    form, combined in the log domain.  Returns a dim x dim lower-triangular
-    complex array."""
+    """Entries <m|D(alpha)|n> for m >= n, alpha != 0, via the Laguerre closed
+    form in the log domain: one table L_n^{(k)}(|alpha|^2), then a per-offset
+    loop's arithmetic (scalar phase powers too) on all pairs at k = m - n as
+    whole arrays.  Returns a dim x dim lower-triangular complex array."""
     x = abs(alpha) ** 2
-    n_idx = np.arange(dim)
     # L[n, k] = L_n^{(k)}(x) by the three-term recurrence, vectorized over k.
     k = np.arange(dim, dtype=np.longdouble)
     xl = np.longdouble(x)
@@ -100,39 +100,39 @@ def _laguerre_lower_triangle(alpha: complex, dim: int) -> np.ndarray:
     for n in range(1, dim - 1):
         lag[n + 1] = ((2 * n + 1 + k - xl) * lag[n] - (n + k) * lag[n - 1]) / (n + 1)
 
-    gl = gammaln(n_idx + 1.0)
+    gl = gammaln(np.arange(dim) + 1.0)
+    m, n = np.tril_indices(dim)
+    kk = m - n
+    phase = alpha / abs(alpha)
+    phase_pow = np.array([phase ** d for d in range(dim)])
+    # log magnitude of sqrt(n!/m!) |alpha|^k e^{-x/2}
+    logpref = (0.5 * (gl[n] - gl[m]) + kk * math.log(abs(alpha)) - x / 2.0
+               ).astype(np.longdouble)
+    lvals = lag[n, kk]
+    with np.errstate(divide="ignore"):
+        loglag = np.log(np.abs(lvals))
+    mag = np.exp(logpref + loglag).astype(float)
     out = np.zeros((dim, dim), dtype=complex)
-    log_abs_alpha = math.log(abs(alpha)) if alpha != 0 else -math.inf
-    phase = alpha / abs(alpha) if alpha != 0 else 1.0
-    for kk in range(dim):  # offset m - n
-        n = n_idx[: dim - kk]
-        m = n + kk
-        # log magnitude of sqrt(n!/m!) |alpha|^k e^{-x/2}
-        logpref = (0.5 * (gl[n] - gl[m]) + kk * log_abs_alpha - x / 2.0
-                   ).astype(np.longdouble)
-        lvals = lag[n, kk]
-        with np.errstate(divide="ignore"):
-            loglag = np.log(np.abs(lvals))
-        mag = np.exp(logpref + loglag).astype(float)
-        vals = np.sign(lvals).astype(float) * mag * phase ** kk
-        if kk == 0 and alpha == 0:
-            vals = np.ones(dim)
-        out[m, n] = vals
+    out[m, n] = np.sign(lvals).astype(float) * mag * phase_pow[kk]
     return out
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     """Matrix of D(alpha) on the truncated space, via the Laguerre closed
-    form; unitary on the retained subspace up to truncation error."""
+    form; unitary on the retained subspace up to truncation error.  One
+    Laguerre table serves both triangles, since D(alpha)^dag = D(-alpha) and
+    <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n> for m >= n."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if abs(alpha) ** 2 > dim:
         warnings.warn(
             f"displacement with |alpha|^2 = {abs(alpha)**2:.1f} at dim = {dim}: "
             "severe truncation", TruncationWarning, stacklevel=2)
+    if alpha == 0:
+        return np.eye(dim, dtype=complex)
     lower = _laguerre_lower_triangle(alpha, dim)
-    # D(alpha)_{mn} = conj(D(-alpha)_{nm}) since D(alpha)^dag = D(-alpha)
-    upper = _laguerre_lower_triangle(-alpha, dim).conj().T
+    odd = np.tril(np.subtract.outer(np.arange(dim), np.arange(dim)) % 2 == 1)
+    upper = np.where(odd, -lower, lower).conj().T  # conj(D(-alpha)_{nm})
     out = lower + upper
     out[np.diag_indices(dim)] -= np.diag(upper)  # diagonal counted twice
     return out

@@ -25,6 +25,17 @@ from .fock import (DensityOperator, _density_operator, coherent_state,
 # of the truncated average state are not to be trusted.
 TRUNCATION_TOL = 1e-4
 
+# Largest truncation dimension an average state is built at: one dim x dim
+# complex matrix is 64 MB there, and the eigensolve takes seconds.
+MAX_DIM = 2000
+
+# Smallest entropy gap g(N') - H(rho), in bits, that the eigensolve
+# resolves.  Rounding moves H(rho) by up to ~2e-15 bits (measured by
+# rotating average states at dims 29-330 with random unitaries), and each
+# eigenvalue under fock.EIG_FLOOR = 1e-14 that the entropy drops carries up
+# to 4.7e-13 bits; a smaller gap is noise of either sign.
+GAP_RESOLUTION = 1e-12
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -98,8 +109,16 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
 def _checked_average_state(p: ChannelParams, Q: ComplexConstellation,
                            side: str, dim: int | None) -> DensityOperator:
     """The side's ensemble average state; raises ``TruncationError`` when
-    its trace deficit exceeds ``TRUNCATION_TOL``."""
-    rho = ensemble_average_state(build_ensemble(p, Q, side), dim)
+    its dimension exceeds ``MAX_DIM`` or its trace deficit exceeds
+    ``TRUNCATION_TOL``."""
+    e = build_ensemble(p, Q, side)
+    if dim is None:
+        dim = ensemble_dim(e)
+    if dim > MAX_DIM:
+        raise TruncationError(
+            f"{side}-side state needs dim {dim}, above the largest "
+            f"supported {MAX_DIM}")
+    rho = ensemble_average_state(e, dim)
     if rho.truncation_tol > TRUNCATION_TOL:
         raise TruncationError(
             f"{side}-side trace deficit {rho.truncation_tol:.3g} exceeds "

@@ -47,6 +47,9 @@ def test_snr_gap_identity(k, N0, N):
     (0.8, math.inf, 7.0),
     (0.8, 0.0, math.nan),
     (0.8, 0.0, math.inf),
+    (1e-300, 0.0, 7.0),  # k^2 N underflows to 0
+    (0.8, 0.0, 1e17),  # sqrt(N'(N'+1)) rounds to N'
+    (0.8, 1e300, 7.0),  # N'(N'+1) overflows
 ])
 def test_invalid_parameters_rejected(k, N0, N):
     with pytest.raises(ValueError):

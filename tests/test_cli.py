@@ -2,10 +2,12 @@ import csv
 import importlib.resources
 import io
 import json
-from contextlib import redirect_stdout
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from thermalcomm.cli import (CHI2_COLUMNS, RATES_COLUMNS, RunConfig, cmd_chi2,
                              cmd_constellation, cmd_polar, cmd_rates, main)
@@ -60,6 +62,30 @@ def test_rates_json_validates_against_schema():
     jsonschema.validate(doc, load_schema("table.schema.json"))
 
 
+# every field of `rates --n0 0.5 --m-max 3`, as printed: the thermal rows
+# come from the displaced-thermal Fock build, so any change to its
+# arithmetic moves a digit here
+GOLDEN_THERMAL_RATES = [
+    'kind,m,classical_rate_bits,quantum_rate_bits,delta_B,delta_E,chi2_bound,dim,trace_deficit',
+    'capacity_C,,3.0807259223521517,,,,,,',
+    'gaussian_rate_limit,,,0.9583519765293684,,,,,',
+    'equilattice,2,1.9807630447359803,0.22056216149949348,1.0999628776161714,0.36217306258629645,1.6589495893115107,44,1.709743457922741e-14',
+    'equilattice,3,2.7328522273672085,0.7265283617635019,0.34787369498494325,0.1160500802190767,0.5006162467569966,50,1.4876988529977098e-14',
+    'quantile,2,1.9807630447359803,0.22056216149949348,1.0999628776161714,0.36217306258629645,1.6589495893115107,44,1.709743457922741e-14',
+    'quantile,3,2.7328522273672085,0.7265283617635019,0.34787369498494325,0.1160500802190767,0.5006162467569966,50,1.4876988529977098e-14',
+    'random_walk,2,1.9807630447359803,0.22056216149949348,1.0999628776161714,0.36217306258629645,1.6589495893115107,44,1.709743457922741e-14',
+    'random_walk,3,2.7402253486988477,0.6787250228619905,0.340500573653304,0.06087361998592611,0.4468621612154752,55,2.4202861936828413e-14',
+    'gauss_hermite,2,1.9807630447359803,0.22056216149949348,1.0999628776161714,0.36217306258629645,1.6589495893115107,44,1.709743457922741e-14',
+    'gauss_hermite,3,2.426213307191605,0.4365674762955223,0.6545126151605465,0.13272811492670034,0.894499211774789,65,3.164135620181696e-14',
+]
+
+
+def test_thermal_rates_table_matches_golden():
+    code, text = run_cli(["rates", "--n0", "0.5", "--m-max", "3"])
+    assert code == 0
+    assert text.splitlines() == GOLDEN_THERMAL_RATES
+
+
 # ---------------------------------------------------------------- chi2 table
 
 def test_chi2_table_shape_and_s_constant():
@@ -109,6 +135,19 @@ def test_usage_error_polar_nonuniform_kind():
     assert code == 2
 
 
+def test_low_photon_number_gap_below_resolution_is_null():
+    # at N = 1e-9 the true gap is below 1.4e-19 nats, far under what the
+    # eigensolve resolves; a printed value would be rounding noise
+    code, text = run_cli(["chi2", "--n", "1e-9", "--m-max", "4"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 12
+    for row in rows:
+        if row["delta_B_actual"] != "":
+            actual = float(row["delta_B_actual"])
+            assert 0.0 <= actual <= float(row["delta_B_bound"])
+
+
 def test_truncation_error_exit_code():
     # at dim 5 the B-side state loses almost half its trace
     code, text = run_cli(["rates", "--dim", "5", "--m-max", "3",
@@ -117,10 +156,68 @@ def test_truncation_error_exit_code():
     assert text == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--dim", "100000", "--m-max", "3", "--kinds", "equilattice"],
+    ["chi2", "--n", "2000", "--m-max", "3", "--kinds", "equilattice"],
+], ids=["dim_flag", "photon_number"])
+def test_dimension_above_max_dim_exits_4(argv):
+    # refused before any dim x dim matrix is allocated
+    code, text = run_cli(argv)
+    assert code == 4
+    assert text == ""
+
+
 def test_polar_rejects_csv_format():
     code, _ = run_cli(["polar", "--format", "csv", "--blocklength", "64",
                        "--trials", "0", "--mc-budget", "100"])
     assert code == 2
+
+
+_PHOTONS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324,
+                            1e-300, 1e-9, 1e6, 1e17, 1e300])
+_MODERATE = {"k": st.floats(0.05, 1.0), "n0": st.floats(0.0, 3.0),
+             "n": st.floats(1e-12, 20.0), "m-max": st.integers(2, 3),
+             "dim": st.none() | st.integers(20, 120)}
+_EXTREME = {"k": st.sampled_from([0.0, -0.5, 1.5, 1e-300, 1e-160, math.nan]),
+            "n0": _PHOTONS, "n": _PHOTONS, "m-max": st.integers(-1, 1),
+            "dim": st.sampled_from([-3, 0, 1, 5, 100_000])}
+
+
+@st.composite
+def _table_argv(draw):
+    """A rates or chi2 argv; in half the draws one flag takes an extreme
+    value."""
+    wild = draw(st.sampled_from([None] * len(_MODERATE) + list(_MODERATE)))
+    argv = [draw(st.sampled_from(["rates", "chi2"])),
+            "--format=" + draw(st.sampled_from(["csv", "json"]))]
+    for flag, moderate in _MODERATE.items():
+        value = draw(_EXTREME[flag] if flag == wild else moderate)
+        if value is not None:
+            argv.append(f"--{flag}={value!r}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(argv=_table_argv())
+def test_cli_fuzz_exits_typed_with_finite_numbers(argv):
+    with redirect_stderr(io.StringIO()):
+        code, text = run_cli(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert text == ""
+        return
+    if "--format=csv" in argv:
+        rows = list(csv.DictReader(io.StringIO(text)))
+        cells = [v for row in rows for key, v in row.items()
+                 if key != "kind" and v != ""]
+        numbers = [float(v) for v in cells]
+    else:
+        rows = json.loads(text)["rows"]
+        numbers = [v for row in rows for v in row.values()
+                   if isinstance(v, float)]
+    assert rows
+    assert all(math.isfinite(x) for x in numbers), argv
 
 
 # ---------------------------------------------------------------- config file

@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 from thermalcomm import (DensityOperator, annihilation_matrix, coherent_state,
                          default_dim, displaced_thermal, displacement_operator,
                          quantum_chi2_direct, relative_entropy, thermal_state,
                          von_neumann_entropy)
-from thermalcomm.errors import SupportError, TruncationError
+from thermalcomm.errors import (SupportError, TruncationError,
+                                TruncationWarning)
 
 
 def test_coherent_state_is_poisson():
@@ -72,6 +75,74 @@ def test_displacement_unitary_on_interior():
     D = displacement_operator(1.2j, 90)
     prod = D.conj().T @ D
     np.testing.assert_allclose(prod[:30, :30], np.eye(30), atol=1e-10)
+
+
+def _oracle_lower_triangle(alpha, dim):
+    """<m|D(alpha)|n> for m >= n, one offset m - n at a time: the Laguerre
+    closed form with its own recurrence table per call."""
+    x = abs(alpha) ** 2
+    n_idx = np.arange(dim)
+    k = np.arange(dim, dtype=np.longdouble)
+    xl = np.longdouble(x)
+    lag = np.zeros((dim, dim), dtype=np.longdouble)
+    lag[0] = 1.0
+    if dim > 1:
+        lag[1] = 1.0 + k - xl
+    for n in range(1, dim - 1):
+        lag[n + 1] = ((2 * n + 1 + k - xl) * lag[n] - (n + k) * lag[n - 1]) / (n + 1)
+    gl = gammaln(n_idx + 1.0)
+    out = np.zeros((dim, dim), dtype=complex)
+    log_abs_alpha = math.log(abs(alpha)) if alpha != 0 else -math.inf
+    phase = alpha / abs(alpha) if alpha != 0 else 1.0
+    for kk in range(dim):
+        n = n_idx[: dim - kk]
+        m = n + kk
+        logpref = (0.5 * (gl[n] - gl[m]) + kk * log_abs_alpha - x / 2.0
+                   ).astype(np.longdouble)
+        lvals = lag[n, kk]
+        with np.errstate(divide="ignore"):
+            loglag = np.log(np.abs(lvals))
+        mag = np.exp(logpref + loglag).astype(float)
+        vals = np.sign(lvals).astype(float) * mag * phase ** kk
+        if kk == 0 and alpha == 0:
+            vals = np.ones(dim)
+        out[m, n] = vals
+    return out
+
+
+def _oracle_displacement(alpha, dim):
+    """D(alpha) from two independent triangles: D(alpha)_{mn} for m >= n,
+    and conj(D(-alpha)_{nm}) above the diagonal."""
+    lower = _oracle_lower_triangle(alpha, dim)
+    upper = _oracle_lower_triangle(-alpha, dim).conj().T
+    out = lower + upper
+    out[np.diag_indices(dim)] -= np.diag(upper)
+    return out
+
+
+# 0, real, imaginary, complex, and 20 seeded random points of scale 2
+_ORACLE_ALPHAS = [0j, 1.1, -1j, 0.3 - 0.2j,
+                  *2.0 * np.random.default_rng(11).standard_normal(40).view(complex)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 44, 77, 90])
+def test_displacement_matches_per_offset_oracle_bitwise(dim):
+    # one shared table and whole-triangle arithmetic must reproduce the
+    # two-table, per-offset build exactly, not just to a tolerance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for alpha in _ORACLE_ALPHAS:
+            assert np.array_equal(displacement_operator(alpha, dim),
+                                  _oracle_displacement(alpha, dim)), alpha
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2j, 0.3 - 0.2j, -1.4 + 0.9j])
+def test_displacement_negated_alpha_is_checkerboard_on_lower_triangle(alpha):
+    dim = 60
+    m, n = np.tril_indices(dim)
+    sign = (-1.0) ** (m - n)
+    assert np.array_equal(displacement_operator(-alpha, dim)[m, n],
+                          sign * displacement_operator(alpha, dim)[m, n])
 
 
 def test_displaced_thermal_moments():
