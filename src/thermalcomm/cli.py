@@ -54,8 +54,10 @@ class RunConfig:
 
 def cmd_rates(config: RunConfig) -> list[dict]:
     """Rate table rows over the kind x m grid, preceded by the capacity and
-    Gaussian coherent-information reference rows."""
-    from .rates import ensemble_rates
+    Gaussian coherent-information reference rows.  ``delta_B`` and
+    ``delta_E`` are null where the gap is below ``rates.GAP_RESOLUTION``,
+    whose noise can come out negative or above ``chi2_bound``."""
+    from .rates import GAP_RESOLUTION, ensemble_rates
 
     p = channel_params(config.k, config.n0, config.n)
     rows = [
@@ -75,8 +77,10 @@ def cmd_rates(config: RunConfig) -> list[dict]:
                 "kind": kind, "m": m,
                 "classical_rate_bits": r.classical,
                 "quantum_rate_bits": r.quantum,
-                "delta_B": r.delta_B,
-                "delta_E": r.delta_E,
+                "delta_B": (r.delta_B if r.delta_B >= GAP_RESOLUTION
+                            else None),
+                "delta_E": (r.delta_E if r.delta_E >= GAP_RESOLUTION
+                            else None),
                 "chi2_bound": delta_B_bound(p, c),
                 "dim": r.dim,
                 "trace_deficit": r.trace_deficit,
@@ -139,6 +143,10 @@ def cmd_polar(config: RunConfig) -> dict:
     if kind not in ("equilattice", "quantile"):
         raise ValueError(
             f"polar simulation requires a uniform-probability kind, got {kind!r}")
+    if config.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {config.trials}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
     m = config.m_min
     p = channel_params(config.k, config.n0, config.n)
     ch = induced_channel(p, make_constellation(kind, m))
@@ -233,7 +241,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for kind in config.kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown constellation kind {kind!r}")
-    if config.m_min < 2 or config.m_max < config.m_min:
+    if config.m_min < 2:
+        raise ValueError(f"m_min must be >= 2, got {config.m_min}")
+    # polar runs at m_min alone
+    if args.command != "polar" and config.m_max < config.m_min:
         raise ValueError("need 2 <= m_min <= m_max")
     return config
 

@@ -4,6 +4,12 @@ operators, entropies, relative entropy, and the direct quantum chi-square.
 All constructors work at a caller-chosen truncation dimension and record the
 actual trace deficit; ``default_dim`` gives a conservative choice.  Factorials
 and powers are handled in the log domain throughout.
+
+Displacement matrices rest on the phase identity
+<m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|), f real (the Laguerre
+closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): the costly
+Laguerre table depends on |alpha| alone, so one table per radius serves
+every point on that circle, and each point adds only its phase powers.
 """
 
 from __future__ import annotations
@@ -84,12 +90,12 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
 
-def _laguerre_lower_triangle(alpha: complex, dim: int) -> np.ndarray:
-    """Entries <m|D(alpha)|n> for m >= n, alpha != 0, via the Laguerre closed
-    form in the log domain: one table L_n^{(k)}(|alpha|^2), then a per-offset
-    loop's arithmetic (scalar phase powers too) on all pairs at k = m - n as
-    whole arrays.  Returns a dim x dim lower-triangular complex array."""
-    x = abs(alpha) ** 2
+def _laguerre_table(r: float, dim: int) -> np.ndarray:
+    """The real values <m|D(alpha)|n> e^{-i(m-n) arg alpha} at |alpha| = r > 0
+    for every pair m >= n, in ``np.tril_indices(dim)`` order: one table
+    L_n^{(k)}(r^2) by the three-term recurrence, then the Laguerre closed form
+    in the log domain on all pairs at k = m - n as whole arrays."""
+    x = r ** 2
     # L[n, k] = L_n^{(k)}(x) by the three-term recurrence, vectorized over k.
     k = np.arange(dim, dtype=np.longdouble)
     xl = np.longdouble(x)
@@ -103,25 +109,25 @@ def _laguerre_lower_triangle(alpha: complex, dim: int) -> np.ndarray:
     gl = gammaln(np.arange(dim) + 1.0)
     m, n = np.tril_indices(dim)
     kk = m - n
-    phase = alpha / abs(alpha)
-    phase_pow = np.array([phase ** d for d in range(dim)])
-    # log magnitude of sqrt(n!/m!) |alpha|^k e^{-x/2}
-    logpref = (0.5 * (gl[n] - gl[m]) + kk * math.log(abs(alpha)) - x / 2.0
+    # log magnitude of sqrt(n!/m!) r^k e^{-x/2}
+    logpref = (0.5 * (gl[n] - gl[m]) + kk * math.log(r) - x / 2.0
                ).astype(np.longdouble)
     lvals = lag[n, kk]
     with np.errstate(divide="ignore"):
         loglag = np.log(np.abs(lvals))
     mag = np.exp(logpref + loglag).astype(float)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[m, n] = np.sign(lvals).astype(float) * mag * phase_pow[kk]
-    return out
+    return np.sign(lvals).astype(float) * mag
 
 
-def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
+def displacement_operator(alpha: complex, dim: int, *,
+                          _table: np.ndarray | None = None) -> np.ndarray:
     """Matrix of D(alpha) on the truncated space, via the Laguerre closed
-    form; unitary on the retained subspace up to truncation error.  One
-    Laguerre table serves both triangles, since D(alpha)^dag = D(-alpha) and
-    <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n> for m >= n."""
+    form; unitary on the retained subspace up to truncation error.
+    <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|) with f real: the
+    table f depends on |alpha| alone, so a caller displacing by many points
+    of one radius builds it once (``_laguerre_table``) and passes it as
+    ``_table``.  It serves both triangles, since D(alpha)^dag = D(-alpha)
+    and <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n> for m >= n."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if abs(alpha) ** 2 > dim:
@@ -130,7 +136,14 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
             "severe truncation", TruncationWarning, stacklevel=2)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
-    lower = _laguerre_lower_triangle(alpha, dim)
+    if _table is None:
+        _table = _laguerre_table(abs(alpha), dim)
+    m, n = np.tril_indices(dim)
+    phase = alpha / abs(alpha)
+    # CPython's integer complex power, not np.power: these bits are pinned
+    phase_pow = np.array([phase ** d for d in range(dim)])
+    lower = np.zeros((dim, dim), dtype=complex)
+    lower[m, n] = _table * phase_pow[m - n]
     odd = np.tril(np.subtract.outer(np.arange(dim), np.arange(dim)) % 2 == 1)
     upper = np.where(odd, -lower, lower).conj().T  # conj(D(-alpha)_{nm})
     out = lower + upper
@@ -138,16 +151,19 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     return out
 
 
-def displaced_thermal(alpha: complex, Nbar: float, dim: int) -> DensityOperator:
+def displaced_thermal(alpha: complex, Nbar: float, dim: int, *,
+                      _table: np.ndarray | None = None) -> DensityOperator:
     """D(alpha) tau_Nbar D(alpha)^dag.  Pure-coherent special case for
-    Nbar = 0 avoids building the displacement matrix."""
+    Nbar = 0 avoids building the displacement matrix.  ``_table`` is the
+    Laguerre table of |alpha| at ``dim``, passed on to
+    ``displacement_operator``."""
     if Nbar < 0.0:
         raise ValueError(f"mean photon number must be >= 0, got {Nbar}")
     if Nbar == 0.0:
         v = coherent_state(alpha, dim)
         mat = np.outer(v, v.conj())
     else:
-        D = displacement_operator(alpha, dim)
+        D = displacement_operator(alpha, dim, _table=_table)
         p = thermal_state(Nbar, dim).matrix.real.diagonal()
         scaled = D * np.sqrt(p)[np.newaxis, :]
         mat = scaled @ scaled.conj().T

@@ -17,9 +17,9 @@ from .channel import (ChannelParams, DisplacedThermalSpec, g_entropy,
                       output_state_B, output_state_E)
 from .constellations import ComplexConstellation
 from .errors import TruncationError
-from .fock import (DensityOperator, _density_operator, coherent_state,
-                   default_dim, displaced_thermal, relative_entropy,
-                   thermal_state, von_neumann_entropy)
+from .fock import (DensityOperator, _density_operator, _laguerre_table,
+                   coherent_state, default_dim, displaced_thermal,
+                   relative_entropy, thermal_state, von_neumann_entropy)
 
 # Largest Fock trace deficit a rate is reported at; beyond it the entropies
 # of the truncated average state are not to be trusted.
@@ -89,7 +89,9 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
     """sum_j q_j theta_j at the given truncation dimension.
 
     All widths in an ensemble are equal; the zero-width (coherent) case is
-    assembled from amplitude columns directly.
+    assembled from amplitude columns directly.  Otherwise points of equal
+    |center| (a symmetric constellation's sign flips and quadrature swaps)
+    share one Laguerre table, built once per radius within this call.
     """
     if dim is None:
         dim = ensemble_dim(e)
@@ -101,8 +103,13 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
         mat = cols @ cols.conj().T
     else:
         mat = np.zeros((dim, dim), dtype=complex)
+        tables = {}  # exact |center| -> its Laguerre table at dim
         for q, s in zip(e.probs, e.specs):
-            mat += q * displaced_thermal(s.center, width, dim).matrix
+            r = abs(s.center)
+            if r not in tables:
+                tables[r] = _laguerre_table(r, dim) if r > 0.0 else None
+            mat += q * displaced_thermal(s.center, width, dim,
+                                         _table=tables[r]).matrix
     return _density_operator(mat)
 
 

@@ -148,6 +148,21 @@ def test_low_photon_number_gap_below_resolution_is_null():
             assert 0.0 <= actual <= float(row["delta_B_bound"])
 
 
+def test_rates_gaps_below_resolution_are_null():
+    # the same input in the rate table: eigensolver noise of either sign,
+    # and the classical rate above capacity by that noise
+    from thermalcomm.rates import GAP_RESOLUTION
+    code, text = run_cli(["rates", "--n", "1e-9", "--m-max", "3",
+                          "--kinds", "equilattice"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    capacity = float(rows[0]["classical_rate_bits"])
+    assert [row["m"] for row in rows[2:]] == ["2", "3"]
+    for row in rows[2:]:
+        assert row["delta_B"] == "" and row["delta_E"] == ""
+        assert float(row["classical_rate_bits"]) <= capacity + GAP_RESOLUTION
+
+
 def test_truncation_error_exit_code():
     # at dim 5 the B-side state loses almost half its trace
     code, text = run_cli(["rates", "--dim", "5", "--m-max", "3",
@@ -314,3 +329,92 @@ def test_polar_report_rate_recomputes_from_its_own_estimate():
     assert rep["mi_estimate_bits"] == sum(rep["level_mi_bits"])
     assert rep["sum_rate_bits_per_mode"] == round(
         rep["rate_fraction"] * rep["mi_estimate_bits"] * n) / n
+
+
+_POLAR_MODERATE = {
+    "k": st.floats(0.3, 1.0), "n0": st.floats(0.0, 2.0),
+    "n": st.floats(0.5, 20.0),
+    "kinds": st.sampled_from(["equilattice", "quantile"]),
+    "m-min": st.sampled_from([2, 4]),
+    "blocklength": st.sampled_from([16, 32, 64]),
+    "trials": st.integers(1, 16), "mc-budget": st.integers(100, 200),
+    "rate-fraction": st.floats(0.05, 0.95),
+    "seed": st.integers(0, 10_000)}
+_POLAR_EXTREME = {
+    "k": st.sampled_from([1e-300, 1e-3, math.nan]),
+    "n0": _PHOTONS, "n": _PHOTONS,
+    "kinds": st.sampled_from(["random_walk", "gauss_hermite"]),
+    "m-min": st.sampled_from([3, 8]),
+    "blocklength": st.sampled_from([0, 1, 2, 48]),
+    "trials": st.sampled_from([-5, -1, 0]),
+    "mc-budget": st.sampled_from([-1, 0, 99]),
+    "rate-fraction": st.sampled_from([math.nan, -0.1, 0.0, 1.0, 2.0]),
+    "seed": st.sampled_from([-1, 2 ** 63])}
+
+
+@st.composite
+def _polar_argv(draw):
+    """A small polar argv; in half the draws one flag takes an extreme
+    value."""
+    wild = draw(st.sampled_from([None] * len(_POLAR_MODERATE)
+                                + list(_POLAR_MODERATE)))
+    argv = ["polar"]
+    for flag, moderate in _POLAR_MODERATE.items():
+        value = draw(_POLAR_EXTREME[flag] if flag == wild else moderate)
+        argv.append(f"--{flag}={value}")
+    return argv
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _numbers(v)]
+    return [doc] if isinstance(doc, float) else []
+
+
+def _run_polar(argv):
+    """Run a polar argv; on exit 0, check the report against the schema and
+    that every number in it is finite.  Returns the exit code and stderr."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, text = run_cli(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code != 0:
+        assert text == ""
+    else:
+        report = json.loads(text)
+        jsonschema.validate(report, load_schema("polar_report.schema.json"))
+        assert all(math.isfinite(x) for x in _numbers(report)), argv
+    return code, err.getvalue()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(argv=_polar_argv())
+def test_polar_fuzz_exits_typed_with_valid_report(argv):
+    code, _ = _run_polar(argv)
+    event(f"exit {code}")
+
+
+@pytest.mark.parametrize("flag, value, code, named", [
+    ("trials", "-1", 2, "trials"),
+    ("trials", "0", 0, None),
+    ("seed", "-1", 2, "seed"),
+    ("blocklength", "0", 2, "blocklength"),
+    ("blocklength", "1", 0, None),
+    ("blocklength", "48", 2, "blocklength"),
+    ("m-min", "3", 2, "m"),
+    ("m-min", "16", 0, None),  # above the default --m-max, which polar ignores
+    ("rate-fraction", "nan", 2, "rate"),
+    ("rate-fraction", "0", 0, None),
+    ("rate-fraction", "2", 2, "rate"),
+    ("kinds", "random_walk", 2, "kind"),
+    ("n0", "1e6", 0, None),
+    ("n0", "1e300", 2, "N0"),
+])
+def test_polar_extreme_flag(flag, value, code, named):
+    got, err = _run_polar(["polar", "--blocklength", "32", "--trials", "8",
+                           "--mc-budget", "100", f"--{flag}", value])
+    assert got == code, err
+    if named:
+        assert named in err

@@ -1,14 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from thermalcomm import (build_ensemble, build_xi, capacity_C, channel_params,
-                         delta_B, delta_E, ensemble_average_state, g_entropy,
-                         gaussian_rate_limit, holevo_rate, make_constellation,
-                         product_constellation, quantum_rate,
-                         von_neumann_entropy, xi_index_marginal,
-                         xi_mode_marginal)
+from thermalcomm import (DisplacedThermalSpec, Ensemble, build_ensemble,
+                         build_xi, capacity_C, channel_params, delta_B,
+                         delta_E, displaced_thermal, ensemble_average_state,
+                         fock, g_entropy, gaussian_rate_limit, holevo_rate,
+                         make_constellation, product_constellation,
+                         quantum_rate, von_neumann_entropy,
+                         xi_index_marginal, xi_mode_marginal)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -122,3 +124,83 @@ def test_xi_marginals_share_entropy():
     ev = ev[ev > 1e-14]
     h_idx = -np.sum(ev * np.log2(ev))
     assert von_neumann_entropy(mode) == pytest.approx(h_idx, abs=1e-8)
+
+
+# ------------------------------------------- shared Laguerre tables by radius
+
+P_THERMAL = channel_params(0.8, 0.5, 7.0)
+
+
+def _unshared_average_state(e, dim):
+    """Test-local oracle: one displaced_thermal per point, each building its
+    own Laguerre table, summed and Hermitized in the library's order."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    for q, s in zip(e.probs, e.specs):
+        mat += q * displaced_thermal(s.center, s.width, dim).matrix
+    return (mat + mat.conj().T) / 2.0
+
+
+def _assert_bitwise_equal(a, b):
+    # uint64 views compare every bit, signed zeros included
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _count_table_builds(monkeypatch):
+    """Rebind the Laguerre-table builder under every name the package looks
+    it up by, to a wrapper that records each build's radius."""
+    original = fock._laguerre_table
+    radii = []
+
+    def counting(r, dim):
+        radii.append(r)
+        return original(r, dim)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] != "thermalcomm":
+            continue
+        for attr, obj in list(vars(module).items()):
+            if obj is original:
+                monkeypatch.setattr(module, attr, counting)
+    return radii
+
+
+@pytest.mark.parametrize("kind", ["equilattice", "quantile", "random_walk",
+                                  "gauss_hermite"])
+def test_shared_tables_match_unshared_oracle_bitwise(kind):
+    for m in range(2, 9):
+        Q = make_Q(kind, m, P_THERMAL)
+        for side in ("B", "E"):
+            e = build_ensemble(P_THERMAL, Q, side)
+            rho = ensemble_average_state(e)
+            _assert_bitwise_equal(rho.matrix,
+                                  _unshared_average_state(e, rho.dim))
+
+
+def test_shared_tables_bitwise_on_distinct_radii_and_on_one_ring():
+    width = 0.3
+    distinct = [0.4 + 0.1j, -1.3j, 2.2 - 0.7j, 0.0j, 1.7]
+    a, b = 1.1, 0.6
+    ring = [a + b * 1j, -a + b * 1j, a - b * 1j, -a - b * 1j,
+            b + a * 1j, -b + a * 1j, b - a * 1j, -b - a * 1j]
+    assert len({abs(z) for z in distinct}) == len(distinct)
+    assert len({abs(z) for z in ring}) == 1
+    for points in (distinct, ring):
+        q = np.full(len(points), 1.0 / len(points))
+        e = Ensemble(probs=q, specs=tuple(
+            DisplacedThermalSpec(center=z, width=width) for z in points))
+        rho = ensemble_average_state(e, 40)
+        _assert_bitwise_equal(rho.matrix, _unshared_average_state(e, 40))
+
+
+def test_one_table_build_per_distinct_radius_per_call(monkeypatch):
+    e = build_ensemble(P_THERMAL, make_Q("equilattice", 8, P_THERMAL), "B")
+    nonzero_radii = {abs(s.center) for s in e.specs} - {0.0}
+    # delta (0.5, 3.5) and delta (2.5, 2.5) share a radius exactly
+    assert len(nonzero_radii) == 9
+    builds = _count_table_builds(monkeypatch)
+    ensemble_average_state(e)
+    assert sorted(builds) == sorted(nonzero_radii)
+    # no table survives the call: a repeat builds every radius again
+    ensemble_average_state(e)
+    assert len(builds) == 18
