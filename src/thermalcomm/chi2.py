@@ -139,6 +139,11 @@ def quantum_chi2_constellation(p: ChannelParams, Q: ComplexConstellation) -> flo
 def delta_B_bound(p: ChannelParams, c: RealConstellation) -> float:
     """Upper bound on the Holevo-information gap:
     (1 + chi^2(P_{Y_m}, P_Y))^2 - 1, both quadratures contributing one
-    classical factor each.  Computed as x (x + 2) to avoid cancellation."""
-    x = classical_chi2_kernel(c, p.s)
+    classical factor each."""
+    return _gap_bound(classical_chi2_kernel(c, p.s))
+
+
+def _gap_bound(x: float) -> float:
+    """(1 + x)^2 - 1 for the classical chi-square x of one quadrature,
+    computed as x (x + 2) to avoid cancellation."""
     return x * (x + 2.0)

@@ -14,14 +14,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .channel import capacity_C, channel_params, gaussian_rate_limit
+from .channel import (ChannelParams, capacity_C, channel_params,
+                      gaussian_rate_limit)
 from .constellations import KINDS, make_constellation, product_constellation
 from .errors import NumericFailure, TruncationError
-from .chi2 import delta_B_bound
+from .chi2 import _gap_bound, delta_B_bound
 from .polar import construct_multilevel, induced_channel, simulate
 
 RATES_COLUMNS = ["kind", "m", "classical_rate_bits", "quantum_rate_bits",
@@ -52,6 +54,25 @@ class RunConfig:
     rate_fraction: float = 0.7
 
 
+def _table_grid(config: RunConfig, p: ChannelParams,
+                sides: str) -> list[tuple]:
+    """(kind, m, constellation, product constellation) of every table row,
+    in output order.  Raises ``TruncationError`` if a row's state on one of
+    ``sides`` needs a dimension above ``rates.MAX_DIM``, before any state
+    is built."""
+    from .rates import _checked_dim
+
+    grid = []
+    for kind in config.kinds:
+        for m in range(config.m_min, config.m_max + 1):
+            c = make_constellation(kind, m)
+            Q = product_constellation(c, config.n)
+            for side in sides:
+                _checked_dim(p, Q, side, config.dim)
+            grid.append((kind, m, c, Q))
+    return grid
+
+
 def cmd_rates(config: RunConfig) -> list[dict]:
     """Rate table rows over the kind x m grid, preceded by the capacity and
     Gaussian coherent-information reference rows.  ``delta_B`` and
@@ -68,23 +89,18 @@ def cmd_rates(config: RunConfig) -> list[dict]:
          "quantum_rate_bits": gaussian_rate_limit(p), "delta_B": None,
          "delta_E": None, "chi2_bound": None, "dim": None, "trace_deficit": None},
     ]
-    for kind in config.kinds:
-        for m in range(config.m_min, config.m_max + 1):
-            c = make_constellation(kind, m)
-            Q = product_constellation(c, config.n)
-            r = ensemble_rates(p, Q, config.dim)
-            rows.append({
-                "kind": kind, "m": m,
-                "classical_rate_bits": r.classical,
-                "quantum_rate_bits": r.quantum,
-                "delta_B": (r.delta_B if r.delta_B >= GAP_RESOLUTION
-                            else None),
-                "delta_E": (r.delta_E if r.delta_E >= GAP_RESOLUTION
-                            else None),
-                "chi2_bound": delta_B_bound(p, c),
-                "dim": r.dim,
-                "trace_deficit": r.trace_deficit,
-            })
+    for kind, m, c, Q in _table_grid(config, p, "BE"):
+        r = ensemble_rates(p, Q, config.dim)
+        rows.append({
+            "kind": kind, "m": m,
+            "classical_rate_bits": r.classical,
+            "quantum_rate_bits": r.quantum,
+            "delta_B": r.delta_B if r.delta_B >= GAP_RESOLUTION else None,
+            "delta_E": r.delta_E if r.delta_E >= GAP_RESOLUTION else None,
+            "chi2_bound": delta_B_bound(p, c),
+            "dim": r.dim,
+            "trace_deficit": r.trace_deficit,
+        })
     return rows
 
 
@@ -98,25 +114,22 @@ def cmd_chi2(config: RunConfig) -> list[dict]:
     is null where the gap is below ``rates.GAP_RESOLUTION``, whose noise
     can come out negative or above the bound.
     """
-    import math
     from .constellations import classical_chi2_kernel
     from .rates import GAP_RESOLUTION, delta_B
 
     p = channel_params(config.k, config.n0, config.n)
     rows = []
-    for kind in config.kinds:
-        for m in range(config.m_min, config.m_max + 1):
-            c = make_constellation(kind, m)
-            Q = product_constellation(c, config.n)
-            db_entropy, _ = delta_B(p, Q, config.dim)
-            rows.append({
-                "kind": kind, "m": m, "s": p.s,
-                "chi2_classical": classical_chi2_kernel(c, p.s),
-                "delta_B_bound": delta_B_bound(p, c),
-                "delta_B_actual": (db_entropy * math.log(2.0)
-                                   if db_entropy >= GAP_RESOLUTION else None),
-                "c_decay": p.c_decay,
-            })
+    for kind, m, c, Q in _table_grid(config, p, "B"):
+        db_entropy, _ = delta_B(p, Q, config.dim)
+        chi2_classical = classical_chi2_kernel(c, p.s)
+        rows.append({
+            "kind": kind, "m": m, "s": p.s,
+            "chi2_classical": chi2_classical,
+            "delta_B_bound": _gap_bound(chi2_classical),
+            "delta_B_actual": (db_entropy * math.log(2.0)
+                               if db_entropy >= GAP_RESOLUTION else None),
+            "c_decay": p.c_decay,
+        })
     return rows
 
 
@@ -135,7 +148,9 @@ def cmd_constellation(config: RunConfig) -> list[dict]:
 def cmd_polar(config: RunConfig) -> dict:
     """Construct multilevel codes whose sum rate is rate_fraction times the
     estimated heterodyne mutual information, then simulate; returns the
-    report, whose mutual-information fields are that same estimate."""
+    report, whose mutual-information fields are that same estimate.
+    ``rate_fraction`` must be finite and >= 0, and the sum rate it gives
+    in [0, levels), the range ``construct_multilevel`` accepts."""
     import numpy as np
     from .polar import estimate_level_mi
 
@@ -147,6 +162,9 @@ def cmd_polar(config: RunConfig) -> dict:
         raise ValueError(f"trials must be >= 0, got {config.trials}")
     if config.seed < 0:
         raise ValueError(f"seed must be >= 0, got {config.seed}")
+    if not (math.isfinite(config.rate_fraction) and config.rate_fraction >= 0):
+        raise ValueError("--rate-fraction must be finite and >= 0, "
+                         f"got {config.rate_fraction}")
     m = config.m_min
     p = channel_params(config.k, config.n0, config.n)
     ch = induced_channel(p, make_constellation(kind, m))
@@ -156,9 +174,15 @@ def cmd_polar(config: RunConfig) -> dict:
     level_mi = [estimate_level_mi(ch, lv, 20_000, mi_rng)
                 for lv in range(ch.levels)]
     mi = float(sum(level_mi))
+    sum_rate = config.rate_fraction * mi
+    if not 0.0 <= sum_rate < ch.levels:
+        raise ValueError(
+            f"--rate-fraction {config.rate_fraction} times the estimated "
+            f"mutual information {mi:.6g} bits gives sum rate {sum_rate:.6g}, "
+            f"outside [0, {ch.levels})")
     construction_seed = config.seed + 1000
-    codes = construct_multilevel(ch, n, config.rate_fraction * mi,
-                                 config.mc_budget, construction_seed)
+    codes = construct_multilevel(ch, n, sum_rate, config.mc_budget,
+                                 construction_seed)
 
     report = simulate(ch, codes, config.trials, config.seed + 2000)
     report.update({

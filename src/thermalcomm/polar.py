@@ -12,6 +12,12 @@ under every label prefix, so one level's LLRs are a gather of candidate
 centers and a logaddexp pass.  Successive cancellation carries the partial
 sums of decided bits up the butterfly instead of re-encoding each subtree.
 
+Both the demapper and the link simulation work in slices of ``_SLICE``
+samples, so their working set does not grow with the number of trials.
+Every step inside a slice is element-wise or row-independent, and the noise
+is drawn slice by slice from the same stream, so a fixed seed gives the same
+bits whatever the slice size.
+
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
 quadrature's levels first.
@@ -29,6 +35,10 @@ from .constellations import ComplexConstellation, RealConstellation
 
 _LLR_BIG = 1000.0
 _TANH_CLIP = 1.0 - 1e-16
+# Samples one slice holds: level_llrs evaluates its log-sum-exp this many
+# outcomes at a time, and simulate demaps and decodes max(1, _SLICE // n)
+# frames at a time.
+_SLICE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -134,31 +144,36 @@ class InducedChannel:
 
         The lower-level bits form a label-prefix pattern that indexes the
         level's point table, so each outcome gathers the centers of its two
-        candidate subsets and reduces each with np.logaddexp."""
+        candidate subsets and reduces each with np.logaddexp.  Outcomes are
+        processed ``_SLICE`` at a time into one output array."""
         bpos = level % self.nbits
         if not 0 <= level < self.levels:
             raise ValueError(f"level must be in [0, {self.levels}), got {level}")
         yq = np.asarray(yq, dtype=float)
         priors = np.asarray(priors, dtype=np.int8).reshape(len(yq), bpos)
-        pattern = np.zeros(len(yq), dtype=np.int64)
-        for b in range(bpos):
-            pattern = (pattern << 1) | priors[:, b]
-
         centers = self.params.k * self.amplitudes[self.label_tables[bpos]]
         scale = -1.0 / (2.0 * self.noise_var)
-        lse = []
-        for bit in (0, 1):
-            # fold each candidate's exponent -(y - c)^2 / (2 var) into a
-            # running log-sum-exp
-            acc = None
-            for c in centers[:, bit, :].T:
-                e = c[pattern]
-                np.subtract(yq, e, out=e)
-                np.square(e, out=e)
-                e *= scale
-                acc = e if acc is None else np.logaddexp(acc, e, out=acc)
-            lse.append(acc)
-        return lse[0] - lse[1]
+        out = np.empty(len(yq))
+        for start in range(0, len(yq), _SLICE):
+            part = slice(start, start + _SLICE)
+            y = yq[part]
+            pattern = np.zeros(len(y), dtype=np.int64)
+            for b in range(bpos):
+                pattern = (pattern << 1) | priors[part, b]
+            lse = []
+            for bit in (0, 1):
+                # fold each candidate's exponent -(y - c)^2 / (2 var) into a
+                # running log-sum-exp
+                acc = None
+                for c in centers[:, bit, :].T:
+                    e = c[pattern]
+                    np.subtract(y, e, out=e)
+                    np.square(e, out=e)
+                    e *= scale
+                    acc = e if acc is None else np.logaddexp(acc, e, out=acc)
+                lse.append(acc)
+            np.subtract(lse[0], lse[1], out=out[part])
+        return out
 
 
 def induced_channel(p: ChannelParams, c: RealConstellation,
@@ -196,30 +211,58 @@ def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return b + (1.0 - 2.0 * u) * a
 
 
-def _sc_batch(llr: np.ndarray, decide,
-              idx0: int) -> tuple[np.ndarray, np.ndarray]:
+def _sc_batch(llr: np.ndarray, decide, idx0: int,
+              frozen_subtrees: frozenset = frozenset()
+              ) -> tuple[np.ndarray, np.ndarray]:
     """SC recursion over a (batch, n) LLR array; ``decide(i, llr_col)``
     returns the batch's decisions for input index ``i``.  Trials are
     independent, so the whole batch moves through the butterfly together.
 
     Returns the decided inputs u and their partial sums x = u F^{x log2 n};
     each half's x comes back up the recursion, so no subtree is
-    re-encoded."""
-    n = llr.shape[1]
+    re-encoded.  ``frozen_subtrees`` holds the (first index, length) of
+    subtrees whose inputs are all frozen: their u and x are zero whatever
+    the LLRs, so neither the LLRs nor the decisions are computed."""
+    nrows, n = llr.shape
     if n == 1:
         u = decide(idx0, llr[:, 0]).astype(np.int8)[:, None]
         return u, u
     half = n // 2
     a, b = llr[:, :half], llr[:, half:]
-    u_left, x_left = _sc_batch(_f(a, b), decide, idx0)
-    u_right, x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half)
+    if (idx0, half) in frozen_subtrees:
+        u_left = x_left = np.zeros((nrows, half), dtype=np.int8)
+    else:
+        u_left, x_left = _sc_batch(_f(a, b), decide, idx0, frozen_subtrees)
+    if (idx0 + half, half) in frozen_subtrees:
+        u_right = x_right = np.zeros((nrows, half), dtype=np.int8)
+    else:
+        u_right, x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half,
+                                     frozen_subtrees)
     return (np.concatenate([u_left, u_right], axis=1),
             np.concatenate([x_left ^ x_right, x_right], axis=1))
 
 
-def sc_decode_batch(code: PolarCode, llr: np.ndarray) -> np.ndarray:
+def _frozen_subtrees(code: PolarCode) -> frozenset:
+    """(first index, length) of every butterfly subtree, single inputs
+    included, whose inputs are all frozen."""
+    subtrees = set()
+    frozen = np.zeros(code.n, dtype=bool)
+    frozen[code.frozen] = True
+    length = 1
+    while len(frozen):
+        subtrees.update((i * length, length)
+                        for i in np.nonzero(frozen)[0].tolist())
+        frozen = frozen[0::2] & frozen[1::2]
+        length *= 2
+    return frozenset(subtrees)
+
+
+def sc_decode_batch(code: PolarCode,
+                    llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode each row of a (batch, n) LLR array; returns the full
-    input-bit estimates with frozen positions forced to zero."""
+    input-bit estimates u, with frozen positions forced to zero, and their
+    codewords x = u F^{x log2 n}, the partial sums SC formed on the way.
+    Subtrees whose inputs are all frozen are not descended into."""
     llr = np.asarray(llr, dtype=float)
     if llr.shape[1] != code.n:
         raise ValueError(f"LLR length must be {code.n}, got {llr.shape[1]}")
@@ -231,13 +274,14 @@ def sc_decode_batch(code: PolarCode, llr: np.ndarray) -> np.ndarray:
             return np.zeros(nrows, dtype=np.int8)
         return (col < 0).astype(np.int8)
 
-    return _sc_batch(llr, decide, 0)[0]
+    return _sc_batch(llr, decide, 0, _frozen_subtrees(code))
 
 
 def sc_decode(code: PolarCode, llr: np.ndarray) -> np.ndarray:
     """Successive cancellation over the polar butterfly; returns the full
     length-n input-bit estimate with frozen positions forced to zero."""
-    return sc_decode_batch(code, np.asarray(llr, dtype=float)[None, :])[0]
+    u, _ = sc_decode_batch(code, np.asarray(llr, dtype=float)[None, :])
+    return u[0]
 
 
 def genie_error_counts(llr: np.ndarray, u_true: np.ndarray,
@@ -333,7 +377,8 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     """Monte-Carlo per-index error probabilities via genie-aided SC.
 
     Trials are processed in chunks so large budgets keep a bounded
-    working set.
+    working set.  The chunk is not ``_SLICE``: the soft error counts are
+    summed per chunk, so another chunk size would round them differently.
     """
     chunk = max(1, min(mc_budget, (1 << 22) // n))
     counts = np.zeros(n)
@@ -401,9 +446,12 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     """Multilevel polar-coded transmission over the induced channel.
 
     ``codes`` holds one code per bit level, all of the same blocklength.
-    Levels are decoded in order, each level's re-encoded decisions feeding
-    the next level's LLRs.  Returns a report dict with per-level BER, frame
-    error rate and effective throughput in bits per mode.
+    Levels are decoded in order, each level's decided codeword (the SC
+    partial sums) feeding the next level's LLRs as priors.  The info bits of
+    every level are drawn first; then each quadrature is modulated, sent
+    and decoded ``max(1, _SLICE // n)`` frames at a time.  Returns a report
+    dict with per-level BER, frame error rate and effective throughput in
+    bits per mode.
     """
     if len(codes) != ch.levels:
         raise ValueError(f"need {ch.levels} codes, got {len(codes)}")
@@ -415,37 +463,37 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     info_bits = np.array([c.n - len(c.frozen) for c in codes])
     frame_bad = np.zeros(trials, dtype=bool)
     if trials:
-        # encode every level for all trials at once
-        u_levels, x_levels = [], []
+        u_levels = []
         for code in codes:
             u = np.zeros((trials, n), dtype=np.int8)
             u[:, code.info_set] = rng.integers(
                 0, 2, size=(trials, len(code.info_set)))
             u_levels.append(u)
-            x_levels.append(_transform_batch(u))
-        # map label bits to symbols per quadrature and sample heterodyne
         amp_index = _inverse_gray(np.arange(len(ch.amplitudes)))
-        ys = []
+        chunk = min(trials, max(1, _SLICE // n))
+        priors = np.empty((chunk * n, ch.nbits), dtype=np.int8)
         for q in range(2):
-            label = np.zeros((trials, n), dtype=np.int64)
-            for b in range(ch.nbits):
-                label = (label << 1) | x_levels[q * ch.nbits + b]
-            ys.append(ch._heterodyne(rng, amp_index[label]))
-        # decode level by level, feeding decisions forward
-        for q in range(2):
-            priors = np.zeros((trials * n, 0), dtype=np.int8)
-            for b in range(ch.nbits):
-                lv = q * ch.nbits + b
-                llr = ch.level_llrs(lv, priors, ys[q].reshape(-1)
-                                    ).reshape(trials, n)
-                u_hat = sc_decode_batch(codes[lv], llr)
-                info = codes[lv].info_set
-                nerr = np.sum(u_hat[:, info] != u_levels[lv][:, info], axis=1)
-                bit_errors[lv] += int(nerr.sum())
-                frame_bad |= nerr > 0
-                x_hat = _transform_batch(u_hat)
-                priors = np.concatenate(
-                    [priors, x_hat.reshape(-1, 1)], axis=1)
+            levels = range(q * ch.nbits, (q + 1) * ch.nbits)
+            for start in range(0, trials, chunk):
+                b = min(chunk, trials - start)
+                rows = slice(start, start + b)
+                # map this chunk's label bits to symbols and sample the
+                # quadrature's heterodyne outcomes
+                label = np.zeros((b, n), dtype=np.int64)
+                for lv in levels:
+                    label = (label << 1) | _transform_batch(u_levels[lv][rows])
+                yq = ch._heterodyne(rng, amp_index[label]).reshape(-1)
+                # decode level by level, feeding decisions forward
+                for bpos, lv in enumerate(levels):
+                    llr = ch.level_llrs(lv, priors[:b * n, :bpos], yq
+                                        ).reshape(b, n)
+                    u_hat, x_hat = sc_decode_batch(codes[lv], llr)
+                    info = codes[lv].info_set
+                    nerr = np.sum(u_hat[:, info] != u_levels[lv][rows, info],
+                                  axis=1)
+                    bit_errors[lv] += int(nerr.sum())
+                    frame_bad[rows] |= nerr > 0
+                    priors[:b * n, bpos] = x_hat.reshape(-1)
 
     fer = float(np.mean(frame_bad)) if trials else None
     sum_rate = float(info_bits.sum()) / n

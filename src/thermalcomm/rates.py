@@ -113,11 +113,11 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
     return _density_operator(mat)
 
 
-def _checked_average_state(p: ChannelParams, Q: ComplexConstellation,
-                           side: str, dim: int | None) -> DensityOperator:
-    """The side's ensemble average state; raises ``TruncationError`` when
-    its dimension exceeds ``MAX_DIM`` or its trace deficit exceeds
-    ``TRUNCATION_TOL``."""
+def _checked_dim(p: ChannelParams, Q: ComplexConstellation, side: str,
+                 dim: int | None) -> tuple[Ensemble, int]:
+    """The side's ensemble and its truncation dimension (``dim`` when
+    given); raises ``TruncationError`` when the dimension exceeds
+    ``MAX_DIM``.  Builds no state, so a table can check every row first."""
     e = build_ensemble(p, Q, side)
     if dim is None:
         dim = ensemble_dim(e)
@@ -125,6 +125,15 @@ def _checked_average_state(p: ChannelParams, Q: ComplexConstellation,
         raise TruncationError(
             f"{side}-side state needs dim {dim}, above the largest "
             f"supported {MAX_DIM}")
+    return e, dim
+
+
+def _checked_average_state(p: ChannelParams, Q: ComplexConstellation,
+                           side: str, dim: int | None) -> DensityOperator:
+    """The side's ensemble average state; raises ``TruncationError`` when
+    its dimension exceeds ``MAX_DIM`` or its trace deficit exceeds
+    ``TRUNCATION_TOL``."""
+    e, dim = _checked_dim(p, Q, side, dim)
     rho = ensemble_average_state(e, dim)
     if rho.truncation_tol > TRUNCATION_TOL:
         raise TruncationError(

@@ -182,6 +182,48 @@ def test_dimension_above_max_dim_exits_4(argv):
     assert text == ""
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_dimension_above_max_dim_builds_no_state(monkeypatch):
+    # the m = 2 row fits within MAX_DIM, the m = 3 row does not; every row's
+    # dimension is resolved before the first state is built
+    from thermalcomm import rates
+    built = _count_calls(monkeypatch, rates, "ensemble_average_state")
+    for command in ("rates", "chi2"):
+        code, text = run_cli([command, "--n", "2000", "--m-max", "3",
+                              "--kinds", "equilattice"])
+        assert (code, text) == (4, "")
+    assert built == []
+
+
+def test_chi2_table_evaluates_each_kernel_once(monkeypatch):
+    from thermalcomm import chi2, constellations
+    from thermalcomm.channel import channel_params
+    from thermalcomm.constellations import make_constellation
+
+    # cmd_chi2 looks the kernel up in constellations, delta_B_bound in chi2
+    direct = _count_calls(monkeypatch, constellations, "classical_chi2_kernel")
+    in_bound = _count_calls(monkeypatch, chi2, "classical_chi2_kernel")
+    rows = cmd_chi2(RunConfig(m_max=4, kinds=["quantile"]))
+    assert len(rows) == 3
+    assert len(direct) + len(in_bound) == 3
+    monkeypatch.undo()
+    p = channel_params(0.8, 0.0, 7.0)
+    for row in rows:
+        bound = chi2.delta_B_bound(p, make_constellation("quantile", row["m"]))
+        assert row["delta_B_bound"] == bound
+
+
 def test_polar_rejects_csv_format():
     code, _ = run_cli(["polar", "--format", "csv", "--blocklength", "64",
                        "--trials", "0", "--mc-budget", "100"])
@@ -418,3 +460,22 @@ def test_polar_extreme_flag(flag, value, code, named):
     assert got == code, err
     if named:
         assert named in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "inf", "-inf"])
+def test_polar_rate_fraction_refused_before_estimate(monkeypatch, value):
+    from thermalcomm import polar
+    estimates = _count_calls(monkeypatch, polar, "estimate_level_mi")
+    code, err = _run_polar(["polar", "--blocklength", "32", "--trials", "8",
+                            "--mc-budget", "100", f"--rate-fraction={value}"])
+    assert code == 2
+    assert "--rate-fraction" in err
+    assert estimates == []
+
+
+def test_polar_rate_fraction_too_large_names_flag():
+    # the sum rate it gives is only known after the estimate
+    code, err = _run_polar(["polar", "--blocklength", "32", "--trials", "8",
+                            "--mc-budget", "100", "--rate-fraction", "2"])
+    assert code == 2
+    assert "--rate-fraction" in err

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from thermalcomm import (PolarCode, bec_bhattacharyya, bec_frozen_set,
                          construct_multilevel, induced_channel,
                          make_constellation, polar_transform, sc_decode,
                          simulate)
+from thermalcomm import polar
 from thermalcomm.polar import (ErasureChannel, _inverse_gray, _sc_batch,
-                               estimate_level_mi, genie_error_counts,
-                               sc_decode_batch)
+                               _transform_batch, estimate_level_mi,
+                               genie_error_counts, sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -194,6 +196,21 @@ def test_level_llrs_match_brute_force_oracle(m):
         assert np.all(np.abs(got - want) <= tol)
 
 
+@pytest.mark.parametrize("slice_", [1, 7, 300])
+def test_level_llrs_sliced_match_unsliced_bitwise(monkeypatch, slice_):
+    ch = make_channel(8)
+    rng = np.random.default_rng(31)
+    yq = rng.normal(scale=4.0, size=1000)
+    for level in range(ch.levels):
+        priors = rng.integers(0, 2, size=(len(yq), level % ch.nbits))
+        whole = ch.level_llrs(level, priors, yq)
+        monkeypatch.setattr(polar, "_SLICE", slice_)
+        sliced = ch.level_llrs(level, priors, yq)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(sliced.view(np.uint64),
+                                      whole.view(np.uint64))
+
+
 def test_estimate_level_mi_in_unit_interval():
     ch = make_channel(4)
     rng = np.random.default_rng(5)
@@ -229,9 +246,27 @@ def test_sc_decode_batch_matches_scalar():
     frozen = np.sort(rng.choice(n, size=n // 2, replace=False))
     code = PolarCode(n=n, frozen=frozen)
     llr = rng.normal(size=(8, n)) * 3.0
-    batch = sc_decode_batch(code, llr)
+    u, x = sc_decode_batch(code, llr)
     for i in range(8):
-        np.testing.assert_array_equal(batch[i], sc_decode(code, llr[i]))
+        np.testing.assert_array_equal(u[i], sc_decode(code, llr[i]))
+        np.testing.assert_array_equal(x[i], polar_transform(u[i]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_sc_decode_batch_skips_frozen_subtrees_exactly(n):
+    # descending into every subtree, frozen ones included, decides the same
+    rng = np.random.default_rng(n)
+    llr = rng.normal(size=(16, n)) * 3.0
+    for frozen in (np.arange(n), np.arange(n // 2), np.arange(n // 2, n),
+                   np.sort(rng.choice(n, size=n // 2, replace=False)),
+                   np.array([], dtype=int)):
+        code = PolarCode(n=n, frozen=frozen)
+        is_frozen = np.isin(np.arange(n), frozen)
+        want = _sc_batch(llr, lambda i, col: (col < 0) & ~is_frozen[i], 0)
+        got = sc_decode_batch(code, llr)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
 
 def test_sc_partial_sums_are_the_transform_of_the_decisions():
@@ -266,6 +301,91 @@ def test_simulate_deterministic():
     r1 = simulate(ch, codes, 50, seed=17)
     r2 = simulate(ch, codes, 50, seed=17)
     assert r1 == r2
+
+
+def whole_batch_simulate(ch, codes, trials, seed):
+    """The link simulation with every trial of every level held at once and
+    each level's decisions re-encoded: the reference the sliced
+    ``simulate`` must reproduce bit for bit."""
+    n = codes[0].n
+    rng = np.random.default_rng(seed)
+    bit_errors = np.zeros(ch.levels)
+    info_bits = np.array([c.n - len(c.frozen) for c in codes])
+    frame_bad = np.zeros(trials, dtype=bool)
+    if trials:
+        u_levels, x_levels = [], []
+        for code in codes:
+            u = np.zeros((trials, n), dtype=np.int8)
+            u[:, code.info_set] = rng.integers(
+                0, 2, size=(trials, len(code.info_set)))
+            u_levels.append(u)
+            x_levels.append(_transform_batch(u))
+        amp_index = _inverse_gray(np.arange(len(ch.amplitudes)))
+        ys = []
+        for q in range(2):
+            label = np.zeros((trials, n), dtype=np.int64)
+            for b in range(ch.nbits):
+                label = (label << 1) | x_levels[q * ch.nbits + b]
+            ys.append(ch._heterodyne(rng, amp_index[label]))
+        for q in range(2):
+            priors = np.zeros((trials * n, 0), dtype=np.int8)
+            for b in range(ch.nbits):
+                lv = q * ch.nbits + b
+                llr = ch.level_llrs(lv, priors, ys[q].reshape(-1)
+                                    ).reshape(trials, n)
+                u_hat = sc_decode_batch(codes[lv], llr)[0]
+                info = codes[lv].info_set
+                nerr = np.sum(u_hat[:, info] != u_levels[lv][:, info], axis=1)
+                bit_errors[lv] += int(nerr.sum())
+                frame_bad |= nerr > 0
+                priors = np.concatenate(
+                    [priors, _transform_batch(u_hat).reshape(-1, 1)], axis=1)
+    fer = float(np.mean(frame_bad)) if trials else None
+    sum_rate = float(info_bits.sum()) / n
+    return {
+        "trials": trials, "seed": seed, "blocklength": n,
+        "levels": ch.levels, "level_rates": [c.rate for c in codes],
+        "level_ber": [float(b / (k * trials)) if k else 0.0
+                      for b, k in zip(bit_errors, info_bits)] if trials else None,
+        "fer": fer, "sum_rate_bits_per_mode": sum_rate,
+        "throughput_bits_per_mode": sum_rate * (1.0 - fer) if trials else None,
+    }
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7, 33])
+@pytest.mark.parametrize("slice_", [40, 5 * 64 + 3])
+def test_sliced_simulate_matches_whole_batch_bitwise(monkeypatch, trials,
+                                                     slice_):
+    # slices of 1 or 5 frames, so 7 and 33 trials end on a ragged chunk,
+    # and LLR slices that straddle frame boundaries
+    ch = make_channel(4)
+    codes = construct_multilevel(ch, 64, 1.6, 200, seed=6)
+    want = whole_batch_simulate(ch, codes, trials, seed=19)
+    monkeypatch.setattr(polar, "_SLICE", slice_)
+    got = simulate(ch, codes, trials, seed=19)
+    assert got == want
+    if trials >= 7:
+        assert 0.0 < got["fer"] < 1.0  # both outcomes were compared
+
+
+def _simulate_peak_bytes(ch, codes, trials):
+    tracemalloc.start()
+    try:
+        simulate(ch, codes, trials, seed=2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_working_set_does_not_grow_with_trials(monkeypatch):
+    # only the int8 info bits and one flag per frame scale with the trials;
+    # the noise, labels, LLRs and SC state are one chunk's worth
+    monkeypatch.setattr(polar, "_SLICE", 64 * 64)
+    ch = make_channel(4)
+    codes = construct_multilevel(ch, 64, 1.6, 200, seed=6)
+    one = _simulate_peak_bytes(ch, codes, 64)
+    four = _simulate_peak_bytes(ch, codes, 4 * 64)
+    assert four <= 1.25 * one, (one, four)
 
 
 def test_simulate_trials_zero_reports_construction_only():
