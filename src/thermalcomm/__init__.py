@@ -12,16 +12,11 @@ from .constellations import (KINDS, ComplexConstellation, RealConstellation,
                              make_equilattice, make_gauss_hermite,
                              make_quantile, make_random_walk,
                              product_constellation)
-from .chi2 import (delta_B_bound, kernel_C, kernel_K, kernel_R,
-                   quantum_chi2_constellation)
-from .fock import (DensityOperator, annihilation_matrix, coherent_state,
-                   default_dim, displaced_thermal, displacement_operator,
-                   quantum_chi2_direct, relative_entropy, thermal_state,
-                   von_neumann_entropy)
-from .rates import (Ensemble, EnsembleRates, build_ensemble, build_xi,
-                    delta_B, delta_E, ensemble_average_state, ensemble_rates,
-                    holevo_rate, quantum_rate, xi_index_marginal,
-                    xi_mode_marginal)
-from .polar import (InducedChannel, PolarCode, bec_bhattacharyya,
-                    bec_frozen_set, construct_code, construct_multilevel,
-                    induced_channel, polar_transform, sc_decode, simulate)
+from .chi2 import delta_B_bound, quantum_chi2_constellation
+from .fock import (DensityOperator, coherent_state, default_dim,
+                   displaced_thermal, displacement_operator, relative_entropy,
+                   thermal_state, von_neumann_entropy)
+from .rates import (Ensemble, EnsembleRates, build_ensemble, delta_B,
+                    ensemble_average_state, ensemble_rates)
+from .polar import (InducedChannel, PolarCode, construct_multilevel,
+                    induced_channel, polar_transform, simulate)

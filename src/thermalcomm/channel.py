@@ -30,9 +30,7 @@ class ChannelParams:
     the Gaussian input (``Nc_E``/``Nprime_E`` the same two on the environment
     side), ``s`` the signal-to-noise ratio of the equivalent classical AWGN
     problem, and ``c_decay`` the guaranteed exponential decay constant of the
-    Gauss-Hermite gap bound.  ``cgap``/``dgap`` are the kernel
-    constants, ``t`` the inverse-square-root growth factor of the thermal
-    output state.
+    Gauss-Hermite gap bound.
     """
 
     k: float
@@ -44,9 +42,6 @@ class ChannelParams:
     Nprime_E: float
     s: float
     c_decay: float
-    cgap: float
-    dgap: float
-    t: float
 
 
 def channel_params(k: float, N0: float, N: float) -> ChannelParams:
@@ -75,19 +70,16 @@ def channel_params(k: float, N0: float, N: float) -> ChannelParams:
     Nprime = k * k * N + Nc
     Nc_E = k * k * N0
     Nprime_E = (1.0 - k * k) * N + Nc_E
-    dgap = math.sqrt(Nprime * (Nprime + 1.0))
-    cgap = Nprime - Nc  # equals k^2 N
-    excess = dgap - k * k * N
+    excess = math.sqrt(Nprime * (Nprime + 1.0)) - k * k * N
     s = k * k * N / excess if excess > 0.0 else math.inf
     c_decay = 2.0 * math.log((1.0 + s) / s) if 0.0 < s < math.inf else math.inf
     if not math.isfinite(c_decay):
         raise ValueError(
             f"(k, N0, N) = ({k:g}, {N0:g}, {N:g}): the signal-to-noise ratio "
             "is outside the range double precision resolves")
-    t = math.sqrt((Nprime + 1.0) / Nprime)
     return ChannelParams(
         k=k, N0=N0, N=N, Nc=Nc, Nprime=Nprime, Nc_E=Nc_E, Nprime_E=Nprime_E,
-        s=s, c_decay=c_decay, cgap=cgap, dgap=dgap, t=t,
+        s=s, c_decay=c_decay,
     )
 
 

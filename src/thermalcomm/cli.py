@@ -216,17 +216,27 @@ def _emit_table(rows: list[dict], columns: list[str], config: RunConfig,
 
 def _parse_config_file(path: str) -> dict:
     """Key = value lines, '#' comments; keys match the flag names with
-    dashes replaced by underscores."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    dashes replaced by underscores.  An unreadable file and a key given
+    twice raise ``ValueError``."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as e:
+        raise ValueError(f"cannot read config file {path}: {e.strerror}") from e
+    values, first_line = {}, {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on "
+                             f"line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = val.strip()
     return values
 
 
@@ -335,8 +345,13 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     text = buf.getvalue()
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {config.out}: {e.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -1,5 +1,5 @@
 """Truncated Fock-space numerics: coherent and thermal states, displacement
-operators, entropies, relative entropy, and the direct quantum chi-square.
+operators, entropies and relative entropy.
 
 All constructors work at a caller-chosen truncation dimension and record the
 actual trace deficit; ``default_dim`` gives a conservative choice.  Factorials
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import NumericFailure, SupportError, TruncationError, TruncationWarning
+from .errors import NumericFailure, SupportError, TruncationWarning
 
 EIG_FLOOR = 1e-14
 
@@ -81,13 +81,6 @@ def thermal_state(N: float, dim: int) -> DensityOperator:
         tol = ratio ** dim
     return DensityOperator(matrix=np.diag(diag.astype(complex)), dim=dim,
                            truncation_tol=tol)
-
-
-def annihilation_matrix(dim: int) -> np.ndarray:
-    """Truncated annihilation operator: sqrt(n) at (n-1, n)."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
 
 def _laguerre_table(r: float, dim: int) -> np.ndarray:
@@ -224,33 +217,3 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
     tr_rho_log_sigma = float(
         lam_r[keep_r] @ overlap[np.ix_(keep_r, keep_s)] @ np.log2(lam_s[keep_s]))
     return tr_rho_log_rho - tr_rho_log_sigma
-
-
-def quantum_chi2_direct(rho: DensityOperator, Nprime: float,
-                        dim: int | None = None) -> float:
-    """chi^2(rho, tau_N') = Tr[(rho tau_N'^{-1/2})^2] - 1 by direct summation
-    in the number basis.
-
-    tau^{-1/2} is diagonal with exponentially growing entries, so the sum is
-    reliable only when rho's truncation tail is well below the growth; a
-    ``TruncationError`` is raised if the per-level contributions are still
-    growing at the cutoff.
-    """
-    if Nprime <= 0.0:
-        raise ValueError(f"N' must be > 0, got {Nprime}")
-    dim = rho.dim if dim is None else min(dim, rho.dim)
-    t = math.sqrt((Nprime + 1.0) / Nprime)
-    logw = np.arange(dim) * math.log(t)
-    w = np.exp(logw)
-    absq = np.abs(rho.matrix[:dim, :dim]) ** 2
-    contrib = w * (absq @ w)  # per-row weighted contribution
-    total = (Nprime + 1.0) * float(contrib.sum())
-    tail = contrib[-5:]
-    if np.argmax(contrib) >= dim - 5 and tail[-1] > 1e-12 * contrib.sum():
-        raise TruncationError(
-            "chi-square terms still growing at the truncation cutoff; "
-            "increase dim or reduce N'")
-    result = total - 1.0
-    if result < -1e-10:
-        raise NumericFailure(f"chi-square came out negative: {result}")
-    return result

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .constellations import ComplexConstellation, RealConstellation
+from .constellations import RealConstellation
 
-_LLR_BIG = 1000.0
 _TANH_CLIP = 1.0 - 1e-16
 # Samples one slice holds: level_llrs evaluates its log-sum-exp this many
 # outcomes at a time, and simulate demaps and decodes max(1, _SLICE // n)
@@ -97,7 +96,6 @@ class InducedChannel:
     quadrature (real-quadrature levels first, MSB first)."""
 
     params: ChannelParams
-    constellation: ComplexConstellation
     amplitudes: np.ndarray  # per-quadrature real amplitudes, ascending
     nbits: int
     point_bits: np.ndarray  # (m, nbits) Gray label bits, MSB first
@@ -176,19 +174,14 @@ class InducedChannel:
         return out
 
 
-def induced_channel(p: ChannelParams, c: RealConstellation,
-                    N: float | None = None) -> InducedChannel:
+def induced_channel(p: ChannelParams, c: RealConstellation) -> InducedChannel:
     """Build the induced channel from a uniform-probability constellation
-    with a power-of-two point count."""
-    from .constellations import product_constellation
-
+    with a power-of-two point count, at the channel's photon budget."""
     if not np.allclose(c.probs, 1.0 / c.m, atol=1e-12):
         raise ValueError("induced channel requires a uniform-probability "
                          f"constellation, got kind {c.kind!r}")
     nbits = _check_power_of_two(c.m, "constellation size m")
-    N = p.N if N is None else N
-    Q = product_constellation(c, N)
-    amplitudes = math.sqrt(N / 2.0) * c.points
+    amplitudes = math.sqrt(p.N / 2.0) * c.points
     j = np.arange(c.m)
     gray = j ^ (j >> 1)
     point_bits = ((gray[:, None] >> (nbits - 1 - np.arange(nbits))[None, :]) & 1
@@ -197,9 +190,8 @@ def induced_channel(p: ChannelParams, c: RealConstellation,
     label_tables = tuple(
         np.lexsort(point_bits[:, b::-1].T).reshape(1 << b, 2, -1)
         for b in range(nbits))
-    return InducedChannel(params=p, constellation=Q, amplitudes=amplitudes,
-                          nbits=nbits, point_bits=point_bits,
-                          label_tables=label_tables)
+    return InducedChannel(params=p, amplitudes=amplitudes, nbits=nbits,
+                          point_bits=point_bits, label_tables=label_tables)
 
 
 def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -277,99 +269,27 @@ def sc_decode_batch(code: PolarCode,
     return _sc_batch(llr, decide, 0, _frozen_subtrees(code))
 
 
-def sc_decode(code: PolarCode, llr: np.ndarray) -> np.ndarray:
-    """Successive cancellation over the polar butterfly; returns the full
-    length-n input-bit estimate with frozen positions forced to zero."""
-    u, _ = sc_decode_batch(code, np.asarray(llr, dtype=float)[None, :])
-    return u[0]
-
-
-def genie_error_counts(llr: np.ndarray, u_true: np.ndarray,
-                       soft: bool = False) -> np.ndarray:
+def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     """Run SC over a (batch, n) LLR array with every decision forced to the
-    true bit; return per-index error counts (ties at LLR 0 count half).
+    true bit; return per-index soft error counts.
 
     With genie feeding, the LLR seen at index i is the exact posterior of
     the i-th synthetic channel, so its hard decision errs with probability
-    1/(1 + e^|L|) given the observation.  ``soft=True`` accumulates that
-    conditional probability instead of the 0/1 outcome, which estimates the
-    same quantity with much lower variance.
+    1/(1 + e^|L|) given the observation.  Summing that conditional
+    probability instead of the 0/1 outcome estimates the same error count
+    with much lower variance.
     """
     llr = np.asarray(llr, dtype=float)
     u_true = np.asarray(u_true, dtype=np.int8)
     errs = np.zeros(llr.shape[1])
 
-    if soft:
-        def decide(i, col):
-            e = np.exp(-np.abs(col))
-            errs[i] += np.sum(e / (1.0 + e))
-            return u_true[:, i]
-    else:
-        def decide(i, col):
-            hard = (col < 0).astype(np.int8)
-            errs[i] += np.sum(hard != u_true[:, i]) + 0.5 * np.sum(
-                (col == 0.0) * (1.0 - 2.0 * (u_true[:, i] != 0)))
-            return u_true[:, i]
+    def decide(i, col):
+        e = np.exp(-np.abs(col))
+        errs[i] += np.sum(e / (1.0 + e))
+        return u_true[:, i]
 
     _sc_batch(llr, decide, 0)
     return errs
-
-
-@dataclass(frozen=True)
-class ErasureChannel:
-    """BEC fixture for construction tests: one bit level, LLR 0 on erasure,
-    +/- large otherwise."""
-
-    eps: float
-    levels: int = 1
-
-    def sample_level(self, rng: np.random.Generator, level: int,
-                     n: int) -> tuple[np.ndarray, np.ndarray]:
-        bits = rng.integers(0, 2, size=n).astype(np.int8)
-        erased = rng.random(n) < self.eps
-        llr = np.where(erased, 0.0, (1.0 - 2.0 * bits) * _LLR_BIG)
-        return bits, llr
-
-
-def bec_bhattacharyya(eps: float, n: int) -> np.ndarray:
-    """Exact Bhattacharyya parameters of the n synthetic BEC channels, in
-    the decoder's natural index order (z- = 2z - z^2, z+ = z^2)."""
-    stages = _check_power_of_two(n, "blocklength")
-    z = np.array([eps])
-    for _ in range(stages):
-        out = np.empty(2 * len(z))
-        out[0::2] = 2.0 * z - z * z
-        out[1::2] = z * z
-        z = out
-    return z
-
-
-def bec_frozen_set(eps: float, n: int, target_rate: float) -> np.ndarray:
-    """Frozen set from the exact BEC recursion: worst channels frozen."""
-    z = bec_bhattacharyya(eps, n)
-    n_frozen = n - int(round(target_rate * n))
-    order = np.lexsort((-np.arange(n), z))[::-1]  # worst first, low index wins ties
-    return np.sort(order[:n_frozen])
-
-
-def construct_code(ch, level: int, n: int, target_rate: float,
-                   mc_budget: int, seed: int) -> PolarCode:
-    """Genie-aided Monte-Carlo code construction for one bit level.
-
-    Runs ``mc_budget`` genie-aided SC trials over the level's bit channel,
-    estimates per-synthetic-index error probabilities, and freezes the worst
-    indices until the rate target is met.  Deterministic given the seed.
-    """
-    _check_power_of_two(n, "blocklength")
-    if not 0.0 <= target_rate < 1.0:
-        raise ValueError(f"target rate must be in [0, 1), got {target_rate}")
-    if mc_budget < 100:
-        raise ValueError(f"mc_budget must be >= 100, got {mc_budget}")
-    rng = np.random.default_rng(seed)
-    p_err = _genie_error_probs(ch, level, n, mc_budget, rng)
-    n_frozen = n - int(round(target_rate * n))
-    order = np.lexsort((-np.arange(n), p_err))[::-1]  # worst first
-    return PolarCode(n=n, frozen=np.sort(order[:n_frozen]))
 
 
 def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
@@ -389,7 +309,7 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
         bits = bits.reshape(b, n)
         llr = llr.reshape(b, n)
         u_true = _transform_batch(bits.astype(np.int8))
-        counts += genie_error_counts(llr, u_true, soft=True)
+        counts += genie_error_counts(llr, u_true)
         done += b
     return counts / mc_budget
 

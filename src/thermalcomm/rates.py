@@ -8,7 +8,6 @@ the mixture entropy needs an eigendecomposition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +55,6 @@ class EnsembleRates:
     delta_E: float
     dim: int
     trace_deficit: float
-
-
-@dataclass(frozen=True)
-class BipartiteStateVector:
-    """Index-register x mode-register pure state; ``amplitudes`` has shape
-    (number of constellation points, Fock dimension)."""
-
-    amplitudes: np.ndarray
 
 
 def build_ensemble(p: ChannelParams, Q: ComplexConstellation, side: str) -> Ensemble:
@@ -164,18 +155,6 @@ def ensemble_rates(p: ChannelParams, Q: ComplexConstellation,
         trace_deficit=max(rho_b.truncation_tol, rho_e.truncation_tol))
 
 
-def holevo_rate(p: ChannelParams, Q: ComplexConstellation,
-                dim: int | None = None) -> float:
-    """Classical rate I(Z_m : B_m), bits per mode."""
-    return ensemble_rates(p, Q, dim).classical
-
-
-def quantum_rate(p: ChannelParams, Q: ComplexConstellation,
-                 dim: int | None = None) -> float:
-    """Quantum rate I(Z_m : B) - I(Z_m : E), bits per mode."""
-    return ensemble_rates(p, Q, dim).quantum
-
-
 def delta_B(p: ChannelParams, Q: ComplexConstellation,
             dim: int | None = None) -> tuple[float, float]:
     """The B-side gap, both as an entropy difference g(N') - H(rho_m^B) and
@@ -186,31 +165,3 @@ def delta_B(p: ChannelParams, Q: ComplexConstellation,
     tau = thermal_state(p.Nprime, rho.dim)
     relent_form = relative_entropy(rho, tau)
     return entropy_form, relent_form
-
-
-def delta_E(p: ChannelParams, Q: ComplexConstellation,
-            dim: int | None = None) -> float:
-    """The E-side gap g(N'_E) - H(rho_m^E); nonnegative."""
-    return ensemble_rates(p, Q, dim).delta_E
-
-
-def build_xi(Q: ComplexConstellation, dim: int | None = None) -> BipartiteStateVector:
-    """Purified constellation input sum_j sqrt(Q_j) |b_j> |z_j|: row j holds
-    sqrt(Q_j) times the coherent amplitudes of point j."""
-    if dim is None:
-        dim = default_dim(max(abs(z) ** 2 for z in Q.points))
-    amps = np.stack(
-        [math.sqrt(q) * coherent_state(z, dim)
-         for q, z in zip(Q.probs, Q.points)], axis=0)
-    return BipartiteStateVector(amplitudes=amps)
-
-
-def xi_index_marginal(xi: BipartiteStateVector) -> np.ndarray:
-    """Reduced state on the index register (mode traced out)."""
-    return xi.amplitudes @ xi.amplitudes.conj().T
-
-
-def xi_mode_marginal(xi: BipartiteStateVector) -> DensityOperator:
-    """Reduced state on the mode register (index traced out):
-    sum_j Q_j |z_j><z_j|."""
-    return _density_operator(xi.amplitudes.T @ xi.amplitudes.conj())

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import thermalcomm as tc
-from thermalcomm.chi2 import classical_one_plus_chi2_quadrature
+from oracles import (ErasureChannel, bec_frozen_set,
+                     classical_one_plus_chi2_quadrature, quantum_chi2_direct)
 from thermalcomm.constellations import (classical_chi2_kernel,
                                         classical_chi2_series)
-from thermalcomm.fock import default_dim, quantum_chi2_direct, thermal_state
-from thermalcomm.polar import ErasureChannel, estimate_level_mi
+from thermalcomm.fock import default_dim, thermal_state
+from thermalcomm.polar import estimate_level_mi
 from thermalcomm.rates import build_ensemble, ensemble_average_state
 
 FIG3 = tc.channel_params(0.8, 0.0, 7.0)
@@ -150,7 +151,8 @@ def test_criterion_6_gap_identities():
             Q = tc.product_constellation(c, FIG3.N)
             ef, rf = tc.delta_B(FIG3, Q, dim=120)
             worst_forms = max(worst_forms, abs(ef - rf))
-            min_dE = min(min_dE, tc.delta_E(FIG3, Q, dim=120))
+            min_dE = min(min_dE,
+                         tc.ensemble_rates(FIG3, Q, dim=120).delta_E)
             bound = tc.delta_B_bound(FIG3, c)
             # the chi-square bound dominates the natural-log relative entropy
             worst_excess = max(worst_excess, ef * LN2 - bound)
@@ -175,8 +177,8 @@ def test_criterion_7_rate_curves():
     for m in range(2, RANDOM_WALK_M_STAR + 1):
         Q = tc.product_constellation(
             tc.make_constellation("random_walk", m), FIG3.N)
-        rates[m] = tc.holevo_rate(FIG3, Q)
-        qrates[m] = tc.quantum_rate(FIG3, Q)
+        r = tc.ensemble_rates(FIG3, Q)
+        rates[m], qrates[m] = r.classical, r.quantum
     vals = [rates[m] for m in sorted(rates)]
     nondecreasing = all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
     m_star_ok = (cap - rates[RANDOM_WALK_M_STAR] <= 0.05
@@ -184,8 +186,8 @@ def test_criterion_7_rate_curves():
     # at m=2 both families degenerate to the same +-1 constellation, so the
     # comparison is an equality there and strict beyond
     def gh_rate(m):
-        return tc.holevo_rate(FIG3, tc.product_constellation(
-            tc.make_constellation("gauss_hermite", m), FIG3.N))
+        return tc.ensemble_rates(FIG3, tc.product_constellation(
+            tc.make_constellation("gauss_hermite", m), FIG3.N)).classical
     gh_inferior = (rates[2] >= gh_rate(2) - 1e-9
                    and all(rates[m] > gh_rate(m) for m in (3, 4)))
     qvals = [qrates[m] for m in sorted(qrates)]
@@ -222,9 +224,9 @@ def test_criterion_8_decay_constant():
 def test_criterion_9_polar_suite():
     t0 = time.perf_counter()
     # (a) Monte-Carlo construction vs the exact BEC recursion
-    code = tc.construct_code(ErasureChannel(0.5), 0, 1024, 0.25,
-                             mc_budget=20_000, seed=7)
-    oracle = tc.bec_frozen_set(0.5, 1024, 0.25)
+    code = tc.construct_multilevel(ErasureChannel(0.5), 1024, 0.25,
+                                   mc_budget=20_000, seed=7)[0]
+    oracle = bec_frozen_set(0.5, 1024, 0.25)
     overlap = len(np.intersect1d(code.frozen, oracle)) / len(oracle)
     # (b) end-to-end heterodyne pipeline at 0.7x estimated MI
     ch = tc.induced_channel(FIG3, tc.make_constellation("equilattice", 4))

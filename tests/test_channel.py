@@ -22,17 +22,21 @@ def test_thermal_environment_derived_quantities():
     p = channel_params(0.6, 1.5, 2.0)
     assert math.isclose(p.Nc, (1 - 0.36) * 1.5, rel_tol=1e-14)
     assert math.isclose(p.Nprime, 0.36 * 2.0 + p.Nc, rel_tol=1e-14)
-    assert p.cgap == pytest.approx(0.36 * 2.0)
-    assert p.dgap == pytest.approx(math.sqrt(p.Nprime * (p.Nprime + 1)))
+    # N' - Nc = k^2 N, and s = k^2 N / (sqrt(N'(N'+1)) - k^2 N)
+    assert p.Nprime - p.Nc == pytest.approx(0.36 * 2.0)
+    assert 0.36 * 2.0 * (1.0 + p.s) / p.s == pytest.approx(
+        math.sqrt(p.Nprime * (p.Nprime + 1)))
 
 
 @given(k=st.floats(0.05, 1.0), N0=st.floats(0.0, 5.0), N=st.floats(0.1, 50.0))
 def test_snr_gap_identity(k, N0, N):
-    # s/(1+s) == cgap/dgap is the identity the chi^2 machinery leans on
+    # s/(1+s) == k^2 N / sqrt(N'(N'+1)) is the identity the chi^2 machinery
+    # leans on
     if k == 1.0 and N0 == 0.0:
         return  # noiseless identity channel is rejected, tested below
     p = channel_params(k, N0, N)
-    assert p.s / (1.0 + p.s) == pytest.approx(p.cgap / p.dgap, rel=1e-12)
+    dgap = math.sqrt(p.Nprime * (p.Nprime + 1.0))
+    assert p.s / (1.0 + p.s) == pytest.approx(k * k * N / dgap, rel=1e-12)
 
 
 @pytest.mark.parametrize("k,N0,N", [

@@ -1,17 +1,17 @@
-"""Cross-checks between the three classical chi^2 paths and the quantum
-kernel, plus the closed-form kernel identities they are built on."""
+"""Cross-checks between the classical chi^2 series and kernel paths, the
+quadrature oracle, and the quantum kernel."""
 
 import math
 
 import numpy as np
 import pytest
 
-from thermalcomm import (KINDS, channel_params, classical_chi2_kernel,
+from oracles import classical_one_plus_chi2_quadrature
+from thermalcomm import (KINDS, ComplexConstellation, RealConstellation,
+                         channel_params, classical_chi2_kernel,
                          classical_chi2_series, delta_B_bound,
                          make_constellation, product_constellation,
                          quantum_chi2_constellation)
-from thermalcomm.chi2 import (classical_one_plus_chi2_quadrature, kernel_C,
-                              kernel_K, kernel_K_quadrature, kernel_R)
 
 
 def pure_loss_with_snr(s, k=0.8):
@@ -26,13 +26,13 @@ def pure_loss_with_snr(s, k=0.8):
 @pytest.mark.parametrize("s", [0.3, 2.0, 9.435])
 @pytest.mark.parametrize("x,xp", [(0.0, 0.0), (1.2, -0.7), (2.5, 2.5)])
 def test_kernel_K_against_quadrature(s, x, xp):
-    assert kernel_K(s, x, xp) == pytest.approx(
-        kernel_K_quadrature(s, x, xp), rel=1e-9)
-
-
-def test_kernel_K_symmetric_and_positive():
-    assert kernel_K(1.5, 0.4, -2.0) == pytest.approx(kernel_K(1.5, -2.0, 0.4))
-    assert kernel_K(1.5, 0.4, -2.0) > 0.0
+    # the classical kernel double sum on the equally likely points {x, x'}
+    points = np.unique([x, xp])
+    c = RealConstellation(points=points,
+                          probs=np.full(len(points), 1.0 / len(points)),
+                          kind="pair", m=len(points))
+    assert 1.0 + classical_chi2_kernel(c, s) == pytest.approx(
+        classical_one_plus_chi2_quadrature(c, s), rel=1e-9)
 
 
 def test_quadrature_returns_one_plus_chi2():
@@ -53,19 +53,16 @@ def test_three_way_agreement_spot(kind):
         assert qua == pytest.approx(ser, rel=1e-7, abs=1e-12)
 
 
-def test_kernel_C_normalization():
-    # C_N(0, 0) = N + 1
-    assert kernel_C(3.0, 0j, 0j) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        kernel_C(0.0, 0j, 0j)
-
-
 def test_kernel_R_prefactor_identity():
-    # R(0,0) = N'(N'+1)/(N' + 2 N' Nc - Nc^2) = (1+s)^2/(1+2s)
+    # R(0,0) = N'(N'+1)/(N' + 2 N' Nc - Nc^2) = (1+s)^2/(1+2s): the quantum
+    # double sum over the one-point constellation at the origin is R(0, 0)
     for (k, N0, N) in [(0.8, 0.0, 7.0), (0.7, 1.2, 3.0), (0.95, 0.3, 10.0)]:
         p = channel_params(k, N0, N)
+        origin = ComplexConstellation(points=np.array([0j]),
+                                      probs=np.array([1.0]), N=N)
         expect = (1.0 + p.s) ** 2 / (1.0 + 2.0 * p.s)
-        assert kernel_R(p, 0j, 0j) == pytest.approx(expect, rel=1e-12)
+        assert 1.0 + quantum_chi2_constellation(p, origin) == pytest.approx(
+            expect, rel=1e-12)
 
 
 def test_quantum_kernel_factorizes_over_quadratures():

@@ -3,6 +3,8 @@ import importlib.resources
 import io
 import json
 import math
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
@@ -306,12 +308,139 @@ def test_config_file_rejects_unknown_format(tmp_path):
     assert text == ""
 
 
+def run_cli_stderr(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, text = run_cli(argv)
+    return code, text, err.getvalue()
+
+
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_config_file_unreadable_exits_2(tmp_path, which):
+    path = tmp_path / "no_such.cfg" if which == "missing" else tmp_path
+    code, text, err = run_cli_stderr(["constellation", "--config", str(path)])
+    assert code == 2
+    assert text == ""
+    assert err.startswith("error:") and str(path) in err
+
+
+def test_config_file_rejects_duplicate_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m_max = 3\n# the later line must not silently win\n"
+                   "m-max = 2\n")
+    code, text, err = run_cli_stderr(["constellation", "--config", str(cfg)])
+    assert code == 2
+    assert text == ""
+    assert "'m_max'" in err and ":3:" in err and "line 1" in err
+
+
 def test_out_flag_writes_file(tmp_path):
     dest = tmp_path / "table.csv"
     code, text = run_cli(["rates", "--m-max", "3", "--dim", "40",
                           "--kinds", "quantile", "--out", str(dest)])
     assert code == 0
     assert dest.read_text().startswith(RATES_COLUMNS[0])
+
+
+def test_out_flag_unwritable_exits_2(tmp_path):
+    dest = tmp_path / "no_such_dir" / "x.csv"
+    code, text, err = run_cli_stderr(["constellation", "--m-max", "2",
+                                      "--out", str(dest)])
+    assert code == 2
+    assert text == ""
+    assert err.startswith("error:") and str(dest) in err
+    assert not dest.parent.exists()
+
+
+# Config-file lines: values every key accepts, and wrong types,
+# out-of-range values, an unknown key, lines without '=', comments and
+# blank lines.  Good lines are drawn three times as often as bad ones.
+_GOOD_VALUES = {
+    "k": ["0.8", "0.75"], "n0": ["0", "0.5"], "n": ["7", "1e-9"],
+    "m_min": ["2"], "m_max": ["2", "3"], "dim": ["40", "5"],
+    "kinds": ["equilattice", "quantile,gauss_hermite"],
+    "format": ["csv", "json"], "seed": ["7"],
+}
+_BAD_VALUES = {
+    "k": ["1.5", "nan", "high"], "n0": ["-1"], "n": ["0"], "m_min": ["2.5"],
+    "m_max": ["x"], "dim": ["0"], "kinds": ["bogus"], "format": ["xml"],
+    "seed": ["-"], "wibble": ["3"],
+}
+
+
+def _config_lines(values):
+    return st.sampled_from(sorted(values)).flatmap(
+        lambda key: st.tuples(st.sampled_from([key, key.replace("_", "-")]),
+                              st.sampled_from(values[key])).map(
+            lambda kv: f"{kv[0]} = {kv[1]}"))
+
+
+_CONFIG_LINE = st.one_of(
+    _config_lines(_GOOD_VALUES), _config_lines(_GOOD_VALUES),
+    _config_lines(_GOOD_VALUES), _config_lines(_BAD_VALUES),
+    st.sampled_from(["", "# comment only", "   ", "no equals sign",
+                     "m_max 3"]))
+
+
+@st.composite
+def _config_case(draw):
+    """A config file (which may repeat a key) and an argv that reads it;
+    the argv always sets --m-max, and may set --kinds and --format.  The
+    file often gives a flag's key another value, which the flag must
+    override."""
+    lines = draw(st.lists(_CONFIG_LINE, max_size=6))
+    if lines and draw(st.sampled_from([False, False, False, True])):
+        lines.append(draw(st.sampled_from(lines)))  # repeat a line
+    command = draw(st.sampled_from(["constellation", "rates"]))
+    flags = {"--m-max": draw(st.sampled_from(["2", "3"]))}
+    if command == "rates" or draw(st.booleans()):
+        # one kind keeps a rates run small
+        flags["--kinds"] = "equilattice"
+    if draw(st.booleans()):
+        flags["--format"] = draw(st.sampled_from(["csv", "json"]))
+    keys = {line.partition("=")[0].strip().replace("-", "_") for line in lines}
+    others = {"m_max": {"2": "3", "3": "2"}, "kinds": {"equilattice": "quantile"},
+              "format": {"csv": "json", "json": "csv"}}
+    for flag, value in flags.items():
+        key = flag[2:].replace("-", "_")
+        if key not in keys and draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         f"{key} = {others[key][value]}")
+    return "\n".join(lines) + "\n", command, flags
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_config_case())
+def test_config_file_fuzz_exits_typed_and_flags_win(case):
+    text_in, command, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text_in)
+        argv = [command, "--config", cfg]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        code, text, _ = run_cli_stderr(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    content = [line.split("#", 1)[0].strip() for line in text_in.splitlines()]
+    content = [line for line in content if line]
+    keys = [line.partition("=")[0].strip().replace("-", "_")
+            for line in content]
+    if (any("=" not in line for line in content) or "wibble" in keys
+            or len(set(keys)) < len(keys)):
+        assert code == 2
+    if code != 0:
+        assert text == ""
+        return
+    # without a --format flag the file may set either format
+    fmt = flags.get("--format", "json" if text.startswith("{") else "csv")
+    rows = (json.loads(text)["rows"] if fmt == "json"
+            else list(csv.DictReader(io.StringIO(text))))
+    rows = [row for row in rows if row["m"] not in (None, "")]
+    assert max(int(row["m"]) for row in rows) == int(flags["--m-max"])
+    if "--kinds" in flags:
+        assert {row["kind"] for row in rows} == {flags["--kinds"]}
 
 
 # -------------------------------------------------------------- polar report

@@ -7,10 +7,10 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from thermalcomm import (DensityOperator, annihilation_matrix, coherent_state,
-                         default_dim, displaced_thermal, displacement_operator,
-                         quantum_chi2_direct, relative_entropy, thermal_state,
-                         von_neumann_entropy)
+from oracles import annihilation_matrix, quantum_chi2_direct
+from thermalcomm import (DensityOperator, coherent_state, default_dim,
+                         displaced_thermal, displacement_operator,
+                         relative_entropy, thermal_state, von_neumann_entropy)
 from thermalcomm.errors import (SupportError, TruncationError,
                                 TruncationWarning)
 

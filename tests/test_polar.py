@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from thermalcomm import (PolarCode, bec_bhattacharyya, bec_frozen_set,
-                         channel_params, construct_code,
-                         construct_multilevel, induced_channel,
-                         make_constellation, polar_transform, sc_decode,
+from oracles import ErasureChannel, bec_bhattacharyya, bec_frozen_set
+from thermalcomm import (PolarCode, channel_params, construct_multilevel,
+                         induced_channel, make_constellation, polar_transform,
                          simulate)
 from thermalcomm import polar
-from thermalcomm.polar import (ErasureChannel, _inverse_gray, _sc_batch,
-                               _transform_batch, estimate_level_mi,
-                               genie_error_counts, sc_decode_batch)
+from thermalcomm.polar import (_inverse_gray, _sc_batch, _transform_batch,
+                               estimate_level_mi, genie_error_counts,
+                               sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -83,7 +82,8 @@ def test_bec_frozen_set_matches_capacity_ordering():
 
 
 def test_mc_construction_agrees_with_bec_oracle_small():
-    code = construct_code(ErasureChannel(0.5), 0, 128, 0.25, 4000, seed=3)
+    code = construct_multilevel(ErasureChannel(0.5), 128, 0.25, 4000,
+                                seed=3)[0]
     oracle = bec_frozen_set(0.5, 128, 0.25)
     overlap = len(np.intersect1d(code.frozen, oracle)) / len(oracle)
     assert overlap >= 0.9
@@ -98,8 +98,16 @@ def test_genie_soft_and_hard_agree_on_bec():
     bits = bits.reshape(200, 64).astype(np.int8)
     llr = llr.reshape(200, 64)
     u = np.stack([polar_transform(row) for row in bits])
-    hard = genie_error_counts(llr, u)
-    soft = genie_error_counts(llr, u, soft=True)
+    hard = np.zeros(64)
+
+    def decide(i, col):
+        # 0/1 hard-decision errors, a tie at LLR 0 counting half
+        hard[i] += np.sum((col < 0) != u[:, i]) + 0.5 * np.sum(
+            (col == 0.0) * (1.0 - 2.0 * (u[:, i] != 0)))
+        return u[:, i]
+
+    _sc_batch(llr, decide, 0)
+    soft = genie_error_counts(llr, u)
     np.testing.assert_allclose(soft, hard, atol=1e-6)
 
 
@@ -237,7 +245,7 @@ def test_sc_decode_noiseless_roundtrip():
     u[info] = rng.integers(0, 2, size=len(info))
     x = polar_transform(u)
     llr = 40.0 * (1.0 - 2.0 * x.astype(float))
-    np.testing.assert_array_equal(sc_decode(code, llr), u)
+    np.testing.assert_array_equal(sc_decode_batch(code, llr[None])[0][0], u)
 
 
 def test_sc_decode_batch_matches_scalar():
@@ -248,7 +256,8 @@ def test_sc_decode_batch_matches_scalar():
     llr = rng.normal(size=(8, n)) * 3.0
     u, x = sc_decode_batch(code, llr)
     for i in range(8):
-        np.testing.assert_array_equal(u[i], sc_decode(code, llr[i]))
+        np.testing.assert_array_equal(
+            u[i], sc_decode_batch(code, llr[i][None])[0][0])
         np.testing.assert_array_equal(x[i], polar_transform(u[i]))
 
 
