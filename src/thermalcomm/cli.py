@@ -24,7 +24,8 @@ from .channel import (ChannelParams, capacity_C, channel_params,
 from .constellations import KINDS, make_constellation, product_constellation
 from .errors import NumericFailure, TruncationError
 from .chi2 import _gap_bound, delta_B_bound
-from .polar import construct_multilevel, induced_channel, simulate
+from .polar import (MIN_MC_BUDGET, _check_power_of_two, construct_multilevel,
+                    induced_channel, simulate)
 
 RATES_COLUMNS = ["kind", "m", "classical_rate_bits", "quantum_rate_bits",
                  "delta_B", "delta_E", "chi2_bound", "dim", "trace_deficit"]
@@ -46,7 +47,7 @@ class RunConfig:
     dim: int | None = None
     seed: int = 1234
     out: str | None = None
-    fmt: str = "csv"
+    format: str = "csv"
     # polar-only knobs
     blocklength: int = 1024
     trials: int = 500
@@ -165,6 +166,10 @@ def cmd_polar(config: RunConfig) -> dict:
     if not (math.isfinite(config.rate_fraction) and config.rate_fraction >= 0):
         raise ValueError("--rate-fraction must be finite and >= 0, "
                          f"got {config.rate_fraction}")
+    _check_power_of_two(config.blocklength, "--blocklength")
+    if config.mc_budget < MIN_MC_BUDGET:
+        raise ValueError(f"--mc-budget must be >= {MIN_MC_BUDGET}, "
+                         f"got {config.mc_budget}")
     m = config.m_min
     p = channel_params(config.k, config.n0, config.n)
     ch = induced_channel(p, make_constellation(kind, m))
@@ -202,7 +207,7 @@ def cmd_polar(config: RunConfig) -> dict:
 
 def _emit_table(rows: list[dict], columns: list[str], config: RunConfig,
                 command: str, stream) -> None:
-    if config.fmt == "csv":
+    if config.format == "csv":
         writer = csv.DictWriter(stream, fieldnames=columns)
         writer.writeheader()
         for row in rows:
@@ -240,85 +245,90 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "k": float, "n0": float, "n": float, "m_min": int, "m_max": int,
-    "dim": int, "seed": int, "out": str, "format": str,
-    "blocklength": int, "trials": int, "mc_budget": int,
-    "rate_fraction": float,
+_COMMANDS = {
+    "rates": "achievable-rate table over the kind x m grid",
+    "chi2": "chi-square and gap-bound table",
+    "polar": "multilevel polar-coded heterodyne simulation report",
+    "constellation": "dump constellation points and probabilities",
+}
+_ALL = " ".join(_COMMANDS)
+
+# Every flag once: the subcommands that read it and its argparse keywords.
+# A subcommand accepts only the flags it reads, and their names with
+# underscores as config keys, typed and checked by the same keywords.
+_FLAGS = {
+    "config": (_ALL, dict(help="key = value config file")),
+    "k": ("rates chi2 polar", dict(type=float, help="transmittivity (0, 1]")),
+    "n0": ("rates chi2 polar", dict(type=float,
+                                    help="environment photon number")),
+    "n": ("rates chi2 polar", dict(type=float, help="input photon number")),
+    "kinds": (_ALL, dict(nargs="+", choices=KINDS, metavar="KIND",
+                         help=f"one or more of {', '.join(KINDS)}")),
+    "m_min": (_ALL, dict(type=int)),
+    "m_max": ("rates chi2 constellation", dict(type=int)),
+    "dim": ("rates chi2", dict(type=int, help="Fock truncation override")),
+    "seed": ("polar", dict(type=int)),
+    "out": (_ALL, dict(help="output path (default stdout)")),
+    "format": ("rates chi2 constellation", dict(choices=("csv", "json"))),
+    "blocklength": ("polar", dict(type=int)),
+    "trials": ("polar", dict(type=int)),
+    "mc_budget": ("polar", dict(type=int)),
+    "rate_fraction": ("polar", dict(type=float)),
 }
 
 
+def _config_value(key: str, text: str):
+    """A config value, typed and checked as its flag; lists by commas."""
+    spec = _FLAGS[key][1]
+    items = text.split(",") if "nargs" in spec else [text]
+    values = [spec.get("type", str)(v.strip()) for v in items]
+    if any(v not in spec.get("choices", values) for v in values):
+        raise ValueError(f"{key} must be in {spec['choices']}, got {text!r}")
+    return values if "nargs" in spec else values[0]
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.command == "polar":
-        config.fmt = "json"
+    """Config-file values, then flags over them, for the keys it reads."""
+    reads = [key for key, (commands, _) in _FLAGS.items()
+             if args.command in commands.split() and key != "config"]
+    values = {}
     file_values = _parse_config_file(args.config) if args.config else {}
-    for key, val in file_values.items():
-        if key == "kinds":
-            config.kinds = [v.strip() for v in val.split(",")]
-        elif key in _CONFIG_TYPES:
-            setattr(config, "fmt" if key == "format" else key,
-                    _CONFIG_TYPES[key](val))
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    for key in ("k", "n0", "n", "m_min", "m_max", "dim", "seed", "out",
-                "blocklength", "trials", "mc_budget", "rate_fraction"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(config, key, val)
-    if getattr(args, "format", None) is not None:
-        config.fmt = args.format
-    if getattr(args, "kinds", None):
-        config.kinds = args.kinds
-    if config.fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {config.fmt!r}")
-    for kind in config.kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown constellation kind {kind!r}")
+    for key, text in file_values.items():
+        if key not in reads:
+            raise ValueError(f"{args.command} reads no config key {key!r}")
+        values[key] = _config_value(key, text)
+    values.update((key, getattr(args, key)) for key in reads
+                  if getattr(args, key) is not None)
+    if args.command == "polar" and len(values.get("kinds", ())) > 1:
+        raise ValueError("polar reads one kind from --kinds, got "
+                         + " ".join(values["kinds"]))
+    config = RunConfig(**values)
     if config.m_min < 2:
         raise ValueError(f"m_min must be >= 2, got {config.m_min}")
-    # polar runs at m_min alone
-    if args.command != "polar" and config.m_max < config.m_min:
+    if "m_max" in reads and config.m_max < config.m_min:
         raise ValueError("need 2 <= m_min <= m_max")
     return config
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="thermalcomm",
+        prog="thermalcomm", allow_abbrev=False,
         description="Constellation rates, chi-square bounds, and polar-coded "
                     "simulation for thermal Bosonic channels.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("rates", "achievable-rate table over the kind x m grid"),
-        ("chi2", "chi-square and gap-bound table"),
-        ("polar", "multilevel polar-coded heterodyne simulation report"),
-        ("constellation", "dump constellation points and probabilities"),
-    ]:
-        sp = sub.add_parser(name, help=helptext)
-        sp.add_argument("--config", help="key = value config file")
-        sp.add_argument("--k", type=float, help="transmittivity (0, 1]")
-        sp.add_argument("--n0", type=float, help="environment photon number")
-        sp.add_argument("--n", type=float, help="input photon number")
-        sp.add_argument("--kinds", nargs="+", metavar="KIND",
-                        help=f"constellation kinds, from {', '.join(KINDS)}")
-        sp.add_argument("--m-min", dest="m_min", type=int)
-        sp.add_argument("--m-max", dest="m_max", type=int)
-        sp.add_argument("--dim", type=int, help="Fock truncation override")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=["csv", "json"])
-        if name == "polar":
-            sp.add_argument("--blocklength", type=int)
-            sp.add_argument("--trials", type=int)
-            sp.add_argument("--mc-budget", dest="mc_budget", type=int)
-            sp.add_argument("--rate-fraction", dest="rate_fraction", type=float)
+    for name, helptext in _COMMANDS.items():
+        sp = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        for key, (commands, spec) in _FLAGS.items():
+            if name in commands.split():
+                sp.add_argument("--" + key.replace("_", "-"), **spec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse's usage error, or 0 after --help
+        return e.code
     try:
         config = _resolve_config(args)
         buf = io.StringIO()
@@ -330,8 +340,6 @@ def main(argv: list[str] | None = None) -> int:
             _emit_table(cmd_constellation(config), CONSTELLATION_COLUMNS,
                         config, "constellation", buf)
         elif args.command == "polar":
-            if config.fmt == "csv":
-                raise ValueError("the polar report is JSON only; use --format json")
             json.dump(cmd_polar(config), buf, indent=2)
             buf.write("\n")
     except ValueError as e:

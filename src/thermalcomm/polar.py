@@ -38,6 +38,7 @@ _TANH_CLIP = 1.0 - 1e-16
 # outcomes at a time, and simulate demaps and decodes max(1, _SLICE // n)
 # frames at a time.
 _SLICE = 1 << 20
+MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 
 
 @dataclass(frozen=True)
@@ -328,8 +329,8 @@ def construct_multilevel(ch, n: int, sum_rate: float, mc_budget: int,
     if not 0.0 <= sum_rate < ch.levels:
         raise ValueError(
             f"sum rate must be in [0, {ch.levels}), got {sum_rate}")
-    if mc_budget < 100:
-        raise ValueError(f"mc_budget must be >= 100, got {mc_budget}")
+    if mc_budget < MIN_MC_BUDGET:
+        raise ValueError(f"mc_budget must be >= {MIN_MC_BUDGET}, got {mc_budget}")
     p_err = np.empty((ch.levels, n))
     for lv in range(ch.levels):
         rng = np.random.default_rng(seed + lv)

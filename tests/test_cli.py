@@ -1,18 +1,22 @@
+import argparse
 import csv
 import importlib.resources
 import io
 import json
 import math
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from thermalcomm.cli import (CHI2_COLUMNS, RATES_COLUMNS, RunConfig, cmd_chi2,
-                             cmd_constellation, cmd_polar, cmd_rates, main)
+from thermalcomm.cli import (CHI2_COLUMNS, RATES_COLUMNS, RunConfig,
+                             _build_parser, cmd_chi2, cmd_constellation,
+                             cmd_polar, cmd_rates, main)
 
 
 def run_cli(argv):
@@ -352,20 +356,33 @@ def test_out_flag_unwritable_exits_2(tmp_path):
     assert not dest.parent.exists()
 
 
-# Config-file lines: values every key accepts, and wrong types,
-# out-of-range values, an unknown key, lines without '=', comments and
-# blank lines.  Good lines are drawn three times as often as bad ones.
-_GOOD_VALUES = {
+# Config-file lines per subcommand: values every key it reads accepts, and
+# bad lines: wrong types, out-of-range values, keys it does not read (an
+# unknown key, seed, and for constellation good values of the keys only
+# rates reads), lines without '=', comments and blank lines.  Good lines
+# are drawn three times as often as bad ones.
+_TABLE_GOOD = {
     "k": ["0.8", "0.75"], "n0": ["0", "0.5"], "n": ["7", "1e-9"],
     "m_min": ["2"], "m_max": ["2", "3"], "dim": ["40", "5"],
     "kinds": ["equilattice", "quantile,gauss_hermite"],
-    "format": ["csv", "json"], "seed": ["7"],
+    "format": ["csv", "json"],
+}
+_GOOD_VALUES = {
+    "rates": _TABLE_GOOD,
+    "constellation": {key: _TABLE_GOOD[key]
+                      for key in ("m_min", "m_max", "kinds", "format")},
 }
 _BAD_VALUES = {
     "k": ["1.5", "nan", "high"], "n0": ["-1"], "n": ["0"], "m_min": ["2.5"],
     "m_max": ["x"], "dim": ["0"], "kinds": ["bogus"], "format": ["xml"],
-    "seed": ["-"], "wibble": ["3"],
+    "seed": ["-", "7"], "wibble": ["3"],
 }
+
+
+def _bad_values(command):
+    return {key: values + [v for v in _TABLE_GOOD.get(key, [])
+                           if key not in _GOOD_VALUES[command]]
+            for key, values in _BAD_VALUES.items()}
 
 
 def _config_lines(values):
@@ -375,11 +392,11 @@ def _config_lines(values):
             lambda kv: f"{kv[0]} = {kv[1]}"))
 
 
-_CONFIG_LINE = st.one_of(
-    _config_lines(_GOOD_VALUES), _config_lines(_GOOD_VALUES),
-    _config_lines(_GOOD_VALUES), _config_lines(_BAD_VALUES),
-    st.sampled_from(["", "# comment only", "   ", "no equals sign",
-                     "m_max 3"]))
+def _config_line(command):
+    good = _config_lines(_GOOD_VALUES[command])
+    return st.one_of(good, good, good, _config_lines(_bad_values(command)),
+                     st.sampled_from(["", "# comment only", "   ",
+                                      "no equals sign", "m_max 3"]))
 
 
 @st.composite
@@ -388,10 +405,10 @@ def _config_case(draw):
     the argv always sets --m-max, and may set --kinds and --format.  The
     file often gives a flag's key another value, which the flag must
     override."""
-    lines = draw(st.lists(_CONFIG_LINE, max_size=6))
+    command = draw(st.sampled_from(["constellation", "rates"]))
+    lines = draw(st.lists(_config_line(command), max_size=6))
     if lines and draw(st.sampled_from([False, False, False, True])):
         lines.append(draw(st.sampled_from(lines)))  # repeat a line
-    command = draw(st.sampled_from(["constellation", "rates"]))
     flags = {"--m-max": draw(st.sampled_from(["2", "3"]))}
     if command == "rates" or draw(st.booleans()):
         # one kind keeps a rates run small
@@ -427,7 +444,8 @@ def test_config_file_fuzz_exits_typed_and_flags_win(case):
     content = [line for line in content if line]
     keys = [line.partition("=")[0].strip().replace("-", "_")
             for line in content]
-    if (any("=" not in line for line in content) or "wibble" in keys
+    if (any("=" not in line for line in content)
+            or set(keys) - set(_GOOD_VALUES[command])
             or len(set(keys)) < len(keys)):
         assert code == 2
     if code != 0:
@@ -443,12 +461,114 @@ def test_config_file_fuzz_exits_typed_and_flags_win(case):
         assert {row["kind"] for row in rows} == {flags["--kinds"]}
 
 
+# -------------------------------------------------------------- flag contract
+
+_TABLE_FLAGS = {"--config", "--k", "--n0", "--n", "--kinds", "--m-min",
+                "--m-max", "--dim", "--out", "--format"}
+FLAGS = {
+    "rates": _TABLE_FLAGS,
+    "chi2": _TABLE_FLAGS,
+    "constellation": {"--config", "--kinds", "--m-min", "--m-max", "--out",
+                      "--format"},
+    "polar": {"--config", "--k", "--n0", "--n", "--kinds", "--m-min",
+              "--seed", "--out", "--blocklength", "--trials", "--mc-budget",
+              "--rate-fraction"},
+}
+# a valid value for each flag that some subcommand does not read
+_UNREAD_VALUE = {"--k": "0.8", "--n0": "0", "--n": "7", "--m-max": "2",
+                 "--dim": "40", "--seed": "1", "--format": "json",
+                 "--blocklength": "16", "--trials": "0", "--mc-budget": "100",
+                 "--rate-fraction": "0.5"}
+# a cheap run of each subcommand, which exits 0
+_BASE_ARGV = {
+    "rates": ["--m-max", "2", "--kinds", "equilattice"],
+    "chi2": ["--m-max", "2", "--kinds", "equilattice"],
+    "constellation": ["--m-max", "2"],
+    "polar": ["--blocklength", "16", "--trials", "0", "--mc-budget", "100"],
+}
+
+
+def _registered_flags():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in sp._actions for s in a.option_strings}
+            - {"-h", "--help"} for name, sp in sub.choices.items()}
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads():
+    assert _registered_flags() == FLAGS
+    assert sum(len(flags) for flags in FLAGS.values()) == 38
+
+
+def _unread(command):
+    return sorted(set().union(*FLAGS.values()) - FLAGS[command])
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_unread_flag_exits_2(command):
+    assert run_cli([command] + _BASE_ARGV[command])[0] == 0
+    for flag in _unread(command):
+        code, text, _ = run_cli_stderr(
+            [command] + _BASE_ARGV[command] + [flag, _UNREAD_VALUE[flag]])
+        assert (code, text) == (2, ""), flag
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_unread_config_key_exits_2_naming_it(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    for flag in _unread(command):
+        key = flag[2:].replace("-", "_")
+        cfg.write_text(f"{key} = {_UNREAD_VALUE[flag]}\n")
+        code, text, err = run_cli_stderr(
+            [command, "--config", str(cfg)] + _BASE_ARGV[command])
+        assert (code, text) == (2, ""), key
+        assert repr(key) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--kind", "quantile", "--m-max", "2"],
+    ["chi2", "--form=json", "--m-max", "2", "--kinds", "equilattice"],
+    ["polar", "--block", "16", "--mc", "100", "--trials", "0"],
+    ["constellation", "--k", "5"],  # was read as --kinds 5
+], ids=["rates", "chi2", "polar", "constellation"])
+def test_flag_abbreviations_exit_2(argv):
+    code, text, _ = run_cli_stderr(argv)
+    assert (code, text) == (2, "")
+
+
+def test_polar_reads_one_kind(tmp_path):
+    argv = ["polar"] + _BASE_ARGV["polar"]
+    code, text, err = run_cli_stderr(argv + ["--kinds", "quantile",
+                                             "random_walk"])
+    assert (code, text) == (2, "")
+    assert "--kinds" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kinds = quantile,random_walk\n")
+    code, text, err = run_cli_stderr(argv + ["--config", str(cfg)])
+    assert (code, text) == (2, "")
+    assert "--kinds" in err
+
+
+def test_main_returns_usage_code_instead_of_raising():
+    code, _, err = run_cli_stderr(["constellation", "--m-m", "3"])
+    assert code == 2 and "--m-m" in err
+    code, text, _ = run_cli_stderr(["rates", "--help"])
+    assert code == 0 and "--m-max" in text
+
+
+def test_readme_lists_each_subcommand_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^- `(\w+)`: `([^`]*)`$", readme, re.M)
+    assert {name: set(flags.split()) for name, flags in listed} == \
+        _registered_flags()
+
+
 # -------------------------------------------------------------- polar report
 
-SMALL_POLAR = RunConfig(m_min=2, blocklength=128, trials=40, mc_budget=200,
-                        fmt="json")
+SMALL_POLAR = RunConfig(m_min=2, blocklength=128, trials=40, mc_budget=200)
 SMALL_POLAR_16QAM = RunConfig(m_min=4, blocklength=128, trials=40,
-                              mc_budget=200, fmt="json")
+                              mc_budget=200)
 
 # fixed-seed fer, level_ber, level_rates and mi_estimate_bits: a change to
 # the demapper, the construction or the SC decoder that alters any decision
@@ -483,8 +603,7 @@ def test_polar_report_matches_golden(config, fer, level_ber, level_rates, mi):
 
 
 def test_polar_construction_only_run():
-    cfg = RunConfig(m_min=2, blocklength=64, trials=0, mc_budget=100,
-                    fmt="json")
+    cfg = RunConfig(m_min=2, blocklength=64, trials=0, mc_budget=100)
     rep = cmd_polar(cfg)
     assert rep["fer"] is None
     assert rep["level_ber"] is None
@@ -575,7 +694,7 @@ def test_polar_fuzz_exits_typed_with_valid_report(argv):
     ("blocklength", "1", 0, None),
     ("blocklength", "48", 2, "blocklength"),
     ("m-min", "3", 2, "m"),
-    ("m-min", "16", 0, None),  # above the default --m-max, which polar ignores
+    ("m-min", "16", 0, None),  # above the default m_max; polar reads none
     ("rate-fraction", "nan", 2, "rate"),
     ("rate-fraction", "0", 0, None),
     ("rate-fraction", "2", 2, "rate"),
@@ -599,6 +718,19 @@ def test_polar_rate_fraction_refused_before_estimate(monkeypatch, value):
                             "--mc-budget", "100", f"--rate-fraction={value}"])
     assert code == 2
     assert "--rate-fraction" in err
+    assert estimates == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--blocklength", "48"), ("--blocklength", "0"), ("--mc-budget", "99")])
+def test_polar_construction_flags_refused_before_estimate(monkeypatch, flag,
+                                                          value):
+    from thermalcomm import polar
+    estimates = _count_calls(monkeypatch, polar, "estimate_level_mi")
+    code, err = _run_polar(["polar", "--blocklength", "32", "--trials", "8",
+                            "--mc-budget", "100", f"{flag}={value}"])
+    assert code == 2
+    assert flag in err
     assert estimates == []
 
 
