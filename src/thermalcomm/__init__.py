@@ -3,9 +3,8 @@ and polar-coded classical transmission for single-mode thermal channels."""
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelParams, DisplacedThermalSpec, capacity_C,
-                      channel_params, g_entropy, gaussian_rate_limit,
-                      output_state_B, output_state_E)
+from .channel import (ChannelParams, capacity_C, channel_params, g_entropy,
+                      gaussian_rate_limit)
 from .constellations import (KINDS, ComplexConstellation, RealConstellation,
                              classical_chi2_kernel, classical_chi2_series,
                              hermite_moment, make_constellation,

@@ -14,15 +14,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class DisplacedThermalSpec:
-    """A displaced thermal state: Gaussian P function of the given width
-    centered at ``center`` (width is the thermal mean photon number)."""
-
-    center: complex
-    width: float
-
-
-@dataclass(frozen=True)
 class ChannelParams:
     """Channel parameters plus every derived scalar used downstream.
 
@@ -80,20 +71,6 @@ def channel_params(k: float, N0: float, N: float) -> ChannelParams:
     return ChannelParams(
         k=k, N0=N0, N=N, Nc=Nc, Nprime=Nprime, Nc_E=Nc_E, Nprime_E=Nprime_E,
         s=s, c_decay=c_decay,
-    )
-
-
-def output_state_B(p: ChannelParams, z: complex) -> DisplacedThermalSpec:
-    """Receiver-mode output for coherent input |z>: thermal width Nc at k z."""
-    return DisplacedThermalSpec(center=p.k * z, width=p.Nc)
-
-
-def output_state_E(p: ChannelParams, z: complex) -> DisplacedThermalSpec:
-    """Environment-mode output for coherent input |z>: width k^2 N0 at
-    -sqrt(1-k^2) z."""
-    return DisplacedThermalSpec(
-        center=-math.sqrt(1.0 - p.k * p.k) * z,
-        width=p.Nc_E,
     )
 
 

@@ -281,9 +281,15 @@ def _config_value(key: str, text: str):
     """A config value, typed and checked as its flag; lists by commas."""
     spec = _FLAGS[key][1]
     items = text.split(",") if "nargs" in spec else [text]
-    values = [spec.get("type", str)(v.strip()) for v in items]
+    convert = spec.get("type", str)
+    try:
+        values = [convert(v.strip()) for v in items]
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid {convert.__name__} "
+                         f"value: {text!r}") from None
     if any(v not in spec.get("choices", values) for v in values):
-        raise ValueError(f"{key} must be in {spec['choices']}, got {text!r}")
+        raise ValueError(f"config key {key!r}: must be in {spec['choices']}, "
+                         f"got {text!r}")
     return values if "nargs" in spec else values[0]
 
 

@@ -25,6 +25,8 @@ from .errors import NumericFailure
 KINDS = ("equilattice", "quantile", "random_walk", "gauss_hermite")
 
 _DPS = 50  # digits for the kernel double sums; chi2 can be ~1e-30
+_SERIES_TOL = 1e-30  # term envelope the Hermite series stops below
+_SERIES_KMAX = 100_000  # order by which the Hermite series must stop
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,10 @@ class RealConstellation:
 
 @dataclass(frozen=True)
 class ComplexConstellation:
-    """m^2 complex points emulating the P function of a thermal state with
-    mean photon number ``N``."""
+    """m^2 complex points emulating the P function of a thermal state."""
 
     points: np.ndarray
     probs: np.ndarray
-    N: float
 
 
 def _finalize(points: np.ndarray, probs: np.ndarray, kind: str) -> RealConstellation:
@@ -158,20 +158,18 @@ def hermite_moment(c: RealConstellation, k: int) -> float:
             return float(mom * scale)
 
 
-def classical_chi2_series(c: RealConstellation, s: float, tol: float = 1e-30,
-                          kmax: int = 100_000) -> float:
+def classical_chi2_series(c: RealConstellation, s: float) -> float:
     """chi^2 of the constellation's AWGN(s) output from the Gaussian output,
     by the Hermite moment series.
 
     The series is sum_{k>=1} (s/(1+s))^k E[he_k]^2 with nonnegative terms, so
     the running sum is a lower bound; summation stops once the geometric
-    envelope (s/(1+s))^k max_j he_k(x_j)^2 stays below ``tol`` for 5
-    consecutive orders.
+    envelope (s/(1+s))^k max_j he_k(x_j)^2 stays below ``_SERIES_TOL`` for
+    5 consecutive orders; ``NumericFailure`` if that has not happened by
+    order ``_SERIES_KMAX``.
     """
     if s <= 0.0:
         raise ValueError(f"signal-to-noise ratio s must be > 0, got {s}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
     r = np.longdouble(s) / np.longdouble(1.0 + s)
     total = np.longdouble(0.0)
     rk = np.longdouble(1.0)
@@ -184,14 +182,15 @@ def classical_chi2_series(c: RealConstellation, s: float, tol: float = 1e-30,
         if not np.isfinite(term):
             raise NumericFailure(f"chi-square series term overflowed at order {k}")
         total += term
-        if rk * hmax < tol:
+        if rk * hmax < _SERIES_TOL:
             below += 1
             if below >= 5:
                 return float(total)
         else:
             below = 0
-        if k >= kmax:
-            raise NumericFailure(f"chi-square series did not converge by order {kmax}")
+        if k >= _SERIES_KMAX:
+            raise NumericFailure(
+                f"chi-square series did not converge by order {_SERIES_KMAX}")
 
 
 def classical_chi2_kernel(c: RealConstellation, s: float) -> float:
@@ -247,4 +246,4 @@ def product_constellation(c: RealConstellation, N: float) -> ComplexConstellatio
     probs = np.outer(c.probs, c.probs).ravel()
     points.setflags(write=False)
     probs.setflags(write=False)
-    return ComplexConstellation(points=points, probs=probs, N=float(N))
+    return ComplexConstellation(points=points, probs=probs)

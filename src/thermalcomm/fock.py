@@ -24,6 +24,7 @@ from scipy.special import gammaln
 from .errors import NumericFailure, SupportError, TruncationWarning
 
 EIG_FLOOR = 1e-14
+SUPPORT_TOL = 1e-9  # largest weight D(rho || sigma) lets rho put off sigma
 
 
 @dataclass(frozen=True)
@@ -187,11 +188,10 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return float(-(lam * np.log2(lam)).sum())
 
 
-def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
-                     support_tol: float = 1e-9) -> float:
+def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """D(rho || sigma) = Tr[rho (log2 rho - log2 sigma)], bits.
 
-    Raises ``SupportError`` if rho carries more than ``support_tol`` weight
+    Raises ``SupportError`` if rho carries more than ``SUPPORT_TOL`` weight
     on sigma's numerical null space.
     """
     if rho.dim != sigma.dim:
@@ -207,7 +207,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
     overlap = np.abs(U.conj().T @ V) ** 2  # |<u_i|v_j>|^2
     lam_r_pos = np.clip(lam_r, 0.0, None)
     null_mass = float(lam_r_pos @ overlap[:, lam_s <= EIG_FLOOR].sum(axis=1))
-    if null_mass > support_tol:
+    if null_mass > SUPPORT_TOL:
         raise SupportError(
             f"rho has mass {null_mass:.2e} outside sigma's numerical support")
 

@@ -8,9 +8,10 @@ heterodyne rate, which is strictly below the Holevo rate the quantum decoder
 would reach; the rates module computes the latter.
 
 The demapper is table-driven: each bit position has a table of the points
-under every label prefix, so one level's LLRs are a gather of candidate
-centers and a logaddexp pass.  Successive cancellation carries the partial
-sums of decided bits up the butterfly instead of re-encoding each subtree.
+under every label prefix (the integer a label's leading bits spell), so one
+level's LLRs are a gather of candidate centers and a logaddexp pass.
+Successive cancellation carries the partial sums of decided bits up the
+butterfly instead of re-encoding each subtree.
 
 Both the demapper and the link simulation work in slices of ``_SLICE``
 samples, so their working set does not grow with the number of trials.
@@ -99,9 +100,9 @@ class InducedChannel:
     params: ChannelParams
     amplitudes: np.ndarray  # per-quadrature real amplitudes, ascending
     nbits: int
-    point_bits: np.ndarray  # (m, nbits) Gray label bits, MSB first
-    # per bit position b: (2**b, 2, m >> (b+1)) point indices whose first b
-    # label bits spell the row's pattern, split by the value of bit b
+    labels: np.ndarray  # Gray label of each amplitude index, MSB first
+    # per bit position b: (2**b, 2, m >> (b+1)) point indices whose label
+    # prefix of b bits is the row, split by the value of bit b
     label_tables: tuple[np.ndarray, ...]
 
     @property
@@ -124,8 +125,9 @@ class InducedChannel:
         bpos = level % self.nbits
         j = rng.integers(0, len(self.amplitudes), size=n)
         yq = self._heterodyne(rng, j)
-        return self.point_bits[j, bpos], self.level_llrs(
-            level, self.point_bits[j, :bpos], yq)
+        label = self.labels[j]
+        return (label >> (self.nbits - 1 - bpos)) & 1, self.level_llrs(
+            level, label >> (self.nbits - bpos), yq)
 
     def _heterodyne(self, rng: np.random.Generator,
                     j: np.ndarray) -> np.ndarray:
@@ -135,30 +137,27 @@ class InducedChannel:
         return self.params.k * self.amplitudes[j] + rng.normal(
             scale=math.sqrt(self.noise_var), size=j.shape)
 
-    def level_llrs(self, level: int, priors: np.ndarray,
+    def level_llrs(self, level: int, prefix: np.ndarray,
                    yq: np.ndarray) -> np.ndarray:
         """Vectorized LLRs for one level: log-ratio of the Gaussian
-        likelihoods marginalized over the points consistent with the
-        lower-level bits.  ``yq`` is the relevant quadrature of y.
+        likelihoods marginalized over the points whose label begins with
+        the outcome's ``prefix`` of lower-level bits.  ``yq`` is the
+        relevant quadrature of y.
 
-        The lower-level bits form a label-prefix pattern that indexes the
-        level's point table, so each outcome gathers the centers of its two
-        candidate subsets and reduces each with np.logaddexp.  Outcomes are
-        processed ``_SLICE`` at a time into one output array."""
+        The prefix indexes the level's point table, so each outcome gathers
+        the centers of its two candidate subsets and reduces each with
+        np.logaddexp, ``_SLICE`` outcomes at a time."""
         bpos = level % self.nbits
         if not 0 <= level < self.levels:
             raise ValueError(f"level must be in [0, {self.levels}), got {level}")
         yq = np.asarray(yq, dtype=float)
-        priors = np.asarray(priors, dtype=np.int8).reshape(len(yq), bpos)
+        prefix = np.asarray(prefix)
         centers = self.params.k * self.amplitudes[self.label_tables[bpos]]
         scale = -1.0 / (2.0 * self.noise_var)
         out = np.empty(len(yq))
         for start in range(0, len(yq), _SLICE):
             part = slice(start, start + _SLICE)
-            y = yq[part]
-            pattern = np.zeros(len(y), dtype=np.int64)
-            for b in range(bpos):
-                pattern = (pattern << 1) | priors[part, b]
+            y, pattern = yq[part], prefix[part]
             lse = []
             for bit in (0, 1):
                 # fold each candidate's exponent -(y - c)^2 / (2 var) into a
@@ -183,16 +182,16 @@ def induced_channel(p: ChannelParams, c: RealConstellation) -> InducedChannel:
                          f"constellation, got kind {c.kind!r}")
     nbits = _check_power_of_two(c.m, "constellation size m")
     amplitudes = math.sqrt(p.N / 2.0) * c.points
-    j = np.arange(c.m)
-    gray = j ^ (j >> 1)
-    point_bits = ((gray[:, None] >> (nbits - 1 - np.arange(nbits))[None, :]) & 1
-                  ).astype(np.int8)
-    # stable sort by the first b+1 label bits, most significant first
+    # the smallest dtype keeps the per-sample label gathers small
+    j = np.arange(c.m, dtype=np.min_scalar_type(c.m - 1))
+    labels = j ^ (j >> 1)
+    # stable sort by the label prefix of b+1 bits
     label_tables = tuple(
-        np.lexsort(point_bits[:, b::-1].T).reshape(1 << b, 2, -1)
+        np.argsort(labels >> (nbits - 1 - b), kind="stable"
+                   ).reshape(1 << b, 2, -1)
         for b in range(nbits))
     return InducedChannel(params=p, amplitudes=amplitudes, nbits=nbits,
-                          point_bits=point_bits, label_tables=label_tables)
+                          labels=labels, label_tables=label_tables)
 
 
 def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,19 +254,16 @@ def sc_decode_batch(code: PolarCode,
     """SC-decode each row of a (batch, n) LLR array; returns the full
     input-bit estimates u, with frozen positions forced to zero, and their
     codewords x = u F^{x log2 n}, the partial sums SC formed on the way.
-    Subtrees whose inputs are all frozen are not descended into."""
+    Subtrees whose inputs are all frozen, the whole code included, are not
+    descended into, so every decision reached is free."""
     llr = np.asarray(llr, dtype=float)
     if llr.shape[1] != code.n:
         raise ValueError(f"LLR length must be {code.n}, got {llr.shape[1]}")
-    frozen = set(code.frozen.tolist())
-    nrows = llr.shape[0]
-
-    def decide(i, col):
-        if i in frozen:
-            return np.zeros(nrows, dtype=np.int8)
-        return (col < 0).astype(np.int8)
-
-    return _sc_batch(llr, decide, 0, _frozen_subtrees(code))
+    frozen_subtrees = _frozen_subtrees(code)
+    if (0, code.n) in frozen_subtrees:
+        u = np.zeros(llr.shape, dtype=np.int8)
+        return u, u
+    return _sc_batch(llr, lambda i, col: col < 0, 0, frozen_subtrees)
 
 
 def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
@@ -353,15 +349,6 @@ def estimate_level_mi(ch, level: int, samples: int,
     return 1.0 - float(np.mean(np.log2(1.0 + np.exp(-signed))))
 
 
-def _inverse_gray(v: np.ndarray) -> np.ndarray:
-    out = v.copy()
-    shift = 1
-    while shift < 64:
-        out = out ^ (out >> shift)
-        shift <<= 1
-    return out
-
-
 def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
              seed: int) -> dict:
     """Multilevel polar-coded transmission over the induced channel.
@@ -390,9 +377,8 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
             u[:, code.info_set] = rng.integers(
                 0, 2, size=(trials, len(code.info_set)))
             u_levels.append(u)
-        amp_index = _inverse_gray(np.arange(len(ch.amplitudes)))
+        amp_index = np.argsort(ch.labels)  # Gray label -> amplitude index
         chunk = min(trials, max(1, _SLICE // n))
-        priors = np.empty((chunk * n, ch.nbits), dtype=np.int8)
         for q in range(2):
             levels = range(q * ch.nbits, (q + 1) * ch.nbits)
             for start in range(0, trials, chunk):
@@ -404,17 +390,18 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
                 for lv in levels:
                     label = (label << 1) | _transform_batch(u_levels[lv][rows])
                 yq = ch._heterodyne(rng, amp_index[label]).reshape(-1)
-                # decode level by level, feeding decisions forward
-                for bpos, lv in enumerate(levels):
-                    llr = ch.level_llrs(lv, priors[:b * n, :bpos], yq
-                                        ).reshape(b, n)
+                # decode level by level, feeding decisions forward as the
+                # label prefix
+                prefix = np.zeros(b * n, dtype=ch.labels.dtype)
+                for lv in levels:
+                    llr = ch.level_llrs(lv, prefix, yq).reshape(b, n)
                     u_hat, x_hat = sc_decode_batch(codes[lv], llr)
                     info = codes[lv].info_set
                     nerr = np.sum(u_hat[:, info] != u_levels[lv][rows, info],
                                   axis=1)
                     bit_errors[lv] += int(nerr.sum())
                     frame_bad[rows] |= nerr > 0
-                    priors[:b * n, bpos] = x_hat.reshape(-1)
+                    prefix = (prefix << 1) | x_hat.reshape(-1)
 
     fer = float(np.mean(frame_bad)) if trials else None
     sum_rate = float(info_bits.sum()) / n

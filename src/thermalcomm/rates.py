@@ -8,12 +8,12 @@ the mixture entropy needs an eigendecomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelParams, DisplacedThermalSpec, g_entropy,
-                      output_state_B, output_state_E)
+from .channel import ChannelParams, g_entropy
 from .constellations import ComplexConstellation
 from .errors import TruncationError
 from .fock import (DensityOperator, _density_operator, _laguerre_table,
@@ -38,11 +38,13 @@ GAP_RESOLUTION = 1e-12
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Probability-weighted displaced-thermal output ensemble on one side of
-    the channel."""
+    """Probability-weighted output ensemble on one side of the channel:
+    displaced thermal states at ``centers``, all of thermal mean photon
+    number ``width``."""
 
     probs: np.ndarray
-    specs: tuple[DisplacedThermalSpec, ...]
+    centers: np.ndarray
+    width: float
 
 
 @dataclass(frozen=True)
@@ -58,48 +60,45 @@ class EnsembleRates:
 
 
 def build_ensemble(p: ChannelParams, Q: ComplexConstellation, side: str) -> Ensemble:
-    """Map each constellation point through the channel to the given side,
-    "B" for the receiver or "E" for the environment."""
+    """Map each constellation point z through the channel to the given
+    side: "B", the receiver, sees width Nc at k z, and "E", the environment,
+    width k^2 N0 at -sqrt(1-k^2) z."""
     if side == "B":
-        specs = tuple(output_state_B(p, z) for z in Q.points)
-    elif side == "E":
-        specs = tuple(output_state_E(p, z) for z in Q.points)
-    else:
-        raise ValueError(f"side must be 'B' or 'E', got {side!r}")
-    return Ensemble(probs=Q.probs, specs=specs)
+        return Ensemble(Q.probs, p.k * Q.points, p.Nc)
+    if side == "E":
+        return Ensemble(Q.probs, -math.sqrt(1.0 - p.k * p.k) * Q.points,
+                        p.Nc_E)
+    raise ValueError(f"side must be 'B' or 'E', got {side!r}")
 
 
 def ensemble_dim(e: Ensemble) -> int:
     """Conservative truncation dimension for the ensemble average state."""
-    width = e.specs[0].width
-    mu = max(abs(s.center) ** 2 for s in e.specs) + width
-    return default_dim(mu)
+    return default_dim(np.max(np.abs(e.centers) ** 2) + e.width)
 
 
 def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperator:
     """sum_j q_j theta_j at the given truncation dimension.
 
-    All widths in an ensemble are equal; the zero-width (coherent) case is
-    assembled from amplitude columns directly.  Otherwise points of equal
-    |center| (a symmetric constellation's sign flips and quadrature swaps)
-    share one Laguerre table, built once per radius within this call.
+    The zero-width (coherent) case is assembled from amplitude columns
+    directly.  Otherwise points of equal |center| (a symmetric
+    constellation's sign flips and quadrature swaps) share one Laguerre
+    table, built once per radius within this call.
     """
     if dim is None:
         dim = ensemble_dim(e)
-    width = e.specs[0].width
-    if width == 0.0:
+    if e.width == 0.0:
         cols = np.stack(
-            [np.sqrt(q) * coherent_state(s.center, dim)
-             for q, s in zip(e.probs, e.specs)], axis=1)
+            [np.sqrt(q) * coherent_state(z, dim)
+             for q, z in zip(e.probs, e.centers)], axis=1)
         mat = cols @ cols.conj().T
     else:
         mat = np.zeros((dim, dim), dtype=complex)
         tables = {}  # exact |center| -> its Laguerre table at dim
-        for q, s in zip(e.probs, e.specs):
-            r = abs(s.center)
+        for q, z in zip(e.probs, e.centers):
+            r = abs(z)
             if r not in tables:
                 tables[r] = _laguerre_table(r, dim) if r > 0.0 else None
-            mat += q * displaced_thermal(s.center, width, dim,
+            mat += q * displaced_thermal(z, e.width, dim,
                                          _table=tables[r]).matrix
     return _density_operator(mat)
 

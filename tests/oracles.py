@@ -10,7 +10,9 @@ a different way from the library path it checks:
 - ``quantum_chi2_direct``: the quantum chi-square by direct summation in the
   number basis, against the constellation kernel double sum;
 - ``annihilation_matrix``: the truncated annihilation operator, for moment
-  and matrix-exponential checks of the Fock layer.
+  and matrix-exponential checks of the Fock layer;
+- ``inverse_gray``: the amplitude index of each Gray label by prefix XOR,
+  against the labels and their inverse the induced channel holds.
 
 Not collected by pytest (no ``test_`` prefix); test modules import it by
 name from the tests directory.
@@ -68,6 +70,17 @@ def bec_frozen_set(eps: float, n: int, target_rate: float) -> np.ndarray:
     n_frozen = n - int(round(target_rate * n))
     order = np.lexsort((-np.arange(n), z))[::-1]  # worst first, low index wins ties
     return np.sort(order[:n_frozen])
+
+
+def inverse_gray(v: np.ndarray) -> np.ndarray:
+    """Invert the Gray code g = j ^ (j >> 1) elementwise: j is the XOR of
+    every right shift of g."""
+    out = v.copy()
+    shift = 1
+    while shift < 64:
+        out = out ^ (out >> shift)
+        shift <<= 1
+    return out
 
 
 def classical_one_plus_chi2_quadrature(c: RealConstellation, s: float) -> float:

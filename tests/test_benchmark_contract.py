@@ -54,9 +54,19 @@ def test_thermal_ensemble_reaches_fock_displacement_layers(monkeypatch):
     p = channel_params(0.8, 0.5, 7.0)
     Q = product_constellation(make_constellation("equilattice", 2), 7.0)
     e = rates.build_ensemble(p, Q, "B")
-    assert e.specs[0].width > 0.0
+    assert e.width > 0.0
     displacements = _count_calls(monkeypatch, fock.displacement_operator)
     thermals = _count_calls(monkeypatch, fock.displaced_thermal)
     rates.ensemble_average_state(e)
     assert len(displacements) > 0
     assert len(thermals) > 0
+
+
+@pytest.mark.parametrize("side", ["B", "E"])
+def test_ensemble_probs_count_every_point(side):
+    # the tracer's rates.ensemble_average_state.points counter is
+    # len(e.probs), one per constellation point
+    p = channel_params(0.8, 0.5, 7.0)
+    Q = product_constellation(make_constellation("quantile", 3), 7.0)
+    e = rates.build_ensemble(p, Q, side)
+    assert len(e.probs) == len(e.centers) == len(Q.points) == 9

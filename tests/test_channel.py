@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thermalcomm import (capacity_C, channel_params, g_entropy,
-                         gaussian_rate_limit, output_state_B, output_state_E)
+from thermalcomm import (build_ensemble, capacity_C, channel_params,
+                         g_entropy, gaussian_rate_limit)
+from thermalcomm.constellations import ComplexConstellation
 
 
 def test_pure_loss_derived_quantities():
@@ -82,17 +83,23 @@ def test_capacity_and_limit_reference_point():
     assert 0.0 < lim < capacity_C(p)
 
 
+def _point(z):
+    """A one-point constellation at z."""
+    return ComplexConstellation(points=np.array([z], dtype=complex),
+                                probs=np.array([1.0]))
+
+
 def test_output_states():
     p = channel_params(0.8, 0.5, 7.0)
-    b = output_state_B(p, 1.0 + 2.0j)
-    assert b.center == pytest.approx(0.8 * (1 + 2j))
+    b = build_ensemble(p, _point(1.0 + 2.0j), "B")
+    assert b.centers[0] == pytest.approx(0.8 * (1 + 2j))
     assert b.width == pytest.approx(p.Nc)
-    e = output_state_E(p, 1.0 + 2.0j)
-    assert abs(e.center) == pytest.approx(0.6 * abs(1 + 2j))
+    e = build_ensemble(p, _point(1.0 + 2.0j), "E")
+    assert abs(e.centers[0]) == pytest.approx(0.6 * abs(1 + 2j))
     assert e.width == pytest.approx(0.64 * 0.5)
 
 
 def test_environment_sees_negated_amplitude():
     p = channel_params(0.8, 0.0, 7.0)
-    e = output_state_E(p, 1.0)
-    assert e.center.real < 0.0
+    e = build_ensemble(p, _point(1.0), "E")
+    assert e.centers[0].real < 0.0

@@ -59,7 +59,7 @@ def test_kernel_R_prefactor_identity():
     for (k, N0, N) in [(0.8, 0.0, 7.0), (0.7, 1.2, 3.0), (0.95, 0.3, 10.0)]:
         p = channel_params(k, N0, N)
         origin = ComplexConstellation(points=np.array([0j]),
-                                      probs=np.array([1.0]), N=N)
+                                      probs=np.array([1.0]))
         expect = (1.0 + p.s) ** 2 / (1.0 + 2.0 * p.s)
         assert 1.0 + quantum_chi2_constellation(p, origin) == pytest.approx(
             expect, rel=1e-12)

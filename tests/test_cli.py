@@ -338,6 +338,21 @@ def test_config_file_rejects_duplicate_key(tmp_path):
     assert "'m_max'" in err and ":3:" in err and "line 1" in err
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("constellation", "m_max = x", "m_max"),
+    ("rates", "k = 0.8.1", "k"),
+    ("constellation", "kinds = equilattice,bogus", "kinds"),
+], ids=["int", "float", "kind"])
+def test_config_value_of_wrong_type_exits_2_naming_key(tmp_path, command,
+                                                       line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, text, err = run_cli_stderr([command, "--config", str(cfg)])
+    assert (code, text) == (2, "")
+    assert err.startswith("error:") and repr(key) in err
+    assert repr(line.partition("=")[2].strip()) in err
+
+
 def test_out_flag_writes_file(tmp_path):
     dest = tmp_path / "table.csv"
     code, text = run_cli(["rates", "--m-max", "3", "--dim", "40",
@@ -357,10 +372,11 @@ def test_out_flag_unwritable_exits_2(tmp_path):
 
 
 # Config-file lines per subcommand: values every key it reads accepts, and
-# bad lines: wrong types, out-of-range values, keys it does not read (an
-# unknown key, seed, and for constellation good values of the keys only
-# rates reads), lines without '=', comments and blank lines.  Good lines
-# are drawn three times as often as bad ones.
+# the kinds of bad line, each drawn on its own so one file can hold exactly
+# one of them: a value its flag refuses (wrong type or out of range), a key
+# the subcommand does not read (an unknown key, seed, and for constellation
+# the keys only the tables read), a line without '=', and a repeated key.
+# Good lines use each key at most once.
 _TABLE_GOOD = {
     "k": ["0.8", "0.75"], "n0": ["0", "0.5"], "n": ["7", "1e-9"],
     "m_min": ["2"], "m_max": ["2", "3"], "dim": ["40", "5"],
@@ -375,40 +391,52 @@ _GOOD_VALUES = {
 _BAD_VALUES = {
     "k": ["1.5", "nan", "high"], "n0": ["-1"], "n": ["0"], "m_min": ["2.5"],
     "m_max": ["x"], "dim": ["0"], "kinds": ["bogus"], "format": ["xml"],
-    "seed": ["-", "7"], "wibble": ["3"],
 }
 
 
-def _bad_values(command):
-    return {key: values + [v for v in _TABLE_GOOD.get(key, [])
-                           if key not in _GOOD_VALUES[command]]
-            for key, values in _BAD_VALUES.items()}
+def _unread_values(command):
+    """Keys the subcommand does not read, each with values its flag would
+    accept, so the key alone is wrong."""
+    return {"seed": ["-", "7"], "wibble": ["3"],
+            **{key: values for key, values in _TABLE_GOOD.items()
+               if key not in _GOOD_VALUES[command]}}
 
 
-def _config_lines(values):
-    return st.sampled_from(sorted(values)).flatmap(
-        lambda key: st.tuples(st.sampled_from([key, key.replace("_", "-")]),
-                              st.sampled_from(values[key])).map(
-            lambda kv: f"{kv[0]} = {kv[1]}"))
-
-
-def _config_line(command):
-    good = _config_lines(_GOOD_VALUES[command])
-    return st.one_of(good, good, good, _config_lines(_bad_values(command)),
-                     st.sampled_from(["", "# comment only", "   ",
-                                      "no equals sign", "m_max 3"]))
+def _config_line(key, values):
+    return st.tuples(st.sampled_from([key, key.replace("_", "-")]),
+                     st.sampled_from(values)).map(
+        lambda kv: f"{kv[0]} = {kv[1]}")
 
 
 @st.composite
 def _config_case(draw):
-    """A config file (which may repeat a key) and an argv that reads it;
-    the argv always sets --m-max, and may set --kinds and --format.  The
-    file often gives a flag's key another value, which the flag must
-    override."""
+    """A config file and an argv that reads it; the argv always sets
+    --m-max, and may set --kinds and --format.  The file often gives a
+    flag's key another value, which the flag must override."""
     command = draw(st.sampled_from(["constellation", "rates"]))
-    lines = draw(st.lists(_config_line(command), max_size=6))
-    if lines and draw(st.sampled_from([False, False, False, True])):
-        lines.append(draw(st.sampled_from(lines)))  # repeat a line
+    good = _GOOD_VALUES[command]
+    keys = draw(st.lists(st.sampled_from(sorted(good)), unique=True,
+                         max_size=4))
+    lines = [draw(_config_line(key, good[key])) for key in keys]
+
+    def one_in_four():
+        return draw(st.sampled_from([False, False, False, True]))
+
+    def insert(line):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+
+    unset = sorted(set(good) - set(keys))
+    if unset and one_in_four():
+        key = draw(st.sampled_from(unset))
+        insert(draw(_config_line(key, _BAD_VALUES[key])))
+    if one_in_four():
+        unread = _unread_values(command)
+        key = draw(st.sampled_from(sorted(unread)))
+        insert(draw(_config_line(key, unread[key])))
+    if one_in_four():
+        insert(draw(st.sampled_from(["no equals sign", "m_max 3"])))
+    for _ in range(draw(st.integers(0, 2))):
+        insert(draw(st.sampled_from(["", "# comment only", "   "])))
     flags = {"--m-max": draw(st.sampled_from(["2", "3"]))}
     if command == "rates" or draw(st.booleans()):
         # one kind keeps a rates run small
@@ -421,8 +449,10 @@ def _config_case(draw):
     for flag, value in flags.items():
         key = flag[2:].replace("-", "_")
         if key not in keys and draw(st.booleans()):
-            lines.insert(draw(st.integers(0, len(lines))),
-                         f"{key} = {others[key][value]}")
+            insert(f"{key} = {others[key][value]}")
+    keyed = [line for line in lines if "=" in line]
+    if keyed and one_in_four():
+        insert(draw(st.sampled_from(keyed)))  # the same key twice
     return "\n".join(lines) + "\n", command, flags
 
 
@@ -437,13 +467,28 @@ def test_config_file_fuzz_exits_typed_and_flags_win(case):
         argv = [command, "--config", cfg]
         for flag, value in flags.items():
             argv += [flag, value]
-        code, text, _ = run_cli_stderr(argv)
+        code, text, err = run_cli_stderr(argv)
     event(f"exit {code}")
     assert code in (0, 2, 3, 4)
     content = [line.split("#", 1)[0].strip() for line in text_in.splitlines()]
     content = [line for line in content if line]
     keys = [line.partition("=")[0].strip().replace("-", "_")
             for line in content]
+    # which kinds of bad line the file holds, and which check stopped it
+    reads = _GOOD_VALUES[command]
+    keyed = [(key, line.partition("=")[2].strip())
+             for key, line in zip(keys, content) if "=" in line]
+    held = {"no '='": len(keyed) < len(content),
+            "unread key": any(key not in reads for key, _ in keyed),
+            "repeated key": len(set(keys)) < len(keys),
+            "bad value": any(key in reads and value in _BAD_VALUES[key]
+                             for key, value in keyed)}
+    event("bad lines: " + (", ".join(k for k, v in held.items() if v)
+                           or "none"))
+    event("stopped at " + (
+        "parse" if "expected 'key = value'" in err or "already set" in err
+        else "unread key" if "reads no config key" in err
+        else "value" if code == 2 else f"exit {code}"))
     if (any("=" not in line for line in content)
             or set(keys) - set(_GOOD_VALUES[command])
             or len(set(keys)) < len(keys)):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermalcomm import (KINDS, classical_chi2_kernel, classical_chi2_series,
-                         hermite_moment, make_constellation,
+                         constellations, hermite_moment, make_constellation,
                          product_constellation)
+from thermalcomm.errors import NumericFailure
 
 SQ3 = math.sqrt(3.0)
 
@@ -123,6 +124,14 @@ def test_chi2_rejects_bad_s():
         classical_chi2_series(c, 0.0)
     with pytest.raises(ValueError):
         classical_chi2_kernel(c, -1.0)
+
+
+def test_chi2_series_fails_typed_without_convergence(monkeypatch):
+    # a series still above its envelope tolerance at the last order raises
+    # instead of returning the partial sum
+    monkeypatch.setattr(constellations, "_SERIES_KMAX", 3)
+    with pytest.raises(NumericFailure, match="by order 3"):
+        classical_chi2_series(make_constellation("equilattice", 4), 9.435)
 
 
 def test_product_constellation_layout():

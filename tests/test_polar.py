@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from oracles import ErasureChannel, bec_bhattacharyya, bec_frozen_set
+from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
+                     inverse_gray)
 from thermalcomm import (PolarCode, channel_params, construct_multilevel,
                          induced_channel, make_constellation, polar_transform,
                          simulate)
 from thermalcomm import polar
-from thermalcomm.polar import (_inverse_gray, _sc_batch, _transform_batch,
+from thermalcomm.polar import (_sc_batch, _transform_batch,
                                estimate_level_mi, genie_error_counts,
                                sc_decode_batch)
 
@@ -142,7 +143,8 @@ def test_heterodyne_noise_variance():
 
 def msb_llr(ch, y):
     """LLR of the real quadrature's first level for heterodyne outcome y."""
-    return float(ch.level_llrs(0, np.zeros((1, 0)), np.array([y.real]))[0])
+    return float(ch.level_llrs(0, np.zeros(1, dtype=int),
+                               np.array([y.real]))[0])
 
 
 def test_bpsk_llr_closed_form():
@@ -168,9 +170,10 @@ def test_bpsk_llr_sign_consistency():
     assert lp * lm < 0
 
 
-def oracle_level_llrs(m, level, priors, yq, p=P):
+def oracle_level_llrs(m, level, prefix, yq, p=P):
     """Brute force: for each outcome, scipy logsumexp over the points whose
-    Gray-label prefix equals its priors, split by the level's bit."""
+    Gray-label bits begin with those its integer prefix spells, split by
+    the level's bit."""
     nbits = int(math.log2(m))
     bpos = level % nbits
     labels = [[((i ^ (i >> 1)) >> (nbits - 1 - b)) & 1
@@ -179,8 +182,9 @@ def oracle_level_llrs(m, level, priors, yq, p=P):
         "equilattice", m).points
     var = (p.Nc + 1.0) / 2.0
     out = np.empty(len(yq))
-    for t, (pri, y) in enumerate(zip(priors, yq)):
-        match = [i for i in range(m) if labels[i][:bpos] == list(pri)]
+    for t, (pre, y) in enumerate(zip(prefix, yq)):
+        pri = [(int(pre) >> (bpos - 1 - b)) & 1 for b in range(bpos)]
+        match = [i for i in range(m) if labels[i][:bpos] == pri]
         e = {bit: [-(y - centers[i]) ** 2 / (2.0 * var) for i in match
                    if labels[i][bpos] == bit] for bit in (0, 1)}
         out[t] = logsumexp(e[0]) - logsumexp(e[1])
@@ -197,9 +201,9 @@ def test_level_llrs_match_brute_force_oracle(m):
             P.k * ch.amplitudes[rng.integers(0, m, 150)]
             + rng.normal(scale=math.sqrt(ch.noise_var), size=150),
             rng.uniform(-30.0, 30.0, 50)])
-        priors = rng.integers(0, 2, size=(len(yq), bpos)).astype(np.int8)
-        got = ch.level_llrs(level, priors, yq)
-        want = oracle_level_llrs(m, level, priors, yq)
+        prefix = rng.integers(0, 1 << bpos, size=len(yq))
+        got = ch.level_llrs(level, prefix, yq)
+        want = oracle_level_llrs(m, level, prefix, yq)
         tol = 1e-12 * np.maximum(1.0, np.abs(want))
         assert np.all(np.abs(got - want) <= tol)
 
@@ -210,10 +214,10 @@ def test_level_llrs_sliced_match_unsliced_bitwise(monkeypatch, slice_):
     rng = np.random.default_rng(31)
     yq = rng.normal(scale=4.0, size=1000)
     for level in range(ch.levels):
-        priors = rng.integers(0, 2, size=(len(yq), level % ch.nbits))
-        whole = ch.level_llrs(level, priors, yq)
+        prefix = rng.integers(0, 1 << (level % ch.nbits), size=len(yq))
+        whole = ch.level_llrs(level, prefix, yq)
         monkeypatch.setattr(polar, "_SLICE", slice_)
-        sliced = ch.level_llrs(level, priors, yq)
+        sliced = ch.level_llrs(level, prefix, yq)
         monkeypatch.undo()
         np.testing.assert_array_equal(sliced.view(np.uint64),
                                       whole.view(np.uint64))
@@ -230,7 +234,39 @@ def test_estimate_level_mi_in_unit_interval():
 def test_inverse_gray_roundtrip():
     v = np.arange(64)
     gray = v ^ (v >> 1)
-    np.testing.assert_array_equal(_inverse_gray(gray), v)
+    np.testing.assert_array_equal(inverse_gray(gray), v)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_labels_are_gray_in_a_one_byte_dtype(m):
+    # one byte per label keeps sample_level's per-sample gathers small
+    ch = make_channel(m)
+    assert ch.labels.dtype.itemsize == 1
+    np.testing.assert_array_equal(inverse_gray(ch.labels.astype(np.int64)),
+                                  np.arange(m))
+    for b, table in enumerate(ch.label_tables):
+        # row r of bit position b holds the points with label prefix r,
+        # split by the value of bit b
+        pre = ch.labels[table] >> (ch.nbits - 1 - b)
+        want = 2 * np.arange(1 << b)[:, None, None] + np.arange(2)[:, None]
+        np.testing.assert_array_equal(pre, np.broadcast_to(want, pre.shape))
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_sample_level_bits_and_llrs_follow_the_gray_labels(m):
+    # replay the draw: amplitude indices, then heterodyne outcomes
+    ch = make_channel(m)
+    for level in range(ch.levels):
+        bpos = level % ch.nbits
+        bits, llr = ch.sample_level(np.random.default_rng(level), level, 300)
+        rng = np.random.default_rng(level)
+        j = rng.integers(0, m, size=300)
+        yq = ch._heterodyne(rng, j)
+        gray = j ^ (j >> 1)
+        np.testing.assert_array_equal(bits, (gray >> (ch.nbits - 1 - bpos)) & 1)
+        want = oracle_level_llrs(m, level, gray >> (ch.nbits - bpos), yq)
+        tol = 1e-12 * np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(llr - want) <= tol)
 
 
 # ---------------------------------------------------------------- decoding
@@ -276,6 +312,19 @@ def test_sc_decode_batch_skips_frozen_subtrees_exactly(n):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("frozen", [[0], []], ids=["frozen", "free"])
+def test_sc_decode_length_one_code(frozen):
+    # the one input is the root subtree: frozen, it is 0 whatever its LLR;
+    # free, it is the hard decision
+    code = PolarCode(n=1, frozen=np.array(frozen, dtype=int))
+    llr = np.array([[-2.0], [3.0], [-0.5], [0.0]])
+    want = np.zeros((4, 1), dtype=np.int8) if frozen else np.array(
+        [[1], [0], [1], [0]], dtype=np.int8)
+    for got in sc_decode_batch(code, llr):
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
 
 
 def test_sc_partial_sums_are_the_transform_of_the_decisions():
@@ -329,7 +378,7 @@ def whole_batch_simulate(ch, codes, trials, seed):
                 0, 2, size=(trials, len(code.info_set)))
             u_levels.append(u)
             x_levels.append(_transform_batch(u))
-        amp_index = _inverse_gray(np.arange(len(ch.amplitudes)))
+        amp_index = inverse_gray(np.arange(len(ch.amplitudes)))
         ys = []
         for q in range(2):
             label = np.zeros((trials, n), dtype=np.int64)
@@ -337,18 +386,17 @@ def whole_batch_simulate(ch, codes, trials, seed):
                 label = (label << 1) | x_levels[q * ch.nbits + b]
             ys.append(ch._heterodyne(rng, amp_index[label]))
         for q in range(2):
-            priors = np.zeros((trials * n, 0), dtype=np.int8)
+            prefix = np.zeros(trials * n, dtype=np.int64)
             for b in range(ch.nbits):
                 lv = q * ch.nbits + b
-                llr = ch.level_llrs(lv, priors, ys[q].reshape(-1)
+                llr = ch.level_llrs(lv, prefix, ys[q].reshape(-1)
                                     ).reshape(trials, n)
                 u_hat = sc_decode_batch(codes[lv], llr)[0]
                 info = codes[lv].info_set
                 nerr = np.sum(u_hat[:, info] != u_levels[lv][:, info], axis=1)
                 bit_errors[lv] += int(nerr.sum())
                 frame_bad |= nerr > 0
-                priors = np.concatenate(
-                    [priors, _transform_batch(u_hat).reshape(-1, 1)], axis=1)
+                prefix = (prefix << 1) | _transform_batch(u_hat).reshape(-1)
     fer = float(np.mean(frame_bad)) if trials else None
     sum_rate = float(info_bits.sum()) / n
     return {

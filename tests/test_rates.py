@@ -4,11 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from thermalcomm import (DisplacedThermalSpec, Ensemble, build_ensemble,
-                         capacity_C, channel_params, delta_B,
-                         displaced_thermal, ensemble_average_state,
-                         ensemble_rates, fock, g_entropy, gaussian_rate_limit,
-                         make_constellation, product_constellation)
+from thermalcomm import (Ensemble, build_ensemble, capacity_C,
+                         channel_params, delta_B, displaced_thermal,
+                         ensemble_average_state, ensemble_rates, fock,
+                         g_entropy, gaussian_rate_limit, make_constellation,
+                         product_constellation)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -109,8 +109,8 @@ def _unshared_average_state(e, dim):
     """Test-local oracle: one displaced_thermal per point, each building its
     own Laguerre table, summed and Hermitized in the library's order."""
     mat = np.zeros((dim, dim), dtype=complex)
-    for q, s in zip(e.probs, e.specs):
-        mat += q * displaced_thermal(s.center, s.width, dim).matrix
+    for q, z in zip(e.probs, e.centers):
+        mat += q * displaced_thermal(z, e.width, dim).matrix
     return (mat + mat.conj().T) / 2.0
 
 
@@ -161,15 +161,15 @@ def test_shared_tables_bitwise_on_distinct_radii_and_on_one_ring():
     assert len({abs(z) for z in ring}) == 1
     for points in (distinct, ring):
         q = np.full(len(points), 1.0 / len(points))
-        e = Ensemble(probs=q, specs=tuple(
-            DisplacedThermalSpec(center=z, width=width) for z in points))
+        e = Ensemble(probs=q, centers=np.array(points, dtype=complex),
+                     width=width)
         rho = ensemble_average_state(e, 40)
         _assert_bitwise_equal(rho.matrix, _unshared_average_state(e, 40))
 
 
 def test_one_table_build_per_distinct_radius_per_call(monkeypatch):
     e = build_ensemble(P_THERMAL, make_Q("equilattice", 8, P_THERMAL), "B")
-    nonzero_radii = {abs(s.center) for s in e.specs} - {0.0}
+    nonzero_radii = {abs(z) for z in e.centers} - {0.0}
     # delta (0.5, 3.5) and delta (2.5, 2.5) share a radius exactly
     assert len(nonzero_radii) == 9
     builds = _count_table_builds(monkeypatch)
