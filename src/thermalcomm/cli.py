@@ -18,14 +18,18 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .channel import (ChannelParams, capacity_C, channel_params,
                       gaussian_rate_limit)
-from .constellations import KINDS, make_constellation, product_constellation
+from .constellations import (KINDS, classical_chi2_kernel, make_constellation,
+                             product_constellation)
 from .errors import NumericFailure, TruncationError
 from .chi2 import _gap_bound, delta_B_bound
 from .polar import (MIN_MC_BUDGET, _check_power_of_two, construct_multilevel,
-                    induced_channel, simulate)
+                    estimate_level_mi, induced_channel, simulate)
+from .rates import GAP_RESOLUTION, _checked_dim, delta_B, ensemble_rates
 
 RATES_COLUMNS = ["kind", "m", "classical_rate_bits", "quantum_rate_bits",
                  "delta_B", "delta_E", "chi2_bound", "dim", "trace_deficit"]
@@ -61,8 +65,6 @@ def _table_grid(config: RunConfig, p: ChannelParams,
     in output order.  Raises ``TruncationError`` if a row's state on one of
     ``sides`` needs a dimension above ``rates.MAX_DIM``, before any state
     is built."""
-    from .rates import _checked_dim
-
     grid = []
     for kind in config.kinds:
         for m in range(config.m_min, config.m_max + 1):
@@ -79,8 +81,6 @@ def cmd_rates(config: RunConfig) -> list[dict]:
     Gaussian coherent-information reference rows.  ``delta_B`` and
     ``delta_E`` are null where the gap is below ``rates.GAP_RESOLUTION``,
     whose noise can come out negative or above ``chi2_bound``."""
-    from .rates import GAP_RESOLUTION, ensemble_rates
-
     p = channel_params(config.k, config.n0, config.n)
     rows = [
         {"kind": "capacity_C", "m": None, "classical_rate_bits": capacity_C(p),
@@ -115,9 +115,6 @@ def cmd_chi2(config: RunConfig) -> list[dict]:
     is null where the gap is below ``rates.GAP_RESOLUTION``, whose noise
     can come out negative or above the bound.
     """
-    from .constellations import classical_chi2_kernel
-    from .rates import GAP_RESOLUTION, delta_B
-
     p = channel_params(config.k, config.n0, config.n)
     rows = []
     for kind, m, c, Q in _table_grid(config, p, "B"):
@@ -152,9 +149,6 @@ def cmd_polar(config: RunConfig) -> dict:
     report, whose mutual-information fields are that same estimate.
     ``rate_fraction`` must be finite and >= 0, and the sum rate it gives
     in [0, levels), the range ``construct_multilevel`` accepts."""
-    import numpy as np
-    from .polar import estimate_level_mi
-
     kind = config.kinds[0]
     if kind not in ("equilattice", "quantile"):
         raise ValueError(

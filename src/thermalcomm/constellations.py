@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import comb
-from scipy.stats import norm
+from scipy.special import comb, ndtri
 
 from .errors import NumericFailure
 
@@ -75,7 +74,7 @@ def make_quantile(m: int) -> RealConstellation:
     """Midpoint-quantile points of the standard normal, equally likely,
     rescaled by a single factor so the variance is exactly 1."""
     _check_m(m)
-    raw = norm.ppf((2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m))
+    raw = ndtri((2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m))
     raw = (raw - raw[::-1]) / 2.0  # enforce exact symmetry
     probs = np.full(m, 1.0 / m)
     var = float(probs @ raw**2)

@@ -58,9 +58,7 @@ def coherent_state(z: complex, dim: int) -> np.ndarray:
             "severe truncation", TruncationWarning, stacklevel=2)
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
-    if dim > 1:
-        n = np.arange(1, dim)
-        amps[1:] = np.cumprod(z / np.sqrt(n))
+    amps[1:] = np.cumprod(z / np.sqrt(np.arange(1, dim)))
     amps *= math.exp(-abs(z) ** 2 / 2.0)
     return amps
 
@@ -136,54 +134,39 @@ def displacement_operator(alpha: complex, dim: int, *,
     phase = alpha / abs(alpha)
     # CPython's integer complex power, not np.power: these bits are pinned
     phase_pow = np.array([phase ** d for d in range(dim)])
-    lower = np.zeros((dim, dim), dtype=complex)
-    lower[m, n] = _table * phase_pow[m - n]
-    odd = np.tril(np.subtract.outer(np.arange(dim), np.arange(dim)) % 2 == 1)
-    upper = np.where(odd, -lower, lower).conj().T  # conj(D(-alpha)_{nm})
-    out = lower + upper
-    out[np.diag_indices(dim)] -= np.diag(upper)  # diagonal counted twice
+    lower = _table * phase_pow[m - n]
+    out = np.empty((dim, dim), dtype=complex)
+    out[n, m] = np.where((m - n) % 2 == 1, -lower, lower).conj()
+    out[m, n] = lower  # after the mirror, so the diagonal is not conjugated
     return out
 
 
 def displaced_thermal(alpha: complex, Nbar: float, dim: int, *,
                       _table: np.ndarray | None = None) -> DensityOperator:
-    """D(alpha) tau_Nbar D(alpha)^dag.  Pure-coherent special case for
-    Nbar = 0 avoids building the displacement matrix.  ``_table`` is the
-    Laguerre table of |alpha| at ``dim``, passed on to
-    ``displacement_operator``."""
-    if Nbar < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {Nbar}")
-    if Nbar == 0.0:
-        v = coherent_state(alpha, dim)
-        mat = np.outer(v, v.conj())
-    else:
-        D = displacement_operator(alpha, dim, _table=_table)
-        p = thermal_state(Nbar, dim).matrix.real.diagonal()
-        scaled = D * np.sqrt(p)[np.newaxis, :]
-        mat = scaled @ scaled.conj().T
-    return _density_operator(mat)
+    """D(alpha) tau_Nbar D(alpha)^dag, for every Nbar >= 0 (Nbar = 0 gives
+    the coherent state |alpha><alpha|).  ``_table`` is the Laguerre table of
+    |alpha| at ``dim``, passed on to ``displacement_operator``."""
+    p = thermal_state(Nbar, dim).matrix.real.diagonal()
+    scaled = displacement_operator(alpha, dim, _table=_table) * np.sqrt(p)
+    return _density_operator(scaled @ scaled.conj().T)
 
 
 def _density_operator(mat: np.ndarray) -> DensityOperator:
     """Wrap an assembled state matrix: Hermitize it and record its trace
-    deficit as the truncation tolerance."""
+    deficit as the truncation tolerance.  (M + M^dag)/2 mirrors each entry
+    as its exact conjugate, so the entropies read the matrix as it is."""
     mat = (mat + mat.conj().T) / 2.0
     deficit = max(0.0, 1.0 - float(np.trace(mat).real))
     return DensityOperator(matrix=mat, dim=mat.shape[0],
                            truncation_tol=deficit)
 
 
-def _eigvals(rho: DensityOperator) -> np.ndarray:
-    mat = (rho.matrix + rho.matrix.conj().T) / 2.0
-    try:
-        return np.linalg.eigvalsh(mat)
-    except np.linalg.LinAlgError as e:
-        raise NumericFailure("eigensolver failed") from e
-
-
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum lambda log2 lambda over eigenvalues above the floor, in bits."""
-    lam = _eigvals(rho)
+    try:
+        lam = np.linalg.eigvalsh(rho.matrix)
+    except np.linalg.LinAlgError as e:
+        raise NumericFailure("eigensolver failed") from e
     lam = lam[lam > EIG_FLOOR]
     return float(-(lam * np.log2(lam)).sum())
 
@@ -196,11 +179,9 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("operators must share the truncation dimension")
-    mat_r = (rho.matrix + rho.matrix.conj().T) / 2.0
-    mat_s = (sigma.matrix + sigma.matrix.conj().T) / 2.0
     try:
-        lam_r, U = np.linalg.eigh(mat_r)
-        lam_s, V = np.linalg.eigh(mat_s)
+        lam_r, U = np.linalg.eigh(rho.matrix)
+        lam_s, V = np.linalg.eigh(sigma.matrix)
     except np.linalg.LinAlgError as e:
         raise NumericFailure("eigensolver failed") from e
 

@@ -86,6 +86,8 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
     """
     if dim is None:
         dim = ensemble_dim(e)
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if e.width == 0.0:
         cols = np.stack(
             [np.sqrt(q) * coherent_state(z, dim)

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -188,6 +190,28 @@ def test_dimension_above_max_dim_exits_4(argv):
     assert text == ""
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+@pytest.mark.parametrize("n0", ["0", "0.5"])
+@pytest.mark.parametrize("command", ["rates", "chi2"])
+def test_dimension_below_one_exits_2_naming_dim(command, n0, dim):
+    code, text, err = run_cli_stderr([command, "--n0", n0, "--dim", dim,
+                                      "--m-max", "2"])
+    assert code == 2
+    assert text == ""
+    assert "dim must be >= 1" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats was over half of the CLI's import time
+    import thermalcomm
+    src = Path(thermalcomm.__file__).parent.parent
+    probe = "import sys, thermalcomm.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -213,12 +237,12 @@ def test_dimension_above_max_dim_builds_no_state(monkeypatch):
 
 
 def test_chi2_table_evaluates_each_kernel_once(monkeypatch):
-    from thermalcomm import chi2, constellations
+    from thermalcomm import chi2, cli
     from thermalcomm.channel import channel_params
     from thermalcomm.constellations import make_constellation
 
-    # cmd_chi2 looks the kernel up in constellations, delta_B_bound in chi2
-    direct = _count_calls(monkeypatch, constellations, "classical_chi2_kernel")
+    # cmd_chi2 looks the kernel up in cli, delta_B_bound in chi2
+    direct = _count_calls(monkeypatch, cli, "classical_chi2_kernel")
     in_bound = _count_calls(monkeypatch, chi2, "classical_chi2_kernel")
     rows = cmd_chi2(RunConfig(m_max=4, kinds=["quantile"]))
     assert len(rows) == 3
@@ -757,8 +781,8 @@ def test_polar_extreme_flag(flag, value, code, named):
 
 @pytest.mark.parametrize("value", ["nan", "-0.1", "inf", "-inf"])
 def test_polar_rate_fraction_refused_before_estimate(monkeypatch, value):
-    from thermalcomm import polar
-    estimates = _count_calls(monkeypatch, polar, "estimate_level_mi")
+    from thermalcomm import cli
+    estimates = _count_calls(monkeypatch, cli, "estimate_level_mi")
     code, err = _run_polar(["polar", "--blocklength", "32", "--trials", "8",
                             "--mc-budget", "100", f"--rate-fraction={value}"])
     assert code == 2
@@ -770,8 +794,8 @@ def test_polar_rate_fraction_refused_before_estimate(monkeypatch, value):
     ("--blocklength", "48"), ("--blocklength", "0"), ("--mc-budget", "99")])
 def test_polar_construction_flags_refused_before_estimate(monkeypatch, flag,
                                                           value):
-    from thermalcomm import polar
-    estimates = _count_calls(monkeypatch, polar, "estimate_level_mi")
+    from thermalcomm import cli
+    estimates = _count_calls(monkeypatch, cli, "estimate_level_mi")
     code, err = _run_polar(["polar", "--blocklength", "32", "--trials", "8",
                             "--mc-budget", "100", f"{flag}={value}"])
     assert code == 2

@@ -82,9 +82,9 @@ def test_random_walk_is_binomial():
         c.points, (2 * np.arange(m) - (m - 1)) / math.sqrt(m - 1), atol=1e-15)
 
 
-def test_quantile_points_are_gaussian_quantiles():
+@pytest.mark.parametrize("m", [2, 5, 6, 64, 512])
+def test_quantile_points_are_gaussian_quantiles(m):
     from scipy.stats import norm
-    m = 6
     c = make_constellation("quantile", m)
     raw = norm.ppf((2 * np.arange(1, m + 1) - 1) / (2 * m))
     scale = 1.0 / math.sqrt(np.mean(raw ** 2))

@@ -156,11 +156,23 @@ def test_displaced_thermal_moments():
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-9)
 
 
-def test_displaced_thermal_zero_width_is_pure():
-    rho = displaced_thermal(0.8, 0.0, 40)
-    vec = coherent_state(0.8, 40)
+@pytest.mark.parametrize("alpha", [0.0, 0.8, -1.1 + 0.4j])
+def test_displaced_thermal_zero_width_is_pure(alpha):
+    rho = displaced_thermal(alpha, 0.0, 40)
+    vec = coherent_state(alpha, 40)
     np.testing.assert_allclose(rho.matrix, np.outer(vec, vec.conj()),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: thermal_state(0.7, 30),
+    lambda: displaced_thermal(1.1 + 0.5j, 0.7, 30),
+    lambda: displaced_thermal(-0.9 + 0.3j, 0.0, 30),
+], ids=["thermal", "displaced_thermal", "displaced_zero_width"])
+def test_states_are_exactly_hermitian(build):
+    # the entropies read the matrix as built, without Hermitizing it again
+    rho = build()
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
 
 
 def test_relative_entropy_thermal_oracle():

@@ -92,6 +92,16 @@ def test_ensemble_average_state_trace():
     assert 0.0 <= deficit < 1e-8
 
 
+@pytest.mark.parametrize("n0", [0.0, 0.5])
+def test_ensemble_average_state_is_exactly_hermitian(n0):
+    # width 0 (coherent columns) and width > 0 (displaced thermal states)
+    p = channel_params(0.8, n0, 7.0)
+    e = build_ensemble(p, make_Q("equilattice", 3, p), "B")
+    assert (e.width > 0.0) == (n0 > 0.0)
+    rho = ensemble_average_state(e)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+
+
 def test_thermal_environment_rates_finite():
     p = channel_params(0.7, 1.0, 3.0)
     Q = make_Q("equilattice", 2, p)
