@@ -10,7 +10,6 @@ log-slopes so the decay rates can be read off directly.
 import math
 
 import thermalcomm as tc
-from thermalcomm.constellations import classical_chi2_series
 
 p = tc.channel_params(0.8, 0.0, 7.0)
 print(f"channel SNR s = {p.s:.4f},  r = s/(1+s) = {p.s / (1 + p.s):.4f}")
@@ -22,7 +21,7 @@ print(f"{'m':>3s} {'chi2':>12s} {'bound':>12s} {'delta_B(nats)':>14s} "
 prev_bound = None
 for m in range(2, 13):
     c = tc.make_constellation("gauss_hermite", m)
-    chi2 = classical_chi2_series(c, p.s)
+    chi2 = tc.classical_chi2_kernel(c, p.s)
     bound = tc.delta_B_bound(p, c)
     Q = tc.product_constellation(c, p.N)
     db, _ = tc.delta_B(p, Q)

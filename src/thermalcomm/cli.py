@@ -76,11 +76,23 @@ def _table_grid(config: RunConfig, p: ChannelParams,
     return grid
 
 
+def _resolved(x: float) -> float | None:
+    """``x``, or None where its magnitude is eigensolve noise."""
+    return x if abs(x) >= GAP_RESOLUTION else None
+
+
+def _nonzero(x: float) -> float | None:
+    """A chi-square or a bound from one, or None where it underflowed to
+    0.0 (it is positive at 50 digits; a bound of 0 would be false)."""
+    return x if x != 0.0 else None
+
+
 def cmd_rates(config: RunConfig) -> list[dict]:
     """Rate table rows over the kind x m grid, preceded by the capacity and
     Gaussian coherent-information reference rows.  ``delta_B`` and
     ``delta_E`` are null where the gap is below ``rates.GAP_RESOLUTION``,
-    whose noise can come out negative or above ``chi2_bound``."""
+    whose noise can come out negative or above ``chi2_bound``; so are the
+    rates of magnitude below it, and ``chi2_bound`` if it underflowed."""
     p = channel_params(config.k, config.n0, config.n)
     rows = [
         {"kind": "capacity_C", "m": None, "classical_rate_bits": capacity_C(p),
@@ -94,11 +106,11 @@ def cmd_rates(config: RunConfig) -> list[dict]:
         r = ensemble_rates(p, Q, config.dim)
         rows.append({
             "kind": kind, "m": m,
-            "classical_rate_bits": r.classical,
-            "quantum_rate_bits": r.quantum,
+            "classical_rate_bits": _resolved(r.classical),
+            "quantum_rate_bits": _resolved(r.quantum),
             "delta_B": r.delta_B if r.delta_B >= GAP_RESOLUTION else None,
             "delta_E": r.delta_E if r.delta_E >= GAP_RESOLUTION else None,
-            "chi2_bound": delta_B_bound(p, c),
+            "chi2_bound": _nonzero(delta_B_bound(p, c)),
             "dim": r.dim,
             "trace_deficit": r.trace_deficit,
         })
@@ -113,7 +125,8 @@ def cmd_chi2(config: RunConfig) -> list[dict]:
     the natural-log relative entropy, and the bits conversion (x 1/ln 2)
     can cross the bound where it is tight.  Rate tables stay in bits.  It
     is null where the gap is below ``rates.GAP_RESOLUTION``, whose noise
-    can come out negative or above the bound.
+    can come out negative or above the bound.  ``chi2_classical`` and
+    ``delta_B_bound`` are null where they underflowed to 0.0.
     """
     p = channel_params(config.k, config.n0, config.n)
     rows = []
@@ -122,8 +135,8 @@ def cmd_chi2(config: RunConfig) -> list[dict]:
         chi2_classical = classical_chi2_kernel(c, p.s)
         rows.append({
             "kind": kind, "m": m, "s": p.s,
-            "chi2_classical": chi2_classical,
-            "delta_B_bound": _gap_bound(chi2_classical),
+            "chi2_classical": _nonzero(chi2_classical),
+            "delta_B_bound": _nonzero(_gap_bound(chi2_classical)),
             "delta_B_actual": (db_entropy * math.log(2.0)
                                if db_entropy >= GAP_RESOLUTION else None),
             "c_decay": p.c_decay,

@@ -5,8 +5,8 @@ Four real constellations are provided (equilattice, quantile, random walk,
 Gauss-Hermite).  Each has mean 0 and variance 1 exactly, so the derived
 complex product constellation matches the first two moments of the thermal
 state it emulates.  The chi-square divergence of the constellation's AWGN
-output from the Gaussian output is computed two independent ways: a Hermite
-moment series and a closed-form kernel double sum.
+output from the Gaussian output is computed by a closed-form kernel double
+sum in extended precision.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .errors import NumericFailure
 KINDS = ("equilattice", "quantile", "random_walk", "gauss_hermite")
 
 _DPS = 50  # digits for the kernel double sums; chi2 can be ~1e-30
-_SERIES_TOL = 1e-30  # term envelope the Hermite series stops below
-_SERIES_KMAX = 100_000  # order by which the Hermite series must stop
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,8 @@ def make_random_walk(m: int) -> RealConstellation:
     _check_m(m)
     j = np.arange(m)
     points = (2.0 * j - (m - 1)) / math.sqrt(m - 1)
-    weights = np.array([comb(m - 1, int(i), exact=True) for i in j], dtype=float)
-    probs = weights / 2.0 ** (m - 1)
+    # int true division: correctly rounded, and finite where 2.0**(m-1) is not
+    probs = np.array([comb(m - 1, int(i), exact=True) / 2 ** (m - 1) for i in j])
     return _finalize(points, probs, "random_walk")
 
 
@@ -122,78 +120,9 @@ def make_constellation(kind: str, m: int) -> RealConstellation:
     return makers[kind](m)
 
 
-def _normalized_moment_stream(c: RealConstellation):
-    """Yield (k, E[he_k], max_j he_k(x_j)^2) for k = 0, 1, 2, ... where
-    he_k = He_k / sqrt(k!) is the orthonormal Hermite polynomial.
-
-    Evaluated in extended precision: the moments of symmetric constellations
-    cancel catastrophically for large k.
-    """
-    x = c.points.astype(np.longdouble)
-    p = c.probs.astype(np.longdouble)
-    h_prev = np.ones_like(x)
-    h = x.copy()
-    yield 0, np.longdouble(1.0), np.longdouble(1.0)
-    k = 1
-    while True:
-        yield k, p @ h, np.max(h * h)
-        h_prev, h = h, (x * h - np.sqrt(np.longdouble(k)) * h_prev) / np.sqrt(
-            np.longdouble(k + 1)
-        )
-        k += 1
-
-
-def hermite_moment(c: RealConstellation, k: int) -> float:
-    """E[He_k(X)] for probabilists' Hermite polynomials.
-
-    Internally uses the orthonormal recurrence in 80-bit precision and scales
-    back by sqrt(k!); overflows to inf for k beyond roughly 300.
-    """
-    if k < 0:
-        raise ValueError(f"Hermite order must be >= 0, got {k}")
-    for kk, mom, _ in _normalized_moment_stream(c):
-        if kk == k:
-            scale = np.exp(np.longdouble(0.5) * np.longdouble(math.lgamma(k + 1)))
-            return float(mom * scale)
-
-
-def classical_chi2_series(c: RealConstellation, s: float) -> float:
-    """chi^2 of the constellation's AWGN(s) output from the Gaussian output,
-    by the Hermite moment series.
-
-    The series is sum_{k>=1} (s/(1+s))^k E[he_k]^2 with nonnegative terms, so
-    the running sum is a lower bound; summation stops once the geometric
-    envelope (s/(1+s))^k max_j he_k(x_j)^2 stays below ``_SERIES_TOL`` for
-    5 consecutive orders; ``NumericFailure`` if that has not happened by
-    order ``_SERIES_KMAX``.
-    """
-    if s <= 0.0:
-        raise ValueError(f"signal-to-noise ratio s must be > 0, got {s}")
-    r = np.longdouble(s) / np.longdouble(1.0 + s)
-    total = np.longdouble(0.0)
-    rk = np.longdouble(1.0)
-    below = 0
-    for k, mom, hmax in _normalized_moment_stream(c):
-        if k == 0:
-            continue
-        rk *= r
-        term = rk * mom * mom
-        if not np.isfinite(term):
-            raise NumericFailure(f"chi-square series term overflowed at order {k}")
-        total += term
-        if rk * hmax < _SERIES_TOL:
-            below += 1
-            if below >= 5:
-                return float(total)
-        else:
-            below = 0
-        if k >= _SERIES_KMAX:
-            raise NumericFailure(
-                f"chi-square series did not converge by order {_SERIES_KMAX}")
-
-
 def classical_chi2_kernel(c: RealConstellation, s: float) -> float:
-    """The same chi^2 by the closed-form kernel double sum
+    """chi^2 of the constellation's AWGN(s) output from the Gaussian output,
+    by the closed-form kernel double sum
     1 + chi^2 = sum_ij p_i p_j K_s(x_i, x_j).
 
     Evaluated in high precision: the sum is O(1) while chi^2 itself can be

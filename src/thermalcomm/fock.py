@@ -132,7 +132,9 @@ def displacement_operator(alpha: complex, dim: int, *,
         _table = _laguerre_table(abs(alpha), dim)
     m, n = np.tril_indices(dim)
     phase = alpha / abs(alpha)
-    # CPython's integer complex power, not np.power: these bits are pinned
+    # rates passes np.complex128 centers, so the division above and these
+    # powers are numpy scalar arithmetic, whose bits (pinned by the thermal
+    # rate golden) differ from CPython complex's: keep centers numpy-typed
     phase_pow = np.array([phase ** d for d in range(dim)])
     lower = _table * phase_pow[m - n]
     out = np.empty((dim, dim), dtype=complex)

@@ -72,7 +72,8 @@ def _check_power_of_two(n: int, what: str) -> int:
 
 
 def _transform_batch(u: np.ndarray) -> np.ndarray:
-    """Butterfly transform applied to each row of a (batch, n) bit array."""
+    """x = u F^{x log2 n} over GF(2) in natural order, applied to each row
+    of a (batch, n) bit array; self-inverse."""
     nrows, n = u.shape
     stages = _check_power_of_two(n, "transform length")
     x = u.copy()
@@ -83,12 +84,6 @@ def _transform_batch(u: np.ndarray) -> np.ndarray:
         x[:, :, :half] ^= x[:, :, half:]
         x = x.reshape(nrows, n)
     return x
-
-
-def polar_transform(u: np.ndarray) -> np.ndarray:
-    """x = u F^{x log2 n} over GF(2) in natural order; self-inverse."""
-    u = np.asarray(u, dtype=np.int8) % 2
-    return _transform_batch(u[None, :])[0]
 
 
 @dataclass(frozen=True)

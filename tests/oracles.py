@@ -1,12 +1,22 @@
 """Independent reference implementations the tests check the library
-against.  Nothing in ``thermalcomm`` calls these; each computes its quantity
-a different way from the library path it checks:
+against, and the test-only wrappers around it.  Nothing in ``thermalcomm``
+calls these; each oracle computes its quantity a different way from the
+library path it checks:
 
 - ``ErasureChannel``, ``bec_bhattacharyya`` and ``bec_frozen_set``: a binary
   erasure channel and its exact frozen set, the oracle for Monte-Carlo
   polar code construction;
+- ``polar_transform``: a wrapper, not an oracle: one row through the
+  library butterfly, so the transform's algebraic property tests and the
+  row-by-row encoding checks exercise the batched transform itself;
+- ``classical_chi2_series`` (with ``hermite_moment`` and the moment stream
+  both share): the classical chi-square by the Hermite moment series,
+  against the library's kernel double sum;
 - ``classical_one_plus_chi2_quadrature``: the classical chi-square by direct
   quadrature of the output densities, against the series and kernel paths;
+- ``quantum_chi2_constellation``: the quantum chi-square by the
+  constellation double sum over the complex Gaussian kernel, against the
+  square of the classical kernel value and the direct Fock summation;
 - ``quantum_chi2_direct``: the quantum chi-square by direct summation in the
   number basis, against the constellation kernel double sum;
 - ``annihilation_matrix``: the truncated annihilation operator, for moment
@@ -24,15 +34,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp, mpf
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from thermalcomm.constellations import RealConstellation
+from thermalcomm.channel import ChannelParams
+from thermalcomm.constellations import (_DPS, ComplexConstellation,
+                                        RealConstellation,
+                                        _gaussian_kernel_chi2)
 from thermalcomm.errors import NumericFailure, TruncationError
 from thermalcomm.fock import DensityOperator
-from thermalcomm.polar import _check_power_of_two
+from thermalcomm.polar import _check_power_of_two, _transform_batch
 
 _LLR_BIG = 1000.0
+_SERIES_TOL = 1e-30  # term envelope the Hermite series stops below
+_SERIES_KMAX = 100_000  # order by which the Hermite series must stop
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,82 @@ def inverse_gray(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def polar_transform(u: np.ndarray) -> np.ndarray:
+    """x = u F^{x log2 n} over GF(2) in natural order; self-inverse."""
+    u = np.asarray(u, dtype=np.int8) % 2
+    return _transform_batch(u[None, :])[0]
+
+
+def _normalized_moment_stream(c: RealConstellation):
+    """Yield (k, E[he_k], max_j he_k(x_j)^2) for k = 0, 1, 2, ... where
+    he_k = He_k / sqrt(k!) is the orthonormal Hermite polynomial.
+
+    Evaluated in extended precision: the moments of symmetric constellations
+    cancel catastrophically for large k.
+    """
+    x = c.points.astype(np.longdouble)
+    p = c.probs.astype(np.longdouble)
+    h_prev = np.ones_like(x)
+    h = x.copy()
+    yield 0, np.longdouble(1.0), np.longdouble(1.0)
+    k = 1
+    while True:
+        yield k, p @ h, np.max(h * h)
+        h_prev, h = h, (x * h - np.sqrt(np.longdouble(k)) * h_prev) / np.sqrt(
+            np.longdouble(k + 1)
+        )
+        k += 1
+
+
+def hermite_moment(c: RealConstellation, k: int) -> float:
+    """E[He_k(X)] for probabilists' Hermite polynomials.
+
+    Internally uses the orthonormal recurrence in 80-bit precision and scales
+    back by sqrt(k!); overflows to inf for k beyond roughly 300.
+    """
+    if k < 0:
+        raise ValueError(f"Hermite order must be >= 0, got {k}")
+    for kk, mom, _ in _normalized_moment_stream(c):
+        if kk == k:
+            scale = np.exp(np.longdouble(0.5) * np.longdouble(math.lgamma(k + 1)))
+            return float(mom * scale)
+
+
+def classical_chi2_series(c: RealConstellation, s: float) -> float:
+    """chi^2 of the constellation's AWGN(s) output from the Gaussian output,
+    by the Hermite moment series.
+
+    The series is sum_{k>=1} (s/(1+s))^k E[he_k]^2 with nonnegative terms, so
+    the running sum is a lower bound; summation stops once the geometric
+    envelope (s/(1+s))^k max_j he_k(x_j)^2 stays below ``_SERIES_TOL`` for
+    5 consecutive orders; ``NumericFailure`` if that has not happened by
+    order ``_SERIES_KMAX``.
+    """
+    if s <= 0.0:
+        raise ValueError(f"signal-to-noise ratio s must be > 0, got {s}")
+    r = np.longdouble(s) / np.longdouble(1.0 + s)
+    total = np.longdouble(0.0)
+    rk = np.longdouble(1.0)
+    below = 0
+    for k, mom, hmax in _normalized_moment_stream(c):
+        if k == 0:
+            continue
+        rk *= r
+        term = rk * mom * mom
+        if not np.isfinite(term):
+            raise NumericFailure(f"chi-square series term overflowed at order {k}")
+        total += term
+        if rk * hmax < _SERIES_TOL:
+            below += 1
+            if below >= 5:
+                return float(total)
+        else:
+            below = 0
+        if k >= _SERIES_KMAX:
+            raise NumericFailure(
+                f"chi-square series did not converge by order {_SERIES_KMAX}")
+
+
 def classical_one_plus_chi2_quadrature(c: RealConstellation, s: float) -> float:
     """1 + chi^2(P_{Y'}, P_Y) by direct quadrature of the output densities;
     the independent oracle for the series and kernel paths."""
@@ -115,6 +207,30 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+
+
+def quantum_chi2_constellation(p: ChannelParams, Q: ComplexConstellation) -> float:
+    """chi^2(rho_m^B, tau_N') by the constellation double sum
+    1 + chi^2 = sum_{z z'} Q(z) Q(z') R_{N'}(z, z').
+
+    High-precision accumulation: the sum is O(1) while chi^2 can be far below
+    double-precision resolution of the trailing -1.  The kernel coefficients
+    are re-derived in working precision from (k, N0, N) and the -1 is folded
+    into each term as Q_i Q_j (R_ij - 1); both steps keep input-rounding
+    effects quadratic instead of linear, which matters once chi^2 drops
+    under ~1e-16.
+    """
+    with mp.workdps(_DPS):
+        k2 = mpf(p.k) ** 2
+        Nc = (1 - k2) * mpf(p.N0)
+        Np = k2 * mpf(p.N) + Nc
+        denom = Np + 2 * Np * Nc - Nc * Nc
+        result = _gaussian_kernel_chi2(
+            Q.points, Q.probs, Np * (Np + 1) / denom,
+            k2 * (Np - Nc) / denom, k2 * mp.sqrt(Np * (Np + 1)) / denom)
+    if result < -1e-12:
+        raise ValueError(f"quantum chi-square came out negative: {result}")
+    return result
 
 
 def quantum_chi2_direct(rho: DensityOperator, Nprime: float,

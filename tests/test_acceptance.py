@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import thermalcomm as tc
-from oracles import (ErasureChannel, bec_frozen_set,
-                     classical_one_plus_chi2_quadrature, quantum_chi2_direct)
-from thermalcomm.constellations import (classical_chi2_kernel,
-                                        classical_chi2_series)
+from oracles import (ErasureChannel, bec_frozen_set, classical_chi2_series,
+                     classical_one_plus_chi2_quadrature, hermite_moment,
+                     quantum_chi2_constellation, quantum_chi2_direct)
+from thermalcomm.constellations import classical_chi2_kernel
 from thermalcomm.fock import default_dim, thermal_state
 from thermalcomm.polar import estimate_level_mi
 from thermalcomm.rates import build_ensemble, ensemble_average_state
@@ -68,7 +68,7 @@ def test_criterion_2_moment_suite():
         for k in range(1, 2 * m):
             # normalised He-moment E[He_k]/sqrt(k!): the raw moment is
             # ill-conditioned by sqrt(k!) ~ 5e11 at k = 23
-            norm = tc.hermite_moment(c, k) * math.exp(
+            norm = hermite_moment(c, k) * math.exp(
                 -0.5 * math.lgamma(k + 1))
             worst_moment = max(worst_moment, abs(norm))
     worst_mv = 0.0
@@ -111,7 +111,7 @@ def test_criterion_4_factorization():
             for s in (0.1, 1.0, 9.435):
                 p = pure_loss_with_snr(s)
                 Q = tc.product_constellation(c, p.N)
-                xq = tc.quantum_chi2_constellation(p, Q)
+                xq = quantum_chi2_constellation(p, Q)
                 xc = classical_chi2_kernel(c, p.s)
                 prod = xc * (xc + 2.0)  # (1 + chi2)^2 - 1
                 worst = max(worst, abs(xq - prod) / max(prod, 1e-300))
@@ -129,7 +129,7 @@ def test_criterion_5_fock_oracle():
                 for kind in ("gauss_hermite", "equilattice"):
                     Q = tc.product_constellation(
                         tc.make_constellation(kind, m), N)
-                    kern = tc.quantum_chi2_constellation(p, Q)
+                    kern = quantum_chi2_constellation(p, Q)
                     dim = default_dim(
                         6.0 * p.Nprime + max(abs(z) ** 2 for z in Q.points))
                     rho = ensemble_average_state(

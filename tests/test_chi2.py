@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import classical_one_plus_chi2_quadrature
+from oracles import (classical_chi2_series,
+                     classical_one_plus_chi2_quadrature,
+                     quantum_chi2_constellation)
 from thermalcomm import (KINDS, ComplexConstellation, RealConstellation,
-                         channel_params, classical_chi2_kernel,
-                         classical_chi2_series, delta_B_bound,
-                         make_constellation, product_constellation,
-                         quantum_chi2_constellation)
+                         channel_params, classical_chi2_kernel, delta_B_bound,
+                         make_constellation, product_constellation)
 
 
 def pure_loss_with_snr(s, k=0.8):

@@ -171,6 +171,74 @@ def test_rates_gaps_below_resolution_are_null():
         assert float(row["classical_rate_bits"]) <= capacity + GAP_RESOLUTION
 
 
+def test_rates_and_chi2_below_resolution_are_null():
+    # at N = 1e-300 both rates are rounding noise (-0.0 and 4.8e-16 bits
+    # against a capacity of 6.4e-298) and every chi-square underflows to
+    # 0.0 in the double conversion, which as a bound would assert a gap <= 0
+    argv = ["--n", "1e-300", "--m-max", "3", "--kinds", "equilattice"]
+    code, text = run_cli(["rates"] + argv)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [row["m"] for row in rows[2:]] == ["2", "3"]
+    for row in rows[2:]:
+        assert row["classical_rate_bits"] == ""
+        assert row["quantum_rate_bits"] == ""
+        assert row["chi2_bound"] == ""
+    code, text = run_cli(["chi2", "--format", "json"] + argv)
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["chi2_classical"] is None
+        assert row["delta_B_bound"] is None
+        assert row["delta_B_actual"] is None
+
+
+def test_negative_quantum_rate_above_resolution_is_kept():
+    # a nearly opaque channel: the quantum rate is legitimately negative,
+    # while the classical rate is below resolution
+    code, text = run_cli(["rates", "--k", "1e-8", "--m-max", "2",
+                          "--kinds", "equilattice"])
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(text)))[2]
+    assert row["classical_rate_bits"] == ""
+    assert float(row["quantum_rate_bits"]) == pytest.approx(-2.0, abs=1e-5)
+    assert float(row["chi2_bound"]) > 0.0
+
+
+@pytest.mark.parametrize("command,expect", [("rates", 4), ("chi2", 4),
+                                            ("constellation", 0)])
+def test_random_walk_beyond_float_binomials_exits_typed(command, expect):
+    # binomial weights C(m - 1, i) beyond m = 1024 do not fit a double
+    with redirect_stderr(io.StringIO()):
+        code, text = run_cli([command, "--kinds", "random_walk",
+                              "--m-min", "1100", "--m-max", "1100"])
+    assert code == expect
+    if expect == 4:
+        assert text == ""
+    else:
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 1100
+        assert sum(float(row["prob"]) for row in rows) == pytest.approx(1.0)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["equilattice", "quantile", "random_walk",
+                             "gauss_hermite"]),
+       m=st.integers(1000, 2048))
+def test_constellation_at_large_m_prints_finite_distributions(kind, m):
+    code, text = run_cli(["constellation", "--kinds", kind,
+                          "--m-min", str(m), "--m-max", str(m)])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == m
+    points = [float(row["point"]) for row in rows]
+    probs = [float(row["prob"]) for row in rows]
+    assert all(math.isfinite(x) for x in points)
+    assert all(q >= 0.0 for q in probs)
+    assert sum(probs) == pytest.approx(1.0)
+
+
 def test_truncation_error_exit_code():
     # at dim 5 the B-side state loses almost half its trace
     code, text = run_cli(["rates", "--dim", "5", "--m-max", "3",

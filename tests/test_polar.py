@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
-                     inverse_gray)
+                     inverse_gray, polar_transform)
 from thermalcomm import (PolarCode, channel_params, construct_multilevel,
-                         induced_channel, make_constellation, polar_transform,
-                         simulate)
+                         induced_channel, make_constellation, simulate)
 from thermalcomm import polar
 from thermalcomm.polar import (_sc_batch, _transform_batch,
                                estimate_level_mi, genie_error_counts,

@@ -188,3 +188,22 @@ def test_one_table_build_per_distinct_radius_per_call(monkeypatch):
     # no table survives the call: a repeat builds every radius again
     ensemble_average_state(e)
     assert len(builds) == 18
+
+
+@pytest.mark.parametrize("kind", ["equilattice", "gauss_hermite"])
+def test_displacements_receive_numpy_complex_centers(kind, monkeypatch):
+    # displacement_operator's phase division and integer powers run as
+    # np.complex128 scalar arithmetic on the rates path, and the pinned
+    # thermal rates depend on those bits; a Python complex would change them
+    alpha_types = []
+    build = fock.displacement_operator
+
+    def spy(alpha, dim, **kw):
+        alpha_types.append(type(alpha))
+        return build(alpha, dim, **kw)
+
+    monkeypatch.setattr(fock, "displacement_operator", spy)
+    Q = make_Q(kind, 3, P_THERMAL)
+    ensemble_rates(P_THERMAL, Q)
+    assert len(alpha_types) == 2 * len(Q.points)  # every point, B and E
+    assert set(alpha_types) == {np.complex128}
