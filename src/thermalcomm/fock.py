@@ -10,6 +10,15 @@ Displacement matrices rest on the phase identity
 closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): the costly
 Laguerre table depends on |alpha| alone, so one table per radius serves
 every point on that circle, and each point adds only its phase powers.
+``_laguerre_tables`` runs one recurrence for all of a caller's radii.
+
+For a non-real numpy complex center z, displaced_thermal(conj z) equals
+displaced_thermal(z).matrix.conj() in every value (the bits differ at most
+in the sign of exact zeros), so ``rates.ensemble_average_state`` builds one
+state per conjugate pair, holding at most floor(m/2) of them for a row of m
+points.  Real centers are never shared: past dim 100, where numpy's complex
+power leaves repeated squaring, a negative real center's conjugate state
+differs from its state's conjugate.
 """
 
 from __future__ import annotations
@@ -82,33 +91,48 @@ def thermal_state(N: float, dim: int) -> DensityOperator:
                            truncation_tol=tol)
 
 
-def _laguerre_table(r: float, dim: int) -> np.ndarray:
-    """The real values <m|D(alpha)|n> e^{-i(m-n) arg alpha} at |alpha| = r > 0
-    for every pair m >= n, in ``np.tril_indices(dim)`` order: one table
-    L_n^{(k)}(r^2) by the three-term recurrence, then the Laguerre closed form
-    in the log domain on all pairs at k = m - n as whole arrays."""
-    x = r ** 2
-    # L[n, k] = L_n^{(k)}(x) by the three-term recurrence, vectorized over k.
-    k = np.arange(dim, dtype=np.longdouble)
-    xl = np.longdouble(x)
-    lag = np.zeros((dim, dim), dtype=np.longdouble)
-    lag[0] = 1.0
-    if dim > 1:
-        lag[1] = 1.0 + k - xl
-    for n in range(1, dim - 1):
-        lag[n + 1] = ((2 * n + 1 + k - xl) * lag[n] - (n + k) * lag[n - 1]) / (n + 1)
-
-    gl = gammaln(np.arange(dim) + 1.0)
+def _laguerre_tables(radii, dim: int) -> np.ndarray:
+    """Row i holds the real values <m|D(alpha)|n> e^{-i(m-n) arg alpha} at
+    |alpha| = radii[i] > 0 for every pair m >= n, in ``np.tril_indices(dim)``
+    order: L_n^{(k)}(r^2) by one three-term recurrence over all radii, then
+    the Laguerre closed form in the log domain at k = m - n."""
+    xs = [r ** 2 for r in radii]
     m, n = np.tril_indices(dim)
     kk = m - n
-    # log magnitude of sqrt(n!/m!) r^k e^{-x/2}
-    logpref = (0.5 * (gl[n] - gl[m]) + kk * math.log(r) - x / 2.0
-               ).astype(np.longdouble)
-    lvals = lag[n, kk]
-    with np.errstate(divide="ignore"):
-        loglag = np.log(np.abs(lvals))
-    mag = np.exp(logpref + loglag).astype(float)
-    return np.sign(lvals).astype(float) * mag
+    # L_{d+1}^{(k)} = ((2d + 1 + k - x) L_d^{(k)} - (d + k) L_{d-1}^{(k)})
+    # / (d + 1) for every radius (rows), at k < dim - d - 1 only: the pairs
+    # of degree n read k < dim - n.  Each degree's row goes straight to its
+    # pairs, at tril positions m (m + 1) / 2 + n for m = n + k.  The integer
+    # terms are exact in longdouble, so j - x is taken once for every j.
+    j = np.arange(2 * dim, dtype=np.longdouble)
+    j_minus_x = j - np.array(xs, dtype=np.longdouble)[:, None]
+    tri = np.cumsum(np.arange(dim))
+    lvals = np.empty((len(xs), len(m)), dtype=np.longdouble)
+    prev = np.ones((len(xs), dim), dtype=np.longdouble)
+    lvals[:, tri] = prev
+    if dim > 1:
+        cur = j_minus_x[:, 1:dim]
+        lvals[:, tri[1:] + 1] = cur
+    for d in range(1, dim - 1):
+        w = dim - d - 1
+        prev, cur = cur, (j_minus_x[:, 2 * d + 1:2 * d + 1 + w] * cur[:, :w]
+                          - j[d:d + w] * prev[:, :w]) / (d + 1)
+        lvals[:, tri[d + 1:] + d + 1] = cur
+
+    gl = gammaln(np.arange(dim) + 1.0)
+    half_log_ratio = 0.5 * (gl[n] - gl[m])
+    out = np.empty((len(xs), len(m)))
+    # one radius at a time keeps the longdouble temporaries to one row
+    for i, (r, x) in enumerate(zip(radii, xs)):
+        # log magnitude of sqrt(n!/m!) r^k e^{-x/2}; math.log, since numpy's
+        # vectorized log may round differently from libm's
+        logpref = (half_log_ratio + kk * math.log(r) - x / 2.0
+                   ).astype(np.longdouble)
+        with np.errstate(divide="ignore"):
+            loglag = np.log(np.abs(lvals[i]))
+        mag = np.exp(logpref + loglag).astype(float)
+        out[i] = np.sign(lvals[i]).astype(float) * mag
+    return out
 
 
 def displacement_operator(alpha: complex, dim: int, *,
@@ -117,9 +141,10 @@ def displacement_operator(alpha: complex, dim: int, *,
     form; unitary on the retained subspace up to truncation error.
     <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|) with f real: the
     table f depends on |alpha| alone, so a caller displacing by many points
-    of one radius builds it once (``_laguerre_table``) and passes it as
-    ``_table``.  It serves both triangles, since D(alpha)^dag = D(-alpha)
-    and <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n> for m >= n."""
+    of one radius builds it once (a row of ``_laguerre_tables``) and
+    passes it as ``_table``.  It serves both triangles, since
+    D(alpha)^dag = D(-alpha) and <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n>
+    for m >= n."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if abs(alpha) ** 2 > dim:
@@ -129,7 +154,7 @@ def displacement_operator(alpha: complex, dim: int, *,
     if alpha == 0:
         return np.eye(dim, dtype=complex)
     if _table is None:
-        _table = _laguerre_table(abs(alpha), dim)
+        _table = _laguerre_tables([abs(alpha)], dim)[0]
     m, n = np.tril_indices(dim)
     phase = alpha / abs(alpha)
     # rates passes np.complex128 centers, so the division above and these

@@ -190,8 +190,15 @@ def induced_channel(p: ChannelParams, c: RealConstellation) -> InducedChannel:
 
 
 def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    prod = np.clip(np.tanh(a / 2.0) * np.tanh(b / 2.0), -_TANH_CLIP, _TANH_CLIP)
-    return 2.0 * np.arctanh(prod)
+    # 2 artanh(tanh(a/2) tanh(b/2)) in two fresh buffers; a and b are views
+    # of the caller's LLRs, so nothing is written into them
+    prod, tanh_b = a / 2.0, b / 2.0
+    np.tanh(prod, out=prod)
+    prod *= np.tanh(tanh_b, out=tanh_b)
+    np.clip(prod, -_TANH_CLIP, _TANH_CLIP, out=prod)
+    np.arctanh(prod, out=prod)
+    prod *= 2.0
+    return prod
 
 
 def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:

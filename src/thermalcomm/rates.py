@@ -16,7 +16,7 @@ import numpy as np
 from .channel import ChannelParams, g_entropy
 from .constellations import ComplexConstellation
 from .errors import TruncationError
-from .fock import (DensityOperator, _density_operator, _laguerre_table,
+from .fock import (DensityOperator, _density_operator, _laguerre_tables,
                    coherent_state, default_dim, displaced_thermal,
                    relative_entropy, thermal_state, von_neumann_entropy)
 
@@ -80,9 +80,15 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
     """sum_j q_j theta_j at the given truncation dimension.
 
     The zero-width (coherent) case is assembled from amplitude columns
-    directly.  Otherwise points of equal |center| (a symmetric
-    constellation's sign flips and quadrature swaps) share one Laguerre
-    table, built once per radius within this call.
+    directly.  Otherwise the Laguerre tables of every distinct nonzero
+    |center| come from one batched recurrence, and a non-real center's
+    conjugate reuses its state: with numpy complex centers,
+    displaced_thermal(conj z) equals displaced_thermal(z).conj() in value,
+    and the bits differ at most in the sign of exact zeros, which a sum
+    starting from +0.0 absorbs.  A center whose conjugate comes later holds
+    that conjugate state until its turn, so the sum keeps its order; a
+    symmetric product constellation puts conj z in z's row, so at most
+    floor(m/2) states are held at once.  Nothing outlives the call.
     """
     if dim is None:
         dim = ensemble_dim(e)
@@ -94,14 +100,19 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
              for q, z in zip(e.probs, e.centers)], axis=1)
         mat = cols @ cols.conj().T
     else:
+        radii = list({abs(z) for z in e.centers} - {0.0})
+        tables = dict(zip(radii, _laguerre_tables(radii, dim)))
+        last = {z: j for j, z in enumerate(e.centers)}
+        held = {}  # center -> its state, the conjugate of an earlier one's
         mat = np.zeros((dim, dim), dtype=complex)
-        tables = {}  # exact |center| -> its Laguerre table at dim
-        for q, z in zip(e.probs, e.centers):
-            r = abs(z)
-            if r not in tables:
-                tables[r] = _laguerre_table(r, dim) if r > 0.0 else None
-            mat += q * displaced_thermal(z, e.width, dim,
-                                         _table=tables[r]).matrix
+        for j, (q, z) in enumerate(zip(e.probs, e.centers)):
+            state = held.pop(z, None)
+            if state is None:
+                state = displaced_thermal(z, e.width, dim,
+                                          _table=tables.get(abs(z))).matrix
+            if z.imag != 0.0 and last.get(z.conjugate(), -1) > j:
+                held[z.conjugate()] = state.conj()
+            mat += q * state
     return _density_operator(mat)
 
 

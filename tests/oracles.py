@@ -21,6 +21,8 @@ library path it checks:
   number basis, against the constellation kernel double sum;
 - ``annihilation_matrix``: the truncated annihilation operator, for moment
   and matrix-exponential checks of the Fock layer;
+- ``_laguerre_table``: one radius's Laguerre table by its own recurrence
+  over every k, against the library's batched recurrence over all radii;
 - ``inverse_gray``: the amplitude index of each Gray label by prefix XOR,
   against the labels and their inverse the induced channel holds.
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from thermalcomm.channel import ChannelParams
 from thermalcomm.constellations import (_DPS, ComplexConstellation,
@@ -207,6 +209,35 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+
+
+def _laguerre_table(r: float, dim: int) -> np.ndarray:
+    """The real values <m|D(alpha)|n> e^{-i(m-n) arg alpha} at |alpha| = r > 0
+    for every pair m >= n, in ``np.tril_indices(dim)`` order: one table
+    L_n^{(k)}(r^2) by the three-term recurrence, then the Laguerre closed form
+    in the log domain on all pairs at k = m - n as whole arrays."""
+    x = r ** 2
+    # L[n, k] = L_n^{(k)}(x) by the three-term recurrence, vectorized over k.
+    k = np.arange(dim, dtype=np.longdouble)
+    xl = np.longdouble(x)
+    lag = np.zeros((dim, dim), dtype=np.longdouble)
+    lag[0] = 1.0
+    if dim > 1:
+        lag[1] = 1.0 + k - xl
+    for n in range(1, dim - 1):
+        lag[n + 1] = ((2 * n + 1 + k - xl) * lag[n] - (n + k) * lag[n - 1]) / (n + 1)
+
+    gl = gammaln(np.arange(dim) + 1.0)
+    m, n = np.tril_indices(dim)
+    kk = m - n
+    # log magnitude of sqrt(n!/m!) r^k e^{-x/2}
+    logpref = (0.5 * (gl[n] - gl[m]) + kk * math.log(r) - x / 2.0
+               ).astype(np.longdouble)
+    lvals = lag[n, kk]
+    with np.errstate(divide="ignore"):
+        loglag = np.log(np.abs(lvals))
+    mag = np.exp(logpref + loglag).astype(float)
+    return np.sign(lvals).astype(float) * mag
 
 
 def quantum_chi2_constellation(p: ChannelParams, Q: ComplexConstellation) -> float:

@@ -7,12 +7,13 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from oracles import annihilation_matrix, quantum_chi2_direct
+from oracles import _laguerre_table, annihilation_matrix, quantum_chi2_direct
 from thermalcomm import (DensityOperator, coherent_state, default_dim,
                          displaced_thermal, displacement_operator,
                          relative_entropy, thermal_state, von_neumann_entropy)
 from thermalcomm.errors import (SupportError, TruncationError,
                                 TruncationWarning)
+from thermalcomm.fock import _laguerre_tables
 
 
 def test_coherent_state_is_poisson():
@@ -134,6 +135,44 @@ def test_displacement_matches_per_offset_oracle_bitwise(dim):
         for alpha in _ORACLE_ALPHAS:
             assert np.array_equal(displacement_operator(alpha, dim),
                                   _oracle_displacement(alpha, dim)), alpha
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 40, 57, 100, 168, 250])
+def test_batched_laguerre_tables_match_per_radius_oracle_bitwise(dim):
+    # one recurrence over all radii, each degree cut to the k the pairs
+    # read, must reproduce each radius's own full recurrence exactly
+    radii = np.geomspace(1e-3, 12.0, 25)
+    tables = _laguerre_tables(list(radii), dim)
+    assert tables.shape == (len(radii), dim * (dim + 1) // 2)
+    for r, row in zip(radii, tables):
+        assert np.array_equal(row.view(np.uint64),
+                              _laguerre_table(r, dim).view(np.uint64)), r
+
+
+# non-real numpy centers: imaginary-axis points of either zero sign, both
+# diagonals and 16 seeded random points of scale 2
+_CONJUGATE_CENTERS = np.array(
+    [2.1j, -0.4j, complex(-0.0, 1.1), 1 + 1j, -1.5 + 1.5j, 0.3 - 2.2j,
+     *2.0 * np.random.default_rng(3).standard_normal(32).view(complex)])
+
+
+@pytest.mark.parametrize("dim", [2, 17, 60, 120, 168])
+def test_displaced_thermal_of_conjugate_center_is_conjugate_state(dim):
+    # the identity ensemble_average_state shares states by, at dims on both
+    # sides of 100, where numpy's complex power leaves repeated squaring.
+    # The values are equal; bits may differ only in the sign of exact zeros
+    # (the Hermitized diagonal's imaginary +0.0), which a sum that starts
+    # from +0.0 absorbs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for z in _CONJUGATE_CENTERS:
+            assert type(z) is np.complex128 and z.imag != 0.0
+            for nbar in (0.05, 0.5, 2.3):
+                got = displaced_thermal(z.conjugate(), nbar, dim).matrix
+                want = displaced_thermal(z, nbar, dim).matrix.conj()
+                assert np.array_equal(got, want), (z, nbar)
+                flipped = got.view(np.uint64) != want.view(np.uint64)
+                assert np.all(got.view(float)[flipped] == 0.0), (z, nbar)
 
 
 @pytest.mark.parametrize("alpha", [0.7, 2j, 0.3 - 0.2j, -1.4 + 0.9j])

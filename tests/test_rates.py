@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from thermalcomm import (Ensemble, build_ensemble, capacity_C,
+from oracles import _laguerre_table
+from thermalcomm import (Ensemble, build_ensemble, capacity_C, cli,
                          channel_params, delta_B, displaced_thermal,
                          ensemble_average_state, ensemble_rates, fock,
                          g_entropy, gaussian_rate_limit, make_constellation,
@@ -116,11 +117,13 @@ P_THERMAL = channel_params(0.8, 0.5, 7.0)
 
 
 def _unshared_average_state(e, dim):
-    """Test-local oracle: one displaced_thermal per point, each building its
-    own Laguerre table, summed and Hermitized in the library's order."""
+    """Test-local oracle: one displaced_thermal per point, each with its own
+    table from the per-radius Laguerre oracle, summed and Hermitized in the
+    library's order."""
     mat = np.zeros((dim, dim), dtype=complex)
     for q, z in zip(e.probs, e.centers):
-        mat += q * displaced_thermal(z, e.width, dim).matrix
+        table = _laguerre_table(abs(z), dim) if z != 0 else None
+        mat += q * displaced_thermal(z, e.width, dim, _table=table).matrix
     return (mat + mat.conj().T) / 2.0
 
 
@@ -130,23 +133,22 @@ def _assert_bitwise_equal(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _count_table_builds(monkeypatch):
-    """Rebind the Laguerre-table builder under every name the package looks
-    it up by, to a wrapper that records each build's radius."""
-    original = fock._laguerre_table
-    radii = []
+def _record_calls(monkeypatch, fn):
+    """Rebind ``fn`` under every name the package looks it up by, to a
+    wrapper that records each call's positional arguments."""
+    calls = []
 
-    def counting(r, dim):
-        radii.append(r)
-        return original(r, dim)
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
     for key, module in list(sys.modules.items()):
         if key.split(".")[0] != "thermalcomm":
             continue
         for attr, obj in list(vars(module).items()):
-            if obj is original:
-                monkeypatch.setattr(module, attr, counting)
-    return radii
+            if obj is fn:
+                monkeypatch.setattr(module, attr, recording)
+    return calls
 
 
 @pytest.mark.parametrize("kind", ["equilattice", "quantile", "random_walk",
@@ -177,17 +179,48 @@ def test_shared_tables_bitwise_on_distinct_radii_and_on_one_ring():
         _assert_bitwise_equal(rho.matrix, _unshared_average_state(e, 40))
 
 
+_Z = 1.1 + 0.6j
+
+
+# Ensembles no product constellation produces, with the number of states
+# each must build: a non-real center reuses the state an earlier conjugate
+# held for it, and every other center is built.  Dim 120 is past numpy's
+# switch from repeated squaring to exp-log complex powers, where a negative
+# real center's conjugate state differs from its state's conjugate.
+@pytest.mark.parametrize("centers, builds", [
+    ([_Z, _Z, _Z.conjugate(), _Z.conjugate(), _Z], 3),
+    ([_Z, -0.4 + 1.2j, 0.7], 3),
+    ([_Z.conjugate(), 0.3, _Z], 2),
+    ([0j, _Z, 0j, _Z.conjugate()], 3),
+    ([0j, 0j], 2),
+    ([complex(-0.7, 0.0), complex(-0.7, -0.0)], 2),
+    ([complex(0.0, 0.8), complex(-0.0, -0.8)], 1),
+], ids=["duplicates", "no_conjugate", "conjugate_earlier", "zero_center",
+        "only_zero_centers", "real_minus_zero_imag", "signed_zero_real"])
+def test_conjugate_sharing_bitwise_on_irregular_ensembles(centers, builds,
+                                                          monkeypatch):
+    e = Ensemble(probs=np.full(len(centers), 1.0 / len(centers)),
+                 centers=np.array(centers, dtype=complex), width=0.4)
+    thermals = _record_calls(monkeypatch, fock.displaced_thermal)
+    rho = ensemble_average_state(e, 120)
+    assert len(thermals) == builds
+    _assert_bitwise_equal(rho.matrix, _unshared_average_state(e, 120))
+
+
 def test_one_table_build_per_distinct_radius_per_call(monkeypatch):
     e = build_ensemble(P_THERMAL, make_Q("equilattice", 8, P_THERMAL), "B")
     nonzero_radii = {abs(z) for z in e.centers} - {0.0}
     # delta (0.5, 3.5) and delta (2.5, 2.5) share a radius exactly
     assert len(nonzero_radii) == 9
-    builds = _count_table_builds(monkeypatch)
+    builds = _record_calls(monkeypatch, fock._laguerre_tables)
     ensemble_average_state(e)
-    assert sorted(builds) == sorted(nonzero_radii)
+    # one batched recurrence per call, over each distinct radius once
+    assert len(builds) == 1
+    assert sorted(builds[0][0]) == sorted(nonzero_radii)
     # no table survives the call: a repeat builds every radius again
     ensemble_average_state(e)
-    assert len(builds) == 18
+    assert len(builds) == 2
+    assert sorted(builds[1][0]) == sorted(nonzero_radii)
 
 
 @pytest.mark.parametrize("kind", ["equilattice", "gauss_hermite"])
@@ -205,5 +238,22 @@ def test_displacements_receive_numpy_complex_centers(kind, monkeypatch):
     monkeypatch.setattr(fock, "displacement_operator", spy)
     Q = make_Q(kind, 3, P_THERMAL)
     ensemble_rates(P_THERMAL, Q)
-    assert len(alpha_types) == 2 * len(Q.points)  # every point, B and E
+    # every point on both sides, but for the non-real centers whose
+    # conjugate came earlier and lent them its state
+    expected = 0
+    for side in ("B", "E"):
+        centers = list(build_ensemble(P_THERMAL, Q, side).centers)
+        expected += len(centers) - sum(
+            z.imag != 0.0 and z.conjugate() in centers[j + 1:]
+            for j, z in enumerate(centers))
+    assert len(alpha_types) == expected < 2 * len(Q.points)
     assert set(alpha_types) == {np.complex128}
+
+
+def test_thermal_rates_pass_builds_872_states(monkeypatch, capsys):
+    # one pass of the benchmark's thermal_rates workload at N0 = 0.5: 1,624
+    # points over both sides, less the 752 conjugates that reuse a state
+    thermals = _record_calls(monkeypatch, fock.displaced_thermal)
+    displacements = _record_calls(monkeypatch, fock.displacement_operator)
+    assert cli.main(["rates", "--n0", "0.5", "--m-max", "8"]) == 0
+    assert len(thermals) == len(displacements) == 872
