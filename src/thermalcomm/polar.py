@@ -141,31 +141,47 @@ class InducedChannel:
 
         The prefix indexes the level's point table, so each outcome gathers
         the centers of its two candidate subsets and reduces each with
-        np.logaddexp, ``_SLICE`` outcomes at a time."""
+        np.logaddexp, ``_SLICE`` outcomes at a time.  A prefix outside the
+        table raises ValueError."""
         bpos = level % self.nbits
         if not 0 <= level < self.levels:
             raise ValueError(f"level must be in [0, {self.levels}), got {level}")
         yq = np.asarray(yq, dtype=float)
         prefix = np.asarray(prefix)
         centers = self.params.k * self.amplitudes[self.label_tables[bpos]]
+        if len(prefix) and not (0 <= prefix.min() and
+                                prefix.max() < len(centers)):
+            raise ValueError(f"prefix values must be in [0, {len(centers)})")
         scale = -1.0 / (2.0 * self.noise_var)
         out = np.empty(len(yq))
+        # bit 0's log-sum-exp runs in its slice of out, bit 1's in work[0],
+        # a second candidate's exponent in work[-1] and the gather indices
+        # in idx: allocated once and reused by every slice and candidate,
+        # so no slice-sized array is freed and requested again
+        width = min(len(yq), _SLICE)
+        work = np.empty((1 + (centers.shape[2] > 1), width))
+        idx = np.empty(width, dtype=np.intp)
         for start in range(0, len(yq), _SLICE):
             part = slice(start, start + _SLICE)
-            y, pattern = yq[part], prefix[part]
-            lse = []
-            for bit in (0, 1):
+            y = yq[part]
+            pattern = idx[:len(y)]
+            np.copyto(pattern, prefix[part])
+            lse = (out[part], work[0, :len(y)])
+            e = work[-1, :len(y)]
+            for bit, acc in enumerate(lse):
                 # fold each candidate's exponent -(y - c)^2 / (2 var) into a
                 # running log-sum-exp
-                acc = None
-                for c in centers[:, bit, :].T:
-                    e = c[pattern]
-                    np.subtract(y, e, out=e)
-                    np.square(e, out=e)
-                    e *= scale
-                    acc = e if acc is None else np.logaddexp(acc, e, out=acc)
-                lse.append(acc)
-            np.subtract(lse[0], lse[1], out=out[part])
+                for i, c in enumerate(centers[:, bit, :].T):
+                    dst = e if i else acc
+                    # checked above, so clip never clips; unlike the
+                    # default mode it gathers without a buffer
+                    np.take(c, pattern, out=dst, mode="clip")
+                    np.subtract(y, dst, out=dst)
+                    np.square(dst, out=dst)
+                    dst *= scale
+                    if i:
+                        np.logaddexp(acc, e, out=acc)
+            np.subtract(lse[0], lse[1], out=lse[0])
         return out
 
 
@@ -351,6 +367,35 @@ def estimate_level_mi(ch, level: int, samples: int,
     return 1.0 - float(np.mean(np.log2(1.0 + np.exp(-signed))))
 
 
+def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
+                u_levels: list[np.ndarray], amp_index: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """Send one chunk of frames over the quadrature whose bit levels are
+    ``levels`` and decode it level by level; ``u_levels`` holds the chunk's
+    (frames, n) input bits of each of those levels.  Returns the (levels,
+    frames) info-bit error counts.  The chunk's arrays are freed on return,
+    before the next chunk asks for its own."""
+    b, n = u_levels[0].shape
+    # map the label bits to symbols and sample the heterodyne outcomes;
+    # labels and prefixes are built in place, in the labels' dtype
+    label = np.zeros((b, n), dtype=ch.labels.dtype)
+    for u in u_levels:
+        label <<= 1
+        label |= _transform_batch(u).astype(label.dtype)
+    yq = ch._heterodyne(rng, amp_index[label]).reshape(-1)
+    # decode level by level, feeding decisions forward as the label prefix
+    prefix = np.zeros(b * n, dtype=ch.labels.dtype)
+    nerr = np.empty((len(levels), b), dtype=np.int64)
+    for i, (lv, u) in enumerate(zip(levels, u_levels)):
+        u_hat, x_hat = sc_decode_batch(
+            codes[lv], ch.level_llrs(lv, prefix, yq).reshape(b, n))
+        info = codes[lv].info_set
+        nerr[i] = np.sum(u_hat[:, info] != u[:, info], axis=1)
+        prefix <<= 1
+        prefix |= x_hat.reshape(-1).astype(prefix.dtype)
+    return nerr
+
+
 def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
              seed: int) -> dict:
     """Multilevel polar-coded transmission over the induced channel.
@@ -359,7 +404,9 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     Levels are decoded in order, each level's decided codeword (the SC
     partial sums) feeding the next level's LLRs as priors.  The info bits of
     every level are drawn first; then each quadrature is modulated, sent
-    and decoded ``max(1, _SLICE // n)`` frames at a time.  Returns a report
+    and decoded ``max(1, _SLICE // n)`` frames at a time by
+    ``_send_chunk``, so one chunk's arrays are freed before the next
+    chunk's are made.  Returns a report
     dict with per-level BER, frame error rate and effective throughput in
     bits per mode.
     """
@@ -384,26 +431,12 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
         for q in range(2):
             levels = range(q * ch.nbits, (q + 1) * ch.nbits)
             for start in range(0, trials, chunk):
-                b = min(chunk, trials - start)
-                rows = slice(start, start + b)
-                # map this chunk's label bits to symbols and sample the
-                # quadrature's heterodyne outcomes
-                label = np.zeros((b, n), dtype=np.int64)
-                for lv in levels:
-                    label = (label << 1) | _transform_batch(u_levels[lv][rows])
-                yq = ch._heterodyne(rng, amp_index[label]).reshape(-1)
-                # decode level by level, feeding decisions forward as the
-                # label prefix
-                prefix = np.zeros(b * n, dtype=ch.labels.dtype)
-                for lv in levels:
-                    llr = ch.level_llrs(lv, prefix, yq).reshape(b, n)
-                    u_hat, x_hat = sc_decode_batch(codes[lv], llr)
-                    info = codes[lv].info_set
-                    nerr = np.sum(u_hat[:, info] != u_levels[lv][rows, info],
-                                  axis=1)
-                    bit_errors[lv] += int(nerr.sum())
-                    frame_bad[rows] |= nerr > 0
-                    prefix = (prefix << 1) | x_hat.reshape(-1)
+                rows = slice(start, start + chunk)
+                nerr = _send_chunk(ch, levels, codes,
+                                   [u_levels[lv][rows] for lv in levels],
+                                   amp_index, rng)
+                bit_errors[levels.start:levels.stop] += nerr.sum(axis=1)
+                frame_bad[rows] |= np.any(nerr > 0, axis=0)
 
     fer = float(np.mean(frame_bad)) if trials else None
     sum_rate = float(info_bits.sum()) / n
