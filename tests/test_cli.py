@@ -118,6 +118,81 @@ def test_chi2_c_decay_matches_channel():
             2.0 * math.log((1.0 + p.s) / p.s), rel=1e-12)
 
 
+# every field of `chi2 --m-max 16`, as printed: chi2_classical and
+# delta_B_bound come from the mpmath kernel double sum and delta_B_actual
+# from the coherent-state Fock build, so a change to the order of either
+# sum, or to the coherent columns, moves a digit here
+GOLDEN_PURE_LOSS_CHI2 = [
+    'kind,m,s,chi2_classical,delta_B_bound,delta_B_actual,c_decay',
+    'equilattice,2,9.434836021504655,0.8819172705222774,2.541612613090019,1.2175788233011864,0.20148205453303006',
+    'equilattice,3,9.434836021504655,0.3567320013912266,0.8407217235990434,0.45828813954923747,0.20148205453303006',
+    'equilattice,4,9.434836021504655,0.1839588612993838,0.40175858524933356,0.20337826831802772,0.20148205453303006',
+    'equilattice,5,9.434836021504655,0.139794808750035,0.29913220605352886,0.1555661045833461,0.20148205453303006',
+    'equilattice,6,9.434836021504655,0.12501547641136918,0.2656598221651,0.14008263779309213,0.20148205453303006',
+    'equilattice,7,9.434836021504655,0.11784360618438101,0.24957432788730152,0.1323202783816186,0.20148205453303006',
+    'equilattice,8,9.434836021504655,0.11364048987132319,0.2401951406808407,0.12768027911893046,0.20148205453303006',
+    'equilattice,9,9.434836021504655,0.110925689648669,0.23415588792137082,0.1246523463313397,0.20148205453303006',
+    'equilattice,10,9.434836021504655,0.10905822914095001,0.23001015562525995,0.12255687763592686,0.20148205453303006',
+    'equilattice,11,9.434836021504655,0.10771371845568634,0.22702968205492355,0.12104231293026671,0.20148205453303006',
+    'equilattice,12,9.434836021504655,0.10671127165632383,0.2248098388111574,0.11991003775398046,0.20148205453303006',
+    'equilattice,13,9.434836021504655,0.10594276333388096,0.22310939577058062,0.11904031307663238,0.20148205453303006',
+    'equilattice,14,9.434836021504655,0.10534002660898528,0.2217765744239523,0.11835720206239858,0.20148205453303006',
+    'equilattice,15,9.434836021504655,0.10485822252342587,0.22071169187762407,0.11781053946994913,0.20148205453303006',
+    'equilattice,16,9.434836021504655,0.10446681196491316,0.21984693873193883,0.11736604778972473,0.20148205453303006',
+    'quantile,2,9.434836021504655,0.8819172705222774,2.541612613090019,1.2175788233011864,0.20148205453303006',
+    'quantile,3,9.434836021504655,0.3567320013912266,0.8407217235990434,0.45828813954923747,0.20148205453303006',
+    'quantile,4,9.434836021504655,0.18166257230736843,0.3963264347920667,0.20040453852536222,0.20148205453303006',
+    'quantile,5,9.434836021504655,0.11703900543604726,0.24777613966555362,0.1291939765345273,0.20148205453303006',
+    'quantile,6,9.434836021504655,0.084607006682393,0.17637235894454048,0.09528500073103138,0.20148205453303006',
+    'quantile,7,9.434836021504655,0.06539736382595276,0.13507154284728956,0.07517086001073023,0.20148205453303006',
+    'quantile,8,9.434836021504655,0.05282664131265517,0.10844393665768627,0.061834504183695294,0.20148205453303006',
+    'quantile,9,9.434836021504655,0.04402622938344232,0.08999076764060811,0.05235133362944413,0.20148205453303006',
+    'quantile,10,9.434836021504655,0.03755711950220538,0.07652477622971371,0.04527200483256058,0.20148205453303006',
+    'quantile,11,9.434836021504655,0.03262249101738542,0.06630920895495024,0.03979336892797188,0.20148205453303006',
+    'quantile,12,9.434836021504655,0.028747472128501626,0.05832136141078223,0.035433722766677285,0.20148205453303006',
+    'quantile,13,9.434836021504655,0.025632476379312014,0.05192197660396001,0.031886473996395395,0.20148205453303006',
+    'quantile,14,9.434836021504655,0.02307970660878896,0.04669208607472569,0.028947204601091334,0.20148205453303006',
+    'quantile,15,9.434836021504655,0.020953620952839497,0.04234629613671426,0.02647442053140102,0.20148205453303006',
+    'quantile,16,9.434836021504655,0.01915841274387154,0.03868387026660762,0.024367110256838964,0.20148205453303006',
+    'random_walk,2,9.434836021504655,0.8819172705222774,2.541612613090019,1.2175788233011864,0.20148205453303006',
+    'random_walk,3,9.434836021504655,0.35487620845213996,0.8356895402296466,0.540306179450616,0.20148205453303006',
+    'random_walk,4,9.434836021504655,0.13927782692137106,0.2979539669146815,0.19114629884334566,0.20148205453303006',
+    'random_walk,5,9.434836021504655,0.05561380356478823,0.11432050227651931,0.06281109630448943,0.20148205453303006',
+    'random_walk,6,9.434836021504655,0.023188309678716323,0.046914317063188694,0.024714249953634297,0.20148205453303006',
+    'random_walk,7,9.434836021504655,0.010364542523091063,0.020836508787895086,0.011081736385618263,0.20148205453303006',
+    'random_walk,8,9.434836021504655,0.005123147731407083,0.010272542105491987,0.0055921372257613814,0.20148205453303006',
+    'random_walk,9,9.434836021504655,0.0028731193431197027,0.005754493500999214,0.0032055503956699713,0.20148205453303006',
+    'random_walk,10,9.434836021504655,0.0018351638550237065,0.003673695536422198,0.0020785390149436365,0.20148205453303006',
+    'random_walk,11,9.434836021504655,0.0013073884147391808,0.0026164860939453557,0.0014890276621486174,0.20148205453303006',
+    'random_walk,12,9.434836021504655,0.0010066487272523187,0.002014310796164716,0.0011443939475901965,0.20148205453303006',
+    'random_walk,13,9.434836021504655,0.0008150925826972079,0.0016308495413127838,0.0009211745013687358,0.20148205453303006',
+    'random_walk,14,9.434836021504655,0.0006813805278776943,0.0013632253351791596,0.0007643415332569114,0.20148205453303006',
+    'random_walk,15,9.434836021504655,0.0005816640051585324,0.0011636663433319619,0.000647525027532619,0.20148205453303006',
+    'random_walk,16,9.434836021504655,0.0005039067366237536,0.001008067395246722,0.0005569437018979572,0.20148205453303006',
+    'gauss_hermite,2,9.434836021504655,0.8819172705222774,2.541612613090019,1.2175788233011864,0.20148205453303006',
+    'gauss_hermite,3,9.434836021504655,0.5821457785386582,1.5031852645476969,0.8701056747677754,0.20148205453303006',
+    'gauss_hermite,4,9.434836021504655,0.3918975215648789,0.9373787105384526,0.6124901232411631,0.20148205453303006',
+    'gauss_hermite,5,9.434836021504655,0.2660817241994293,0.6029629323517998,0.41800534894729513,0.20148205453303006',
+    'gauss_hermite,6,9.434836021504655,0.18115237310586,0.3951209284936047,0.27196237280721275,0.20148205453303006',
+    'gauss_hermite,7,9.434836021504655,0.1234141286425126,0.26205930443361586,0.16741597678565204,0.20148205453303006',
+    'gauss_hermite,8,9.434836021504655,0.08408307428452437,0.1752361119501856,0.10048633073980578,0.20148205453303006',
+    'gauss_hermite,9,9.434836021504655,0.05728085195541919,0.11784279991157702,0.06214768762265598,0.20148205453303006',
+    'gauss_hermite,10,9.434836021504655,0.039017615394295484,0.07955760509964813,0.03974482244428483,0.20148205453303006',
+    'gauss_hermite,11,9.434836021504655,0.026574776139547025,0.05385577100596108,0.025989659981198607,0.20148205453303006',
+    'gauss_hermite,12,9.434836021504655,0.018098596688269936,0.03652475257862453,0.01725353566159786,0.20148205453303006',
+    'gauss_hermite,13,9.434836021504655,0.012325198028095336,0.024802306562622438,0.011565638686238121,0.20148205453303006',
+    'gauss_hermite,14,9.434836021504655,0.00839309674970013,0.016856637572450085,0.007796907716650704,0.20148205453303006',
+    'gauss_hermite,15,9.434836021504655,0.005715234823881635,0.01146313355685538,0.005271723549507357,0.20148205453303006',
+    'gauss_hermite,16,9.434836021504655,0.0038916396815711304,0.00779842422255344,0.0035691863010882488,0.20148205453303006',
+]
+
+
+def test_pure_loss_chi2_table_matches_golden():
+    code, text = run_cli(["chi2", "--m-max", "16"])
+    assert code == 0
+    assert text.splitlines() == GOLDEN_PURE_LOSS_CHI2
+
+
 # ------------------------------------------------------------- constellation
 
 def test_constellation_dump():
