@@ -149,17 +149,29 @@ def _gaussian_kernel_chi2(points, probs, pref, A, B) -> float:
     probabilities never enters: that offset is linear in the input rounding
     while every other term enters squared.  Call inside ``mp.workdps(_DPS)``
     with ``pref``, ``A`` and ``B`` already derived in working precision.
+
+    Term (i, j) equals term (j, i), so each unordered pair is summed once.
+    When the input is mirror-symmetric, points[::-1] == -points and
+    probs[::-1] == probs exactly (every constellation and product
+    constellation here), term (i, j) also equals term (n-1-j, n-1-i) at
+    every digit, so the mirror fold sums only j <= n-1-i and doubles each
+    term off the antidiagonal j = n-1-i.  Only the order of the 50-digit
+    sum changes; any other input takes the full i <= j loop.
     """
+    x, q = np.asarray(points), np.asarray(probs)
+    mirror = np.array_equal(x[::-1], -x) and np.array_equal(q[::-1], q)
     u = [(mpf(complex(z).real), mpf(complex(z).imag)) for z in points]
     p = [mpf(q) for q in probs]
     r2 = [x * x + y * y for x, y in u]
+    n = len(u)
     total = mpf(0)
-    for i in range(len(u)):
-        for j in range(i, len(u)):
+    for i in range(n):
+        for j in range(i, n - i if mirror else n):
             cross = u[i][0] * u[j][0] + u[i][1] * u[j][1]
             kij = pref * mp.exp(-A * (r2[i] + r2[j]) + 2 * B * cross) - 1
-            w = p[i] * p[j]
-            total += w * kij if i == j else 2 * w * kij
+            weight = ((1 if i == j else 2)
+                      * (2 if mirror and j != n - 1 - i else 1))
+            total += weight * p[i] * p[j] * kij
     return float(total)
 
 

@@ -5,6 +5,12 @@ All constructors work at a caller-chosen truncation dimension and record the
 actual trace deficit; ``default_dim`` gives a conservative choice.  Factorials
 and powers are handled in the log domain throughout.
 
+``coherent_state`` takes a whole array of points: one cumulative product
+down the columns and a libm exp per point give every column the bits of
+that point's own call, so a pure-loss ensemble is one call.
+``relative_entropy`` solves for sigma's eigenvectors only; rho enters by
+its spectrum and as a matrix.
+
 Displacement matrices rest on the phase identity
 <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|), f real (the Laguerre
 closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): the costly
@@ -53,22 +59,30 @@ def default_dim(mu: float) -> int:
     return math.ceil(mu + 8.0 * math.sqrt(mu + 1.0) + 20.0)
 
 
-def coherent_state(z: complex, dim: int) -> np.ndarray:
-    """Number-basis amplitudes of the coherent state |z>, length ``dim``.
+def coherent_state(z, dim: int) -> np.ndarray:
+    """Number-basis amplitudes of the coherent state |z>, shape
+    ``(dim,) + np.shape(z)``: a vector for a scalar ``z``, one column per
+    point for an array.
 
     a_n = exp(-|z|^2/2) z^n / sqrt(n!), built by a stable multiplicative
-    recurrence; |a_n|^2 is Poisson with mean |z|^2.
+    recurrence (one cumulative product down the columns); |a_n|^2 is
+    Poisson with mean |z|^2.  Each column equals the scalar call's vector
+    bit for bit.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if abs(z) ** 2 > dim:
+    z = np.asarray(z)
+    r2 = [abs(w) ** 2 for w in z.flat]
+    if max(r2, default=0.0) > dim:
         warnings.warn(
-            f"coherent state with |z|^2 = {abs(z)**2:.1f} at dim = {dim}: "
+            f"coherent state with |z|^2 = {max(r2):.1f} at dim = {dim}: "
             "severe truncation", TruncationWarning, stacklevel=2)
-    amps = np.zeros(dim, dtype=complex)
+    steps = np.sqrt(np.arange(1, dim)).reshape((-1,) + (1,) * z.ndim)
+    amps = np.empty((dim,) + z.shape, dtype=complex)
     amps[0] = 1.0
-    amps[1:] = np.cumprod(z / np.sqrt(np.arange(1, dim)))
-    amps *= math.exp(-abs(z) ** 2 / 2.0)
+    amps[1:] = np.cumprod(z / steps, axis=0)
+    # math.exp per point: numpy's vectorized exp may round differently
+    amps *= np.reshape([math.exp(-x / 2.0) for x in r2], z.shape)
     return amps
 
 
@@ -201,27 +215,30 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """D(rho || sigma) = Tr[rho (log2 rho - log2 sigma)], bits.
 
-    Raises ``SupportError`` if rho carries more than ``SUPPORT_TOL`` weight
-    on sigma's numerical null space.
+    Only sigma's eigenvectors are solved for: rho enters through its
+    spectrum (Tr rho log2 rho) and as a matrix, contracted with sigma's
+    eigenvectors for the null-space weight sum_v <v|rho|v> and with
+    log2 sigma on sigma's kept eigenpairs for Tr rho log2 sigma.  Raises
+    ``SupportError`` if rho carries more than ``SUPPORT_TOL`` weight on
+    sigma's numerical null space.
     """
     if rho.dim != sigma.dim:
         raise ValueError("operators must share the truncation dimension")
     try:
-        lam_r, U = np.linalg.eigh(rho.matrix)
+        lam_r = np.linalg.eigvalsh(rho.matrix)
         lam_s, V = np.linalg.eigh(sigma.matrix)
     except np.linalg.LinAlgError as e:
         raise NumericFailure("eigensolver failed") from e
 
-    overlap = np.abs(U.conj().T @ V) ** 2  # |<u_i|v_j>|^2
-    lam_r_pos = np.clip(lam_r, 0.0, None)
-    null_mass = float(lam_r_pos @ overlap[:, lam_s <= EIG_FLOOR].sum(axis=1))
+    null = V[:, lam_s <= EIG_FLOOR]
+    null_mass = float(np.vdot(null, rho.matrix @ null).real)
     if null_mass > SUPPORT_TOL:
         raise SupportError(
             f"rho has mass {null_mass:.2e} outside sigma's numerical support")
 
-    keep_r = lam_r > EIG_FLOOR
-    keep_s = lam_s > EIG_FLOOR
-    tr_rho_log_rho = float(np.sum(lam_r[keep_r] * np.log2(lam_r[keep_r])))
-    tr_rho_log_sigma = float(
-        lam_r[keep_r] @ overlap[np.ix_(keep_r, keep_s)] @ np.log2(lam_s[keep_s]))
+    lam_r = lam_r[lam_r > EIG_FLOOR]
+    keep = lam_s > EIG_FLOOR
+    log_sigma = (V[:, keep] * np.log2(lam_s[keep])) @ V[:, keep].conj().T
+    tr_rho_log_rho = float(np.sum(lam_r * np.log2(lam_r)))
+    tr_rho_log_sigma = float(np.vdot(log_sigma, rho.matrix).real)
     return tr_rho_log_rho - tr_rho_log_sigma

@@ -79,8 +79,8 @@ def ensemble_dim(e: Ensemble) -> int:
 def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperator:
     """sum_j q_j theta_j at the given truncation dimension.
 
-    The zero-width (coherent) case is assembled from amplitude columns
-    directly.  Otherwise the Laguerre tables of every distinct nonzero
+    The zero-width (coherent) case is assembled directly from the
+    amplitude columns of one ``coherent_state`` call over every center.  Otherwise the Laguerre tables of every distinct nonzero
     |center| come from one batched recurrence, and a non-real center's
     conjugate reuses its state: with numpy complex centers,
     displaced_thermal(conj z) equals displaced_thermal(z).conj() in value,
@@ -95,9 +95,7 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if e.width == 0.0:
-        cols = np.stack(
-            [np.sqrt(q) * coherent_state(z, dim)
-             for q, z in zip(e.probs, e.centers)], axis=1)
+        cols = np.sqrt(e.probs) * coherent_state(e.centers, dim)
         mat = cols @ cols.conj().T
     else:
         radii = list({abs(z) for z in e.centers} - {0.0})

@@ -14,11 +14,16 @@ library path it checks:
   against the library's kernel double sum;
 - ``classical_one_plus_chi2_quadrature``: the classical chi-square by direct
   quadrature of the output densities, against the series and kernel paths;
+- ``gaussian_kernel_chi2_unfolded``: the chi-square kernel double sum over
+  every pair i <= j, against the library's mirror-folded sum;
 - ``quantum_chi2_constellation``: the quantum chi-square by the
   constellation double sum over the complex Gaussian kernel, against the
   square of the classical kernel value and the direct Fock summation;
 - ``quantum_chi2_direct``: the quantum chi-square by direct summation in the
   number basis, against the constellation kernel double sum;
+- ``relative_entropy_eigh_overlap``: D(rho || sigma) from both
+  eigendecompositions and their overlaps |<u_i|v_j>|^2, against the
+  library's form, which solves for sigma's eigenvectors only;
 - ``annihilation_matrix``: the truncated annihilation operator, for moment
   and matrix-exponential checks of the Fock layer;
 - ``_laguerre_table``: one radius's Laguerre table by its own recurrence
@@ -44,8 +49,8 @@ from thermalcomm.channel import ChannelParams
 from thermalcomm.constellations import (_DPS, ComplexConstellation,
                                         RealConstellation,
                                         _gaussian_kernel_chi2)
-from thermalcomm.errors import NumericFailure, TruncationError
-from thermalcomm.fock import DensityOperator
+from thermalcomm.errors import NumericFailure, SupportError, TruncationError
+from thermalcomm.fock import EIG_FLOOR, SUPPORT_TOL, DensityOperator
 from thermalcomm.polar import _check_power_of_two, _transform_batch
 
 _LLR_BIG = 1000.0
@@ -240,6 +245,24 @@ def _laguerre_table(r: float, dim: int) -> np.ndarray:
     return np.sign(lvals).astype(float) * mag
 
 
+def gaussian_kernel_chi2_unfolded(points, probs, pref, A, B) -> float:
+    """sum_ij p_i p_j (pref exp(-A (|u_i|^2 + |u_j|^2) + 2 B <u_i, u_j>) - 1)
+    over every pair i <= j, off-diagonal terms doubled, at the caller's
+    working precision: the same terms as the library's kernel sum, without
+    its mirror fold."""
+    u = [(mpf(complex(z).real), mpf(complex(z).imag)) for z in points]
+    p = [mpf(q) for q in probs]
+    r2 = [x * x + y * y for x, y in u]
+    total = mpf(0)
+    for i in range(len(u)):
+        for j in range(i, len(u)):
+            cross = u[i][0] * u[j][0] + u[i][1] * u[j][1]
+            kij = pref * mp.exp(-A * (r2[i] + r2[j]) + 2 * B * cross) - 1
+            w = p[i] * p[j]
+            total += w * kij if i == j else 2 * w * kij
+    return float(total)
+
+
 def quantum_chi2_constellation(p: ChannelParams, Q: ComplexConstellation) -> float:
     """chi^2(rho_m^B, tau_N') by the constellation double sum
     1 + chi^2 = sum_{z z'} Q(z) Q(z') R_{N'}(z, z').
@@ -292,3 +315,32 @@ def quantum_chi2_direct(rho: DensityOperator, Nprime: float,
     if result < -1e-10:
         raise NumericFailure(f"chi-square came out negative: {result}")
     return result
+
+
+def relative_entropy_eigh_overlap(rho: DensityOperator,
+                                  sigma: DensityOperator) -> float:
+    """D(rho || sigma) = Tr[rho (log2 rho - log2 sigma)], bits, from the
+    eigendecompositions of both operators and the overlaps |<u_i|v_j>|^2;
+    ``SupportError`` if rho carries more than ``SUPPORT_TOL`` weight on
+    sigma's numerical null space."""
+    if rho.dim != sigma.dim:
+        raise ValueError("operators must share the truncation dimension")
+    try:
+        lam_r, U = np.linalg.eigh(rho.matrix)
+        lam_s, V = np.linalg.eigh(sigma.matrix)
+    except np.linalg.LinAlgError as e:
+        raise NumericFailure("eigensolver failed") from e
+
+    overlap = np.abs(U.conj().T @ V) ** 2  # |<u_i|v_j>|^2
+    lam_r_pos = np.clip(lam_r, 0.0, None)
+    null_mass = float(lam_r_pos @ overlap[:, lam_s <= EIG_FLOOR].sum(axis=1))
+    if null_mass > SUPPORT_TOL:
+        raise SupportError(
+            f"rho has mass {null_mass:.2e} outside sigma's numerical support")
+
+    keep_r = lam_r > EIG_FLOOR
+    keep_s = lam_s > EIG_FLOOR
+    tr_rho_log_rho = float(np.sum(lam_r[keep_r] * np.log2(lam_r[keep_r])))
+    tr_rho_log_sigma = float(
+        lam_r[keep_r] @ overlap[np.ix_(keep_r, keep_s)] @ np.log2(lam_s[keep_s]))
+    return tr_rho_log_rho - tr_rho_log_sigma

@@ -5,13 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
+import oracles
 from oracles import (classical_chi2_series,
                      classical_one_plus_chi2_quadrature,
+                     gaussian_kernel_chi2_unfolded,
                      quantum_chi2_constellation)
 from thermalcomm import (KINDS, ComplexConstellation, RealConstellation,
-                         channel_params, classical_chi2_kernel, delta_B_bound,
-                         make_constellation, product_constellation)
+                         channel_params, classical_chi2_kernel, constellations,
+                         delta_B_bound, make_constellation,
+                         product_constellation)
+from thermalcomm.constellations import _DPS, _gaussian_kernel_chi2
 
 
 def pure_loss_with_snr(s, k=0.8):
@@ -99,3 +104,73 @@ def test_delta_B_bound_monotone_in_m():
     vals = [delta_B_bound(p, make_constellation("gauss_hermite", m))
             for m in range(2, 12)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+# ------------------------------------------------ mirror-folded kernel sum
+
+def _is_mirror_symmetric(points, probs):
+    return (np.array_equal(points[::-1], -points)
+            and np.array_equal(probs[::-1], probs))
+
+
+def _as_bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", [0.3, 0.6, 0.8, 0.95])
+def test_folded_kernel_matches_unfolded_oracle_bitwise(k, monkeypatch):
+    # every constellation is exactly mirror-symmetric, so the library sums
+    # each mirror pair once; that reorders the 50-digit sum, and the double
+    # it rounds to must not move
+    grid = [(channel_params(k, 0.0, N).s, make_constellation(kind, m))
+            for N in (1.0, 7.0, 30.0) for kind in KINDS for m in range(2, 25)]
+    assert all(_is_mirror_symmetric(c.points, c.probs) for _, c in grid)
+    folded = [classical_chi2_kernel(c, s) for s, c in grid]
+    monkeypatch.setattr(constellations, "_gaussian_kernel_chi2",
+                        gaussian_kernel_chi2_unfolded)
+    unfolded = [classical_chi2_kernel(c, s) for s, c in grid]
+    assert np.array_equal(_as_bits(folded), _as_bits(unfolded))
+
+
+@pytest.mark.parametrize("points, probs, mirror", [
+    ([-0.7, 1.2], [0.5, 0.5], False),
+    ([-1.0, 0.2, 0.9], [0.3, 0.3, 0.4], False),
+    ([-1.0, 0.0, 1.0], [0.2, 0.5, 0.3], False),
+    ([-1.5, -0.5, 0.5, 1.5], [0.1, 0.2, 0.3, 0.4], False),
+    ([0.4], [1.0], False),
+    ([0.0], [1.0], True),
+    ([-1.0, -0.0, 1.0], [0.25, 0.5, 0.25], True),
+    ([-1.5, -0.5, 0.5, 1.5], [0.1, 0.4, 0.4, 0.1], True),
+], ids=["asymmetric_pair", "asymmetric_triple", "asymmetric_probs",
+        "asymmetric_probs_even", "one_point", "one_point_at_origin",
+        "signed_zero_center", "symmetric_even"])
+def test_kernel_sum_matches_unfolded_oracle_off_the_fold(points, probs,
+                                                          mirror):
+    # inputs the fold must not take, and the small cases at its edges
+    points, probs = np.array(points), np.array(probs)
+    assert _is_mirror_symmetric(points, probs) == mirror
+    with mp.workdps(_DPS):
+        s = mpf(9.435)
+        a = s / (2 * (1 + 2 * s))
+        args = (points, probs, (1 + s) / mp.sqrt(1 + 2 * s), a * s,
+                a * (1 + s))
+        got = _gaussian_kernel_chi2(*args)
+        want = gaussian_kernel_chi2_unfolded(*args)
+    assert np.array_equal(_as_bits([got]), _as_bits([want]))
+
+
+@pytest.mark.parametrize("k, N0, N", [(0.8, 0.0, 7.0), (0.75, 0.8, 5.0),
+                                      (0.95, 0.3, 10.0)])
+def test_folded_kernel_on_complex_product_points_bitwise(k, N0, N,
+                                                         monkeypatch):
+    # the quantum oracle's input: point a m + b is sqrt(N/2)(x_a + i x_b),
+    # so the reversed list is the negated one and the fold applies
+    p = channel_params(k, N0, N)
+    Qs = [product_constellation(make_constellation(kind, m), p.N)
+          for kind in KINDS for m in range(2, 7)]
+    assert all(_is_mirror_symmetric(Q.points, Q.probs) for Q in Qs)
+    folded = [quantum_chi2_constellation(p, Q) for Q in Qs]
+    monkeypatch.setattr(oracles, "_gaussian_kernel_chi2",
+                        gaussian_kernel_chi2_unfolded)
+    unfolded = [quantum_chi2_constellation(p, Q) for Q in Qs]
+    assert np.array_equal(_as_bits(folded), _as_bits(unfolded))

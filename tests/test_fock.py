@@ -7,7 +7,8 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from oracles import _laguerre_table, annihilation_matrix, quantum_chi2_direct
+from oracles import (_laguerre_table, annihilation_matrix, quantum_chi2_direct,
+                     relative_entropy_eigh_overlap)
 from thermalcomm import (DensityOperator, coherent_state, default_dim,
                          displaced_thermal, displacement_operator,
                          relative_entropy, thermal_state, von_neumann_entropy)
@@ -29,6 +30,48 @@ def test_coherent_vacuum():
     vec = coherent_state(0j, 10)
     assert vec[0] == 1.0
     assert np.all(vec[1:] == 0.0)
+
+
+# the origin, every axis point with either zero sign, and 12 seeded random
+# points of scale 2
+_COHERENT_POINTS = [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(1.3, 0.0), complex(1.3, -0.0), complex(-1.3, 0.0),
+    complex(-1.3, -0.0), complex(0.0, 0.9), complex(-0.0, 0.9),
+    complex(0.0, -0.9), complex(-0.0, -0.9),
+    *(complex(z) for z in
+      2.0 * np.random.default_rng(5).standard_normal(24).view(complex))]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 40, 330])
+@pytest.mark.parametrize("scalar", [np.complex128, complex],
+                         ids=["numpy", "python"])
+def test_coherent_state_columns_match_scalar_calls_bitwise(dim, scalar):
+    # the width-0 ensemble build takes all its points in one call; each
+    # column must be the scalar call's vector, signed zeros included
+    points = [scalar(z) for z in _COHERENT_POINTS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        cols = coherent_state(np.array(points), dim)
+        grid = coherent_state(np.array(points).reshape(4, -1), dim)
+        want = np.stack([coherent_state(z, dim) for z in points], axis=1)
+    assert cols.shape == (dim, len(points))
+    assert np.array_equal(cols.view(np.uint64), want.view(np.uint64))
+    assert grid.shape == (dim, 4, len(points) // 4)
+    assert np.array_equal(grid.reshape(dim, -1).view(np.uint64),
+                          want.view(np.uint64))
+
+
+def test_coherent_state_array_warns_once_with_largest_energy():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coherent_state(np.array([0.5, 3.0 + 0j, -4.0j, 3.5]), 10)
+        assert len(caught) == 1
+        coherent_state(np.array([0.5, 1.0j]), 10)
+        coherent_state(np.array([], dtype=complex), 10)
+    assert len(caught) == 1
+    assert caught[0].category is TruncationWarning
+    assert "|z|^2 = 16.0 at dim = 10" in str(caught[0].message)
 
 
 def test_thermal_state_geometric_and_entropy():
@@ -236,6 +279,39 @@ def test_relative_entropy_support_violation():
     mixed = thermal_state(1.0, 30)
     with pytest.raises(SupportError):
         relative_entropy(mixed, pure)
+
+
+@pytest.mark.parametrize("rho, sigma", [
+    (lambda: displaced_thermal(0.4 + 0.2j, 0.9, 60),
+     lambda: displaced_thermal(-0.3 + 0.5j, 1.5, 60)),
+    (lambda: thermal_state(0.6, 60),
+     lambda: displaced_thermal(0.8 - 0.1j, 2.0, 60)),
+    (lambda: displaced_thermal(1.1 - 0.6j, 0.0, 60),
+     lambda: displaced_thermal(0.7j, 0.4, 60)),
+], ids=["displaced_pair", "thermal_rho", "pure_rho"])
+def test_relative_entropy_non_diagonal_sigma_matches_overlap_oracle(rho, sigma):
+    # sigma's eigenvectors are not the number basis, so log2 sigma is a
+    # full matrix; the pure rho puts most of its spectrum under the floor
+    rho, sigma = rho(), sigma()
+    got = relative_entropy(rho, sigma)
+    assert got > 0.01
+    assert got == pytest.approx(relative_entropy_eigh_overlap(rho, sigma),
+                                abs=1e-10)
+
+
+def test_relative_entropy_support_violation_on_non_diagonal_pure_sigma():
+    # |alpha><alpha| at alpha != 0: its null space is not spanned by number
+    # states, so the null weight must come from sigma's eigenvectors.  A
+    # narrow thermal rho keeps its weight off the number states where
+    # sigma's diagonal falls under the floor, so a diagonal reading of
+    # sigma would miss it.
+    pure = displaced_thermal(0.7 - 0.4j, 0.0, 30)
+    mixed = thermal_state(0.05, 30)
+    with pytest.raises(SupportError):
+        relative_entropy(mixed, pure)
+    with pytest.raises(SupportError):
+        relative_entropy_eigh_overlap(mixed, pure)
+    assert relative_entropy(pure, pure) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_quantum_chi2_thermal_oracle():

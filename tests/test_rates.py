@@ -4,12 +4,13 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import _laguerre_table
+from oracles import _laguerre_table, relative_entropy_eigh_overlap
 from thermalcomm import (Ensemble, build_ensemble, capacity_C, cli,
-                         channel_params, delta_B, displaced_thermal,
-                         ensemble_average_state, ensemble_rates, fock,
-                         g_entropy, gaussian_rate_limit, make_constellation,
-                         product_constellation)
+                         channel_params, coherent_state, delta_B,
+                         displaced_thermal, ensemble_average_state,
+                         ensemble_rates, fock, g_entropy, gaussian_rate_limit,
+                         make_constellation, product_constellation,
+                         relative_entropy, thermal_state)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -101,6 +102,33 @@ def test_ensemble_average_state_is_exactly_hermitian(n0):
     assert (e.width > 0.0) == (n0 > 0.0)
     rho = ensemble_average_state(e)
     assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+
+
+@pytest.mark.parametrize("kind", ["equilattice", "quantile", "random_walk",
+                                  "gauss_hermite"])
+def test_coherent_columns_match_per_point_stack_bitwise(kind):
+    # the width-0 average state from one array call equals the one built
+    # from a column per scalar call, on both sides, up to dim 330
+    for m in (2, 9, 16):
+        Q = make_Q(kind, m)
+        for side in ("B", "E"):
+            e = build_ensemble(P, Q, side)
+            rho = ensemble_average_state(e)
+            cols = np.stack([np.sqrt(q) * coherent_state(z, rho.dim)
+                             for q, z in zip(e.probs, e.centers)], axis=1)
+            mat = cols @ cols.conj().T
+            _assert_bitwise_equal(rho.matrix, (mat + mat.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize("kind", ["equilattice", "quantile", "random_walk",
+                                  "gauss_hermite"])
+def test_relative_entropy_matches_overlap_oracle_on_delta_B_states(kind):
+    # the states delta_B compares: rho_m^B against tau_N' at rho's dim
+    for p, m in ((P, 2), (P, 7), (P, 16), (P_THERMAL, 3)):
+        rho = ensemble_average_state(build_ensemble(p, make_Q(kind, m, p), "B"))
+        tau = thermal_state(p.Nprime, rho.dim)
+        assert relative_entropy(rho, tau) == pytest.approx(
+            relative_entropy_eigh_overlap(rho, tau), abs=1e-10)
 
 
 def test_thermal_environment_rates_finite():
@@ -257,3 +285,16 @@ def test_thermal_rates_pass_builds_872_states(monkeypatch, capsys):
     displacements = _record_calls(monkeypatch, fock.displacement_operator)
     assert cli.main(["rates", "--n0", "0.5", "--m-max", "8"]) == 0
     assert len(thermals) == len(displacements) == 872
+
+
+def test_pure_loss_tables_pass_builds_one_coherent_array_per_ensemble(
+        monkeypatch, capsys):
+    # one pass of the benchmark's pure_loss_tables workload at k = 0.8:
+    # each zero-width ensemble, B and E for rates and B for chi2, is one
+    # coherent_state call over all of its 17,940 points
+    calls = _record_calls(monkeypatch, fock.coherent_state)
+    assert cli.main(["rates", "--k", "0.8", "--m-max", "16"]) == 0
+    assert len(calls) == 120
+    assert cli.main(["chi2", "--m-max", "16"]) == 0
+    assert len(calls) == 180
+    assert sum(np.size(args[0]) for args in calls) == 17_940
