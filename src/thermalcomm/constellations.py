@@ -150,16 +150,15 @@ def _gaussian_kernel_chi2(points, probs, pref, A, B) -> float:
     while every other term enters squared.  Call inside ``mp.workdps(_DPS)``
     with ``pref``, ``A`` and ``B`` already derived in working precision.
 
-    Term (i, j) equals term (j, i), so each unordered pair is summed once.
-    When the input is mirror-symmetric, points[::-1] == -points and
-    probs[::-1] == probs exactly (every constellation and product
-    constellation here), term (i, j) also equals term (n-1-j, n-1-i) at
-    every digit, so the mirror fold sums only j <= n-1-i and doubles each
-    term off the antidiagonal j = n-1-i.  Only the order of the 50-digit
-    sum changes; any other input takes the full i <= j loop.
+    Each unordered pair i <= j is summed once.  The mirror fold: when
+    points[::-1] == -points and probs[::-1] == probs hold exactly, as for
+    every constellation and product constellation, term (i, j) equals term
+    (n-1-j, n-1-i) at every digit, so j stops at n-1-i and each term off
+    that antidiagonal counts twice.  That reorders the 50-digit sum only;
+    any other input takes the full loop.
     """
-    x, q = np.asarray(points), np.asarray(probs)
-    mirror = np.array_equal(x[::-1], -x) and np.array_equal(q[::-1], q)
+    pts, wts = np.asarray(points), np.asarray(probs)
+    mirror = np.array_equal(pts[::-1], -pts) and np.array_equal(wts[::-1], wts)
     u = [(mpf(complex(z).real), mpf(complex(z).imag)) for z in points]
     p = [mpf(q) for q in probs]
     r2 = [x * x + y * y for x, y in u]

@@ -5,11 +5,9 @@ All constructors work at a caller-chosen truncation dimension and record the
 actual trace deficit; ``default_dim`` gives a conservative choice.  Factorials
 and powers are handled in the log domain throughout.
 
-``coherent_state`` takes a whole array of points: one cumulative product
-down the columns and a libm exp per point give every column the bits of
-that point's own call, so a pure-loss ensemble is one call.
-``relative_entropy`` solves for sigma's eigenvectors only; rho enters by
-its spectrum and as a matrix.
+``coherent_state`` takes an array of points, so a pure-loss ensemble is
+one call; each column has the bits of that point's own call.
+``relative_entropy`` solves for sigma's eigenvectors only.
 
 Displacement matrices rest on the phase identity
 <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|), f real (the Laguerre
@@ -215,10 +213,9 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """D(rho || sigma) = Tr[rho (log2 rho - log2 sigma)], bits.
 
-    Only sigma's eigenvectors are solved for: rho enters through its
-    spectrum (Tr rho log2 rho) and as a matrix, contracted with sigma's
-    eigenvectors for the null-space weight sum_v <v|rho|v> and with
-    log2 sigma on sigma's kept eigenpairs for Tr rho log2 sigma.  Raises
+    Only sigma's eigenvectors are solved for: rho enters by its spectrum
+    and as a matrix, in sum_v <v|rho|v> over sigma's null eigenvectors and
+    in Tr[rho log2 sigma] over its kept eigenpairs.  Raises
     ``SupportError`` if rho carries more than ``SUPPORT_TOL`` weight on
     sigma's numerical null space.
     """

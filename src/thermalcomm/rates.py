@@ -80,9 +80,10 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
     """sum_j q_j theta_j at the given truncation dimension.
 
     The zero-width (coherent) case is assembled directly from the
-    amplitude columns of one ``coherent_state`` call over every center.  Otherwise the Laguerre tables of every distinct nonzero
-    |center| come from one batched recurrence, and a non-real center's
-    conjugate reuses its state: with numpy complex centers,
+    amplitude columns of one ``coherent_state`` call over every center.
+    Otherwise the Laguerre tables of every distinct nonzero |center| come
+    from one batched recurrence, and a non-real center's conjugate
+    reuses its state: with numpy complex centers,
     displaced_thermal(conj z) equals displaced_thermal(z).conj() in value,
     and the bits differ at most in the sign of exact zeros, which a sum
     starting from +0.0 absorbs.  A center whose conjugate comes later holds
