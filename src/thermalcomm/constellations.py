@@ -47,8 +47,6 @@ class ComplexConstellation:
 def _finalize(points: np.ndarray, probs: np.ndarray, kind: str) -> RealConstellation:
     points = np.asarray(points, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    order = np.argsort(points)
-    points, probs = points[order], probs[order]
     points.setflags(write=False)
     probs.setflags(write=False)
     return RealConstellation(points=points, probs=probs, kind=kind, m=len(points))

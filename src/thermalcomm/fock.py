@@ -7,7 +7,8 @@ and powers are handled in the log domain throughout.
 
 ``coherent_state`` takes an array of points, so a pure-loss ensemble is
 one call; each column has the bits of that point's own call.
-``relative_entropy`` solves for sigma's eigenvectors only.
+``relative_entropy`` is -S(rho) from ``von_neumann_entropy`` less
+sum_k <v_k|rho|v_k> log2 lam_k over sigma's eigenpairs (lam_k, v_k).
 
 Displacement matrices rest on the phase identity
 <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|), f real (the Laguerre
@@ -17,12 +18,12 @@ every point on that circle, and each point adds only its phase powers.
 ``_laguerre_tables`` runs one recurrence for all of a caller's radii.
 
 For a non-real numpy complex center z, displaced_thermal(conj z) equals
-displaced_thermal(z).matrix.conj() in every value (the bits differ at most
-in the sign of exact zeros), so ``rates.ensemble_average_state`` builds one
-state per conjugate pair, holding at most floor(m/2) of them for a row of m
-points.  Real centers are never shared: past dim 100, where numpy's complex
-power leaves repeated squaring, a negative real center's conjugate state
-differs from its state's conjugate.
+displaced_thermal(z).matrix.conj() in every value; the bits differ at most
+in the sign of exact zeros, which a sum starting from +0.0 absorbs.  So
+``rates.ensemble_average_state`` builds one state per conjugate pair, and
+its average state keeps every bit.  Real centers are never shared: past
+dim 100, where numpy's complex power leaves repeated squaring, a negative
+real center's conjugate state differs from its state's conjugate.
 """
 
 from __future__ import annotations
@@ -211,31 +212,24 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """D(rho || sigma) = Tr[rho (log2 rho - log2 sigma)], bits.
+    """D(rho || sigma) = -S(rho) - Tr[rho log2 sigma], bits.
 
-    Only sigma's eigenvectors are solved for: rho enters by its spectrum
-    and as a matrix, in sum_v <v|rho|v> over sigma's null eigenvectors and
-    in Tr[rho log2 sigma] over its kept eigenpairs.  Raises
-    ``SupportError`` if rho carries more than ``SUPPORT_TOL`` weight on
-    sigma's numerical null space.
+    S(rho) is ``von_neumann_entropy``.  With sigma's eigenpairs (lam_k, v_k)
+    and w_k = <v_k|rho|v_k>, Tr[rho log2 sigma] = sum w_k log2 lam_k over
+    lam_k above the floor; the other w_k sum to rho's weight on sigma's
+    numerical null space, and ``SupportError`` is raised above SUPPORT_TOL.
     """
     if rho.dim != sigma.dim:
         raise ValueError("operators must share the truncation dimension")
     try:
-        lam_r = np.linalg.eigvalsh(rho.matrix)
-        lam_s, V = np.linalg.eigh(sigma.matrix)
+        lam, V = np.linalg.eigh(sigma.matrix)
     except np.linalg.LinAlgError as e:
         raise NumericFailure("eigensolver failed") from e
 
-    null = V[:, lam_s <= EIG_FLOOR]
-    null_mass = float(np.vdot(null, rho.matrix @ null).real)
+    w = np.einsum("ij,ij->j", V.conj(), rho.matrix @ V).real
+    keep = lam > EIG_FLOOR
+    null_mass = float(w[~keep].sum())
     if null_mass > SUPPORT_TOL:
         raise SupportError(
             f"rho has mass {null_mass:.2e} outside sigma's numerical support")
-
-    lam_r = lam_r[lam_r > EIG_FLOOR]
-    keep = lam_s > EIG_FLOOR
-    log_sigma = (V[:, keep] * np.log2(lam_s[keep])) @ V[:, keep].conj().T
-    tr_rho_log_rho = float(np.sum(lam_r * np.log2(lam_r)))
-    tr_rho_log_sigma = float(np.vdot(log_sigma, rho.matrix).real)
-    return tr_rho_log_rho - tr_rho_log_sigma
+    return -von_neumann_entropy(rho) - float(w[keep] @ np.log2(lam[keep]))

@@ -14,7 +14,8 @@ Successive cancellation carries the partial sums of decided bits up the
 butterfly instead of re-encoding each subtree.
 
 Both the demapper and the link simulation work in slices of ``_SLICE``
-samples, so their working set does not grow with the number of trials.
+samples, so only the link's int8 input bits, one flag per frame, and the
+int64 draw of one level's info bits at a time grow with the trials.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the slice size.

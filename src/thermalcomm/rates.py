@@ -82,14 +82,12 @@ def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperat
     The zero-width (coherent) case is assembled directly from the
     amplitude columns of one ``coherent_state`` call over every center.
     Otherwise the Laguerre tables of every distinct nonzero |center| come
-    from one batched recurrence, and a non-real center's conjugate
-    reuses its state: with numpy complex centers,
-    displaced_thermal(conj z) equals displaced_thermal(z).conj() in value,
-    and the bits differ at most in the sign of exact zeros, which a sum
-    starting from +0.0 absorbs.  A center whose conjugate comes later holds
-    that conjugate state until its turn, so the sum keeps its order; a
-    symmetric product constellation puts conj z in z's row, so at most
-    floor(m/2) states are held at once.  Nothing outlives the call.
+    from one batched recurrence, and a non-real center's conjugate reuses
+    its state (the ``fock`` module docstring says why that is exact here).
+    A center whose conjugate comes later holds that conjugate state until
+    its turn, so the sum keeps its order; a symmetric product
+    constellation puts conj z in z's row, so at most floor(m/2) states are
+    held at once.  Nothing outlives the call.
     """
     if dim is None:
         dim = ensemble_dim(e)

@@ -23,7 +23,8 @@ library path it checks:
   number basis, against the constellation kernel double sum;
 - ``relative_entropy_eigh_overlap``: D(rho || sigma) from both
   eigendecompositions and their overlaps |<u_i|v_j>|^2, against the
-  library's form, which solves for sigma's eigenvectors only;
+  library's -S(rho) less sum_k <v_k|rho|v_k> log2 lambda_k over sigma's
+  eigenpairs;
 - ``annihilation_matrix``: the truncated annihilation operator, for moment
   and matrix-exponential checks of the Fock layer;
 - ``_laguerre_table``: one radius's Laguerre table by its own recurrence

@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -310,6 +311,7 @@ def test_constellation_at_large_m_prints_finite_distributions(kind, m):
     points = [float(row["point"]) for row in rows]
     probs = [float(row["prob"]) for row in rows]
     assert all(math.isfinite(x) for x in points)
+    assert all(np.diff(points) > 0)
     assert all(q >= 0.0 for q in probs)
     assert sum(probs) == pytest.approx(1.0)
 
