@@ -2,13 +2,16 @@
 operators, entropies and relative entropy.
 
 All constructors work at a caller-chosen truncation dimension and record the
-actual trace deficit; ``default_dim`` gives a conservative choice.  Factorials
-and powers are handled in the log domain throughout.
+actual trace deficit; ``default_dim`` gives a conservative choice.  The
+Laguerre tables work in the log domain; ``coherent_state``'s recurrence
+does not, and overflows once |z|^2 exceeds about 1,424.
 
 ``coherent_state`` takes an array of points, so a pure-loss ensemble is
-one call; each column has the bits of that point's own call.
+one call; each column has the bits of that point's own call.  A state's
+matrix is read-only and its entropy is computed once and kept with it.
 ``relative_entropy`` is -S(rho) from ``von_neumann_entropy`` less
-sum_k <v_k|rho|v_k> log2 lam_k over sigma's eigenpairs (lam_k, v_k).
+sum_k <v_k|rho|v_k> log2 lam_k over sigma's eigenpairs (lam_k, v_k), read
+off the diagonal of a diagonal sigma in the order ``np.linalg.eigh`` gives.
 
 Displacement matrices rest on the phase identity
 <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|), f real (the Laguerre
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -44,11 +48,24 @@ SUPPORT_TOL = 1e-9  # largest weight D(rho || sigma) lets rho put off sigma
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian PSD matrix on a truncated Fock space, trace within
-    ``truncation_tol`` of 1."""
+    ``truncation_tol`` of 1.  The matrix is made read-only, so the entropy
+    kept with the state (``von_neumann_entropy``) cannot go stale."""
 
     matrix: np.ndarray
     dim: int
     truncation_tol: float
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+
+    @cached_property
+    def _entropy(self) -> float:
+        try:
+            lam = np.linalg.eigvalsh(self.matrix)
+        except np.linalg.LinAlgError as e:
+            raise NumericFailure("eigensolver failed") from e
+        lam = lam[lam > EIG_FLOOR]
+        return float(-(lam * np.log2(lam)).sum())
 
 
 def default_dim(mu: float) -> int:
@@ -202,31 +219,34 @@ def _density_operator(mat: np.ndarray) -> DensityOperator:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """-sum lambda log2 lambda over eigenvalues above the floor, in bits."""
-    try:
-        lam = np.linalg.eigvalsh(rho.matrix)
-    except np.linalg.LinAlgError as e:
-        raise NumericFailure("eigensolver failed") from e
-    lam = lam[lam > EIG_FLOOR]
-    return float(-(lam * np.log2(lam)).sum())
+    """-sum lambda log2 lambda over eigenvalues above the floor, in bits;
+    computed on a state's first call and kept with it."""
+    return rho._entropy
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """D(rho || sigma) = -S(rho) - Tr[rho log2 sigma], bits.
 
-    S(rho) is ``von_neumann_entropy``.  With sigma's eigenpairs (lam_k, v_k)
-    and w_k = <v_k|rho|v_k>, Tr[rho log2 sigma] = sum w_k log2 lam_k over
-    lam_k above the floor; the other w_k sum to rho's weight on sigma's
-    numerical null space, and ``SupportError`` is raised above SUPPORT_TOL.
+    S(rho) is ``von_neumann_entropy``, kept with rho.  With sigma's
+    eigenpairs (lam_k, v_k) and w_k = <v_k|rho|v_k>, Tr[rho log2 sigma] =
+    sum w_k log2 lam_k over lam_k above the floor; the other w_k sum to
+    rho's weight on sigma's numerical null space, and ``SupportError`` is
+    raised above SUPPORT_TOL.  A diagonal sigma (a thermal state) is not
+    eigensolved: lam_k and w_k are the two diagonals, stably sorted into
+    the ascending order ``eigh`` returns, so the sums run in its order.
     """
     if rho.dim != sigma.dim:
         raise ValueError("operators must share the truncation dimension")
-    try:
-        lam, V = np.linalg.eigh(sigma.matrix)
-    except np.linalg.LinAlgError as e:
-        raise NumericFailure("eigensolver failed") from e
-
-    w = np.einsum("ij,ij->j", V.conj(), rho.matrix @ V).real
+    diag = sigma.matrix.diagonal().real
+    if np.count_nonzero(sigma.matrix) == np.count_nonzero(diag):  # diagonal
+        order = np.argsort(diag, kind="stable")
+        lam, w = diag[order], rho.matrix.diagonal().real[order]
+    else:
+        try:
+            lam, V = np.linalg.eigh(sigma.matrix)
+        except np.linalg.LinAlgError as e:
+            raise NumericFailure("eigensolver failed") from e
+        w = np.einsum("ij,ij->j", V.conj(), rho.matrix @ V).real
     keep = lam > EIG_FLOOR
     null_mass = float(w[~keep].sum())
     if null_mass > SUPPORT_TOL:

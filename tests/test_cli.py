@@ -335,6 +335,19 @@ def test_dimension_above_max_dim_exits_4(argv):
     assert text == ""
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["rates", "chi2"])
+def test_non_finite_average_state_exits_3(command):
+    # coherent_state's running product overflows past |z|^2 of about 1,424,
+    # inside MAX_DIM; the NaN trace would pass the deficit check, and an
+    # eigensolve of a NaN diagonal can return finite garbage
+    code, text, err = run_cli_stderr([command, "--k", "0.9", "--n", "1900",
+                                      "--m-max", "2", "--kinds", "equilattice"])
+    assert code == 3
+    assert text == ""
+    assert "non-finite" in err
+
+
 @pytest.mark.parametrize("dim", ["0", "-3"])
 @pytest.mark.parametrize("n0", ["0", "0.5"])
 @pytest.mark.parametrize("command", ["rates", "chi2"])

@@ -257,6 +257,25 @@ def test_states_are_exactly_hermitian(build):
     assert np.array_equal(rho.matrix, rho.matrix.conj().T)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: thermal_state(0.7, 30),
+    lambda: displaced_thermal(1.1 + 0.5j, 0.7, 30),
+    lambda: DensityOperator(matrix=np.diag(np.full(30, 1 / 30 + 0j)), dim=30,
+                            truncation_tol=0.0),
+], ids=["thermal", "displaced_thermal", "constructed"])
+def test_state_is_read_only_and_its_entropy_taken_once(build, monkeypatch):
+    # the entropy is kept with the state, so its matrix must not change
+    rho = build()
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 0.5
+    first = von_neumann_entropy(rho)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
+    assert von_neumann_entropy(rho) == first
+    assert calls == []
+
+
 def test_relative_entropy_thermal_oracle():
     # geometric distributions give D(tau_M || tau_N) in closed form
     M, N = 1.2, 3.0
@@ -293,6 +312,28 @@ def test_relative_entropy_non_diagonal_sigma_matches_overlap_oracle(rho, sigma):
     # sigma's eigenvectors are not the number basis, so log2 sigma is a
     # full matrix; the pure rho puts most of its spectrum under the floor
     rho, sigma = rho(), sigma()
+    got = relative_entropy(rho, sigma)
+    assert got > 0.01
+    assert got == pytest.approx(relative_entropy_eigh_overlap(rho, sigma),
+                                abs=1e-10)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled", "ties"])
+def test_relative_entropy_diagonal_sigma_in_any_order_matches_overlap_oracle(
+        order):
+    # a diagonal sigma is read off its diagonal, whose entries need not be
+    # sorted or distinct; each lam_k must stay paired with rho's <k|rho|k>
+    weights = np.diag(thermal_state(20.0, 60).matrix).real
+    if order == "reversed":
+        weights = weights[::-1]
+    elif order == "shuffled":
+        weights = np.random.default_rng(7).permutation(weights)
+    else:
+        weights = np.repeat(weights[:30:2], 4)[:60]
+        weights = weights / weights.sum()
+    sigma = DensityOperator(matrix=np.diag(weights.astype(complex)), dim=60,
+                            truncation_tol=0.0)
+    rho = displaced_thermal(0.9 - 0.4j, 0.8, 60)
     got = relative_entropy(rho, sigma)
     assert got > 0.01
     assert got == pytest.approx(relative_entropy_eigh_overlap(rho, sigma),

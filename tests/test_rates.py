@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -10,7 +11,8 @@ from thermalcomm import (Ensemble, build_ensemble, capacity_C, cli,
                          displaced_thermal, ensemble_average_state,
                          ensemble_rates, fock, g_entropy, gaussian_rate_limit,
                          make_constellation, product_constellation,
-                         relative_entropy, thermal_state)
+                         relative_entropy, thermal_state, von_neumann_entropy)
+from thermalcomm.fock import EIG_FLOOR
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -129,6 +131,52 @@ def test_relative_entropy_matches_overlap_oracle_on_delta_B_states(kind):
         tau = thermal_state(p.Nprime, rho.dim)
         assert relative_entropy(rho, tau) == pytest.approx(
             relative_entropy_eigh_overlap(rho, tau), abs=1e-10)
+
+
+def _count_linalg(monkeypatch, name):
+    """Rebind ``np.linalg.<name>`` to a wrapper that records each call."""
+    fn, calls = getattr(np.linalg, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["equilattice", "quantile", "random_walk",
+                                  "gauss_hermite"])
+def test_relative_entropy_reads_diagonal_tau_bitwise(kind, monkeypatch):
+    # tau_N' is diagonal, so its eigenpairs are read off the diagonal with
+    # no eigh call, and the value equals the eigh form bit for bit
+    eigh = np.linalg.eigh
+    calls = _count_linalg(monkeypatch, "eigh")
+    for p, m in ((P, 2), (P, 7), (P, 16), (P_THERMAL, 3)):
+        rho = ensemble_average_state(build_ensemble(p, make_Q(kind, m, p), "B"))
+        tau = thermal_state(p.Nprime, rho.dim)
+        lam, V = eigh(tau.matrix)
+        w = np.einsum("ij,ij->j", V.conj(), rho.matrix @ V).real
+        keep = lam > EIG_FLOOR
+        want = -von_neumann_entropy(rho) - float(w[keep] @ np.log2(lam[keep]))
+        _assert_bitwise_equal(np.array([relative_entropy(rho, tau)]),
+                              np.array([want]))
+    assert calls == []
+
+
+def test_tables_take_one_spectrum_per_state(monkeypatch, capsys):
+    # a chi2 row's delta_B takes rho's spectrum once, for both of its forms,
+    # and eigensolves no tau_N'; a rates row takes one spectrum per side
+    eigvalsh = _count_linalg(monkeypatch, "eigvalsh")
+    eigh = _count_linalg(monkeypatch, "eigh")
+    assert cli.main(["chi2", "--m-max", "4", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 12
+    assert (len(eigvalsh), len(eigh)) == (12, 0)
+    assert cli.main(["rates", "--m-max", "4", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert sum(row["m"] is not None for row in rows) == 12
+    assert (len(eigvalsh), len(eigh)) == (12 + 2 * 12, 0)
 
 
 def test_thermal_environment_rates_finite():
