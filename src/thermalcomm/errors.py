@@ -13,5 +13,7 @@ class TruncationWarning(UserWarning):
     """The requested truncation dimension is marginal for the state involved."""
 
 
-class SupportError(ValueError):
-    """First argument of a relative entropy has mass outside the second's support."""
+class SupportError(NumericFailure):
+    """First argument of a relative entropy has mass outside the second's
+    support.  Numeric, not usage: against a thermal tau, as in the rates,
+    it comes only from tau's tail weights falling under ``fock.EIG_FLOOR``."""

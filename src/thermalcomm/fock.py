@@ -8,7 +8,8 @@ does not, and overflows once |z|^2 exceeds about 1,424.
 
 ``coherent_state`` takes an array of points, so a pure-loss ensemble is
 one call; each column has the bits of that point's own call.  A state's
-matrix is read-only and its entropy is computed once and kept with it.
+matrix gives its dimension, must be finite (else ``NumericFailure``) and
+is read-only, so its entropy is computed once and kept with it.
 ``relative_entropy`` is -S(rho) from ``von_neumann_entropy`` less
 sum_k <v_k|rho|v_k> log2 lam_k over sigma's eigenpairs (lam_k, v_k), read
 off the diagonal of a diagonal sigma in the order ``np.linalg.eigh`` gives.
@@ -47,15 +48,18 @@ SUPPORT_TOL = 1e-9  # largest weight D(rho || sigma) lets rho put off sigma
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian PSD matrix on a truncated Fock space, trace within
-    ``truncation_tol`` of 1.  The matrix is made read-only, so the entropy
-    kept with the state (``von_neumann_entropy``) cannot go stale."""
+    """Hermitian PSD matrix on a truncated Fock space of dimension
+    ``matrix.shape[0]``, trace within ``truncation_tol`` of 1.  A NaN or inf
+    entry raises ``NumericFailure`` (an eigensolve may not).  The matrix is
+    made read-only, so the entropy kept with the state cannot go stale."""
 
     matrix: np.ndarray
-    dim: int
     truncation_tol: float
+    dim = property(lambda self: self.matrix.shape[0])
 
     def __post_init__(self):
+        if not np.isfinite(self.matrix).all():
+            raise NumericFailure(f"non-finite state entry at dim {self.dim}")
         self.matrix.setflags(write=False)
 
     @cached_property
@@ -117,7 +121,7 @@ def thermal_state(N: float, dim: int) -> DensityOperator:
         ratio = N / (N + 1.0)
         diag = np.exp(np.arange(dim) * math.log(ratio)) / (N + 1.0)
         tol = ratio ** dim
-    return DensityOperator(matrix=np.diag(diag.astype(complex)), dim=dim,
+    return DensityOperator(matrix=np.diag(diag.astype(complex)),
                            truncation_tol=tol)
 
 
@@ -214,8 +218,7 @@ def _density_operator(mat: np.ndarray) -> DensityOperator:
     as its exact conjugate, so the entropies read the matrix as it is."""
     mat = (mat + mat.conj().T) / 2.0
     deficit = max(0.0, 1.0 - float(np.trace(mat).real))
-    return DensityOperator(matrix=mat, dim=mat.shape[0],
-                           truncation_tol=deficit)
+    return DensityOperator(matrix=mat, truncation_tol=deficit)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -18,7 +18,8 @@ samples, so only the link's int8 input bits, one flag per frame, and the
 int64 draw of one level's info bits at a time grow with the trials.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
-bits whatever the slice size.
+bits whatever the slice size.  The genie sampler frees its int64 symbol
+index before its LLR pass.
 
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
@@ -122,6 +123,7 @@ class InducedChannel:
         j = rng.integers(0, len(self.amplitudes), size=n)
         yq = self._heterodyne(rng, j)
         label = self.labels[j]
+        del j
         return (label >> (self.nbits - 1 - bpos)) & 1, self.level_llrs(
             level, label >> (self.nbits - bpos), yq)
 

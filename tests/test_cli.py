@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from thermalcomm import rates
 from thermalcomm.cli import (CHI2_COLUMNS, RATES_COLUMNS, RunConfig,
                              _build_parser, cmd_chi2, cmd_constellation,
                              cmd_polar, cmd_rates, main)
+from thermalcomm.errors import SupportError
 
 
 def run_cli(argv):
@@ -346,6 +348,18 @@ def test_non_finite_average_state_exits_3(command):
     assert code == 3
     assert text == ""
     assert "non-finite" in err
+
+
+def test_support_error_exits_3(monkeypatch):
+    # no argv is known to reach it; it is a numeric failure, not a usage error
+    def refuse(rho, sigma):
+        raise SupportError("rho has mass outside sigma's numerical support")
+    monkeypatch.setattr(rates, "relative_entropy", refuse)
+    code, text, err = run_cli_stderr(["chi2", "--m-max", "2",
+                                      "--kinds", "equilattice"])
+    assert code == 3
+    assert text == ""
+    assert err.startswith("numeric failure:")
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])

@@ -12,8 +12,8 @@ from oracles import (_laguerre_table, annihilation_matrix, quantum_chi2_direct,
 from thermalcomm import (DensityOperator, coherent_state, default_dim,
                          displaced_thermal, displacement_operator,
                          relative_entropy, thermal_state, von_neumann_entropy)
-from thermalcomm.errors import (SupportError, TruncationError,
-                                TruncationWarning)
+from thermalcomm.errors import (NumericFailure, SupportError,
+                                TruncationError, TruncationWarning)
 from thermalcomm.fock import _laguerre_tables
 
 
@@ -260,7 +260,7 @@ def test_states_are_exactly_hermitian(build):
 @pytest.mark.parametrize("build", [
     lambda: thermal_state(0.7, 30),
     lambda: displaced_thermal(1.1 + 0.5j, 0.7, 30),
-    lambda: DensityOperator(matrix=np.diag(np.full(30, 1 / 30 + 0j)), dim=30,
+    lambda: DensityOperator(matrix=np.diag(np.full(30, 1 / 30 + 0j)),
                             truncation_tol=0.0),
 ], ids=["thermal", "displaced_thermal", "constructed"])
 def test_state_is_read_only_and_its_entropy_taken_once(build, monkeypatch):
@@ -274,6 +274,45 @@ def test_state_is_read_only_and_its_entropy_taken_once(build, monkeypatch):
                         lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
     assert von_neumann_entropy(rho) == first
     assert calls == []
+
+
+def _diag_with(entry, at):
+    mat = np.diag(np.full(3, 1 / 3 + 0j))
+    mat[at] = entry
+    return mat
+
+
+@pytest.mark.parametrize("entry, at", [
+    (np.nan, (0, 0)), (np.inf, (0, 2)), (complex(0.1, -np.inf), (2, 1)),
+], ids=["nan_diagonal", "inf_off_diagonal", "inf_imaginary"])
+def test_state_refuses_non_finite_matrix(entry, at):
+    # an eigensolve of a NaN diagonal need not raise: the entropy of
+    # diag(NaN, 1/3, 1/3) would come out as a finite 0.528 bits
+    with pytest.raises(NumericFailure, match="dim 3"):
+        DensityOperator(matrix=_diag_with(entry, at), truncation_tol=0.0)
+
+
+def test_state_dimension_is_its_matrix_shape():
+    rho = DensityOperator(matrix=np.diag(np.full(3, 1 / 3 + 0j)),
+                          truncation_tol=0.0)
+    assert rho.dim == rho.matrix.shape[0] == 3
+    assert thermal_state(0.5, 7).dim == 7
+    with pytest.raises(TypeError):
+        DensityOperator(matrix=np.eye(3, dtype=complex) / 3, dim=5,
+                        truncation_tol=0.0)
+
+
+def test_relative_entropy_of_different_dimensions_is_a_value_error():
+    # the dimensions compared are the matrices' own, so a mismatch is a
+    # typed error before any index runs past a matrix
+    with pytest.raises(ValueError, match="truncation dimension"):
+        relative_entropy(thermal_state(0.5, 3), thermal_state(0.5, 5))
+
+
+def test_support_error_is_a_numeric_failure():
+    # so the CLI reports it with exit 3, not as a usage error
+    assert issubclass(SupportError, NumericFailure)
+    assert not issubclass(SupportError, ValueError)
 
 
 def test_relative_entropy_thermal_oracle():
@@ -293,7 +332,7 @@ def test_relative_entropy_self_is_zero():
 
 def test_relative_entropy_support_violation():
     vec = coherent_state(0j, 30)
-    pure = DensityOperator(matrix=np.outer(vec, vec.conj()), dim=30,
+    pure = DensityOperator(matrix=np.outer(vec, vec.conj()),
                            truncation_tol=0.0)
     mixed = thermal_state(1.0, 30)
     with pytest.raises(SupportError):
@@ -331,7 +370,7 @@ def test_relative_entropy_diagonal_sigma_in_any_order_matches_overlap_oracle(
     else:
         weights = np.repeat(weights[:30:2], 4)[:60]
         weights = weights / weights.sum()
-    sigma = DensityOperator(matrix=np.diag(weights.astype(complex)), dim=60,
+    sigma = DensityOperator(matrix=np.diag(weights.astype(complex)),
                             truncation_tol=0.0)
     rho = displaced_thermal(0.9 - 0.4j, 0.8, 60)
     got = relative_entropy(rho, sigma)

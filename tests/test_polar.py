@@ -279,6 +279,20 @@ def test_sample_level_bits_and_llrs_follow_the_gray_labels(m):
         assert np.all(np.abs(llr - want) <= tol)
 
 
+def test_sample_level_frees_its_index_before_the_llrs():
+    # 2^20 samples at the study channel peak at 43 MiB when the int64
+    # amplitude index (8 MiB) is dropped after the label gather, and at
+    # 51 MiB when it stays live through level_llrs
+    ch = make_channel(4)
+    tracemalloc.start()
+    try:
+        ch.sample_level(np.random.default_rng(3), 0, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 47 * 2 ** 20, peak / 2 ** 20
+
+
 # ---------------------------------------------------------------- decoding
 
 def test_sc_decode_noiseless_roundtrip():

@@ -12,7 +12,9 @@ from thermalcomm import (Ensemble, build_ensemble, capacity_C, cli,
                          ensemble_rates, fock, g_entropy, gaussian_rate_limit,
                          make_constellation, product_constellation,
                          relative_entropy, thermal_state, von_neumann_entropy)
+from thermalcomm.errors import NumericFailure
 from thermalcomm.fock import EIG_FLOOR
+from thermalcomm.rates import MAX_DIM, ensemble_dim
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -346,3 +348,14 @@ def test_pure_loss_tables_pass_builds_one_coherent_array_per_ensemble(
     assert cli.main(["chi2", "--m-max", "16"]) == 0
     assert len(calls) == 180
     assert sum(np.size(args[0]) for args in calls) == 17_940
+
+
+def test_overflowing_coherent_average_state_is_a_numeric_failure():
+    # coherent_state's running product overflows past |z|^2 of about 1,424,
+    # at a dimension MAX_DIM admits; a library caller gets the typed error
+    e = Ensemble(probs=np.array([1.0]), centers=np.array([38.0 + 0j]),
+                 width=0.0)
+    dim = ensemble_dim(e)
+    assert dim <= MAX_DIM
+    with np.errstate(all="ignore"), pytest.raises(NumericFailure):
+        ensemble_average_state(e, dim)

@@ -1,0 +1,69 @@
+"""Print the md5 of the standard output of every benchmark invocation, the
+CLI defaults and the demos, one ``md5  argv`` line each.
+
+    python3 tools/stdout_digests.py [CHECKOUT] > digests.txt
+
+CHECKOUT is the root of the checkout to run, by default the one holding
+this script.  Run it on the checkouts before and after a change and diff
+the two files: a change that must keep every printed byte shows none.
+
+The invocations are every argv ``perfbench/workloads.py`` generates, at
+full and self-test size, for seeds 0-2, each workload's warm-up, and the
+default ``rates``, ``chi2``, ``polar`` and ``constellation``; each runs in
+process through ``thermalcomm.cli.main``, imported from the checkout's
+``src/``.  A nonzero exit code is appended to its line.  Each script in
+``demos/`` then runs as ``__main__``.  The whole list takes about a minute
+on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import runpy
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1
+            else Path(__file__).parent.parent).resolve()
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from probe import import_cli  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = range(3)
+DEFAULTS = (("rates",), ("chi2",), ("polar",), ("constellation",))
+
+
+def invocations() -> list[tuple[str, ...]]:
+    """Every argv to digest, in a fixed order, each once."""
+    argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
+    for w in WORKLOADS.values():
+        for seed in SEEDS:
+            for small in (False, True):
+                argvs += w.make_pass(seed, small).argvs
+    return list(dict.fromkeys(argvs))
+
+
+def _md5(text: str) -> str:
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+def main() -> None:
+    cli = import_cli(ROOT / "src")
+    for argv in invocations():
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(list(argv))
+        tail = f"  [exit {code}]" if code else ""
+        print(f"{_md5(buf.getvalue())}  {' '.join(argv)}{tail}", flush=True)
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            runpy.run_path(str(demo), run_name="__main__")
+        print(f"{_md5(buf.getvalue())}  demos/{demo.name}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
