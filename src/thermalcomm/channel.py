@@ -3,75 +3,71 @@
 A single-mode thermal channel mixes the signal with a thermal environment of
 mean photon number ``N0`` on a beamsplitter of transmittivity ``k``.  For a
 circularly-symmetric Gaussian input of mean photon number ``N`` everything
-relevant here is a scalar function of ``(k, N0, N)``; this module collects
-those scalars and the closed-form capacity / coherent-information values.
+relevant here is a scalar function of ``(k, N0, N)``: ``ChannelParams``
+derives those scalars on construction, beside the closed-form capacity /
+coherent-information values here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Channel parameters plus every derived scalar used downstream.
-
-    ``Nc`` is the added noise, ``Nprime`` the output mean photon number for
-    the Gaussian input (``Nc_E``/``Nprime_E`` the same two on the environment
-    side), ``s`` the signal-to-noise ratio of the equivalent classical AWGN
-    problem, and ``c_decay`` the guaranteed exponential decay constant of the
-    Gauss-Hermite gap bound.
-    """
+    """A thermal channel ``(k, N0, N)``, validated, and the scalars derived
+    from it on construction: the added noise ``Nc``, the output mean photon
+    number ``Nprime`` for the Gaussian input (``Nc_E``/``Nprime_E`` on the
+    environment side), the signal-to-noise ratio ``s`` of the equivalent
+    classical AWGN problem, and the decay constant ``c_decay`` of the
+    Gauss-Hermite gap bound.  Raises ``ValueError`` for non-finite or
+    out-of-range parameters, for ones whose ``s`` or ``c_decay`` is not a
+    finite positive double (k^2 N underflows, or sqrt(N'(N'+1)) rounds to
+    N'), and for the identity channel ``k == 1, N0 == 0`` (making ``k == 1``
+    meaningful needs an additive-noise-only formulation, out of scope)."""
 
     k: float
     N0: float
     N: float
-    Nc: float
-    Nprime: float
-    Nc_E: float
-    Nprime_E: float
-    s: float
-    c_decay: float
+    Nc: float = field(init=False)
+    Nprime: float = field(init=False)
+    Nc_E: float = field(init=False)
+    Nprime_E: float = field(init=False)
+    s: float = field(init=False)
+    c_decay: float = field(init=False)
+
+    def __post_init__(self):
+        k, N0, N = self.k, self.N0, self.N
+        for name, value in (("k", k), ("N0", N0), ("N", N)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not 0.0 < k <= 1.0:
+            raise ValueError(f"transmittivity k must be in (0, 1], got {k}")
+        if N0 < 0.0:
+            raise ValueError(f"environment photon number N0 must be >= 0, got {N0}")
+        if N <= 0.0:
+            raise ValueError(f"input photon number N must be > 0, got {N}")
+        if k == 1.0 and N0 == 0.0:
+            raise ValueError("k = 1 with N0 = 0 is the identity channel; rejected")
+
+        Nc = (1.0 - k * k) * N0
+        Nprime = k * k * N + Nc
+        Nc_E = k * k * N0
+        Nprime_E = (1.0 - k * k) * N + Nc_E
+        excess = math.sqrt(Nprime * (Nprime + 1.0)) - k * k * N
+        s = k * k * N / excess if excess > 0.0 else math.inf
+        c_decay = 2.0 * math.log((1.0 + s) / s) if 0.0 < s < math.inf else math.inf
+        if not math.isfinite(c_decay):
+            raise ValueError(
+                f"(k, N0, N) = ({k:g}, {N0:g}, {N:g}): the signal-to-noise ratio "
+                "is outside the range double precision resolves")
+        for name, value in (("Nc", Nc), ("Nprime", Nprime), ("Nc_E", Nc_E),
+                            ("Nprime_E", Nprime_E), ("s", s), ("c_decay", c_decay)):
+            object.__setattr__(self, name, value)
 
 
-def channel_params(k: float, N0: float, N: float) -> ChannelParams:
-    """Validate ``(k, N0, N)`` and compute all derived scalars.
-
-    Raises ``ValueError`` for non-finite or out-of-range parameters, for
-    parameters whose ``s`` or ``c_decay`` is not a finite positive double
-    (k^2 N underflows, or sqrt(N'(N'+1)) rounds to N'), and for
-    the degenerate identity channel ``k == 1, N0 == 0`` (the
-    additive-noise-only formulation needed to make ``k == 1`` meaningful is
-    out of scope).
-    """
-    for name, value in (("k", k), ("N0", N0), ("N", N)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if not 0.0 < k <= 1.0:
-        raise ValueError(f"transmittivity k must be in (0, 1], got {k}")
-    if N0 < 0.0:
-        raise ValueError(f"environment photon number N0 must be >= 0, got {N0}")
-    if N <= 0.0:
-        raise ValueError(f"input photon number N must be > 0, got {N}")
-    if k == 1.0 and N0 == 0.0:
-        raise ValueError("k = 1 with N0 = 0 is the identity channel; rejected")
-
-    Nc = (1.0 - k * k) * N0
-    Nprime = k * k * N + Nc
-    Nc_E = k * k * N0
-    Nprime_E = (1.0 - k * k) * N + Nc_E
-    excess = math.sqrt(Nprime * (Nprime + 1.0)) - k * k * N
-    s = k * k * N / excess if excess > 0.0 else math.inf
-    c_decay = 2.0 * math.log((1.0 + s) / s) if 0.0 < s < math.inf else math.inf
-    if not math.isfinite(c_decay):
-        raise ValueError(
-            f"(k, N0, N) = ({k:g}, {N0:g}, {N:g}): the signal-to-noise ratio "
-            "is outside the range double precision resolves")
-    return ChannelParams(
-        k=k, N0=N0, N=N, Nc=Nc, Nprime=Nprime, Nc_E=Nc_E, Nprime_E=Nprime_E,
-        s=s, c_decay=c_decay,
-    )
+channel_params = ChannelParams  # the documented entry point
 
 
 def g_entropy(x: float) -> float:

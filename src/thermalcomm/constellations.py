@@ -28,12 +28,12 @@ _DPS = 50  # digits for the kernel double sums; chi2 can be ~1e-30
 
 @dataclass(frozen=True)
 class RealConstellation:
-    """Finite set of real points with probabilities approximating N(0, 1)."""
+    """``m`` real points with probabilities approximating N(0, 1)."""
 
     points: np.ndarray
     probs: np.ndarray
     kind: str
-    m: int
+    m = property(lambda self: len(self.points))
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def _finalize(points: np.ndarray, probs: np.ndarray, kind: str) -> RealConstella
     probs = np.asarray(probs, dtype=float)
     points.setflags(write=False)
     probs.setflags(write=False)
-    return RealConstellation(points=points, probs=probs, kind=kind, m=len(points))
+    return RealConstellation(points=points, probs=probs, kind=kind)
 
 
 def _check_m(m: int) -> None:

@@ -1,15 +1,15 @@
 """Truncated Fock-space numerics: coherent and thermal states, displacement
 operators, entropies and relative entropy.
 
-All constructors work at a caller-chosen truncation dimension and record the
-actual trace deficit; ``default_dim`` gives a conservative choice.  The
-Laguerre tables work in the log domain; ``coherent_state``'s recurrence
-does not, and overflows once |z|^2 exceeds about 1,424.
+All constructors work at a caller-chosen truncation dimension;
+``default_dim`` gives a conservative choice.  The Laguerre tables work in
+the log domain; ``coherent_state``'s recurrence does not, and overflows
+once |z|^2 exceeds about 1,424.
 
 ``coherent_state`` takes an array of points, so a pure-loss ensemble is
-one call; each column has the bits of that point's own call.  A state's
-matrix gives its dimension, must be finite (else ``NumericFailure``) and
-is read-only, so its entropy is computed once and kept with it.
+one call; each column has the bits of that point's own call.  A state
+holds only its matrix, finite (else ``NumericFailure``) and read-only; its
+dimension and trace deficit are read off it, its entropy kept with it.
 ``relative_entropy`` is -S(rho) from ``von_neumann_entropy`` less
 sum_k <v_k|rho|v_k> log2 lam_k over sigma's eigenpairs (lam_k, v_k), read
 off the diagonal of a diagonal sigma in the order ``np.linalg.eigh`` gives.
@@ -48,14 +48,15 @@ SUPPORT_TOL = 1e-9  # largest weight D(rho || sigma) lets rho put off sigma
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian PSD matrix on a truncated Fock space of dimension
-    ``matrix.shape[0]``, trace within ``truncation_tol`` of 1.  A NaN or inf
-    entry raises ``NumericFailure`` (an eigensolve may not).  The matrix is
-    made read-only, so the entropy kept with the state cannot go stale."""
+    """Hermitian PSD matrix on a truncated Fock space; its ``dim`` and
+    ``trace_deficit``, max(0, 1 - Re Tr M), are read off the matrix.  A NaN
+    or inf entry raises ``NumericFailure`` (an eigensolve may not).  The
+    matrix is made read-only, so the entropy kept with it cannot go stale."""
 
     matrix: np.ndarray
-    truncation_tol: float
     dim = property(lambda self: self.matrix.shape[0])
+    trace_deficit = property(
+        lambda self: max(0.0, 1.0 - float(np.trace(self.matrix).real)))
 
     def __post_init__(self):
         if not np.isfinite(self.matrix).all():
@@ -116,13 +117,10 @@ def thermal_state(N: float, dim: int) -> DensityOperator:
     if N == 0.0:
         diag = np.zeros(dim)
         diag[0] = 1.0
-        tol = 0.0
     else:
         ratio = N / (N + 1.0)
         diag = np.exp(np.arange(dim) * math.log(ratio)) / (N + 1.0)
-        tol = ratio ** dim
-    return DensityOperator(matrix=np.diag(diag.astype(complex)),
-                           truncation_tol=tol)
+    return DensityOperator(matrix=np.diag(diag.astype(complex)))
 
 
 def _laguerre_tables(radii, dim: int) -> np.ndarray:
@@ -213,12 +211,9 @@ def displaced_thermal(alpha: complex, Nbar: float, dim: int, *,
 
 
 def _density_operator(mat: np.ndarray) -> DensityOperator:
-    """Wrap an assembled state matrix: Hermitize it and record its trace
-    deficit as the truncation tolerance.  (M + M^dag)/2 mirrors each entry
-    as its exact conjugate, so the entropies read the matrix as it is."""
-    mat = (mat + mat.conj().T) / 2.0
-    deficit = max(0.0, 1.0 - float(np.trace(mat).real))
-    return DensityOperator(matrix=mat, truncation_tol=deficit)
+    """Wrap an assembled state matrix, Hermitized: (M + M^dag)/2 mirrors
+    each entry as its exact conjugate, so the state reads it as it is."""
+    return DensityOperator(matrix=(mat + mat.conj().T) / 2.0)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -10,12 +10,12 @@ would reach; the rates module computes the latter.
 The demapper is table-driven: each bit position has a table of the points
 under every label prefix (the integer a label's leading bits spell), so one
 level's LLRs are a gather of candidate centers and a logaddexp pass.
-Successive cancellation carries the partial sums of decided bits up the
-butterfly instead of re-encoding each subtree.
+Successive cancellation carries only the partial sums of decided bits up
+the butterfly; the decided inputs are their transform.
 
 Both the demapper and the link simulation work in slices of ``_SLICE``
-samples, so only the link's int8 input bits, one flag per frame, and the
-int64 draw of one level's info bits at a time grow with the trials.
+samples, so only the link's int8 input bits and one flag per frame grow
+with the trials.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the slice size.  The genie sampler frees its int64 symbol
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,19 +93,33 @@ def _transform_batch(u: np.ndarray) -> np.ndarray:
 class InducedChannel:
     """Discrete-input channel: uniform product constellation, thermal
     channel, heterodyne detection; 2 log2(m) bit levels, Gray-labeled per
-    quadrature (real-quadrature levels first, MSB first)."""
+    quadrature (real-quadrature levels first, MSB first).  m must be a
+    power of two; the labels and their tables are built from it on use."""
 
     params: ChannelParams
     amplitudes: np.ndarray  # per-quadrature real amplitudes, ascending
-    nbits: int
-    labels: np.ndarray  # Gray label of each amplitude index, MSB first
-    # per bit position b: (2**b, 2, m >> (b+1)) point indices whose label
-    # prefix of b bits is the row, split by the value of bit b
-    label_tables: tuple[np.ndarray, ...]
 
-    @property
-    def levels(self) -> int:
-        return 2 * self.nbits
+    nbits = property(lambda self: len(self.amplitudes).bit_length() - 1)
+    levels = property(lambda self: 2 * self.nbits)
+
+    def __post_init__(self):
+        _check_power_of_two(len(self.amplitudes), "constellation size m")
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        # Gray label of each amplitude index, MSB first; the smallest dtype
+        # keeps the per-sample label gathers small
+        m = len(self.amplitudes)
+        j = np.arange(m, dtype=np.min_scalar_type(m - 1))
+        return j ^ (j >> 1)
+
+    @cached_property
+    def label_tables(self) -> tuple[np.ndarray, ...]:
+        # per bit position b: (2**b, 2, m >> (b+1)) point indices, stably
+        # sorted by label prefix: row r holds prefix r, split by bit b
+        return tuple(np.argsort(self.labels >> (self.nbits - 1 - b),
+                                kind="stable").reshape(1 << b, 2, -1)
+                     for b in range(self.nbits))
 
     @property
     def noise_var(self) -> float:
@@ -194,18 +209,7 @@ def induced_channel(p: ChannelParams, c: RealConstellation) -> InducedChannel:
     if not np.allclose(c.probs, 1.0 / c.m, atol=1e-12):
         raise ValueError("induced channel requires a uniform-probability "
                          f"constellation, got kind {c.kind!r}")
-    nbits = _check_power_of_two(c.m, "constellation size m")
-    amplitudes = math.sqrt(p.N / 2.0) * c.points
-    # the smallest dtype keeps the per-sample label gathers small
-    j = np.arange(c.m, dtype=np.min_scalar_type(c.m - 1))
-    labels = j ^ (j >> 1)
-    # stable sort by the label prefix of b+1 bits
-    label_tables = tuple(
-        np.argsort(labels >> (nbits - 1 - b), kind="stable"
-                   ).reshape(1 << b, 2, -1)
-        for b in range(nbits))
-    return InducedChannel(params=p, amplitudes=amplitudes, nbits=nbits,
-                          labels=labels, label_tables=label_tables)
+    return InducedChannel(p, math.sqrt(p.N / 2.0) * c.points)
 
 
 def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,34 +229,31 @@ def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _sc_batch(llr: np.ndarray, decide, idx0: int,
-              frozen_subtrees: frozenset = frozenset()
-              ) -> tuple[np.ndarray, np.ndarray]:
+              frozen_subtrees: frozenset = frozenset()) -> np.ndarray:
     """SC recursion over a (batch, n) LLR array; ``decide(i, llr_col)``
     returns the batch's decisions for input index ``i``.  Trials are
     independent, so the whole batch moves through the butterfly together.
 
-    Returns the decided inputs u and their partial sums x = u F^{x log2 n};
-    each half's x comes back up the recursion, so no subtree is
-    re-encoded.  ``frozen_subtrees`` holds the (first index, length) of
-    subtrees whose inputs are all frozen: their u and x are zero whatever
-    the LLRs, so neither the LLRs nor the decisions are computed."""
+    Returns the partial sums x = u F^{x log2 n} of the decided inputs u;
+    each half's x comes back up the recursion, so no subtree is re-encoded.
+    ``frozen_subtrees`` holds the (first index, length) of subtrees whose
+    inputs are all frozen: their x is zero whatever the LLRs, so neither
+    the LLRs nor the decisions are computed."""
     nrows, n = llr.shape
     if n == 1:
-        u = decide(idx0, llr[:, 0]).astype(np.int8)[:, None]
-        return u, u
+        return decide(idx0, llr[:, 0]).astype(np.int8)[:, None]
     half = n // 2
     a, b = llr[:, :half], llr[:, half:]
     if (idx0, half) in frozen_subtrees:
-        u_left = x_left = np.zeros((nrows, half), dtype=np.int8)
+        x_left = np.zeros((nrows, half), dtype=np.int8)
     else:
-        u_left, x_left = _sc_batch(_f(a, b), decide, idx0, frozen_subtrees)
+        x_left = _sc_batch(_f(a, b), decide, idx0, frozen_subtrees)
     if (idx0 + half, half) in frozen_subtrees:
-        u_right = x_right = np.zeros((nrows, half), dtype=np.int8)
+        x_right = np.zeros((nrows, half), dtype=np.int8)
     else:
-        u_right, x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half,
-                                     frozen_subtrees)
-    return (np.concatenate([u_left, u_right], axis=1),
-            np.concatenate([x_left ^ x_right, x_right], axis=1))
+        x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half,
+                            frozen_subtrees)
+    return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
 
 def _frozen_subtrees(code: PolarCode) -> frozenset:
@@ -284,7 +285,8 @@ def sc_decode_batch(code: PolarCode,
     if (0, code.n) in frozen_subtrees:
         u = np.zeros(llr.shape, dtype=np.int8)
         return u, u
-    return _sc_batch(llr, lambda i, col: col < 0, 0, frozen_subtrees)
+    x = _sc_batch(llr, lambda i, col: col < 0, 0, frozen_subtrees)
+    return _transform_batch(x), x
 
 
 def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
@@ -405,13 +407,13 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
 
     ``codes`` holds one code per bit level, all of the same blocklength.
     Levels are decoded in order, each level's decided codeword (the SC
-    partial sums) feeding the next level's LLRs as priors.  The info bits of
-    every level are drawn first; then each quadrature is modulated, sent
-    and decoded ``max(1, _SLICE // n)`` frames at a time by
-    ``_send_chunk``, so one chunk's arrays are freed before the next
-    chunk's are made.  Returns a report
-    dict with per-level BER, frame error rate and effective throughput in
-    bits per mode.
+    partial sums) feeding the next level's LLRs as priors.  The work goes
+    in chunks of ``max(1, _SLICE // n)`` frames: every level's info bits
+    are drawn first, a chunk at a time (numpy's stream does not depend on
+    how consecutive draws split the rows), then each quadrature is
+    modulated, sent and decoded by ``_send_chunk``, so one chunk's arrays
+    are freed before the next chunk's are made.  Returns a report dict with
+    per-level BER, frame error rate and effective throughput in bits/mode.
     """
     if len(codes) != ch.levels:
         raise ValueError(f"need {ch.levels} codes, got {len(codes)}")
@@ -423,23 +425,29 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     info_bits = np.array([c.n - len(c.frozen) for c in codes])
     frame_bad = np.zeros(trials, dtype=bool)
     if trials:
-        u_levels = []
-        for code in codes:
-            u = np.zeros((trials, n), dtype=np.int8)
-            u[:, code.info_set] = rng.integers(
-                0, 2, size=(trials, len(code.info_set)))
-            u_levels.append(u)
-        amp_index = np.argsort(ch.labels)  # Gray label -> amplitude index
         chunk = min(trials, max(1, _SLICE // n))
+        chunks = range(-(-trials // chunk))
+
+        # chunks go by number, not row offset: an offset past 256 is a new
+        # int, held through each chunk's work beside the arrays that grow
+        def rows(a, c):
+            return a[c * chunk:(c + 1) * chunk]
+
+        u_levels = [np.zeros((trials, n), dtype=np.int8) for _ in codes]
+        for u, code in zip(u_levels, codes):
+            info = code.info_set
+            for c in chunks:
+                part = rows(u, c)
+                part[:, info] = rng.integers(0, 2, size=(len(part), len(info)))
+        amp_index = np.argsort(ch.labels)  # Gray label -> amplitude index
         for q in range(2):
             levels = range(q * ch.nbits, (q + 1) * ch.nbits)
-            for start in range(0, trials, chunk):
-                rows = slice(start, start + chunk)
+            for c in chunks:
                 nerr = _send_chunk(ch, levels, codes,
-                                   [u_levels[lv][rows] for lv in levels],
+                                   [rows(u_levels[lv], c) for lv in levels],
                                    amp_index, rng)
                 bit_errors[levels.start:levels.stop] += nerr.sum(axis=1)
-                frame_bad[rows] |= np.any(nerr > 0, axis=0)
+                rows(frame_bad, c)[:] |= np.any(nerr > 0, axis=0)
 
     fer = float(np.mean(frame_bad)) if trials else None
     sum_rate = float(info_bits.sum()) / n

@@ -135,9 +135,9 @@ def _checked_average_state(p: ChannelParams, Q: ComplexConstellation,
     ``TRUNCATION_TOL``."""
     e, dim = _checked_dim(p, Q, side, dim)
     rho = ensemble_average_state(e, dim)
-    if rho.truncation_tol > TRUNCATION_TOL:
+    if rho.trace_deficit > TRUNCATION_TOL:
         raise TruncationError(
-            f"{side}-side trace deficit {rho.truncation_tol:.3g} exceeds "
+            f"{side}-side trace deficit {rho.trace_deficit:.3g} exceeds "
             f"{TRUNCATION_TOL:g} at dim {rho.dim}; raise the dimension")
     return rho
 
@@ -161,7 +161,7 @@ def ensemble_rates(p: ChannelParams, Q: ComplexConstellation,
         delta_B=g_entropy(p.Nprime) - h_b,
         delta_E=g_entropy(p.Nprime_E) - h_e,
         dim=rho_b.dim,
-        trace_deficit=max(rho_b.truncation_tol, rho_e.truncation_tol))
+        trace_deficit=max(rho_b.trace_deficit, rho_e.trace_deficit))
 
 
 def delta_B(p: ChannelParams, Q: ComplexConstellation,

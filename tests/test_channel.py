@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thermalcomm import (build_ensemble, capacity_C, channel_params,
-                         g_entropy, gaussian_rate_limit)
+from thermalcomm import (ChannelParams, build_ensemble, capacity_C,
+                         channel_params, g_entropy, gaussian_rate_limit)
 from thermalcomm.constellations import ComplexConstellation
 
 
@@ -59,6 +59,32 @@ def test_snr_gap_identity(k, N0, N):
 def test_invalid_parameters_rejected(k, N0, N):
     with pytest.raises(ValueError):
         channel_params(k, N0, N)
+
+
+@pytest.mark.parametrize("k,N0,N", [(0.8, 0.0, 7.0), (0.6, 1.5, 2.0),
+                                    (1.0, 0.3, 4.0)])
+def test_direct_construction_derives_every_scalar(k, N0, N):
+    # the derived scalars are worked out from (k, N0, N) alone, so a
+    # directly built channel cannot disagree with its inputs
+    direct, made = ChannelParams(k, N0, N), channel_params(k, N0, N)
+    assert direct == made
+    for name in ("Nc", "Nprime", "Nc_E", "Nprime_E", "s", "c_decay"):
+        assert getattr(direct, name) == getattr(made, name), name
+    assert direct.Nc == (1.0 - k * k) * N0
+    with pytest.raises(TypeError):
+        ChannelParams(0.8, 0.0, 7.0, Nc=1.0)
+
+
+@pytest.mark.parametrize("k,N0,N,message", [
+    (2.0, 0.0, 7.0, "transmittivity k must be in"),
+    (0.8, -0.1, 7.0, "N0 must be >= 0"),
+    (0.8, 0.0, math.nan, "N must be finite"),
+    (1.0, 0.0, 7.0, "identity channel"),
+    (0.8, 0.0, 1e17, "outside the range double precision resolves"),
+])
+def test_direct_construction_validates_as_the_factory_does(k, N0, N, message):
+    with pytest.raises(ValueError, match=message):
+        ChannelParams(k, N0, N)
 
 
 def test_g_entropy_values():

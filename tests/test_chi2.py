@@ -35,7 +35,7 @@ def test_kernel_K_against_quadrature(s, x, xp):
     points = np.unique([x, xp])
     c = RealConstellation(points=points,
                           probs=np.full(len(points), 1.0 / len(points)),
-                          kind="pair", m=len(points))
+                          kind="pair")
     assert 1.0 + classical_chi2_kernel(c, s) == pytest.approx(
         classical_one_plus_chi2_quadrature(c, s), rel=1e-9)
 

@@ -742,6 +742,36 @@ def test_each_subcommand_registers_only_the_flags_it_reads():
     assert sum(len(flags) for flags in FLAGS.values()) == 38
 
 
+def test_public_dataclasses_take_only_their_inputs():
+    # every field a constructor takes is one the object cannot work out
+    # for itself; derived values are properties or computed on
+    # construction, so a new init field here needs a reason
+    import dataclasses
+
+    import thermalcomm as tc
+    init_fields = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls) if f.init]
+        for cls in (tc.ChannelParams, tc.RealConstellation,
+                    tc.ComplexConstellation, tc.DensityOperator, tc.Ensemble,
+                    tc.EnsembleRates, tc.PolarCode, tc.InducedChannel,
+                    RunConfig)}
+    assert init_fields == {
+        "ChannelParams": ["k", "N0", "N"],
+        "RealConstellation": ["points", "probs", "kind"],
+        "ComplexConstellation": ["points", "probs"],
+        "DensityOperator": ["matrix"],
+        "Ensemble": ["probs", "centers", "width"],
+        "EnsembleRates": ["classical", "quantum", "delta_B", "delta_E",
+                          "dim", "trace_deficit"],
+        "PolarCode": ["n", "frozen"],
+        "InducedChannel": ["params", "amplitudes"],
+        "RunConfig": ["k", "n0", "n", "kinds", "m_min", "m_max", "dim",
+                      "seed", "out", "format", "blocklength", "trials",
+                      "mc_budget", "rate_fraction"],
+    }
+    assert sum(len(names) for names in init_fields.values()) == 36
+
+
 def _unread(command):
     return sorted(set().union(*FLAGS.values()) - FLAGS[command])
 

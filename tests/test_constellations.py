@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import classical_chi2_series, hermite_moment
-from thermalcomm import (KINDS, classical_chi2_kernel, make_constellation,
-                         product_constellation)
+from thermalcomm import (KINDS, RealConstellation, classical_chi2_kernel,
+                         make_constellation, product_constellation)
 from thermalcomm.errors import NumericFailure
 
 SQ3 = math.sqrt(3.0)
@@ -19,6 +19,16 @@ def test_unit_variance_zero_mean(kind, m):
     c = make_constellation(kind, m)
     assert np.dot(c.probs, c.points) == pytest.approx(0.0, abs=1e-12)
     assert np.dot(c.probs, c.points ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_point_count_is_the_number_of_points():
+    c = RealConstellation(points=np.array([-1.0, 1.0]),
+                          probs=np.array([0.5, 0.5]), kind="pair")
+    assert c.m == 2
+    assert make_constellation("quantile", 7).m == 7
+    with pytest.raises(TypeError):
+        RealConstellation(points=np.array([-1.0, 1.0]),
+                          probs=np.array([0.5, 0.5]), kind="pair", m=3)
 
 
 @given(kind=st.sampled_from(KINDS), m=st.integers(2, 40))

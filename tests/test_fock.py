@@ -260,8 +260,7 @@ def test_states_are_exactly_hermitian(build):
 @pytest.mark.parametrize("build", [
     lambda: thermal_state(0.7, 30),
     lambda: displaced_thermal(1.1 + 0.5j, 0.7, 30),
-    lambda: DensityOperator(matrix=np.diag(np.full(30, 1 / 30 + 0j)),
-                            truncation_tol=0.0),
+    lambda: DensityOperator(matrix=np.diag(np.full(30, 1 / 30 + 0j))),
 ], ids=["thermal", "displaced_thermal", "constructed"])
 def test_state_is_read_only_and_its_entropy_taken_once(build, monkeypatch):
     # the entropy is kept with the state, so its matrix must not change
@@ -289,17 +288,31 @@ def test_state_refuses_non_finite_matrix(entry, at):
     # an eigensolve of a NaN diagonal need not raise: the entropy of
     # diag(NaN, 1/3, 1/3) would come out as a finite 0.528 bits
     with pytest.raises(NumericFailure, match="dim 3"):
-        DensityOperator(matrix=_diag_with(entry, at), truncation_tol=0.0)
+        DensityOperator(matrix=_diag_with(entry, at))
 
 
 def test_state_dimension_is_its_matrix_shape():
-    rho = DensityOperator(matrix=np.diag(np.full(3, 1 / 3 + 0j)),
-                          truncation_tol=0.0)
+    rho = DensityOperator(matrix=np.diag(np.full(3, 1 / 3 + 0j)))
     assert rho.dim == rho.matrix.shape[0] == 3
     assert thermal_state(0.5, 7).dim == 7
     with pytest.raises(TypeError):
-        DensityOperator(matrix=np.eye(3, dtype=complex) / 3, dim=5,
-                        truncation_tol=0.0)
+        DensityOperator(matrix=np.eye(3, dtype=complex) / 3, dim=5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: thermal_state(0.7, 30),
+    lambda: thermal_state(0.0, 4),
+    lambda: displaced_thermal(1.1 + 0.5j, 0.7, 30),
+    lambda: DensityOperator(matrix=np.diag([0.5 + 0j, 0.25, 0.125])),
+], ids=["thermal", "vacuum", "displaced_thermal", "constructed"])
+def test_trace_deficit_is_read_off_the_matrix(build):
+    rho = build()
+    want = max(0.0, 1.0 - float(np.trace(rho.matrix).real))
+    assert rho.trace_deficit == want
+    with pytest.raises(AttributeError):
+        rho.trace_deficit = 0.0
+    with pytest.raises(TypeError):
+        DensityOperator(matrix=rho.matrix, truncation_tol=0.0)
 
 
 def test_relative_entropy_of_different_dimensions_is_a_value_error():
@@ -332,8 +345,7 @@ def test_relative_entropy_self_is_zero():
 
 def test_relative_entropy_support_violation():
     vec = coherent_state(0j, 30)
-    pure = DensityOperator(matrix=np.outer(vec, vec.conj()),
-                           truncation_tol=0.0)
+    pure = DensityOperator(matrix=np.outer(vec, vec.conj()))
     mixed = thermal_state(1.0, 30)
     with pytest.raises(SupportError):
         relative_entropy(mixed, pure)
@@ -370,8 +382,7 @@ def test_relative_entropy_diagonal_sigma_in_any_order_matches_overlap_oracle(
     else:
         weights = np.repeat(weights[:30:2], 4)[:60]
         weights = weights / weights.sum()
-    sigma = DensityOperator(matrix=np.diag(weights.astype(complex)),
-                            truncation_tol=0.0)
+    sigma = DensityOperator(matrix=np.diag(weights.astype(complex)))
     rho = displaced_thermal(0.9 - 0.4j, 0.8, 60)
     got = relative_entropy(rho, sigma)
     assert got > 0.01

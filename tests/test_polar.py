@@ -9,8 +9,9 @@ from scipy.special import logsumexp
 
 from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
                      inverse_gray, polar_transform)
-from thermalcomm import (PolarCode, channel_params, construct_multilevel,
-                         induced_channel, make_constellation, simulate)
+from thermalcomm import (InducedChannel, PolarCode, channel_params,
+                         construct_multilevel, induced_channel,
+                         make_constellation, simulate)
 from thermalcomm import polar
 from thermalcomm.polar import (_sc_batch, _transform_batch,
                                estimate_level_mi, genie_error_counts,
@@ -127,6 +128,23 @@ def test_induced_channel_rejects_bad_input():
         induced_channel(P, c)
     with pytest.raises(ValueError):
         induced_channel(P, make_constellation("equilattice", 3))
+
+
+def test_induced_channel_derives_its_labels_from_the_point_count():
+    # nbits, the Gray labels and their tables follow from m alone
+    amplitudes = make_channel(8).amplitudes
+    direct = InducedChannel(P, amplitudes)
+    assert direct.nbits == 3
+    for got, want in zip((direct.labels, *direct.label_tables),
+                         (make_channel(8).labels, *make_channel(8).label_tables)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError, match="power of 2, got 6"):
+        InducedChannel(P, np.linspace(-1.0, 1.0, 6))
+    for derived in ({"nbits": 3}, {"labels": direct.labels},
+                    {"label_tables": direct.label_tables}):
+        with pytest.raises(TypeError):
+            InducedChannel(P, amplitudes, **derived)
 
 
 def test_heterodyne_noise_variance():
@@ -331,9 +349,14 @@ def test_sc_decode_batch_skips_frozen_subtrees_exactly(n):
                    np.array([], dtype=int)):
         code = PolarCode(n=n, frozen=frozen)
         is_frozen = np.isin(np.arange(n), frozen)
-        want = _sc_batch(llr, lambda i, col: (col < 0) & ~is_frozen[i], 0)
-        got = sc_decode_batch(code, llr)
-        for g, w in zip(got, want):
+        u = np.zeros((16, n), dtype=np.int8)
+
+        def decide(i, col):
+            u[:, i] = (col < 0) & ~is_frozen[i]
+            return u[:, i]
+
+        x = _sc_batch(llr, decide, 0)
+        for g, w in zip(sc_decode_batch(code, llr), (u, x)):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
 
@@ -357,7 +380,13 @@ def test_sc_partial_sums_are_the_transform_of_the_decisions():
     rng = np.random.default_rng(5)
     llr = rng.normal(size=(16, 64))
     flips = rng.integers(0, 2, size=(16, 64)).astype(np.int8)
-    u, x = _sc_batch(llr, lambda i, col: (col < 0) ^ flips[:, i], 0)
+    u = np.zeros((16, 64), dtype=np.int8)
+
+    def decide(i, col):
+        u[:, i] = (col < 0) ^ flips[:, i]
+        return u[:, i]
+
+    x = _sc_batch(llr, decide, 0)
     for row_u, row_x in zip(u, x):
         np.testing.assert_array_equal(row_x, polar_transform(row_u))
 
@@ -465,11 +494,30 @@ def test_simulate_working_set_does_not_grow_with_trials(monkeypatch):
     ch = make_channel(4)
     codes = construct_multilevel(ch, 64, 1.6, 200, seed=6)
     one = _simulate_peak_bytes(ch, codes, 64)
-    four = _simulate_peak_bytes(ch, codes, 4 * 64)
-    # the 192 extra trials may add their int8 info bits, one byte per level
-    # and position, and their flags, and nothing else
-    extra = 3 * 64 * (ch.levels * 64 + 1)
-    assert four - one <= extra, (one, four, extra)
+    for chunks in (4, 16):
+        more = _simulate_peak_bytes(ch, codes, chunks * 64)
+        # the extra trials may add their int8 info bits, one byte per level
+        # and position, and their flags, and nothing else
+        extra = (chunks - 1) * 64 * (ch.levels * 64 + 1)
+        assert more - one <= extra, (chunks, one, more, extra)
+
+
+@pytest.mark.parametrize("rows", [(7,), (3, 4), (1, 5, 2), (4, 4, 4, 1)])
+@pytest.mark.parametrize("width", [1, 6, 33])
+def test_info_bit_draws_in_row_chunks_are_one_draw(rows, width):
+    # simulate draws each level's info bits a chunk of rows at a time; the
+    # bits are those of one draw of every row only because numpy's stream
+    # for consecutive integer draws does not depend on how they are split
+    whole = np.random.default_rng(5)
+    want = whole.integers(0, 2, size=(sum(rows), width))
+    parts = np.random.default_rng(5)
+    got = np.concatenate([parts.integers(0, 2, size=(r, width))
+                          for r in rows])
+    np.testing.assert_array_equal(got, want)
+    # and the draws after them continue from the same point
+    assert parts.integers(0, 2, size=11).tolist() == whole.integers(
+        0, 2, size=11).tolist()
+    assert parts.normal() == whole.normal()
 
 
 def test_simulate_trials_zero_reports_construction_only():
