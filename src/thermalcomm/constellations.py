@@ -26,7 +26,7 @@ KINDS = ("equilattice", "quantile", "random_walk", "gauss_hermite")
 _DPS = 50  # digits for the kernel double sums; chi2 can be ~1e-30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealConstellation:
     """``m`` real points with probabilities approximating N(0, 1)."""
 
@@ -36,7 +36,7 @@ class RealConstellation:
     m = property(lambda self: len(self.points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexConstellation:
     """m^2 complex points emulating the P function of a thermal state."""
 

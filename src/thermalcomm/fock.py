@@ -3,8 +3,8 @@ operators, entropies and relative entropy.
 
 All constructors work at a caller-chosen truncation dimension;
 ``default_dim`` gives a conservative choice.  The Laguerre tables work in
-the log domain; ``coherent_state``'s recurrence does not, and overflows
-once |z|^2 exceeds about 1,424.
+the log domain; ``coherent_state``'s recurrence does not: past |z|^2 of
+about 1,424 its amplitudes overflow, and it raises ``NumericFailure``.
 
 ``coherent_state`` takes an array of points, so a pure-loss ensemble is
 one call; each column has the bits of that point's own call.  A state
@@ -20,6 +20,10 @@ closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): the costly
 Laguerre table depends on |alpha| alone, so one table per radius serves
 every point on that circle, and each point adds only its phase powers.
 ``_laguerre_tables`` runs one recurrence for all of a caller's radii.
+What depends on the dimension alone, the lower triangle's indices and
+offsets (``_tril_layout``), and on the width alone, the thermal weights
+(``_thermal_weights``), a caller building many states passes down as
+``_layout`` and ``_weights``; a call without them builds its own.
 
 For a non-real numpy complex center z, displaced_thermal(conj z) equals
 displaced_thermal(z).matrix.conj() in every value; the bits differ at most
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,7 +51,7 @@ EIG_FLOOR = 1e-14
 SUPPORT_TOL = 1e-9  # largest weight D(rho || sigma) lets rho put off sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian PSD matrix on a truncated Fock space; its ``dim`` and
     ``trace_deficit``, max(0, 1 - Re Tr M), are read off the matrix.  A NaN
@@ -88,7 +93,8 @@ def coherent_state(z, dim: int) -> np.ndarray:
     a_n = exp(-|z|^2/2) z^n / sqrt(n!), built by a stable multiplicative
     recurrence (one cumulative product down the columns); |a_n|^2 is
     Poisson with mean |z|^2.  Each column equals the scalar call's vector
-    bit for bit.
+    bit for bit.  Past |z|^2 of about 1,424 the running product overflows,
+    and ``NumericFailure`` is raised.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -101,9 +107,14 @@ def coherent_state(z, dim: int) -> np.ndarray:
     steps = np.sqrt(np.arange(1, dim)).reshape((-1,) + (1,) * z.ndim)
     amps = np.empty((dim,) + z.shape, dtype=complex)
     amps[0] = 1.0
-    amps[1:] = np.cumprod(z / steps, axis=0)
-    # math.exp per point: numpy's vectorized exp may round differently
-    amps *= np.reshape([math.exp(-x / 2.0) for x in r2], z.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps[1:] = np.cumprod(z / steps, axis=0)
+        # math.exp per point: numpy's vectorized exp may round differently
+        amps *= np.reshape([math.exp(-x / 2.0) for x in r2], z.shape)
+    # a product that overflows stays non-finite down its column
+    if not np.isfinite(amps[-1]).all():
+        raise NumericFailure(
+            f"non-finite coherent amplitude at |z|^2 = {max(r2):.1f}")
     return amps
 
 
@@ -123,14 +134,35 @@ def thermal_state(N: float, dim: int) -> DensityOperator:
     return DensityOperator(matrix=np.diag(diag.astype(complex)))
 
 
-def _laguerre_tables(radii, dim: int) -> np.ndarray:
+def _thermal_weights(Nbar: float, dim: int) -> np.ndarray:
+    """sqrt p_n of the thermal state of mean photon number ``Nbar``, the
+    column scale of D(alpha) in ``displaced_thermal``."""
+    return np.sqrt(thermal_state(Nbar, dim).matrix.real.diagonal())
+
+
+_TrilLayout = namedtuple("_TrilLayout", "m n k odd lower upper")
+
+
+def _tril_layout(dim: int) -> _TrilLayout:
+    """The pairs m >= n of a dim x dim matrix in ``np.tril_indices`` order:
+    m, n, the offsets k = m - n, the odd-offset mask, and the flat
+    positions of (m, n) and of its mirror (n, m)."""
+    m, n = np.tril_indices(dim)
+    k = m - n
+    return _TrilLayout(m, n, k, k % 2 == 1, m * dim + n, n * dim + m)
+
+
+def _laguerre_tables(radii, dim: int,
+                     layout: _TrilLayout | None = None) -> np.ndarray:
     """Row i holds the real values <m|D(alpha)|n> e^{-i(m-n) arg alpha} at
     |alpha| = radii[i] > 0 for every pair m >= n, in ``np.tril_indices(dim)``
     order: L_n^{(k)}(r^2) by one three-term recurrence over all radii, then
-    the Laguerre closed form in the log domain at k = m - n."""
+    the Laguerre closed form in the log domain at k = m - n.  ``layout`` is
+    ``_tril_layout(dim)``, built here when not given."""
     xs = [r ** 2 for r in radii]
-    m, n = np.tril_indices(dim)
-    kk = m - n
+    if layout is None:
+        layout = _tril_layout(dim)
+    m, n, kk = layout.m, layout.n, layout.k
     # L_{d+1}^{(k)} = ((2d + 1 + k - x) L_d^{(k)} - (d + k) L_{d-1}^{(k)})
     # / (d + 1) for every radius (rows), at k < dim - d - 1 only: the pairs
     # of degree n read k < dim - n.  Each degree's row goes straight to its
@@ -168,13 +200,15 @@ def _laguerre_tables(radii, dim: int) -> np.ndarray:
 
 
 def displacement_operator(alpha: complex, dim: int, *,
-                          _table: np.ndarray | None = None) -> np.ndarray:
+                          _table: np.ndarray | None = None,
+                          _layout: _TrilLayout | None = None) -> np.ndarray:
     """Matrix of D(alpha) on the truncated space, via the Laguerre closed
     form; unitary on the retained subspace up to truncation error.
     <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|) with f real: the
     table f depends on |alpha| alone, so a caller displacing by many points
     of one radius builds it once (a row of ``_laguerre_tables``) and
-    passes it as ``_table``.  It serves both triangles, since
+    passes it as ``_table``, and one ``_tril_layout(dim)`` as ``_layout``
+    for every point.  The table serves both triangles, since
     D(alpha)^dag = D(-alpha) and <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n>
     for m >= n."""
     if dim < 1:
@@ -185,28 +219,35 @@ def displacement_operator(alpha: complex, dim: int, *,
             "severe truncation", TruncationWarning, stacklevel=2)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
+    if _layout is None:
+        _layout = _tril_layout(dim)
     if _table is None:
-        _table = _laguerre_tables([abs(alpha)], dim)[0]
-    m, n = np.tril_indices(dim)
+        _table = _laguerre_tables([abs(alpha)], dim, _layout)[0]
     phase = alpha / abs(alpha)
     # rates passes np.complex128 centers, so the division above and these
     # powers are numpy scalar arithmetic, whose bits (pinned by the thermal
     # rate golden) differ from CPython complex's: keep centers numpy-typed
     phase_pow = np.array([phase ** d for d in range(dim)])
-    lower = _table * phase_pow[m - n]
+    lower = _table * phase_pow[_layout.k]
     out = np.empty((dim, dim), dtype=complex)
-    out[n, m] = np.where((m - n) % 2 == 1, -lower, lower).conj()
-    out[m, n] = lower  # after the mirror, so the diagonal is not conjugated
+    flat = out.reshape(-1)
+    flat[_layout.upper] = np.where(_layout.odd, -lower, lower).conj()
+    flat[_layout.lower] = lower  # after the mirror: the diagonal stays as is
     return out
 
 
 def displaced_thermal(alpha: complex, Nbar: float, dim: int, *,
-                      _table: np.ndarray | None = None) -> DensityOperator:
+                      _table: np.ndarray | None = None,
+                      _layout: _TrilLayout | None = None,
+                      _weights: np.ndarray | None = None) -> DensityOperator:
     """D(alpha) tau_Nbar D(alpha)^dag, for every Nbar >= 0 (Nbar = 0 gives
-    the coherent state |alpha><alpha|).  ``_table`` is the Laguerre table of
-    |alpha| at ``dim``, passed on to ``displacement_operator``."""
-    p = thermal_state(Nbar, dim).matrix.real.diagonal()
-    scaled = displacement_operator(alpha, dim, _table=_table) * np.sqrt(p)
+    the coherent state |alpha><alpha|).  ``_table`` and ``_layout`` are
+    passed on to ``displacement_operator``; ``_weights`` is
+    ``_thermal_weights(Nbar, dim)``, built here when not given."""
+    if _weights is None:
+        _weights = _thermal_weights(Nbar, dim)
+    scaled = displacement_operator(alpha, dim, _table=_table,
+                                   _layout=_layout) * _weights
     return _density_operator(scaled @ scaled.conj().T)
 
 

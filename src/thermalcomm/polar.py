@@ -45,7 +45,7 @@ _SLICE = 1 << 20
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarCode:
     """Blocklength and sorted frozen index set; frozen bits are zero."""
 
@@ -89,7 +89,7 @@ def _transform_batch(u: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedChannel:
     """Discrete-input channel: uniform product constellation, thermal
     channel, heterodyne detection; 2 log2(m) bit levels, Gray-labeled per

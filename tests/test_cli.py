@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -337,17 +338,22 @@ def test_dimension_above_max_dim_exits_4(argv):
     assert text == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["rates", "chi2"])
 def test_non_finite_average_state_exits_3(command):
     # coherent_state's running product overflows past |z|^2 of about 1,424,
     # inside MAX_DIM; the NaN trace would pass the deficit check, and an
-    # eigensolve of a NaN diagonal can return finite garbage
-    code, text, err = run_cli_stderr([command, "--k", "0.9", "--n", "1900",
-                                      "--m-max", "2", "--kinds", "equilattice"])
+    # eigensolve of a NaN diagonal can return finite garbage.  The typed
+    # error is all the run reports: numpy's overflow warnings stay inside
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text, err = run_cli_stderr([command, "--k", "0.9", "--n",
+                                          "1900", "--m-max", "2",
+                                          "--kinds", "equilattice"])
     assert code == 3
     assert text == ""
-    assert "non-finite" in err
+    assert err.splitlines() == [
+        "numeric failure: non-finite coherent amplitude at |z|^2 = 1539.0"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_support_error_exits_3(monkeypatch):
@@ -770,6 +776,28 @@ def test_public_dataclasses_take_only_their_inputs():
                       "mc_budget", "rate_fraction"],
     }
     assert sum(len(names) for names in init_fields.values()) == 36
+
+
+def test_array_dataclasses_compare_and_hash_by_identity():
+    # a generated field-wise == would take the truth value of an array,
+    # and hash() would hash one; the classes holding arrays go by identity
+    import thermalcomm as tc
+    from thermalcomm.polar import InducedChannel, PolarCode
+
+    p = tc.channel_params(0.8, 0.5, 7.0)
+
+    def builds():
+        R = tc.make_constellation("quantile", 4)
+        Q = tc.product_constellation(R, p.N)
+        return (R, Q, tc.thermal_state(0.5, 4), tc.build_ensemble(p, Q, "B"),
+                PolarCode(n=4, frozen=np.array([0])),
+                InducedChannel(p, np.array([-1.0, 1.0])))
+
+    for a, b in zip(builds(), builds()):
+        assert a == a and a != b
+        assert len({a, b}) == 2
+    assert p == tc.channel_params(0.8, 0.5, 7.0)
+    assert hash(p) == hash(tc.channel_params(0.8, 0.5, 7.0))
 
 
 def _unread(command):

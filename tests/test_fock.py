@@ -74,6 +74,17 @@ def test_coherent_state_array_warns_once_with_largest_energy():
     assert "|z|^2 = 16.0 at dim = 10" in str(caught[0].message)
 
 
+def test_coherent_state_overflow_is_a_numeric_failure_without_warnings():
+    # the running product overflows past |z|^2 of about 1,424; the caller
+    # gets the typed error alone, not numpy's overflow warnings first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericFailure, match="non-finite"):
+            coherent_state(np.array([1.0, 38.0 + 0j]), 1873)
+        assert np.isfinite(coherent_state(37.0 + 0j, 1873)).all()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_thermal_state_geometric_and_entropy():
     N = 2.5
     tau = thermal_state(N, 200)
@@ -169,15 +180,31 @@ _ORACLE_ALPHAS = [0j, 1.1, -1j, 0.3 - 0.2j,
                   *2.0 * np.random.default_rng(11).standard_normal(40).view(complex)]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 5, 44, 77, 90])
+# 120 and 168 are past dim 100, where numpy's complex power leaves repeated
+# squaring for exp-log: there (-phase)^k is no longer (-1)^k phase^k bit for
+# bit, so D(-alpha)'s own per-offset build meets the upper triangle only to
+# rounding, and the upper triangle is checked against the exact mirror
+@pytest.mark.parametrize("dim", [1, 2, 5, 44, 77, 90, 120, 168])
 def test_displacement_matches_per_offset_oracle_bitwise(dim):
-    # one shared table and whole-triangle arithmetic must reproduce the
-    # two-table, per-offset build exactly, not just to a tolerance
+    # one shared table, one layout and whole-triangle arithmetic must
+    # reproduce the per-offset build exactly, not just to a tolerance: the
+    # lower triangle, and above it the lower triangle's exact mirror
+    m, n = np.tril_indices(dim)
+    above = m > n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for alpha in _ORACLE_ALPHAS:
-            assert np.array_equal(displacement_operator(alpha, dim),
-                                  _oracle_displacement(alpha, dim)), alpha
+            got = displacement_operator(alpha, dim)
+            lower = _oracle_lower_triangle(alpha, dim)[m, n]
+            mirror = np.where((m - n) % 2 == 1, -lower, lower).conj()
+            assert np.array_equal(got[m, n], lower), alpha
+            assert np.array_equal(got[n, m][above], mirror[above]), alpha
+            two_tables = _oracle_displacement(alpha, dim)
+            if dim <= 100:
+                assert np.array_equal(got, two_tables), alpha
+            else:
+                np.testing.assert_allclose(got, two_tables, rtol=1e-12,
+                                           atol=0.0, err_msg=str(alpha))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 40, 57, 100, 168, 250])

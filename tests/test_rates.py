@@ -285,6 +285,42 @@ def test_conjugate_sharing_bitwise_on_irregular_ensembles(centers, builds,
     _assert_bitwise_equal(rho.matrix, _unshared_average_state(e, 120))
 
 
+@pytest.mark.parametrize("n0", [0.46, 0.54])
+@pytest.mark.parametrize("kind", ["equilattice", "quantile", "random_walk",
+                                  "gauss_hermite"])
+def test_thermal_average_state_sums_standalone_states_bitwise(kind, n0):
+    # the layout, weights and tables one call shares must give each center
+    # the bits of its own public displaced_thermal call, summed in order
+    p = channel_params(0.8, n0, 7.0)
+    for m in (2, 5, 8):
+        Q = make_Q(kind, m, p)
+        for side in ("B", "E"):
+            e = build_ensemble(p, Q, side)
+            rho = ensemble_average_state(e)
+            mat = np.zeros((rho.dim, rho.dim), dtype=complex)
+            for q, z in zip(e.probs, e.centers):
+                mat += q * displaced_thermal(z, e.width, rho.dim).matrix
+            _assert_bitwise_equal(rho.matrix, (mat + mat.conj().T) / 2.0)
+
+
+def test_thermal_build_takes_one_layout_and_one_set_of_weights(monkeypatch):
+    e = build_ensemble(P_THERMAL, make_Q("equilattice", 8, P_THERMAL), "B")
+    layouts = []
+    tril_indices = np.tril_indices
+
+    def counting(*args, **kwargs):
+        layouts.append(args)
+        return tril_indices(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tril_indices", counting)
+    weights = _record_calls(monkeypatch, fock.thermal_state)
+    thermals = _record_calls(monkeypatch, fock.displaced_thermal)
+    rho = ensemble_average_state(e)
+    assert len(thermals) > 1
+    assert layouts == [(rho.dim,)]
+    assert weights == [(e.width, rho.dim)]
+
+
 def test_one_table_build_per_distinct_radius_per_call(monkeypatch):
     e = build_ensemble(P_THERMAL, make_Q("equilattice", 8, P_THERMAL), "B")
     nonzero_radii = {abs(z) for z in e.centers} - {0.0}

@@ -1,11 +1,16 @@
 """Print the md5 of the standard output of every benchmark invocation, the
-CLI defaults and the demos, one ``md5  argv`` line each.
+CLI defaults and the demos, one ``md5  argv`` line each, after a first
+``blas`` line recording the BLAS backend and its thread counts.
 
     python3 tools/stdout_digests.py [CHECKOUT] > digests.txt
 
 CHECKOUT is the root of the checkout to run, by default the one holding
 this script.  Run it on the checkouts before and after a change and diff
 the two files: a change that must keep every printed byte shows none.
+The pure-loss digests depend on the OpenBLAS thread count (a few
+eigenvalues and Gram entries move in the last bit between 1 and 2
+threads), so compare only files whose ``blas`` lines agree; the goldens
+in ``tests/test_cli.py`` hold at 2 OpenBLAS threads.
 
 The invocations are every argv ``perfbench/workloads.py`` generates, at
 full and self-test size, for seeds 0-2, each workload's warm-up, and the
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import runpy
 import sys
 from contextlib import redirect_stdout
@@ -30,6 +36,7 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from probe import import_cli  # noqa: E402
+from run import blas_record  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = range(3)
@@ -52,6 +59,8 @@ def _md5(text: str) -> str:
 
 def main() -> None:
     cli = import_cli(ROOT / "src")
+    # after the import, so the OpenBLAS that scipy loads is counted too
+    print(f"blas  {json.dumps(blas_record(), sort_keys=True)}", flush=True)
     for argv in invocations():
         buf = io.StringIO()
         with redirect_stdout(buf):
