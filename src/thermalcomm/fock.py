@@ -19,19 +19,10 @@ Displacement matrices rest on the phase identity
 closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): the costly
 Laguerre table depends on |alpha| alone, so one table per radius serves
 every point on that circle, and each point adds only its phase powers.
-``_laguerre_tables`` runs one recurrence for all of a caller's radii.
-What depends on the dimension alone, the lower triangle's indices and
-offsets (``_tril_layout``), and on the width alone, the thermal weights
-(``_thermal_weights``), a caller building many states passes down as
-``_layout`` and ``_weights``; a call without them builds its own.
-
-For a non-real numpy complex center z, displaced_thermal(conj z) equals
-displaced_thermal(z).matrix.conj() in every value; the bits differ at most
-in the sign of exact zeros, which a sum starting from +0.0 absorbs.  So
-``rates.ensemble_average_state`` builds one state per conjugate pair, and
-its average state keeps every bit.  Real centers are never shared: past
-dim 100, where numpy's complex power leaves repeated squaring, a negative
-real center's conjugate state differs from its state's conjugate.
+A ``_Basis`` holds what a dimension's displacements share: the lower
+triangle's layout and one table per radius, from a single recurrence over
+all radii (``_laguerre_tables``).  ``_mixture`` builds every ensemble
+average state sum_j q_j theta_j, one basis per call.
 """
 
 from __future__ import annotations
@@ -121,6 +112,12 @@ def coherent_state(z, dim: int) -> np.ndarray:
 def thermal_state(N: float, dim: int) -> DensityOperator:
     """Thermal state of mean photon number ``N``: diagonal geometric weights
     (1/(N+1)) (N/(N+1))^n."""
+    return DensityOperator(matrix=np.diag(
+        _thermal_diagonal(N, dim).astype(complex)))
+
+
+def _thermal_diagonal(N: float, dim: int) -> np.ndarray:
+    """The diagonal of ``thermal_state(N, dim)``, as real numbers."""
     if N < 0.0:
         raise ValueError(f"mean photon number must be >= 0, got {N}")
     if dim < 1:
@@ -128,41 +125,33 @@ def thermal_state(N: float, dim: int) -> DensityOperator:
     if N == 0.0:
         diag = np.zeros(dim)
         diag[0] = 1.0
-    else:
-        ratio = N / (N + 1.0)
-        diag = np.exp(np.arange(dim) * math.log(ratio)) / (N + 1.0)
-    return DensityOperator(matrix=np.diag(diag.astype(complex)))
+        return diag
+    ratio = N / (N + 1.0)
+    return np.exp(np.arange(dim) * math.log(ratio)) / (N + 1.0)
 
 
-def _thermal_weights(Nbar: float, dim: int) -> np.ndarray:
-    """sqrt p_n of the thermal state of mean photon number ``Nbar``, the
-    column scale of D(alpha) in ``displaced_thermal``."""
-    return np.sqrt(thermal_state(Nbar, dim).matrix.real.diagonal())
+_Basis = namedtuple("_Basis", "m n k odd lower upper tables")
 
 
-_TrilLayout = namedtuple("_TrilLayout", "m n k odd lower upper")
-
-
-def _tril_layout(dim: int) -> _TrilLayout:
+def _make_basis(dim: int, radii) -> _Basis:
     """The pairs m >= n of a dim x dim matrix in ``np.tril_indices`` order:
-    m, n, the offsets k = m - n, the odd-offset mask, and the flat
-    positions of (m, n) and of its mirror (n, m)."""
+    m, n, the offsets k = m - n, the odd-offset mask, the flat positions of
+    (m, n) and of its mirror (n, m); and ``tables``, each radius's row of
+    ``_laguerre_tables`` keyed by the radius."""
     m, n = np.tril_indices(dim)
     k = m - n
-    return _TrilLayout(m, n, k, k % 2 == 1, m * dim + n, n * dim + m)
+    tables = dict(zip(radii, _laguerre_tables(radii, dim, m, n, k)))
+    return _Basis(m, n, k, k % 2 == 1, m * dim + n, n * dim + m, tables)
 
 
-def _laguerre_tables(radii, dim: int,
-                     layout: _TrilLayout | None = None) -> np.ndarray:
+def _laguerre_tables(radii, dim: int, m: np.ndarray, n: np.ndarray,
+                     kk: np.ndarray) -> np.ndarray:
     """Row i holds the real values <m|D(alpha)|n> e^{-i(m-n) arg alpha} at
     |alpha| = radii[i] > 0 for every pair m >= n, in ``np.tril_indices(dim)``
-    order: L_n^{(k)}(r^2) by one three-term recurrence over all radii, then
-    the Laguerre closed form in the log domain at k = m - n.  ``layout`` is
-    ``_tril_layout(dim)``, built here when not given."""
+    order (its m, n and k = m - n given): L_n^{(k)}(r^2) by one three-term
+    recurrence over all radii, then the Laguerre closed form in the log
+    domain."""
     xs = [r ** 2 for r in radii]
-    if layout is None:
-        layout = _tril_layout(dim)
-    m, n, kk = layout.m, layout.n, layout.k
     # L_{d+1}^{(k)} = ((2d + 1 + k - x) L_d^{(k)} - (d + k) L_{d-1}^{(k)})
     # / (d + 1) for every radius (rows), at k < dim - d - 1 only: the pairs
     # of degree n read k < dim - n.  Each degree's row goes straight to its
@@ -200,17 +189,14 @@ def _laguerre_tables(radii, dim: int,
 
 
 def displacement_operator(alpha: complex, dim: int, *,
-                          _table: np.ndarray | None = None,
-                          _layout: _TrilLayout | None = None) -> np.ndarray:
+                          _basis: _Basis | None = None) -> np.ndarray:
     """Matrix of D(alpha) on the truncated space, via the Laguerre closed
     form; unitary on the retained subspace up to truncation error.
     <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|) with f real: the
     table f depends on |alpha| alone, so a caller displacing by many points
-    of one radius builds it once (a row of ``_laguerre_tables``) and
-    passes it as ``_table``, and one ``_tril_layout(dim)`` as ``_layout``
-    for every point.  The table serves both triangles, since
-    D(alpha)^dag = D(-alpha) and <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n>
-    for m >= n."""
+    passes one ``_make_basis(dim, radii)`` as ``_basis`` for all of them.
+    The table serves both triangles, since D(alpha)^dag = D(-alpha) and
+    <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n> for m >= n."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if abs(alpha) ** 2 > dim:
@@ -219,35 +205,28 @@ def displacement_operator(alpha: complex, dim: int, *,
             "severe truncation", TruncationWarning, stacklevel=2)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
-    if _layout is None:
-        _layout = _tril_layout(dim)
-    if _table is None:
-        _table = _laguerre_tables([abs(alpha)], dim, _layout)[0]
+    if _basis is None:
+        _basis = _make_basis(dim, [abs(alpha)])
     phase = alpha / abs(alpha)
     # rates passes np.complex128 centers, so the division above and these
     # powers are numpy scalar arithmetic, whose bits (pinned by the thermal
     # rate golden) differ from CPython complex's: keep centers numpy-typed
     phase_pow = np.array([phase ** d for d in range(dim)])
-    lower = _table * phase_pow[_layout.k]
+    lower = _basis.tables[abs(alpha)] * phase_pow[_basis.k]
     out = np.empty((dim, dim), dtype=complex)
     flat = out.reshape(-1)
-    flat[_layout.upper] = np.where(_layout.odd, -lower, lower).conj()
-    flat[_layout.lower] = lower  # after the mirror: the diagonal stays as is
+    flat[_basis.upper] = np.where(_basis.odd, -lower, lower).conj()
+    flat[_basis.lower] = lower  # after the mirror: the diagonal stays as is
     return out
 
 
 def displaced_thermal(alpha: complex, Nbar: float, dim: int, *,
-                      _table: np.ndarray | None = None,
-                      _layout: _TrilLayout | None = None,
-                      _weights: np.ndarray | None = None) -> DensityOperator:
+                      _basis: _Basis | None = None) -> DensityOperator:
     """D(alpha) tau_Nbar D(alpha)^dag, for every Nbar >= 0 (Nbar = 0 gives
-    the coherent state |alpha><alpha|).  ``_table`` and ``_layout`` are
-    passed on to ``displacement_operator``; ``_weights`` is
-    ``_thermal_weights(Nbar, dim)``, built here when not given."""
-    if _weights is None:
-        _weights = _thermal_weights(Nbar, dim)
-    scaled = displacement_operator(alpha, dim, _table=_table,
-                                   _layout=_layout) * _weights
+    the coherent state |alpha><alpha|): D(alpha) sqrt(tau) times its
+    adjoint.  ``_basis`` is passed on to ``displacement_operator``."""
+    weights = np.sqrt(_thermal_diagonal(Nbar, dim))
+    scaled = displacement_operator(alpha, dim, _basis=_basis) * weights
     return _density_operator(scaled @ scaled.conj().T)
 
 
@@ -255,6 +234,39 @@ def _density_operator(mat: np.ndarray) -> DensityOperator:
     """Wrap an assembled state matrix, Hermitized: (M + M^dag)/2 mirrors
     each entry as its exact conjugate, so the state reads it as it is."""
     return DensityOperator(matrix=(mat + mat.conj().T) / 2.0)
+
+
+def _mixture(probs, centers, Nbar: float, dim: int) -> DensityOperator:
+    """sum_j q_j D(z_j) tau_Nbar D(z_j)^dag over ``probs`` q and ``centers``
+    z, Hermitized.  At Nbar = 0 it is one product of the weighted amplitude
+    columns of one ``coherent_state`` call with their adjoint.  Otherwise
+    one ``_make_basis`` over every distinct nonzero |z| serves each
+    ``displaced_thermal``, and a non-real center's conjugate reuses its
+    state.  For a non-real numpy complex z, displaced_thermal(conj z)
+    equals displaced_thermal(z).matrix.conj() in every value; the bits
+    differ at most in the sign of exact zeros, which the sum, starting from
+    +0.0, absorbs; so the average state keeps every bit.  A center whose
+    conjugate comes later holds that conjugate state until its turn, so the
+    sum keeps its order; a symmetric product constellation puts conj z in
+    z's row, so at most floor(m/2) states are held at once.  Real centers
+    are never shared: past dim 100, where numpy's complex power leaves
+    repeated squaring, a negative real center's conjugate state differs
+    from its state's conjugate."""
+    if Nbar == 0.0:
+        cols = np.sqrt(probs) * coherent_state(centers, dim)
+        return _density_operator(cols @ cols.conj().T)
+    basis = _make_basis(dim, list({abs(z) for z in centers} - {0.0}))
+    last = {z: j for j, z in enumerate(centers)}
+    held = {}  # center -> its state, the conjugate of an earlier one's
+    mat = np.zeros((dim, dim), dtype=complex)
+    for j, (q, z) in enumerate(zip(probs, centers)):
+        state = held.pop(z, None)
+        if state is None:
+            state = displaced_thermal(z, Nbar, dim, _basis=basis).matrix
+        if z.imag != 0.0 and last.get(z.conjugate(), -1) > j:
+            held[z.conjugate()] = state.conj()
+        mat += q * state
+    return _density_operator(mat)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

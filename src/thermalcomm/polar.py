@@ -159,13 +159,16 @@ class InducedChannel:
 
         The prefix indexes the level's point table, so each outcome gathers
         the centers of its two candidate subsets and reduces each with
-        np.logaddexp, ``_SLICE`` outcomes at a time.  A prefix outside the
-        table raises ValueError."""
+        np.logaddexp, ``_SLICE`` outcomes at a time.  A prefix not of
+        ``yq``'s shape, or outside the table, raises ValueError."""
         bpos = level % self.nbits
         if not 0 <= level < self.levels:
             raise ValueError(f"level must be in [0, {self.levels}), got {level}")
         yq = np.asarray(yq, dtype=float)
         prefix = np.asarray(prefix)
+        if prefix.shape != yq.shape:
+            raise ValueError(f"prefix of shape {prefix.shape} for outcomes "
+                             f"of shape {yq.shape}")
         centers = self.params.k * self.amplitudes[self.label_tables[bpos]]
         if len(prefix) and not (0 <= prefix.min() and
                                 prefix.max() < len(centers)):

@@ -16,9 +16,7 @@ import numpy as np
 from .channel import ChannelParams, g_entropy
 from .constellations import ComplexConstellation
 from .errors import TruncationError
-from .fock import (DensityOperator, _density_operator, _laguerre_tables,
-                   _thermal_weights, _tril_layout, coherent_state,
-                   default_dim, displaced_thermal, relative_entropy,
+from .fock import (DensityOperator, _mixture, default_dim, relative_entropy,
                    thermal_state, von_neumann_entropy)
 
 # Largest Fock trace deficit a rate is reported at; beyond it the entropies
@@ -41,11 +39,16 @@ GAP_RESOLUTION = 1e-12
 class Ensemble:
     """Probability-weighted output ensemble on one side of the channel:
     displaced thermal states at ``centers``, all of thermal mean photon
-    number ``width``."""
+    number ``width``, one probability per center."""
 
     probs: np.ndarray
     centers: np.ndarray
     width: float
+
+    def __post_init__(self):
+        if len(self.probs) != len(self.centers):
+            raise ValueError(f"{len(self.probs)} probabilities for "
+                             f"{len(self.centers)} centers")
 
 
 @dataclass(frozen=True)
@@ -78,45 +81,13 @@ def ensemble_dim(e: Ensemble) -> int:
 
 
 def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperator:
-    """sum_j q_j theta_j at the given truncation dimension.
-
-    The zero-width (coherent) case is assembled directly from the
-    amplitude columns of one ``coherent_state`` call over every center.
-    Otherwise the call builds once what every center shares: the
-    triangle layout of the dimension, the thermal weights of the width,
-    and the Laguerre tables of every distinct nonzero |center| from one
-    batched recurrence.  A non-real center's conjugate reuses its state
-    (the ``fock`` module docstring says why that is exact here).
-    A center whose conjugate comes later holds that conjugate state until
-    its turn, so the sum keeps its order; a symmetric product
-    constellation puts conj z in z's row, so at most floor(m/2) states are
-    held at once.  Nothing outlives the call.
-    """
+    """sum_j q_j theta_j at the given truncation dimension, assembled by
+    ``fock._mixture``."""
     if dim is None:
         dim = ensemble_dim(e)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if e.width == 0.0:
-        cols = np.sqrt(e.probs) * coherent_state(e.centers, dim)
-        mat = cols @ cols.conj().T
-    else:
-        layout = _tril_layout(dim)
-        weights = _thermal_weights(e.width, dim)
-        radii = list({abs(z) for z in e.centers} - {0.0})
-        tables = dict(zip(radii, _laguerre_tables(radii, dim, layout)))
-        last = {z: j for j, z in enumerate(e.centers)}
-        held = {}  # center -> its state, the conjugate of an earlier one's
-        mat = np.zeros((dim, dim), dtype=complex)
-        for j, (q, z) in enumerate(zip(e.probs, e.centers)):
-            state = held.pop(z, None)
-            if state is None:
-                state = displaced_thermal(
-                    z, e.width, dim, _table=tables.get(abs(z)),
-                    _layout=layout, _weights=weights).matrix
-            if z.imag != 0.0 and last.get(z.conjugate(), -1) > j:
-                held[z.conjugate()] = state.conj()
-            mat += q * state
-    return _density_operator(mat)
+    return _mixture(e.probs, e.centers, e.width, dim)
 
 
 def _checked_dim(p: ChannelParams, Q: ComplexConstellation, side: str,

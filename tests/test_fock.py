@@ -14,7 +14,7 @@ from thermalcomm import (DensityOperator, coherent_state, default_dim,
                          relative_entropy, thermal_state, von_neumann_entropy)
 from thermalcomm.errors import (NumericFailure, SupportError,
                                 TruncationError, TruncationWarning)
-from thermalcomm.fock import _laguerre_tables
+from thermalcomm.fock import _make_basis
 
 
 def test_coherent_state_is_poisson():
@@ -212,9 +212,10 @@ def test_batched_laguerre_tables_match_per_radius_oracle_bitwise(dim):
     # one recurrence over all radii, each degree cut to the k the pairs
     # read, must reproduce each radius's own full recurrence exactly
     radii = np.geomspace(1e-3, 12.0, 25)
-    tables = _laguerre_tables(list(radii), dim)
-    assert tables.shape == (len(radii), dim * (dim + 1) // 2)
-    for r, row in zip(radii, tables):
+    tables = _make_basis(dim, list(radii)).tables
+    assert list(tables) == list(radii)
+    for r, row in tables.items():
+        assert row.shape == (dim * (dim + 1) // 2,)
         assert np.array_equal(row.view(np.uint64),
                               _laguerre_table(r, dim).view(np.uint64)), r
 

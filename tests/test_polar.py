@@ -236,6 +236,16 @@ def test_level_llrs_rejects_prefix_outside_its_table(level, bad):
                                             np.zeros(3))))
 
 
+@pytest.mark.parametrize("prefix_len", [0, 1, 2, 4])
+def test_level_llrs_refuses_a_prefix_of_another_length(prefix_len):
+    # one prefix per outcome: a single prefix is not broadcast over them
+    ch = make_channel(8)
+    prefix = np.zeros(prefix_len, dtype=int)
+    with pytest.raises(ValueError, match=rf"prefix of shape \({prefix_len},\) "
+                                         r"for outcomes of shape \(3,\)"):
+        ch.level_llrs(2, prefix, np.zeros(3))
+
+
 @pytest.mark.parametrize("slice_", [1, 7, 300])
 def test_level_llrs_sliced_match_unsliced_bitwise(monkeypatch, slice_):
     ch = make_channel(8)

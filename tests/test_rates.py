@@ -195,13 +195,15 @@ P_THERMAL = channel_params(0.8, 0.5, 7.0)
 
 
 def _unshared_average_state(e, dim):
-    """Test-local oracle: one displaced_thermal per point, each with its own
-    table from the per-radius Laguerre oracle, summed and Hermitized in the
-    library's order."""
+    """Test-local oracle: one displaced_thermal per point, each on the
+    library's layout with its own table from the per-radius Laguerre
+    oracle, summed and Hermitized in the library's order."""
+    layout = fock._make_basis(dim, [])
     mat = np.zeros((dim, dim), dtype=complex)
     for q, z in zip(e.probs, e.centers):
-        table = _laguerre_table(abs(z), dim) if z != 0 else None
-        mat += q * displaced_thermal(z, e.width, dim, _table=table).matrix
+        tables = {abs(z): _laguerre_table(abs(z), dim)} if z != 0 else {}
+        basis = layout._replace(tables=tables)
+        mat += q * displaced_thermal(z, e.width, dim, _basis=basis).matrix
     return (mat + mat.conj().T) / 2.0
 
 
@@ -303,7 +305,7 @@ def test_thermal_average_state_sums_standalone_states_bitwise(kind, n0):
             _assert_bitwise_equal(rho.matrix, (mat + mat.conj().T) / 2.0)
 
 
-def test_thermal_build_takes_one_layout_and_one_set_of_weights(monkeypatch):
+def test_thermal_build_takes_one_layout_and_no_thermal_state(monkeypatch):
     e = build_ensemble(P_THERMAL, make_Q("equilattice", 8, P_THERMAL), "B")
     layouts = []
     tril_indices = np.tril_indices
@@ -313,12 +315,41 @@ def test_thermal_build_takes_one_layout_and_one_set_of_weights(monkeypatch):
         return tril_indices(*args, **kwargs)
 
     monkeypatch.setattr(np, "tril_indices", counting)
-    weights = _record_calls(monkeypatch, fock.thermal_state)
+    states = _record_calls(monkeypatch, fock.thermal_state)
     thermals = _record_calls(monkeypatch, fock.displaced_thermal)
     rho = ensemble_average_state(e)
     assert len(thermals) > 1
     assert layouts == [(rho.dim,)]
-    assert weights == [(e.width, rho.dim)]
+    # each center's weights come from the O(D) diagonal, not a D x D state
+    assert states == []
+
+
+def test_fock_has_one_private_seam():
+    # the average-state build lives in fock behind _mixture; its displacements
+    # share what they share through one private keyword, _basis
+    import ast
+    import inspect
+
+    from thermalcomm import rates
+    for fn in (fock.displacement_operator, fock.displaced_thermal):
+        private = [name for name in inspect.signature(fn).parameters
+                   if name.startswith("_")]
+        assert private == ["_basis"], fn.__name__
+    tree = ast.parse(inspect.getsource(rates))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "fock"
+                for alias in node.names]
+    assert [name for name in imported if name.startswith("_")] == ["_mixture"]
+
+
+@pytest.mark.parametrize("width", [0.0, 0.4])
+@pytest.mark.parametrize("probs, centers", [
+    ([1.0], [0.5, -0.5]), ([0.5, 0.5], [0.5])])
+def test_ensemble_needs_one_probability_per_center(probs, centers, width):
+    with pytest.raises(ValueError, match=f"{len(probs)} probabilities for "
+                                         f"{len(centers)} centers"):
+        Ensemble(np.array(probs), np.array(centers, dtype=complex), width)
 
 
 def test_one_table_build_per_distinct_radius_per_call(monkeypatch):
