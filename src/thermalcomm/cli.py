@@ -29,7 +29,8 @@ from .errors import NumericFailure, TruncationError
 from .chi2 import _gap_bound, delta_B_bound
 from .polar import (MIN_MC_BUDGET, _check_power_of_two, construct_multilevel,
                     estimate_level_mi, induced_channel, simulate)
-from .rates import GAP_RESOLUTION, _checked_dim, delta_B, ensemble_rates
+from .rates import (GAP_RESOLUTION, build_ensemble, delta_B, ensemble_dim,
+                    ensemble_rates)
 
 RATES_COLUMNS = ["kind", "m", "classical_rate_bits", "quantum_rate_bits",
                  "delta_B", "delta_E", "chi2_bound", "dim", "trace_deficit"]
@@ -62,8 +63,9 @@ class RunConfig:
 def _table_grid(config: RunConfig, p: ChannelParams,
                 sides: str) -> list[tuple]:
     """(kind, m, constellation, product constellation) of every table row,
-    in output order.  Raises ``TruncationError`` if a row's state on one of
-    ``sides`` needs a dimension above ``rates.MAX_DIM``, before any state
+    in output order.  Every row's state on each of ``sides`` is sized by
+    ``rates.ensemble_dim`` first, so a dimension below 1 (``ValueError``)
+    or above ``rates.MAX_DIM`` (``TruncationError``) fails before any state
     is built."""
     grid = []
     for kind in config.kinds:
@@ -71,7 +73,7 @@ def _table_grid(config: RunConfig, p: ChannelParams,
             c = make_constellation(kind, m)
             Q = product_constellation(c, config.n)
             for side in sides:
-                _checked_dim(p, Q, side, config.dim)
+                ensemble_dim(build_ensemble(p, Q, side), config.dim)
             grid.append((kind, m, c, Q))
     return grid
 
@@ -94,13 +96,11 @@ def cmd_rates(config: RunConfig) -> list[dict]:
     whose noise can come out negative or above ``chi2_bound``; so are the
     rates of magnitude below it, and ``chi2_bound`` if it underflowed."""
     p = channel_params(config.k, config.n0, config.n)
+    empty = dict.fromkeys(RATES_COLUMNS)
     rows = [
-        {"kind": "capacity_C", "m": None, "classical_rate_bits": capacity_C(p),
-         "quantum_rate_bits": None, "delta_B": None, "delta_E": None,
-         "chi2_bound": None, "dim": None, "trace_deficit": None},
-        {"kind": "gaussian_rate_limit", "m": None, "classical_rate_bits": None,
-         "quantum_rate_bits": gaussian_rate_limit(p), "delta_B": None,
-         "delta_E": None, "chi2_bound": None, "dim": None, "trace_deficit": None},
+        {**empty, "kind": "capacity_C", "classical_rate_bits": capacity_C(p)},
+        {**empty, "kind": "gaussian_rate_limit",
+         "quantum_rate_bits": gaussian_rate_limit(p)},
     ]
     for kind, m, c, Q in _table_grid(config, p, "BE"):
         r = ensemble_rates(p, Q, config.dim)

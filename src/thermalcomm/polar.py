@@ -11,7 +11,8 @@ The demapper is table-driven: each bit position has a table of the points
 under every label prefix (the integer a label's leading bits spell), so one
 level's LLRs are a gather of candidate centers and a logaddexp pass.
 Successive cancellation carries only the partial sums of decided bits up
-the butterfly; the decided inputs are their transform.
+the butterfly, and the decoder writes each decision into its output as it
+is made.
 
 Both the demapper and the link simulation work in slices of ``_SLICE``
 samples, so only the link's int8 input bits and one flag per frame grow
@@ -47,13 +48,18 @@ MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 
 @dataclass(frozen=True, eq=False)
 class PolarCode:
-    """Blocklength and sorted frozen index set; frozen bits are zero."""
+    """Blocklength and sorted frozen index set, a 1-D integer array (an
+    empty one of any dtype); frozen bits are zero."""
 
     n: int
     frozen: np.ndarray
 
     def __post_init__(self):
         _check_power_of_two(self.n, "blocklength")
+        frozen = np.asarray(self.frozen)
+        if frozen.ndim != 1 or (frozen.size and frozen.dtype.kind not in "iu"):
+            raise ValueError("frozen set must be a 1-D integer array, got "
+                             f"shape {frozen.shape} of {frozen.dtype}")
         if len(self.frozen) and (
                 self.frozen[0] < 0 or self.frozen[-1] >= self.n
                 or np.any(np.diff(self.frozen) <= 0)):
@@ -277,19 +283,26 @@ def _frozen_subtrees(code: PolarCode) -> frozenset:
 def sc_decode_batch(code: PolarCode,
                     llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode each row of a (batch, n) LLR array; returns the full
-    input-bit estimates u, with frozen positions forced to zero, and their
-    codewords x = u F^{x log2 n}, the partial sums SC formed on the way.
-    Subtrees whose inputs are all frozen, the whole code included, are not
-    descended into, so every decision reached is free."""
+    input-bit estimates u, each written as SC decides it, with frozen
+    positions left zero, and their codewords x = u F^{x log2 n}, the
+    partial sums SC formed on the way.  Subtrees whose inputs are all
+    frozen, the whole code included, are not descended into, so every
+    decision reached is free.  LLRs not of shape (batch, n) raise
+    ValueError."""
     llr = np.asarray(llr, dtype=float)
-    if llr.shape[1] != code.n:
-        raise ValueError(f"LLR length must be {code.n}, got {llr.shape[1]}")
+    if llr.ndim != 2 or llr.shape[1] != code.n:
+        raise ValueError(f"LLRs must be of shape (batch, {code.n}), "
+                         f"got {llr.shape}")
     frozen_subtrees = _frozen_subtrees(code)
+    u = np.zeros(llr.shape, dtype=np.int8)
     if (0, code.n) in frozen_subtrees:
-        u = np.zeros(llr.shape, dtype=np.int8)
         return u, u
-    x = _sc_batch(llr, lambda i, col: col < 0, 0, frozen_subtrees)
-    return _transform_batch(x), x
+
+    def decide(i, col):
+        u[:, i] = col < 0
+        return u[:, i]
+
+    return u, _sc_batch(llr, decide, 0, frozen_subtrees)
 
 
 def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
@@ -300,10 +313,14 @@ def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     the i-th synthetic channel, so its hard decision errs with probability
     1/(1 + e^|L|) given the observation.  Summing that conditional
     probability instead of the 0/1 outcome estimates the same error count
-    with much lower variance.
+    with much lower variance.  ``llr`` and ``u_true`` must share one
+    (batch, n) shape, else ValueError.
     """
     llr = np.asarray(llr, dtype=float)
     u_true = np.asarray(u_true, dtype=np.int8)
+    if llr.ndim != 2 or u_true.shape != llr.shape:
+        raise ValueError(f"llr of shape {llr.shape} and u_true of shape "
+                         f"{u_true.shape}; need one (batch, n) shape")
     errs = np.zeros(llr.shape[1])
 
     def decide(i, col):

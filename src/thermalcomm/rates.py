@@ -4,6 +4,11 @@ Ensemble average states are assembled in truncated Fock space; conditional
 entropies are evaluated analytically (every conditional output is a displaced
 thermal state of the same width, hence the same entropy g(width)), so only
 the mixture entropy needs an eigendecomposition.
+
+The truncation rule lives in two functions: ``ensemble_dim`` sizes and caps
+every average state (``dim`` when given, else the default; at least 1, at
+most ``MAX_DIM``), and ``ensemble_average_state``, which every rate goes
+through, refuses a state whose trace deficit exceeds ``TRUNCATION_TOL``.
 """
 
 from __future__ import annotations
@@ -75,46 +80,30 @@ def build_ensemble(p: ChannelParams, Q: ComplexConstellation, side: str) -> Ense
     raise ValueError(f"side must be 'B' or 'E', got {side!r}")
 
 
-def ensemble_dim(e: Ensemble) -> int:
-    """Conservative truncation dimension for the ensemble average state."""
-    return default_dim(np.max(np.abs(e.centers) ** 2) + e.width)
+def ensemble_dim(e: Ensemble, dim: int | None = None) -> int:
+    """The truncation dimension the ensemble's average state is built at:
+    ``dim`` when given, else a conservative default from the largest
+    center and the width.  Raises ``ValueError`` below 1 and
+    ``TruncationError`` above ``MAX_DIM``; builds no state, so a table can
+    check every row first."""
+    if dim is None:
+        dim = default_dim(np.max(np.abs(e.centers) ** 2) + e.width)
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if dim > MAX_DIM:
+        raise TruncationError(f"state needs dim {dim}, above the largest "
+                              f"supported {MAX_DIM}")
+    return dim
 
 
 def ensemble_average_state(e: Ensemble, dim: int | None = None) -> DensityOperator:
-    """sum_j q_j theta_j at the given truncation dimension, assembled by
-    ``fock._mixture``."""
-    if dim is None:
-        dim = ensemble_dim(e)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return _mixture(e.probs, e.centers, e.width, dim)
-
-
-def _checked_dim(p: ChannelParams, Q: ComplexConstellation, side: str,
-                 dim: int | None) -> tuple[Ensemble, int]:
-    """The side's ensemble and its truncation dimension (``dim`` when
-    given); raises ``TruncationError`` when the dimension exceeds
-    ``MAX_DIM``.  Builds no state, so a table can check every row first."""
-    e = build_ensemble(p, Q, side)
-    if dim is None:
-        dim = ensemble_dim(e)
-    if dim > MAX_DIM:
-        raise TruncationError(
-            f"{side}-side state needs dim {dim}, above the largest "
-            f"supported {MAX_DIM}")
-    return e, dim
-
-
-def _checked_average_state(p: ChannelParams, Q: ComplexConstellation,
-                           side: str, dim: int | None) -> DensityOperator:
-    """The side's ensemble average state; raises ``TruncationError`` when
-    its dimension exceeds ``MAX_DIM`` or its trace deficit exceeds
-    ``TRUNCATION_TOL``."""
-    e, dim = _checked_dim(p, Q, side, dim)
-    rho = ensemble_average_state(e, dim)
+    """sum_j q_j theta_j at ``ensemble_dim(e, dim)``, assembled by
+    ``fock._mixture``; raises ``TruncationError`` when its trace deficit
+    exceeds ``TRUNCATION_TOL``."""
+    rho = _mixture(e.probs, e.centers, e.width, ensemble_dim(e, dim))
     if rho.trace_deficit > TRUNCATION_TOL:
         raise TruncationError(
-            f"{side}-side trace deficit {rho.trace_deficit:.3g} exceeds "
+            f"trace deficit {rho.trace_deficit:.3g} exceeds "
             f"{TRUNCATION_TOL:g} at dim {rho.dim}; raise the dimension")
     return rho
 
@@ -124,11 +113,13 @@ def ensemble_rates(p: ChannelParams, Q: ComplexConstellation,
     """All rate quantities from one average state and one eigensolve per
     side: the classical rate I(Z_m : B_m) = H(rho_m^B) - g(Nc), the quantum
     rate I(Z_m : B) - I(Z_m : E), and the gaps g(N') - H(rho_m^B) and
-    g(N'_E) - H(rho_m^E).  ``dim`` is the B-side truncation dimension and
-    ``trace_deficit`` the larger of the two sides' deficits; a deficit
-    above ``TRUNCATION_TOL`` on either side raises ``TruncationError``."""
-    rho_b = _checked_average_state(p, Q, "B", dim)
-    rho_e = _checked_average_state(p, Q, "E", dim)
+    g(N'_E) - H(rho_m^E).  Each side's state comes from
+    ``ensemble_average_state`` at ``dim`` (or its default), so a dimension
+    above ``MAX_DIM`` or a deficit above ``TRUNCATION_TOL`` on either side
+    raises ``TruncationError``.  The result's ``dim`` is the B-side
+    dimension and ``trace_deficit`` the larger of the two deficits."""
+    rho_b = ensemble_average_state(build_ensemble(p, Q, "B"), dim)
+    rho_e = ensemble_average_state(build_ensemble(p, Q, "E"), dim)
     h_b = von_neumann_entropy(rho_b)
     h_e = von_neumann_entropy(rho_e)
     classical = h_b - g_entropy(p.Nc)
@@ -145,8 +136,9 @@ def delta_B(p: ChannelParams, Q: ComplexConstellation,
             dim: int | None = None) -> tuple[float, float]:
     """The B-side gap, both as an entropy difference g(N') - H(rho_m^B) and
     as the relative entropy D(rho_m^B || tau_N'); the two agree up to
-    truncation error, whose deficit must be within ``TRUNCATION_TOL``."""
-    rho = _checked_average_state(p, Q, "B", dim)
+    truncation error.  The state comes from ``ensemble_average_state``,
+    which sizes, caps and deficit-checks it."""
+    rho = ensemble_average_state(build_ensemble(p, Q, "B"), dim)
     entropy_form = g_entropy(p.Nprime) - von_neumann_entropy(rho)
     tau = thermal_state(p.Nprime, rho.dim)
     relent_form = relative_entropy(rho, tau)

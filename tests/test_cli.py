@@ -414,6 +414,22 @@ def test_dimension_above_max_dim_builds_no_state(monkeypatch):
     assert built == []
 
 
+def test_cli_imports_no_private_rates_name():
+    # the table pre-check sizes every row through the public
+    # rates.ensemble_dim, the one home of the truncation rule
+    import ast
+    import inspect
+
+    from thermalcomm import cli
+    tree = ast.parse(inspect.getsource(cli))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "rates"
+                for alias in node.names]
+    assert "ensemble_dim" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+
+
 def test_chi2_table_evaluates_each_kernel_once(monkeypatch):
     from thermalcomm import chi2, cli
     from thermalcomm.channel import channel_params

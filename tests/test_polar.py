@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -406,6 +407,42 @@ def test_polar_code_validation():
         PolarCode(n=12, frozen=np.array([0]))
     with pytest.raises(ValueError):
         PolarCode(n=8, frozen=np.array([0, 9]))
+
+
+@pytest.mark.parametrize("frozen", [
+    np.array([0.5]), np.array([0.0, 1.0]), np.array([True, False]),
+    np.array([[0, 1], [2, 3]]), np.array(3)],
+    ids=["half", "whole_floats", "mask", "2d", "0d"])
+def test_polar_code_refuses_a_frozen_set_not_1d_integer(frozen):
+    # a float frozen set once gave rate 0.875 with all 8 positions in the
+    # info set, and a 2-D one failed on numpy's ambiguous truth value
+    with pytest.raises(ValueError, match="1-D integer array"):
+        PolarCode(n=8, frozen=frozen)
+
+
+@pytest.mark.parametrize("frozen", [np.array([]), np.array([], dtype=np.int8),
+                                    np.array([], dtype=np.uint64), []])
+def test_polar_code_takes_an_empty_frozen_set_of_any_dtype(frozen):
+    code = PolarCode(n=8, frozen=frozen)
+    assert code.rate == 1.0
+    np.testing.assert_array_equal(code.info_set, np.arange(8))
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 4), (2, 16), (1, 2, 8)])
+def test_sc_decode_batch_refuses_llrs_not_batch_by_n(shape):
+    code = PolarCode(n=8, frozen=np.array([0, 1]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"LLRs must be of shape (batch, 8), got {shape}")):
+        sc_decode_batch(code, np.zeros(shape))
+
+
+@pytest.mark.parametrize("llr_shape, u_shape", [
+    ((4, 8), (4, 4)), ((4, 8), (2, 8)), ((8,), (8,)), ((4, 8), (8,))])
+def test_genie_error_counts_refuses_mismatched_shapes(llr_shape, u_shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"llr of shape {llr_shape} and u_true of shape {u_shape}")):
+        genie_error_counts(np.zeros(llr_shape),
+                           np.zeros(u_shape, dtype=np.int8))
 
 
 def test_code_rate_property():

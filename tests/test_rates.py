@@ -12,9 +12,9 @@ from thermalcomm import (Ensemble, build_ensemble, capacity_C, cli,
                          ensemble_rates, fock, g_entropy, gaussian_rate_limit,
                          make_constellation, product_constellation,
                          relative_entropy, thermal_state, von_neumann_entropy)
-from thermalcomm.errors import NumericFailure
+from thermalcomm.errors import NumericFailure, TruncationError
 from thermalcomm.fock import EIG_FLOOR
-from thermalcomm.rates import MAX_DIM, ensemble_dim
+from thermalcomm.rates import MAX_DIM, TRUNCATION_TOL, ensemble_dim
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -426,3 +426,47 @@ def test_overflowing_coherent_average_state_is_a_numeric_failure():
     assert dim <= MAX_DIM
     with np.errstate(all="ignore"), pytest.raises(NumericFailure):
         ensemble_average_state(e, dim)
+
+
+def _refuse_builds(monkeypatch):
+    from thermalcomm import rates
+
+    def build(*args):
+        raise AssertionError("an average state was built")
+
+    monkeypatch.setattr(rates, "_mixture", build)
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 2500])
+def test_average_state_above_max_dim_is_refused_before_any_build(
+        monkeypatch, dim):
+    # the equilattice m = 2 B state at k = 0.8, N = 7 defaults to dim 44;
+    # an explicit dimension above the cap allocates nothing
+    e = build_ensemble(P, make_Q("equilattice", 2), "B")
+    assert ensemble_dim(e) == 44
+    _refuse_builds(monkeypatch)
+    assert ensemble_dim(e, MAX_DIM) == MAX_DIM
+    with pytest.raises(TruncationError, match=f"needs dim {dim}, above"):
+        ensemble_dim(e, dim)
+    with pytest.raises(TruncationError, match=f"needs dim {dim}, above"):
+        ensemble_average_state(e, dim)
+
+
+@pytest.mark.parametrize("dim", [0, -3])
+def test_dimension_below_one_is_refused_before_any_build(monkeypatch, dim):
+    e = build_ensemble(P, make_Q("equilattice", 2), "B")
+    _refuse_builds(monkeypatch)
+    for fn in (ensemble_dim, ensemble_average_state):
+        with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+            fn(e, dim)
+
+
+@pytest.mark.filterwarnings("ignore::thermalcomm.errors.TruncationWarning")
+@pytest.mark.parametrize("m", [2, 3])
+def test_average_state_with_too_large_a_deficit_is_refused(m):
+    # rates --dim 5 --m-max 3 --kinds equilattice: at dim 5 the B state
+    # loses almost half its trace, and the public build says so
+    e = build_ensemble(P, make_Q("equilattice", m), "B")
+    with pytest.raises(TruncationError, match="trace deficit 0.4"):
+        ensemble_average_state(e, 5)
+    assert ensemble_average_state(e).trace_deficit <= TRUNCATION_TOL
