@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import comb, ndtri
 
 from .errors import NumericFailure
 
@@ -69,6 +66,8 @@ def make_equilattice(m: int) -> RealConstellation:
 def make_quantile(m: int) -> RealConstellation:
     """Midpoint-quantile points of the standard normal, equally likely,
     rescaled by a single factor so the variance is exactly 1."""
+    from scipy.special import ndtri
+
     _check_m(m)
     raw = ndtri((2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m))
     raw = (raw - raw[::-1]) / 2.0  # enforce exact symmetry
@@ -84,13 +83,15 @@ def make_random_walk(m: int) -> RealConstellation:
     j = np.arange(m)
     points = (2.0 * j - (m - 1)) / math.sqrt(m - 1)
     # int true division: correctly rounded, and finite where 2.0**(m-1) is not
-    probs = np.array([comb(m - 1, int(i), exact=True) / 2 ** (m - 1) for i in j])
+    probs = np.array([math.comb(m - 1, int(i)) / 2 ** (m - 1) for i in j])
     return _finalize(points, probs, "random_walk")
 
 
 def make_gauss_hermite(m: int) -> RealConstellation:
     """Gauss-Hermite nodes and weights for the standard normal weight
     (probabilists' convention), via the Jacobi-matrix eigenproblem."""
+    from scipy.linalg import eigh_tridiagonal
+
     _check_m(m)
     try:
         nodes, vecs = eigh_tridiagonal(np.zeros(m), np.sqrt(np.arange(1.0, m)))
@@ -127,6 +128,8 @@ def classical_chi2_kernel(c: RealConstellation, s: float) -> float:
     as small as 1e-30, so the trailing -1 cancels catastrophically in double
     (see ``_gaussian_kernel_chi2``).
     """
+    from mpmath import mp, mpf
+
     if s <= 0.0:
         raise ValueError(f"signal-to-noise ratio s must be > 0, got {s}")
     with mp.workdps(_DPS):
@@ -155,6 +158,8 @@ def _gaussian_kernel_chi2(points, probs, pref, A, B) -> float:
     that antidiagonal counts twice.  That reorders the 50-digit sum only;
     any other input takes the full loop.
     """
+    from mpmath import mp, mpf
+
     pts, wts = np.asarray(points), np.asarray(probs)
     mirror = np.array_equal(pts[::-1], -pts) and np.array_equal(wts[::-1], wts)
     u = [(mpf(complex(z).real), mpf(complex(z).imag)) for z in points]

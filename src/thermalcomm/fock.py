@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericFailure, SupportError, TruncationWarning
 
@@ -151,6 +150,8 @@ def _laguerre_tables(radii, dim: int, m: np.ndarray, n: np.ndarray,
     order (its m, n and k = m - n given): L_n^{(k)}(r^2) by one three-term
     recurrence over all radii, then the Laguerre closed form in the log
     domain."""
+    from scipy.special import gammaln
+
     xs = [r ** 2 for r in radii]
     # L_{d+1}^{(k)} = ((2d + 1 + k - x) L_d^{(k)} - (d + k) L_{d-1}^{(k)})
     # / (d + 1) for every radius (rows), at k < dim - d - 1 only: the pairs

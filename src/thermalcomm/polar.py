@@ -14,6 +14,15 @@ Successive cancellation carries only the partial sums of decided bits up
 the butterfly, and the decoder writes each decision into its output as it
 is made.
 
+SC and the polar transform run on (n, batch) arrays, one frame per column,
+so every butterfly half is one contiguous block and every operation on it
+one pass over the whole batch (the inter-frame layout of software polar
+decoders).  The public functions keep their (batch, n) interface: they
+copy their input to the (n, batch) layout, or take it without a copy when
+it already is the transpose of an (n, batch) array, which is how the code
+construction and the link simulation hand over their LLRs.  Their outputs
+are (batch, n) views of (n, batch) arrays.
+
 Both the demapper and the link simulation work in slices of ``_SLICE``
 samples, so only the link's int8 input bits and one flag per frame grow
 with the trials.
@@ -44,6 +53,7 @@ _TANH_CLIP = 1.0 - 1e-16
 # frames at a time.
 _SLICE = 1 << 20
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
+_BLOCK = 64  # frames a layout copy moves at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,19 +90,34 @@ def _check_power_of_two(n: int, what: str) -> int:
     return int(math.log2(n))
 
 
+def _frame_major(a: np.ndarray, copy: bool = False) -> np.ndarray:
+    """The (n, batch) C-contiguous transpose of a (batch, n) array: ``a.T``
+    itself when that is C-contiguous and no ``copy`` is asked for, else a
+    copy made ``_BLOCK`` frames at a time.  Each block's source and
+    destination stay in cache, so this runs several times faster than
+    numpy's whole-array transposing copy."""
+    if a.T.flags.c_contiguous and not copy:
+        return a.T
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for i in range(0, len(a), _BLOCK):
+        out[:, i:i + _BLOCK] = a[i:i + _BLOCK].T
+    return out
+
+
 def _transform_batch(u: np.ndarray) -> np.ndarray:
     """x = u F^{x log2 n} over GF(2) in natural order, applied to each row
-    of a (batch, n) bit array; self-inverse."""
+    of a (batch, n) bit array; self-inverse.  Like SC it runs with the
+    frames on the contiguous axis: x is the (batch, n) view of a fresh
+    (n, batch) array."""
     nrows, n = u.shape
     stages = _check_power_of_two(n, "transform length")
-    x = u.copy()
+    x = _frame_major(u, copy=True)
     for s in range(stages):
         step = 1 << (s + 1)
         half = 1 << s
-        x = x.reshape(nrows, -1, step)
-        x[:, :, :half] ^= x[:, :, half:]
-        x = x.reshape(nrows, n)
-    return x
+        x = x.reshape(-1, step, nrows)
+        x[:, :half] ^= x[:, half:]
+    return x.reshape(n, nrows).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,35 +259,41 @@ def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return b + (1.0 - 2.0 * u) * a
+    # b + (1 - 2u) a: the int8 sign multiplies exactly, so the bits are
+    # those of the float expression, in one fresh buffer
+    out = np.multiply(a, 1 - 2 * u, dtype=float)
+    out += b
+    return out
 
 
 def _sc_batch(llr: np.ndarray, decide, idx0: int,
               frozen_subtrees: frozenset = frozenset()) -> np.ndarray:
-    """SC recursion over a (batch, n) LLR array; ``decide(i, llr_col)``
-    returns the batch's decisions for input index ``i``.  Trials are
-    independent, so the whole batch moves through the butterfly together.
+    """SC recursion over an (n, batch) LLR array, one frame per column;
+    ``decide(i, llr_row)`` returns the batch's decisions for input index
+    ``i``.  Trials are independent, so the whole batch moves through the
+    butterfly together, and with the frames on the contiguous axis every
+    half of the butterfly is one contiguous block.
 
-    Returns the partial sums x = u F^{x log2 n} of the decided inputs u;
-    each half's x comes back up the recursion, so no subtree is re-encoded.
-    ``frozen_subtrees`` holds the (first index, length) of subtrees whose
-    inputs are all frozen: their x is zero whatever the LLRs, so neither
-    the LLRs nor the decisions are computed."""
-    nrows, n = llr.shape
+    Returns the (n, batch) partial sums x = u F^{x log2 n} of the decided
+    inputs u; each half's x comes back up the recursion, so no subtree is
+    re-encoded.  ``frozen_subtrees`` holds the (first index, length) of
+    subtrees whose inputs are all frozen: their x is zero whatever the
+    LLRs, so neither the LLRs nor the decisions are computed."""
+    n, nrows = llr.shape
     if n == 1:
-        return decide(idx0, llr[:, 0]).astype(np.int8)[:, None]
+        return decide(idx0, llr[0]).astype(np.int8)[None]
     half = n // 2
-    a, b = llr[:, :half], llr[:, half:]
+    a, b = llr[:half], llr[half:]
     if (idx0, half) in frozen_subtrees:
-        x_left = np.zeros((nrows, half), dtype=np.int8)
+        x_left = np.zeros((half, nrows), dtype=np.int8)
     else:
         x_left = _sc_batch(_f(a, b), decide, idx0, frozen_subtrees)
     if (idx0 + half, half) in frozen_subtrees:
-        x_right = np.zeros((nrows, half), dtype=np.int8)
+        x_right = np.zeros((half, nrows), dtype=np.int8)
     else:
         x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half,
                             frozen_subtrees)
-    return np.concatenate([x_left ^ x_right, x_right], axis=1)
+    return np.concatenate([x_left ^ x_right, x_right], axis=0)
 
 
 def _frozen_subtrees(code: PolarCode) -> frozenset:
@@ -288,21 +319,26 @@ def sc_decode_batch(code: PolarCode,
     partial sums SC formed on the way.  Subtrees whose inputs are all
     frozen, the whole code included, are not descended into, so every
     decision reached is free.  LLRs not of shape (batch, n) raise
-    ValueError."""
+    ValueError.
+
+    SC runs on the (n, batch) transpose of ``llr``, copied unless ``llr``
+    is already the transpose of such an array; u and x are (batch, n)
+    views of their (n, batch) arrays."""
     llr = np.asarray(llr, dtype=float)
     if llr.ndim != 2 or llr.shape[1] != code.n:
         raise ValueError(f"LLRs must be of shape (batch, {code.n}), "
                          f"got {llr.shape}")
     frozen_subtrees = _frozen_subtrees(code)
-    u = np.zeros(llr.shape, dtype=np.int8)
+    u = np.zeros(llr.shape[::-1], dtype=np.int8)
     if (0, code.n) in frozen_subtrees:
-        return u, u
+        return u.T, u.T
 
-    def decide(i, col):
-        u[:, i] = col < 0
-        return u[:, i]
+    def decide(i, row):
+        u[i] = row < 0
+        return u[i]
 
-    return u, _sc_batch(llr, decide, 0, frozen_subtrees)
+    x = _sc_batch(_frame_major(llr), decide, 0, frozen_subtrees)
+    return u.T, x.T
 
 
 def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
@@ -314,7 +350,8 @@ def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     1/(1 + e^|L|) given the observation.  Summing that conditional
     probability instead of the 0/1 outcome estimates the same error count
     with much lower variance.  ``llr`` and ``u_true`` must share one
-    (batch, n) shape, else ValueError.
+    (batch, n) shape, else ValueError.  As in ``sc_decode_batch``, SC runs
+    on the (n, batch) transposes of both, copied unless given as such.
     """
     llr = np.asarray(llr, dtype=float)
     u_true = np.asarray(u_true, dtype=np.int8)
@@ -322,13 +359,14 @@ def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
         raise ValueError(f"llr of shape {llr.shape} and u_true of shape "
                          f"{u_true.shape}; need one (batch, n) shape")
     errs = np.zeros(llr.shape[1])
+    u_true = _frame_major(u_true)
 
-    def decide(i, col):
-        e = np.exp(-np.abs(col))
+    def decide(i, row):
+        e = np.exp(-np.abs(row))
         errs[i] += np.sum(e / (1.0 + e))
-        return u_true[:, i]
+        return u_true[i]
 
-    _sc_batch(llr, decide, 0)
+    _sc_batch(_frame_major(llr), decide, 0)
     return errs
 
 
@@ -346,9 +384,11 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     while done < mc_budget:
         b = min(chunk, mc_budget - done)
         bits, llr = ch.sample_level(rng, level, b * n)
-        bits = bits.reshape(b, n)
-        llr = llr.reshape(b, n)
-        u_true = _transform_batch(bits.astype(np.int8))
+        u_true = _transform_batch(bits.reshape(b, n).astype(np.int8))
+        del bits
+        # hand SC the transpose of an (n, b) copy, which it takes as is,
+        # and drop the row-major draw before SC allocates its own arrays
+        llr = _frame_major(llr.reshape(b, n)).T
         counts += genie_error_counts(llr, u_true)
         done += b
     return counts / mc_budget
@@ -402,22 +442,25 @@ def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
     before the next chunk asks for its own."""
     b, n = u_levels[0].shape
     # map the label bits to symbols and sample the heterodyne outcomes;
-    # labels and prefixes are built in place, in the labels' dtype
-    label = np.zeros((b, n), dtype=ch.labels.dtype)
+    # labels and prefixes are built in place, in the labels' dtype, and
+    # like SC's arrays they are (n, b), frames on the contiguous axis
+    label = np.zeros((n, b), dtype=ch.labels.dtype)
     for u in u_levels:
         label <<= 1
-        label |= _transform_batch(u).astype(label.dtype)
-    yq = ch._heterodyne(rng, amp_index[label]).reshape(-1)
+        label |= _transform_batch(u).T.astype(label.dtype)
+    # the noise is drawn for the (b, n) frames, in the order of every
+    # other layout; only its outcomes are laid out frame-major
+    yq = _frame_major(ch._heterodyne(rng, amp_index[label.T])).reshape(-1)
     # decode level by level, feeding decisions forward as the label prefix
     prefix = np.zeros(b * n, dtype=ch.labels.dtype)
     nerr = np.empty((len(levels), b), dtype=np.int64)
     for i, (lv, u) in enumerate(zip(levels, u_levels)):
         u_hat, x_hat = sc_decode_batch(
-            codes[lv], ch.level_llrs(lv, prefix, yq).reshape(b, n))
+            codes[lv], ch.level_llrs(lv, prefix, yq).reshape(n, b).T)
         info = codes[lv].info_set
         nerr[i] = np.sum(u_hat[:, info] != u[:, info], axis=1)
         prefix <<= 1
-        prefix |= x_hat.reshape(-1).astype(prefix.dtype)
+        prefix |= x_hat.T.reshape(-1).astype(prefix.dtype)
     return nerr
 
 

@@ -9,6 +9,8 @@ library path it checks:
 - ``polar_transform``: a wrapper, not an oracle: one row through the
   library butterfly, so the transform's algebraic property tests and the
   row-by-row encoding checks exercise the batched transform itself;
+- ``sc_g_update``: the SC g-update b + (1 - 2u) a as one float expression,
+  against the library's product with the int8 sign 1 - 2u;
 - ``classical_chi2_series`` (with ``hermite_moment`` and the moment stream
   both share): the classical chi-square by the Hermite moment series,
   against the library's kernel double sum;
@@ -112,6 +114,11 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     """x = u F^{x log2 n} over GF(2) in natural order; self-inverse."""
     u = np.asarray(u, dtype=np.int8) % 2
     return _transform_batch(u[None, :])[0]
+
+
+def sc_g_update(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """b + (1 - 2u) a with the sign formed in float, for decided bits u."""
+    return b + (1.0 - 2.0 * u) * a
 
 
 def _normalized_moment_stream(c: RealConstellation):

@@ -390,6 +390,24 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_polar_run_loads_neither_scipy_nor_mpmath():
+    # importing scipy was most of the polar command's set-up time; only the
+    # rates, chi2 and non-uniform constellation paths need scipy or mpmath
+    import thermalcomm
+    src = Path(thermalcomm.__file__).parent.parent
+    probe = ("import io, sys, contextlib, thermalcomm.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['polar', '--kinds', 'equilattice',\n"
+             "                     '--blocklength', '64', '--trials', '8',\n"
+             "                     '--mc-budget', '100'])\n"
+             "print(code, sorted({k.split('.')[0] for k in sys.modules}\n"
+             "                   & {'scipy', 'mpmath'}))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "0 []"
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
-                     inverse_gray, polar_transform)
+                     inverse_gray, polar_transform, sc_g_update)
 from thermalcomm import (InducedChannel, PolarCode, channel_params,
                          construct_multilevel, induced_channel,
                          make_constellation, simulate)
 from thermalcomm import polar
-from thermalcomm.polar import (_sc_batch, _transform_batch,
-                               estimate_level_mi, genie_error_counts,
-                               sc_decode_batch)
+from thermalcomm.polar import (_frame_major, _g, _sc_batch,
+                               _transform_batch, estimate_level_mi,
+                               genie_error_counts, sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -102,13 +102,13 @@ def test_genie_soft_and_hard_agree_on_bec():
     u = np.stack([polar_transform(row) for row in bits])
     hard = np.zeros(64)
 
-    def decide(i, col):
+    def decide(i, row):
         # 0/1 hard-decision errors, a tie at LLR 0 counting half
-        hard[i] += np.sum((col < 0) != u[:, i]) + 0.5 * np.sum(
-            (col == 0.0) * (1.0 - 2.0 * (u[:, i] != 0)))
+        hard[i] += np.sum((row < 0) != u[:, i]) + 0.5 * np.sum(
+            (row == 0.0) * (1.0 - 2.0 * (u[:, i] != 0)))
         return u[:, i]
 
-    _sc_batch(llr, decide, 0)
+    _sc_batch(np.ascontiguousarray(llr.T), decide, 0)
     soft = genie_error_counts(llr, u)
     np.testing.assert_allclose(soft, hard, atol=1e-6)
 
@@ -360,14 +360,14 @@ def test_sc_decode_batch_skips_frozen_subtrees_exactly(n):
                    np.array([], dtype=int)):
         code = PolarCode(n=n, frozen=frozen)
         is_frozen = np.isin(np.arange(n), frozen)
-        u = np.zeros((16, n), dtype=np.int8)
+        u = np.zeros((n, 16), dtype=np.int8)
 
-        def decide(i, col):
-            u[:, i] = (col < 0) & ~is_frozen[i]
-            return u[:, i]
+        def decide(i, row):
+            u[i] = (row < 0) & ~is_frozen[i]
+            return u[i]
 
-        x = _sc_batch(llr, decide, 0)
-        for g, w in zip(sc_decode_batch(code, llr), (u, x)):
+        x = _sc_batch(np.ascontiguousarray(llr.T), decide, 0)
+        for g, w in zip(sc_decode_batch(code, llr), (u.T, x.T)):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
 
@@ -391,15 +391,71 @@ def test_sc_partial_sums_are_the_transform_of_the_decisions():
     rng = np.random.default_rng(5)
     llr = rng.normal(size=(16, 64))
     flips = rng.integers(0, 2, size=(16, 64)).astype(np.int8)
-    u = np.zeros((16, 64), dtype=np.int8)
+    u = np.zeros((64, 16), dtype=np.int8)
 
-    def decide(i, col):
-        u[:, i] = (col < 0) ^ flips[:, i]
-        return u[:, i]
+    def decide(i, row):
+        u[i] = (row < 0) ^ flips[:, i]
+        return u[i]
 
-    x = _sc_batch(llr, decide, 0)
-    for row_u, row_x in zip(u, x):
+    x = _sc_batch(np.ascontiguousarray(llr.T), decide, 0)
+    for row_u, row_x in zip(u.T, x.T):
         np.testing.assert_array_equal(row_x, polar_transform(row_u))
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (63, 4), (65, 16), (130, 2)])
+def test_frame_major_is_the_transpose_copied_only_when_needed(shape):
+    # blocks of 64 frames, so 63, 65 and 130 frames end on a ragged block
+    rng = np.random.default_rng(len(shape) + shape[0])
+    a = rng.normal(size=shape)
+    for given in (a, a[:, ::-1], np.ascontiguousarray(a.T).T):
+        for copy in (False, True):
+            got = _frame_major(given, copy=copy)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, given.T)
+            view = given.T.flags.c_contiguous and not copy
+            assert np.shares_memory(got, given) == view
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_g_update_is_the_float_expression_bitwise(bit):
+    # the int8 sign 1 - 2u multiplies exactly, so every product and sum,
+    # signed zeros, infinities and subnormals included, keeps its bits
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                        2.5e-310, -1e-308, 2.2250738585072014e-308, 1.0,
+                        -1.5, 3.0e300, -1.7e308])
+    values = np.concatenate([special,
+                             np.random.default_rng(4).normal(size=8) * 9.0])
+    a, b = (g.ravel()[:, None] for g in np.meshgrid(values, values))
+    a, b = np.repeat(a, 3, axis=1), np.repeat(b, 3, axis=1)
+    u = np.full(a.shape, bit, dtype=np.int8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _g(a, b, u), sc_g_update(a, b, u)
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("call", ["genie", "decode"])
+def test_sc_takes_a_frame_contiguous_view_without_a_second_copy(call):
+    # handed the (batch, n) transpose of an (n, batch) array, SC runs on it
+    # as it is: its traced peak stays near one copy of the LLRs (1.26 of it
+    # in the genie run, which also lays out the int8 bits, and 1.25
+    # decoding), where a second (n, batch) copy would take it to 2.26 and
+    # 2.25
+    n, batch = 256, 2048
+    rng = np.random.default_rng(8)
+    llr = np.ascontiguousarray(rng.normal(size=(batch, n)).T * 3.0).T
+    code = PolarCode(n=n, frozen=np.arange(n // 2))
+    u = rng.integers(0, 2, size=(batch, n)).astype(np.int8)
+    tracemalloc.start()
+    try:
+        if call == "genie":
+            genie_error_counts(llr, u)
+        else:
+            sc_decode_batch(code, llr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * llr.nbytes, peak / llr.nbytes
 
 
 def test_polar_code_validation():
