@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import NumericFailure
 
-KINDS = ("equilattice", "quantile", "random_walk", "gauss_hermite")
-
 _DPS = 50  # digits for the kernel double sums; chi2 can be ~1e-30
 
 
@@ -106,17 +104,20 @@ def make_gauss_hermite(m: int) -> RealConstellation:
     return _finalize(nodes, weights, "gauss_hermite")
 
 
+_MAKERS = {
+    "equilattice": make_equilattice,
+    "quantile": make_quantile,
+    "random_walk": make_random_walk,
+    "gauss_hermite": make_gauss_hermite,
+}
+KINDS = tuple(_MAKERS)
+
+
 def make_constellation(kind: str, m: int) -> RealConstellation:
     """Dispatch on the constellation kind name."""
-    makers = {
-        "equilattice": make_equilattice,
-        "quantile": make_quantile,
-        "random_walk": make_random_walk,
-        "gauss_hermite": make_gauss_hermite,
-    }
-    if kind not in makers:
+    if kind not in _MAKERS:
         raise ValueError(f"unknown constellation kind {kind!r}; choose from {KINDS}")
-    return makers[kind](m)
+    return _MAKERS[kind](m)
 
 
 def classical_chi2_kernel(c: RealConstellation, s: float) -> float:

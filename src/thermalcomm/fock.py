@@ -129,18 +129,18 @@ def _thermal_diagonal(N: float, dim: int) -> np.ndarray:
     return np.exp(np.arange(dim) * math.log(ratio)) / (N + 1.0)
 
 
-_Basis = namedtuple("_Basis", "m n k odd lower upper tables")
+_Basis = namedtuple("_Basis", "k odd lower upper tables")
 
 
 def _make_basis(dim: int, radii) -> _Basis:
-    """The pairs m >= n of a dim x dim matrix in ``np.tril_indices`` order:
-    m, n, the offsets k = m - n, the odd-offset mask, the flat positions of
-    (m, n) and of its mirror (n, m); and ``tables``, each radius's row of
-    ``_laguerre_tables`` keyed by the radius."""
+    """For the pairs m >= n of a dim x dim matrix in ``np.tril_indices``
+    order: the offsets k = m - n, the odd-offset mask, the flat positions
+    of (m, n) and of its mirror (n, m); and ``tables``, each radius's row
+    of ``_laguerre_tables`` keyed by the radius."""
     m, n = np.tril_indices(dim)
     k = m - n
     tables = dict(zip(radii, _laguerre_tables(radii, dim, m, n, k)))
-    return _Basis(m, n, k, k % 2 == 1, m * dim + n, n * dim + m, tables)
+    return _Basis(k, k % 2 == 1, m * dim + n, n * dim + m, tables)
 
 
 def _laguerre_tables(radii, dim: int, m: np.ndarray, n: np.ndarray,

@@ -25,7 +25,9 @@ are (batch, n) views of (n, batch) arrays.
 
 Both the demapper and the link simulation work in slices of ``_SLICE``
 samples, so only the link's int8 input bits and one flag per frame grow
-with the trials.
+with the trials.  Every chunk loop, here and in the genie-aided
+construction, is a plain walk ``range(0, total, chunk)`` over row slices
+``[s:s + chunk]``, the last one ragged.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the slice size.  The genie sampler frees its int64 symbol
@@ -52,6 +54,11 @@ _TANH_CLIP = 1.0 - 1e-16
 # outcomes at a time, and simulate demaps and decodes max(1, _SLICE // n)
 # frames at a time.
 _SLICE = 1 << 20
+# Samples one chunk of the genie-aided construction draws.  Its soft error
+# counts are summed per chunk, so another value regroups the sums and
+# changes the last bits of the error probabilities, and so can change a
+# frozen set.
+_GENIE_SAMPLES = 1 << 22
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 _BLOCK = 64  # frames a layout copy moves at a time
 
@@ -125,7 +132,8 @@ class InducedChannel:
     """Discrete-input channel: uniform product constellation, thermal
     channel, heterodyne detection; 2 log2(m) bit levels, Gray-labeled per
     quadrature (real-quadrature levels first, MSB first).  m must be a
-    power of two; the labels and their tables are built from it on use."""
+    power of two of at least 2, else ValueError; the labels and their
+    tables are built from it on use."""
 
     params: ChannelParams
     amplitudes: np.ndarray  # per-quadrature real amplitudes, ascending
@@ -134,7 +142,9 @@ class InducedChannel:
     levels = property(lambda self: 2 * self.nbits)
 
     def __post_init__(self):
-        _check_power_of_two(len(self.amplitudes), "constellation size m")
+        m = len(self.amplitudes)
+        if _check_power_of_two(m, "constellation size m") < 1:
+            raise ValueError(f"constellation size m must be >= 2, got {m}")
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -374,15 +384,13 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
                        rng) -> np.ndarray:
     """Monte-Carlo per-index error probabilities via genie-aided SC.
 
-    Trials are processed in chunks so large budgets keep a bounded
-    working set.  The chunk is not ``_SLICE``: the soft error counts are
-    summed per chunk, so another chunk size would round them differently.
+    Trials are processed in chunks of ``_GENIE_SAMPLES // n`` frames, the
+    last one ragged, so large budgets keep a bounded working set.
     """
-    chunk = max(1, min(mc_budget, (1 << 22) // n))
+    chunk = max(1, _GENIE_SAMPLES // n)
     counts = np.zeros(n)
-    done = 0
-    while done < mc_budget:
-        b = min(chunk, mc_budget - done)
+    for start in range(0, mc_budget, chunk):
+        b = min(chunk, mc_budget - start)
         bits, llr = ch.sample_level(rng, level, b * n)
         u_true = _transform_batch(bits.reshape(b, n).astype(np.int8))
         del bits
@@ -390,7 +398,6 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
         # and drop the row-major draw before SC allocates its own arrays
         llr = _frame_major(llr.reshape(b, n)).T
         counts += genie_error_counts(llr, u_true)
-        done += b
     return counts / mc_budget
 
 
@@ -415,12 +422,9 @@ def construct_multilevel(ch, n: int, sum_rate: float, mc_budget: int,
         rng = np.random.default_rng(seed + lv)
         p_err[lv] = _genie_error_probs(ch, lv, n, mc_budget, rng)
     k_total = int(round(sum_rate * n))
-    flat = p_err.ravel()
-    info = np.zeros(flat.size, dtype=bool)
-    info[np.argsort(flat, kind="stable")[:k_total]] = True
-    info = info.reshape(p_err.shape)
-    return [PolarCode(n=n, frozen=np.nonzero(~info[lv])[0])
-            for lv in range(ch.levels)]
+    info = np.zeros(p_err.shape, dtype=bool)
+    info.flat[np.argsort(p_err, axis=None, kind="stable")[:k_total]] = True
+    return [PolarCode(n=n, frozen=np.nonzero(~row)[0]) for row in info]
 
 
 def estimate_level_mi(ch, level: int, samples: int,
@@ -433,7 +437,7 @@ def estimate_level_mi(ch, level: int, samples: int,
 
 
 def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
-                u_levels: list[np.ndarray], amp_index: np.ndarray,
+                u_levels: list[np.ndarray],
                 rng: np.random.Generator) -> np.ndarray:
     """Send one chunk of frames over the quadrature whose bit levels are
     ``levels`` and decode it level by level; ``u_levels`` holds the chunk's
@@ -450,6 +454,7 @@ def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
         label |= _transform_batch(u).T.astype(label.dtype)
     # the noise is drawn for the (b, n) frames, in the order of every
     # other layout; only its outcomes are laid out frame-major
+    amp_index = np.argsort(ch.labels)  # Gray label -> amplitude index
     yq = _frame_major(ch._heterodyne(rng, amp_index[label.T])).reshape(-1)
     # decode level by level, feeding decisions forward as the label prefix
     prefix = np.zeros(b * n, dtype=ch.labels.dtype)
@@ -487,30 +492,21 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     bit_errors = np.zeros(ch.levels)
     info_bits = np.array([c.n - len(c.frozen) for c in codes])
     frame_bad = np.zeros(trials, dtype=bool)
-    if trials:
-        chunk = min(trials, max(1, _SLICE // n))
-        chunks = range(-(-trials // chunk))
-
-        # chunks go by number, not row offset: an offset past 256 is a new
-        # int, held through each chunk's work beside the arrays that grow
-        def rows(a, c):
-            return a[c * chunk:(c + 1) * chunk]
-
-        u_levels = [np.zeros((trials, n), dtype=np.int8) for _ in codes]
-        for u, code in zip(u_levels, codes):
-            info = code.info_set
-            for c in chunks:
-                part = rows(u, c)
-                part[:, info] = rng.integers(0, 2, size=(len(part), len(info)))
-        amp_index = np.argsort(ch.labels)  # Gray label -> amplitude index
-        for q in range(2):
-            levels = range(q * ch.nbits, (q + 1) * ch.nbits)
-            for c in chunks:
-                nerr = _send_chunk(ch, levels, codes,
-                                   [rows(u_levels[lv], c) for lv in levels],
-                                   amp_index, rng)
-                bit_errors[levels.start:levels.stop] += nerr.sum(axis=1)
-                rows(frame_bad, c)[:] |= np.any(nerr > 0, axis=0)
+    chunk = max(1, _SLICE // n)
+    starts = range(0, trials, chunk)
+    u_levels = [np.zeros((trials, n), dtype=np.int8) for _ in codes]
+    for u, code in zip(u_levels, codes):
+        info = code.info_set
+        for s in starts:
+            part = u[s:s + chunk]
+            part[:, info] = rng.integers(0, 2, size=(len(part), len(info)))
+    for q in range(2):
+        levels = range(q * ch.nbits, (q + 1) * ch.nbits)
+        for s in starts:
+            nerr = _send_chunk(ch, levels, codes,
+                               [u_levels[lv][s:s + chunk] for lv in levels], rng)
+            bit_errors[levels.start:levels.stop] += nerr.sum(axis=1)
+            frame_bad[s:s + chunk] |= np.any(nerr > 0, axis=0)
 
     fer = float(np.mean(frame_bad)) if trials else None
     sum_rate = float(info_bits.sum()) / n

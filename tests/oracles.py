@@ -11,6 +11,14 @@ library path it checks:
   row-by-row encoding checks exercise the batched transform itself;
 - ``sc_g_update``: the SC g-update b + (1 - 2u) a as one float expression,
   against the library's product with the int8 sign 1 - 2u;
+- ``msb_llr``: a wrapper, not an oracle: the library's LLR of the first
+  level for one heterodyne outcome, for the closed-form BPSK checks;
+- ``oracle_level_llrs``: one level's LLRs by brute force over the Gray
+  labels, a scipy logsumexp per outcome, against the table-driven
+  demapper;
+- ``whole_batch_simulate``: the link simulation with every trial of every
+  level held at once and each level's decisions re-encoded, against the
+  sliced ``simulate``, bit for bit;
 - ``classical_chi2_series`` (with ``hermite_moment`` and the moment stream
   both share): the classical chi-square by the Hermite moment series,
   against the library's kernel double sum;
@@ -33,7 +41,10 @@ library path it checks:
 - ``_laguerre_table``: one radius's Laguerre table by its own recurrence
   over every k, against the library's batched recurrence over all radii;
 - ``inverse_gray``: the amplitude index of each Gray label by prefix XOR,
-  against the labels and their inverse the induced channel holds.
+  against the labels and their inverse the induced channel holds;
+- ``coherent_mixture_entropy_gram``: the entropy of a coherent-state
+  mixture from the spectrum of its Gram matrix, with no Fock truncation,
+  against the library's truncated average state.
 
 Not collected by pytest (no ``test_`` prefix); test modules import it by
 name from the tests directory.
@@ -52,10 +63,12 @@ from scipy.special import gammaln, logsumexp
 from thermalcomm.channel import ChannelParams
 from thermalcomm.constellations import (_DPS, ComplexConstellation,
                                         RealConstellation,
-                                        _gaussian_kernel_chi2)
+                                        _gaussian_kernel_chi2,
+                                        make_constellation)
 from thermalcomm.errors import NumericFailure, SupportError, TruncationError
 from thermalcomm.fock import EIG_FLOOR, SUPPORT_TOL, DensityOperator
-from thermalcomm.polar import _check_power_of_two, _transform_batch
+from thermalcomm.polar import (_check_power_of_two, _transform_batch,
+                               sc_decode_batch)
 
 _LLR_BIG = 1000.0
 _SERIES_TOL = 1e-30  # term envelope the Hermite series stops below
@@ -119,6 +132,81 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
 def sc_g_update(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     """b + (1 - 2u) a with the sign formed in float, for decided bits u."""
     return b + (1.0 - 2.0 * u) * a
+
+
+def msb_llr(ch, y):
+    """LLR of the real quadrature's first level for heterodyne outcome y."""
+    return float(ch.level_llrs(0, np.zeros(1, dtype=int),
+                               np.array([y.real]))[0])
+
+
+def oracle_level_llrs(m, level, prefix, yq, p: ChannelParams):
+    """Brute force: for each outcome, scipy logsumexp over the points of the
+    ``m``-point equilattice channel at ``p`` whose Gray-label bits begin
+    with those its integer prefix spells, split by the level's bit."""
+    nbits = int(math.log2(m))
+    bpos = level % nbits
+    labels = [[((i ^ (i >> 1)) >> (nbits - 1 - b)) & 1
+               for b in range(nbits)] for i in range(m)]
+    centers = p.k * math.sqrt(p.N / 2.0) * make_constellation(
+        "equilattice", m).points
+    var = (p.Nc + 1.0) / 2.0
+    out = np.empty(len(yq))
+    for t, (pre, y) in enumerate(zip(prefix, yq)):
+        pri = [(int(pre) >> (bpos - 1 - b)) & 1 for b in range(bpos)]
+        match = [i for i in range(m) if labels[i][:bpos] == pri]
+        e = {bit: [-(y - centers[i]) ** 2 / (2.0 * var) for i in match
+                   if labels[i][bpos] == bit] for bit in (0, 1)}
+        out[t] = logsumexp(e[0]) - logsumexp(e[1])
+    return out
+
+
+def whole_batch_simulate(ch, codes, trials, seed):
+    """The link simulation with every trial of every level held at once and
+    each level's decisions re-encoded: the reference the sliced
+    ``simulate`` must reproduce bit for bit."""
+    n = codes[0].n
+    rng = np.random.default_rng(seed)
+    bit_errors = np.zeros(ch.levels)
+    info_bits = np.array([c.n - len(c.frozen) for c in codes])
+    frame_bad = np.zeros(trials, dtype=bool)
+    if trials:
+        u_levels, x_levels = [], []
+        for code in codes:
+            u = np.zeros((trials, n), dtype=np.int8)
+            u[:, code.info_set] = rng.integers(
+                0, 2, size=(trials, len(code.info_set)))
+            u_levels.append(u)
+            x_levels.append(_transform_batch(u))
+        amp_index = inverse_gray(np.arange(len(ch.amplitudes)))
+        ys = []
+        for q in range(2):
+            label = np.zeros((trials, n), dtype=np.int64)
+            for b in range(ch.nbits):
+                label = (label << 1) | x_levels[q * ch.nbits + b]
+            ys.append(ch._heterodyne(rng, amp_index[label]))
+        for q in range(2):
+            prefix = np.zeros(trials * n, dtype=np.int64)
+            for b in range(ch.nbits):
+                lv = q * ch.nbits + b
+                llr = ch.level_llrs(lv, prefix, ys[q].reshape(-1)
+                                    ).reshape(trials, n)
+                u_hat = sc_decode_batch(codes[lv], llr)[0]
+                info = codes[lv].info_set
+                nerr = np.sum(u_hat[:, info] != u_levels[lv][:, info], axis=1)
+                bit_errors[lv] += int(nerr.sum())
+                frame_bad |= nerr > 0
+                prefix = (prefix << 1) | _transform_batch(u_hat).reshape(-1)
+    fer = float(np.mean(frame_bad)) if trials else None
+    sum_rate = float(info_bits.sum()) / n
+    return {
+        "trials": trials, "seed": seed, "blocklength": n,
+        "levels": ch.levels, "level_rates": [c.rate for c in codes],
+        "level_ber": [float(b / (k * trials)) if k else 0.0
+                      for b, k in zip(bit_errors, info_bits)] if trials else None,
+        "fer": fer, "sum_rate_bits_per_mode": sum_rate,
+        "throughput_bits_per_mode": sum_rate * (1.0 - fer) if trials else None,
+    }
 
 
 def _normalized_moment_stream(c: RealConstellation):
@@ -353,3 +441,17 @@ def relative_entropy_eigh_overlap(rho: DensityOperator,
     tr_rho_log_sigma = float(
         lam_r[keep_r] @ overlap[np.ix_(keep_r, keep_s)] @ np.log2(lam_s[keep_s]))
     return tr_rho_log_rho - tr_rho_log_sigma
+
+
+def coherent_mixture_entropy_gram(points, probs):
+    """Independent entropy oracle for a mixture of coherent states: the
+    nonzero spectrum of sum q |z><z| equals that of the Gram matrix
+    G_ij = sqrt(q_i q_j) <z_i|z_j>."""
+    z = np.asarray(points)
+    q = np.asarray(probs)
+    ov = np.exp(-0.5 * np.abs(z[:, None] - z[None, :]) ** 2
+                + 1j * np.imag(z[:, None] * np.conj(z[None, :])))
+    G = np.sqrt(np.outer(q, q)) * ov
+    ev = np.linalg.eigvalsh(G)
+    ev = ev[ev > 1e-15]
+    return float(-np.sum(ev * np.log2(ev)))

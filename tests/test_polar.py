@@ -6,16 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import logsumexp
 
 from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
-                     inverse_gray, polar_transform, sc_g_update)
+                     inverse_gray, msb_llr, oracle_level_llrs,
+                     polar_transform, sc_g_update, whole_batch_simulate)
 from thermalcomm import (InducedChannel, PolarCode, channel_params,
                          construct_multilevel, induced_channel,
                          make_constellation, simulate)
 from thermalcomm import polar
-from thermalcomm.polar import (_frame_major, _g, _sc_batch,
-                               _transform_batch, estimate_level_mi,
+from thermalcomm.polar import (_frame_major, _g, _sc_batch, estimate_level_mi,
                                genie_error_counts, sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
@@ -113,6 +112,46 @@ def test_genie_soft_and_hard_agree_on_bec():
     np.testing.assert_allclose(soft, hard, atol=1e-6)
 
 
+def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
+    # 3 frames of n = 64 per chunk, so a budget of 100 frames runs 33 full
+    # chunks and a ragged one of 1 frame; the soft error sums are grouped
+    # by chunk, so the reference sums the same draws chunk by chunk
+    monkeypatch.setattr(polar, "_GENIE_SAMPLES", 3 * 64)
+    ch, n, budget, seed = make_channel(4), 64, 100, 5
+    chunks = [3] * 33 + [1]
+    sample_level = InducedChannel.sample_level
+    sizes = []
+
+    def recording(self, rng, level, count):
+        sizes.append(count)
+        return sample_level(self, rng, level, count)
+
+    monkeypatch.setattr(InducedChannel, "sample_level", recording)
+    want = np.empty((ch.levels, n))
+    for lv in range(ch.levels):
+        sizes.clear()
+        got = polar._genie_error_probs(ch, lv, n, budget,
+                                       np.random.default_rng(seed + lv))
+        assert sizes == [b * n for b in chunks]
+        rng = np.random.default_rng(seed + lv)
+        counts = np.zeros(n)
+        for b in chunks:
+            bits, llr = sample_level(ch, rng, lv, b * n)
+            u = np.stack([polar_transform(row) for row in bits.reshape(b, n)])
+            counts += genie_error_counts(llr.reshape(b, n), u)
+        want[lv] = counts / budget
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want[lv].view(np.int64))
+    # the pooled construction keeps the round(1.6 n) smallest error
+    # probabilities over all levels, ties to the lower level and index
+    order = sorted(range(want.size), key=lambda i: (want.flat[i], i))
+    info = np.zeros(want.size, dtype=bool)
+    info[order[:round(1.6 * n)]] = True
+    codes = construct_multilevel(ch, n, 1.6, budget, seed)
+    for code, row in zip(codes, info.reshape(want.shape)):
+        np.testing.assert_array_equal(code.frozen, np.nonzero(~row)[0])
+
+
 # ------------------------------------------------------- induced channel
 
 def test_induced_channel_shape():
@@ -148,6 +187,14 @@ def test_induced_channel_derives_its_labels_from_the_point_count():
             InducedChannel(P, amplitudes, **derived)
 
 
+def test_induced_channel_refuses_a_single_amplitude():
+    # 1 = 2^0 is a power of two, but it leaves no bit level to code
+    with pytest.raises(ValueError, match="constellation size m must be >= 2, "
+                                         "got 1"):
+        InducedChannel(P, np.array([0.0]))
+    assert InducedChannel(P, np.array([-1.0, 1.0])).levels == 2
+
+
 def test_heterodyne_noise_variance():
     ch = make_channel(4)
     rng = np.random.default_rng(0)
@@ -157,12 +204,6 @@ def test_heterodyne_noise_variance():
     target = (P.Nc + 1.0) / 2.0
     assert np.var(y.real) == pytest.approx(target, rel=0.02)
     assert np.var(y.imag) == pytest.approx(target, rel=0.02)
-
-
-def msb_llr(ch, y):
-    """LLR of the real quadrature's first level for heterodyne outcome y."""
-    return float(ch.level_llrs(0, np.zeros(1, dtype=int),
-                               np.array([y.real]))[0])
 
 
 def test_bpsk_llr_closed_form():
@@ -188,27 +229,6 @@ def test_bpsk_llr_sign_consistency():
     assert lp * lm < 0
 
 
-def oracle_level_llrs(m, level, prefix, yq, p=P):
-    """Brute force: for each outcome, scipy logsumexp over the points whose
-    Gray-label bits begin with those its integer prefix spells, split by
-    the level's bit."""
-    nbits = int(math.log2(m))
-    bpos = level % nbits
-    labels = [[((i ^ (i >> 1)) >> (nbits - 1 - b)) & 1
-               for b in range(nbits)] for i in range(m)]
-    centers = p.k * math.sqrt(p.N / 2.0) * make_constellation(
-        "equilattice", m).points
-    var = (p.Nc + 1.0) / 2.0
-    out = np.empty(len(yq))
-    for t, (pre, y) in enumerate(zip(prefix, yq)):
-        pri = [(int(pre) >> (bpos - 1 - b)) & 1 for b in range(bpos)]
-        match = [i for i in range(m) if labels[i][:bpos] == pri]
-        e = {bit: [-(y - centers[i]) ** 2 / (2.0 * var) for i in match
-                   if labels[i][bpos] == bit] for bit in (0, 1)}
-        out[t] = logsumexp(e[0]) - logsumexp(e[1])
-    return out
-
-
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_level_llrs_match_brute_force_oracle(m):
     ch = make_channel(m)
@@ -221,7 +241,7 @@ def test_level_llrs_match_brute_force_oracle(m):
             rng.uniform(-30.0, 30.0, 50)])
         prefix = rng.integers(0, 1 << bpos, size=len(yq))
         got = ch.level_llrs(level, prefix, yq)
-        want = oracle_level_llrs(m, level, prefix, yq)
+        want = oracle_level_llrs(m, level, prefix, yq, P)
         tol = 1e-12 * np.maximum(1.0, np.abs(want))
         assert np.all(np.abs(got - want) <= tol)
 
@@ -303,7 +323,7 @@ def test_sample_level_bits_and_llrs_follow_the_gray_labels(m):
         yq = ch._heterodyne(rng, j)
         gray = j ^ (j >> 1)
         np.testing.assert_array_equal(bits, (gray >> (ch.nbits - 1 - bpos)) & 1)
-        want = oracle_level_llrs(m, level, gray >> (ch.nbits - bpos), yq)
+        want = oracle_level_llrs(m, level, gray >> (ch.nbits - bpos), yq, P)
         tol = 1e-12 * np.maximum(1.0, np.abs(want))
         assert np.all(np.abs(llr - want) <= tol)
 
@@ -515,54 +535,6 @@ def test_simulate_deterministic():
     r1 = simulate(ch, codes, 50, seed=17)
     r2 = simulate(ch, codes, 50, seed=17)
     assert r1 == r2
-
-
-def whole_batch_simulate(ch, codes, trials, seed):
-    """The link simulation with every trial of every level held at once and
-    each level's decisions re-encoded: the reference the sliced
-    ``simulate`` must reproduce bit for bit."""
-    n = codes[0].n
-    rng = np.random.default_rng(seed)
-    bit_errors = np.zeros(ch.levels)
-    info_bits = np.array([c.n - len(c.frozen) for c in codes])
-    frame_bad = np.zeros(trials, dtype=bool)
-    if trials:
-        u_levels, x_levels = [], []
-        for code in codes:
-            u = np.zeros((trials, n), dtype=np.int8)
-            u[:, code.info_set] = rng.integers(
-                0, 2, size=(trials, len(code.info_set)))
-            u_levels.append(u)
-            x_levels.append(_transform_batch(u))
-        amp_index = inverse_gray(np.arange(len(ch.amplitudes)))
-        ys = []
-        for q in range(2):
-            label = np.zeros((trials, n), dtype=np.int64)
-            for b in range(ch.nbits):
-                label = (label << 1) | x_levels[q * ch.nbits + b]
-            ys.append(ch._heterodyne(rng, amp_index[label]))
-        for q in range(2):
-            prefix = np.zeros(trials * n, dtype=np.int64)
-            for b in range(ch.nbits):
-                lv = q * ch.nbits + b
-                llr = ch.level_llrs(lv, prefix, ys[q].reshape(-1)
-                                    ).reshape(trials, n)
-                u_hat = sc_decode_batch(codes[lv], llr)[0]
-                info = codes[lv].info_set
-                nerr = np.sum(u_hat[:, info] != u_levels[lv][:, info], axis=1)
-                bit_errors[lv] += int(nerr.sum())
-                frame_bad |= nerr > 0
-                prefix = (prefix << 1) | _transform_batch(u_hat).reshape(-1)
-    fer = float(np.mean(frame_bad)) if trials else None
-    sum_rate = float(info_bits.sum()) / n
-    return {
-        "trials": trials, "seed": seed, "blocklength": n,
-        "levels": ch.levels, "level_rates": [c.rate for c in codes],
-        "level_ber": [float(b / (k * trials)) if k else 0.0
-                      for b, k in zip(bit_errors, info_bits)] if trials else None,
-        "fer": fer, "sum_rate_bits_per_mode": sum_rate,
-        "throughput_bits_per_mode": sum_rate * (1.0 - fer) if trials else None,
-    }
 
 
 @pytest.mark.parametrize("trials", [0, 1, 7, 33])

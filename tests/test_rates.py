@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import _laguerre_table, relative_entropy_eigh_overlap
+from oracles import (_laguerre_table, coherent_mixture_entropy_gram,
+                     relative_entropy_eigh_overlap)
 from thermalcomm import (Ensemble, build_ensemble, capacity_C, cli,
                          channel_params, coherent_state, delta_B,
                          displaced_thermal, ensemble_average_state,
@@ -21,20 +22,6 @@ P = channel_params(0.8, 0.0, 7.0)
 
 def make_Q(kind, m, p=P):
     return product_constellation(make_constellation(kind, m), p.N)
-
-
-def coherent_mixture_entropy_gram(points, probs):
-    """Independent entropy oracle for a mixture of coherent states: the
-    nonzero spectrum of sum q |z><z| equals that of the Gram matrix
-    G_ij = sqrt(q_i q_j) <z_i|z_j>."""
-    z = np.asarray(points)
-    q = np.asarray(probs)
-    ov = np.exp(-0.5 * np.abs(z[:, None] - z[None, :]) ** 2
-                + 1j * np.imag(z[:, None] * np.conj(z[None, :])))
-    G = np.sqrt(np.outer(q, q)) * ov
-    ev = np.linalg.eigvalsh(G)
-    ev = ev[ev > 1e-15]
-    return float(-np.sum(ev * np.log2(ev)))
 
 
 @pytest.mark.parametrize("kind", ["equilattice", "random_walk"])

@@ -1,6 +1,7 @@
 """Print the md5 of the standard output of every benchmark invocation, the
 CLI defaults and the demos, one ``md5  argv`` line each, after a first
-``blas`` line recording the BLAS backend and its thread counts.
+``blas`` line recording the BLAS backend and the thread count of each
+OpenBLAS library loaded once every invocation and demo has run.
 
     python3 tools/stdout_digests.py [CHECKOUT] > digests.txt
 
@@ -59,19 +60,22 @@ def _md5(text: str) -> str:
 
 def main() -> None:
     cli = import_cli(ROOT / "src")
-    # after the import, so the OpenBLAS that scipy loads is counted too
-    print(f"blas  {json.dumps(blas_record(), sort_keys=True)}", flush=True)
+    lines = []
     for argv in invocations():
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = cli.main(list(argv))
         tail = f"  [exit {code}]" if code else ""
-        print(f"{_md5(buf.getvalue())}  {' '.join(argv)}{tail}", flush=True)
+        lines.append(f"{_md5(buf.getvalue())}  {' '.join(argv)}{tail}")
     for demo in sorted((ROOT / "demos").glob("*.py")):
         buf = io.StringIO()
         with redirect_stdout(buf):
             runpy.run_path(str(demo), run_name="__main__")
-        print(f"{_md5(buf.getvalue())}  demos/{demo.name}", flush=True)
+        lines.append(f"{_md5(buf.getvalue())}  demos/{demo.name}")
+    # after every run, so each OpenBLAS library loaded on the way (scipy
+    # loads its own when first used) is counted, wherever it was loaded
+    print(f"blas  {json.dumps(blas_record(), sort_keys=True)}")
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":
