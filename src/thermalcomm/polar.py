@@ -11,8 +11,16 @@ The demapper is table-driven: each bit position has a table of the points
 under every label prefix (the integer a label's leading bits spell), so one
 level's LLRs are a gather of candidate centers and a logaddexp pass.
 Successive cancellation carries only the partial sums of decided bits up
-the butterfly, and the decoder writes each decision into its output as it
-is made.
+the butterfly; the decoder returns the decided inputs as the transform of
+those sums.  It decodes three kinds of subtree in closed form, bit for bit
+as plain SC would (simplified and fast SC, Alamdar-Yazdi & Kschischang
+2011, Sarkis et al. 2014): all frozen (rate-0, also when it is a node's
+left half), all frozen but the last input (repetition) and all info
+(rate-1).  A rate-1 subtree's hard decisions are SC's only while no
+f-update in it rounds to +-0, so that shortcut is guarded: it is taken
+only when every LLR of the block is large enough in magnitude that none
+can (the proof is in ``sc_decode_batch``).  The genie-aided construction
+needs every input's LLR and descends into every subtree.
 
 SC and the polar transform run on (n, batch) arrays, one frame per column,
 so every butterfly half is one contiguous block and every operation on it
@@ -61,6 +69,10 @@ _SLICE = 1 << 20
 _GENIE_SAMPLES = 1 << 22
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 _BLOCK = 64  # frames a layout copy moves at a time
+# subtree kinds SC decodes in closed form (``_node_kinds``)
+_RATE0, _RATE1, _REP = "rate-0", "rate-1", "repetition"
+# -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
+_GUARD_B = 600.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,15 +231,19 @@ class InducedChannel:
         # bit 0's log-sum-exp runs in its slice of out, bit 1's in work[0],
         # a second candidate's exponent in work[-1] and the gather indices
         # in idx: allocated once and reused by every slice and candidate,
-        # so no slice-sized array is freed and requested again
+        # so no slice-sized array is freed and requested again.  A table of
+        # one row (bit position 0) has one center per candidate, which is
+        # subtracted as a scalar, with no gather: the same IEEE subtraction
         width = min(len(yq), _SLICE)
         work = np.empty((1 + (centers.shape[2] > 1), width))
-        idx = np.empty(width, dtype=np.intp)
+        gather = len(centers) > 1
+        idx = np.empty(width, dtype=np.intp) if gather else None
         for start in range(0, len(yq), _SLICE):
             part = slice(start, start + _SLICE)
             y = yq[part]
-            pattern = idx[:len(y)]
-            np.copyto(pattern, prefix[part])
+            if gather:
+                pattern = idx[:len(y)]
+                np.copyto(pattern, prefix[part])
             lse = (out[part], work[0, :len(y)])
             e = work[-1, :len(y)]
             for bit, acc in enumerate(lse):
@@ -235,10 +251,13 @@ class InducedChannel:
                 # running log-sum-exp
                 for i, c in enumerate(centers[:, bit, :].T):
                     dst = e if i else acc
-                    # checked above, so clip never clips; unlike the
-                    # default mode it gathers without a buffer
-                    np.take(c, pattern, out=dst, mode="clip")
-                    np.subtract(y, dst, out=dst)
+                    if gather:
+                        # checked above, so clip never clips; unlike the
+                        # default mode it gathers without a buffer
+                        np.take(c, pattern, out=dst, mode="clip")
+                        np.subtract(y, dst, out=dst)
+                    else:
+                        np.subtract(y, c[0], out=dst)
                     np.square(dst, out=dst)
                     dst *= scale
                     if i:
@@ -277,7 +296,7 @@ def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _sc_batch(llr: np.ndarray, decide, idx0: int,
-              frozen_subtrees: frozenset = frozenset()) -> np.ndarray:
+              kinds: dict | None = None) -> np.ndarray:
     """SC recursion over an (n, batch) LLR array, one frame per column;
     ``decide(i, llr_row)`` returns the batch's decisions for input index
     ``i``.  Trials are independent, so the whole batch moves through the
@@ -286,50 +305,100 @@ def _sc_batch(llr: np.ndarray, decide, idx0: int,
 
     Returns the (n, batch) partial sums x = u F^{x log2 n} of the decided
     inputs u; each half's x comes back up the recursion, so no subtree is
-    re-encoded.  ``frozen_subtrees`` holds the (first index, length) of
-    subtrees whose inputs are all frozen: their x is zero whatever the
-    LLRs, so neither the LLRs nor the decisions are computed."""
+    re-encoded.  ``kinds`` maps a subtree's (first index, length) to its
+    kind (``_node_kinds``); each kind is decoded in closed form, with the
+    bits SC would give (see ``sc_decode_batch``).  With no kinds, every
+    subtree is descended into and every input decided."""
     n, nrows = llr.shape
+    kinds = kinds or {}
+    kind = kinds.get((idx0, n))
+    if kind == _REP:
+        while len(llr) > 1:
+            llr = llr[:len(llr) // 2] + llr[len(llr) // 2:]
+        x = decide(idx0 + n - 1, llr[0]).astype(np.int8)
+        return np.repeat(x[None], n, axis=0)
+    if kind == _RATE1 and _hard_decisions_exact(llr):
+        return (llr < 0).view(np.int8)
     if n == 1:
         return decide(idx0, llr[0]).astype(np.int8)[None]
     half = n // 2
     a, b = llr[:half], llr[half:]
-    if (idx0, half) in frozen_subtrees:
-        x_left = np.zeros((half, nrows), dtype=np.int8)
-    else:
-        x_left = _sc_batch(_f(a, b), decide, idx0, frozen_subtrees)
-    if (idx0 + half, half) in frozen_subtrees:
-        x_right = np.zeros((half, nrows), dtype=np.int8)
-    else:
-        x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half,
-                            frozen_subtrees)
+    if kinds.get((idx0, half)) == _RATE0:
+        x_right = _sc_batch(a + b, decide, idx0 + half, kinds)
+        return np.concatenate([x_right, x_right], axis=0)
+    x_left = _sc_batch(_f(a, b), decide, idx0, kinds)
+    if kinds.get((idx0 + half, half)) == _RATE0:
+        return np.concatenate([x_left, np.zeros_like(x_left)], axis=0)
+    x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half, kinds)
     return np.concatenate([x_left ^ x_right, x_right], axis=0)
 
 
-def _frozen_subtrees(code: PolarCode) -> frozenset:
-    """(first index, length) of every butterfly subtree, single inputs
-    included, whose inputs are all frozen."""
-    subtrees = set()
-    frozen = np.zeros(code.n, dtype=bool)
-    frozen[code.frozen] = True
+def _hard_decisions_exact(llr: np.ndarray) -> bool:
+    """Whether every |LLR| of an (n, batch) block is at least
+    t_n = 2 artanh(e^{-_GUARD_B / n}), tested on bool temporaries."""
+    t = 2.0 * math.atanh(math.exp(-_GUARD_B / len(llr)))
+    ok = llr >= t
+    ok |= llr <= -t
+    return bool(ok.all())
+
+
+def _node_kinds(code: PolarCode) -> dict:
+    """(first index, length) -> kind of every subtree whose inputs are
+    all frozen (``_RATE0``), single inputs included, and of every subtree
+    of length >= 2 whose inputs are all info (``_RATE1``) or all frozen
+    but the last (``_REP``).  Built bottom-up, one tree level at a time:
+    a parent is rate-0 or rate-1 when both halves are, and a repetition
+    when its left half is rate-0 and its right half a repetition (a single
+    info input counting as one)."""
+    rate0 = np.zeros(code.n, dtype=bool)
+    rate0[code.frozen] = True
+    rate1 = rep = ~rate0
+    kinds = {(i, 1): _RATE0 for i in np.nonzero(rate0)[0].tolist()}
     length = 1
-    while len(frozen):
-        subtrees.update((i * length, length)
-                        for i in np.nonzero(frozen)[0].tolist())
-        frozen = frozen[0::2] & frozen[1::2]
+    while length < code.n:
+        rate0, rate1, rep = (rate0[0::2] & rate0[1::2],
+                             rate1[0::2] & rate1[1::2], rate0[0::2] & rep[1::2])
         length *= 2
-    return frozenset(subtrees)
+        for kind, mask in ((_RATE0, rate0), (_RATE1, rate1), (_REP, rep)):
+            kinds.update(((i * length, length), kind)
+                         for i in np.nonzero(mask)[0].tolist())
+    return kinds
 
 
 def sc_decode_batch(code: PolarCode,
                     llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode each row of a (batch, n) LLR array; returns the full
-    input-bit estimates u, each written as SC decides it, with frozen
-    positions left zero, and their codewords x = u F^{x log2 n}, the
-    partial sums SC formed on the way.  Subtrees whose inputs are all
-    frozen, the whole code included, are not descended into, so every
-    decision reached is free.  LLRs not of shape (batch, n) raise
-    ValueError.
+    input-bit estimates u, frozen positions zero, and their codewords
+    x = u F^{x log2 n}, the partial sums SC formed on the way.  u is the
+    transform of x (the transform is its own inverse).  LLRs not of shape
+    (batch, n) raise ValueError.
+
+    Three kinds of subtree (``_node_kinds``) are decoded in closed form,
+    bit for bit as SC would (fast simplified SC):
+
+    - rate-0, all inputs frozen: x = 0, with no LLR computed.  A node whose
+      left half is rate-0 hands its right half a + b, the bits of the
+      g-update with u = 0, and returns x = (x_right, x_right).
+    - repetition, all frozen but the last: its LLRs are folded as
+      v[:h] + v[h:] down to one row, the bits of the g-updates with the
+      left halves zero; the last input is decided from that row and x is
+      the decision on every row.
+    - rate-1, all inputs info: x is the hard decisions llr < 0, when every
+      |LLR| of the (length N, batch) block is at least
+      t_N = 2 artanh(e^{-B/N}), B = ``_GUARD_B`` = 600; otherwise SC
+      descends as usual.  Proof: an f-update gives tanh(|v|/2) =
+      tanh(|a|/2) tanh(|b|/2), and a g-update inside a rate-1 node adds
+      its halves with matching signs (the left half's x is their sign
+      difference), so |v| >= max(|a|, |b|).  By induction every value v
+      inside the node has tanh(|v|/2) >= prod_i tanh(|a_i|/2) >= e^{-B}
+      over its N inputs a_i: about 2.6e-261, a factor e^108 above the
+      smallest normal double, far more than the relative rounding of the
+      few operations per level.  So no f-update rounds to +-0, each keeps
+      the product of its input signs, and SC's x is the hard decisions of
+      the node's LLRs (the f-update's sign gives x_left = x(a) ^ x(b), and
+      the g-update's sign x_right = x(b)).  Without the guard this fails:
+      at N = 2 the LLRs (-1, 0) give f = -0, so SC decides x = (1, 1)
+      where the hard decisions are (1, 0).
 
     SC runs on the (n, batch) transpose of ``llr``, copied unless ``llr``
     is already the transpose of such an array; u and x are (batch, n)
@@ -338,17 +407,12 @@ def sc_decode_batch(code: PolarCode,
     if llr.ndim != 2 or llr.shape[1] != code.n:
         raise ValueError(f"LLRs must be of shape (batch, {code.n}), "
                          f"got {llr.shape}")
-    frozen_subtrees = _frozen_subtrees(code)
-    u = np.zeros(llr.shape[::-1], dtype=np.int8)
-    if (0, code.n) in frozen_subtrees:
+    kinds = _node_kinds(code)
+    if kinds.get((0, code.n)) == _RATE0:
+        u = np.zeros(llr.shape[::-1], dtype=np.int8)
         return u.T, u.T
-
-    def decide(i, row):
-        u[i] = row < 0
-        return u[i]
-
-    x = _sc_batch(_frame_major(llr), decide, 0, frozen_subtrees)
-    return u.T, x.T
+    x = _sc_batch(_frame_major(llr), lambda i, row: row < 0, 0, kinds)
+    return _transform_batch(x.T), x.T
 
 
 def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:

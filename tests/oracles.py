@@ -11,6 +11,10 @@ library path it checks:
   row-by-row encoding checks exercise the batched transform itself;
 - ``sc_g_update``: the SC g-update b + (1 - 2u) a as one float expression,
   against the library's product with the int8 sign 1 - 2u;
+- ``sc_decode_reference``: plain SC, descending into every subtree not all
+  frozen and deciding each info input from its own LLR, against the
+  library decoder's closed-form rate-1, repetition and frozen-half nodes,
+  bit for bit;
 - ``msb_llr``: a wrapper, not an oracle: the library's LLR of the first
   level for one heterodyne outcome, for the closed-form BPSK checks;
 - ``oracle_level_llrs``: one level's LLRs by brute force over the Gray
@@ -67,8 +71,8 @@ from thermalcomm.constellations import (_DPS, ComplexConstellation,
                                         make_constellation)
 from thermalcomm.errors import NumericFailure, SupportError, TruncationError
 from thermalcomm.fock import EIG_FLOOR, SUPPORT_TOL, DensityOperator
-from thermalcomm.polar import (_check_power_of_two, _transform_batch,
-                               sc_decode_batch)
+from thermalcomm.polar import (_check_power_of_two, _f, _g,
+                               _transform_batch, sc_decode_batch)
 
 _LLR_BIG = 1000.0
 _SERIES_TOL = 1e-30  # term envelope the Hermite series stops below
@@ -132,6 +136,33 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
 def sc_g_update(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     """b + (1 - 2u) a with the sign formed in float, for decided bits u."""
     return b + (1.0 - 2.0 * u) * a
+
+
+def sc_decode_reference(code, llr):
+    """SC-decode each row of a (batch, n) LLR array with the library's f-
+    and g-updates, skipping only subtrees whose inputs are all frozen:
+    every info input is decided as its own LLR < 0 and written into u as
+    it is decided.  Returns (u, x) as (batch, n) arrays, x the partial
+    sums."""
+    frozen = np.zeros(code.n, dtype=bool)
+    frozen[code.frozen] = True
+    llr = np.ascontiguousarray(np.asarray(llr, dtype=float).T)
+    u = np.zeros(llr.shape, dtype=np.int8)
+    x = _sc_reference(llr, 0, frozen, u)
+    return u.T, x.T
+
+
+def _sc_reference(llr, idx0, frozen, u):
+    n = len(llr)
+    if frozen[idx0:idx0 + n].all():
+        return np.zeros(llr.shape, dtype=np.int8)
+    if n == 1:
+        u[idx0] = llr[0] < 0
+        return u[idx0:idx0 + 1].copy()
+    a, b = llr[:n // 2], llr[n // 2:]
+    x_left = _sc_reference(_f(a, b), idx0, frozen, u)
+    x_right = _sc_reference(_g(a, b, x_left), idx0 + n // 2, frozen, u)
+    return np.concatenate([x_left ^ x_right, x_right])
 
 
 def msb_llr(ch, y):

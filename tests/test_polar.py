@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import re
@@ -9,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
                      inverse_gray, msb_llr, oracle_level_llrs,
-                     polar_transform, sc_g_update, whole_batch_simulate)
+                     polar_transform, sc_decode_reference, sc_g_update,
+                     whole_batch_simulate)
 from thermalcomm import (InducedChannel, PolarCode, channel_params,
                          construct_multilevel, induced_channel,
                          make_constellation, simulate)
 from thermalcomm import polar
-from thermalcomm.polar import (_frame_major, _g, _sc_batch, estimate_level_mi,
+from thermalcomm.polar import (_REP, _RATE0, _RATE1, _frame_major, _g,
+                               _node_kinds, _sc_batch, estimate_level_mi,
                                genie_error_counts, sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
@@ -282,6 +285,26 @@ def test_level_llrs_sliced_match_unsliced_bitwise(monkeypatch, slice_):
                                       whole.view(np.uint64))
 
 
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_level_llrs_at_bit_position_zero_are_the_plain_expression_bitwise(m):
+    # a level with no prefix bits subtracts each candidate center as a
+    # scalar; its bits are those of the log-sum-exp written out
+    ch = make_channel(m)
+    yq = np.random.default_rng(40 + m).normal(scale=4.0, size=500)
+    scale = -1.0 / (2.0 * ch.noise_var)
+    lse = []
+    for c in P.k * ch.amplitudes[ch.label_tables[0][0]]:
+        acc = (yq - c[0]) ** 2 * scale
+        for ci in c[1:]:
+            acc = np.logaddexp(acc, (yq - ci) ** 2 * scale)
+        lse.append(acc)
+    want = lse[0] - lse[1]
+    for level in (0, ch.nbits):
+        got = ch.level_llrs(level, np.zeros(len(yq), dtype=np.int8), yq)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+
 def test_estimate_level_mi_in_unit_interval():
     ch = make_channel(4)
     rng = np.random.default_rng(5)
@@ -420,6 +443,121 @@ def test_sc_partial_sums_are_the_transform_of_the_decisions():
     x = _sc_batch(np.ascontiguousarray(llr.T), decide, 0)
     for row_u, row_x in zip(u.T, x.T):
         np.testing.assert_array_equal(row_x, polar_transform(row_u))
+
+
+def _assert_matches_plain_sc(code, llr):
+    for got, want in zip(sc_decode_batch(code, llr),
+                         sc_decode_reference(code, llr)):
+        assert got.dtype == want.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+
+
+def _random_frozen_sets(n, rng):
+    # reliability-ordered sets, as a construction gives, hold long rate-1
+    # and repetition subtrees; random subsets hold short ones
+    sets = [np.arange(n), np.array([], dtype=int)]
+    for rate in (0.25, 0.5, 0.9):
+        sets.append(bec_frozen_set(0.5, n, rate))
+    for _ in range(3):
+        size = int(rng.integers(0, n + 1))
+        sets.append(np.sort(rng.choice(n, size=size, replace=False)))
+    return sets
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_sc_decode_batch_matches_plain_sc_bitwise(monkeypatch, n):
+    # the closed-form nodes decide as plain SC does, in u and in x; zeros
+    # and subnormals sprinkled into some frames make the rate-1 guard fall
+    # back at every length, and the test checks that it also passes
+    rng = np.random.default_rng(700 + n)
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e-200])
+    guard = []
+    exact = polar._hard_decisions_exact
+    monkeypatch.setattr(polar, "_hard_decisions_exact",
+                        lambda llr: guard.append(exact(llr)) or guard[-1])
+    for frozen in _random_frozen_sets(n, rng):
+        code = PolarCode(n=n, frozen=frozen)
+        for scale in (0.05, 1.0, 30.0):
+            llr = rng.normal(size=(24, n)) * scale
+            _assert_matches_plain_sc(code, llr)
+            hit = rng.random(llr.shape) < 0.03
+            llr[hit] = rng.choice(tiny, size=hit.sum())
+            _assert_matches_plain_sc(code, llr)
+    assert True in guard and False in guard
+
+
+@pytest.mark.parametrize("llr, sc_x", [
+    ([[-1.0, 0.0], [-1.0, -0.0]], [[1, 1], [1, 1]]),
+    # halving 5e-324 gives 0, and tanh(-5e-311) tanh(1e-320) underflows
+    # to -0; the third row's f-update stays subnormal, so SC keeps its sign
+    ([[5e-324, -5e-324], [-1e-310, 1e-320], [3.0, -4e-322]],
+     [[0, 0], [1, 1], [0, 1]])], ids=["signed_zeros", "subnormal"])
+def test_sc_decode_rate1_guard_keeps_plain_sc_on_tiny_llrs(llr, sc_x):
+    # an f-update rounds to +-0 here, so plain SC does not decide the hard
+    # decisions llr < 0; only the guard keeps the rate-1 shortcut off
+    code = PolarCode(n=2, frozen=np.array([], dtype=int))
+    llr = np.array(llr)
+    np.testing.assert_array_equal(sc_decode_reference(code, llr)[1], sc_x)
+    assert np.any(np.array(sc_x) != (llr < 0))
+    _assert_matches_plain_sc(code, llr)
+
+
+def test_sc_decode_rate1_guard_catches_an_underflowing_f_chain():
+    # 64 LLRs of magnitude 1e-6: the f-updates' tanh product reaches 1e-403
+    # at the first leaf and rounds to +-0, so the first decision is not the
+    # parity of the signs; an odd number of negatives makes that parity 1
+    rng = np.random.default_rng(3)
+    signs = np.ones((8, 64))
+    for row in signs:
+        row[rng.choice(64, size=2 * rng.integers(0, 32) + 1,
+                       replace=False)] = -1.0
+    llr = 1e-6 * signs
+    code = PolarCode(n=64, frozen=np.array([], dtype=int))
+    u, x = sc_decode_reference(code, llr)
+    assert np.all(u[:, 0] == 0)
+    assert np.any(x != (llr < 0))
+    _assert_matches_plain_sc(code, llr)
+
+
+def _brute_force_kinds(code):
+    frozen = np.isin(np.arange(code.n), code.frozen)
+    kinds = {}
+    length = 1
+    while length <= code.n:
+        for first in range(0, code.n, length):
+            block = frozen[first:first + length]
+            if block.all():
+                kinds[first, length] = _RATE0
+            elif length > 1 and not block.any():
+                kinds[first, length] = _RATE1
+            elif length > 1 and block[:-1].all():
+                kinds[first, length] = _REP
+        length *= 2
+    return kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64, 256])
+def test_node_kinds_match_brute_force_classification(n):
+    rng = np.random.default_rng(90 + n)
+    for frozen in _random_frozen_sets(n, rng):
+        code = PolarCode(n=n, frozen=frozen)
+        assert _node_kinds(code) == _brute_force_kinds(code)
+
+
+def test_sc_decode_batch_leaves_no_cyclic_garbage():
+    # a reference cycle in the decoder (a recursive closure, say) would be
+    # freed only when the collector runs, so the memory a call leaves
+    # behind would depend on when that is
+    code = PolarCode(n=256, frozen=bec_frozen_set(0.5, 256, 0.5))
+    llr = np.random.default_rng(2).normal(size=(32, 256)) * 3.0
+    gc.collect()
+    gc.disable()
+    try:
+        sc_decode_batch(code, llr)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (63, 4), (65, 16), (130, 2)])

@@ -15,7 +15,8 @@ in ``tests/test_cli.py`` hold at 2 OpenBLAS threads.
 
 The invocations are every argv ``perfbench/workloads.py`` generates, at
 full and self-test size, for seeds 0-2, each workload's warm-up, and the
-default ``rates``, ``chi2``, ``polar`` and ``constellation``; each runs in
+default ``rates``, ``chi2``, ``polar`` and ``constellation``, and one long
+polar code (``LONG_POLAR``); each runs in
 process through ``thermalcomm.cli.main``, imported from the checkout's
 ``src/``.  A nonzero exit code is appended to its line.  Each script in
 ``demos/`` then runs as ``__main__``.  The whole list takes about a minute
@@ -42,11 +43,18 @@ from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = range(3)
 DEFAULTS = (("rates",), ("chi2",), ("polar",), ("constellation",))
+# n = 4096 at rate fraction 0.9: SC meets all-info subtrees of length 128
+# to 512, long enough that some fail the closed-form guard, where the
+# benchmark argvs reach only length 64, where it always passes
+LONG_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
+              "--blocklength", "4096", "--rate-fraction", "0.9",
+              "--trials", "200", "--mc-budget", "200")
 
 
 def invocations() -> list[tuple[str, ...]]:
     """Every argv to digest, in a fixed order, each once."""
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
+    argvs.append(LONG_POLAR)
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
