@@ -42,6 +42,9 @@ class ComplexConstellation:
 def _finalize(points: np.ndarray, probs: np.ndarray, kind: str) -> RealConstellation:
     points = np.asarray(points, dtype=float)
     probs = np.asarray(probs, dtype=float)
+    # a weight that underflows to 0 silently drops its point
+    if not np.all(probs > 0.0):
+        raise NumericFailure(f"{kind} weights underflow at m = {len(probs)}")
     points.setflags(write=False)
     probs.setflags(write=False)
     return RealConstellation(points=points, probs=probs, kind=kind)
@@ -152,30 +155,56 @@ def _gaussian_kernel_chi2(points, probs, pref, A, B) -> float:
     while every other term enters squared.  Call inside ``mp.workdps(_DPS)``
     with ``pref``, ``A`` and ``B`` already derived in working precision.
 
-    Each unordered pair i <= j is summed once.  The mirror fold: when
-    points[::-1] == -points and probs[::-1] == probs hold exactly, as for
-    every constellation and product constellation, term (i, j) equals term
-    (n-1-j, n-1-i) at every digit, so j stops at n-1-i and each term off
-    that antidiagonal counts twice.  That reorders the 50-digit sum only;
-    any other input takes the full loop.
+    The sum runs on libmp's mpf tuples at ``mp.prec``, rounding to nearest.
+    e_i = exp(-A |u_i|^2) and p_i are formed once per point, so term (i, j)
+    is p_i p_j (pref e_i e_j exp(2B <u_i, u_j>) - 1).  Each unordered pair
+    i <= j is summed once.  The mirror fold: when points[::-1] == -points
+    and probs[::-1] == probs hold exactly, as for every constellation and
+    product constellation, term (i, j) equals term (n-1-j, n-1-i) at every
+    digit, so row i needs only j <= n-1-i, and each term off that
+    antidiagonal counts twice.  The reciprocal pair: then u_{n-1-j} = -u_j
+    exactly, so <u_i, u_{n-1-j}> = -<u_i, u_j>, e_{n-1-j} = e_j and
+    p_{n-1-j} = p_j, and term (i, n-1-j), which takes the same weight as
+    (i, j), is p_i p_j (pref e_i e_j / exp(2B <u_i, u_j>) - 1).  So j runs
+    only to the middle, j <= n-1-j, and one exponential serves j and its
+    partner n-1-j.  Both steps reorder the 50-digit sum only; any other
+    input takes the full loop, one exponential per pair.  The total is
+    rounded to the nearest double, as ``float(mpf)`` does: libmp's
+    ``to_float`` rounds down by default.
     """
-    from mpmath import mp, mpf
+    from mpmath import mp
+    from mpmath.libmp import (fone, fzero, from_float, mpf_add, mpf_div,
+                              mpf_exp, mpf_mul, mpf_shift, mpf_sub, to_float)
 
     pts, wts = np.asarray(points), np.asarray(probs)
     mirror = np.array_equal(pts[::-1], -pts) and np.array_equal(wts[::-1], wts)
-    u = [(mpf(complex(z).real), mpf(complex(z).imag)) for z in points]
-    p = [mpf(q) for q in probs]
-    r2 = [x * x + y * y for x, y in u]
-    n = len(u)
-    total = mpf(0)
-    for i in range(n):
-        for j in range(i, n - i if mirror else n):
-            cross = u[i][0] * u[j][0] + u[i][1] * u[j][1]
-            kij = pref * mp.exp(-A * (r2[i] + r2[j]) + 2 * B * cross) - 1
-            weight = ((1 if i == j else 2)
-                      * (2 if mirror and j != n - 1 - i else 1))
-            total += weight * p[i] * p[j] * kij
-    return float(total)
+    prec = mp.prec
+
+    def dot(a, b):
+        return mpf_add(mpf_mul(a[0], b[0], prec, "n"),
+                       mpf_mul(a[1], b[1], prec, "n"), prec, "n")
+
+    u = [(from_float(z.real), from_float(z.imag)) for z in map(complex, pts)]
+    p = [from_float(q) for q in wts.tolist()]
+    e = [mpf_exp(mpf_mul((-A)._mpf_, dot(v, v), prec, "n"), prec, "n")
+         for v in u]
+    two_b, n = mpf_shift(B._mpf_, 1), len(u)
+    stop = (n + 1) // 2 if mirror else n
+    total = fzero
+    for i in range(stop):
+        ei = mpf_mul(pref._mpf_, e[i], prec, "n")
+        for j in range(i, stop):
+            c = mpf_exp(mpf_mul(two_b, dot(u[i], u[j]), prec, "n"), prec, "n")
+            ee, pp = mpf_mul(ei, e[j], prec, "n"), mpf_mul(p[i], p[j], prec, "n")
+            kernels = [mpf_mul(ee, c, prec, "n")]
+            if mirror and j != n - 1 - j:
+                kernels.append(mpf_div(ee, c, prec, "n"))
+            # weight 2 off the diagonal, times 2 off the fold's antidiagonal
+            log2_weight = (j != i) + (mirror and j != n - 1 - i)
+            for kij in kernels:
+                term = mpf_mul(pp, mpf_sub(kij, fone, prec, "n"), prec, "n")
+                total = mpf_add(total, mpf_shift(term, log2_weight), prec, "n")
+    return to_float(total, rnd="n")
 
 
 def product_constellation(c: RealConstellation, N: float) -> ComplexConstellation:

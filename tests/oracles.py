@@ -29,7 +29,9 @@ library path it checks:
 - ``classical_one_plus_chi2_quadrature``: the classical chi-square by direct
   quadrature of the output densities, against the series and kernel paths;
 - ``gaussian_kernel_chi2_unfolded``: the chi-square kernel double sum over
-  every pair i <= j, against the library's mirror-folded sum;
+  every pair i <= j, one exponential each on ``mpf`` objects, against the
+  library's mirror-folded sum on libmp tuples, which forms the per-point
+  factors once and one exponential per mirror pair;
 - ``quantum_chi2_constellation``: the quantum chi-square by the
   constellation double sum over the complex Gaussian kernel, against the
   square of the classical kernel value and the direct Fock summation;
@@ -376,8 +378,9 @@ def _laguerre_table(r: float, dim: int) -> np.ndarray:
 def gaussian_kernel_chi2_unfolded(points, probs, pref, A, B) -> float:
     """sum_ij p_i p_j (pref exp(-A (|u_i|^2 + |u_j|^2) + 2 B <u_i, u_j>) - 1)
     over every pair i <= j, off-diagonal terms doubled, at the caller's
-    working precision: the same terms as the library's kernel sum, without
-    its mirror fold."""
+    working precision: the same terms as the library's kernel sum, each
+    with its own exponential of the whole exponent, without the library's
+    mirror fold, reciprocal pairs or per-point factors."""
     u = [(mpf(complex(z).real), mpf(complex(z).imag)) for z in points]
     p = [mpf(q) for q in probs]
     r2 = [x * x + y * y for x, y in u]

@@ -132,6 +132,59 @@ def test_folded_kernel_matches_unfolded_oracle_bitwise(k, monkeypatch):
     assert np.array_equal(_as_bits(folded), _as_bits(unfolded))
 
 
+# perfbench/workloads.py's PURE_LOSS_K_GRID, copied so that this test does
+# not import the harness
+BENCHMARK_K_GRID = ("0.790", "0.7925", "0.795", "0.7975", "0.800", "0.8025",
+                    "0.805", "0.8075", "0.810")
+
+
+def test_folded_kernel_matches_unfolded_oracle_on_the_benchmark_grid(
+        monkeypatch):
+    # every kernel sum a pure_loss_tables pass takes: N = 7, m <= 16
+    grid = [(channel_params(float(k), 0.0, 7.0).s, make_constellation(kind, m))
+            for k in BENCHMARK_K_GRID for kind in KINDS for m in range(2, 17)]
+    folded = [classical_chi2_kernel(c, s) for s, c in grid]
+    monkeypatch.setattr(constellations, "_gaussian_kernel_chi2",
+                        gaussian_kernel_chi2_unfolded)
+    unfolded = [classical_chi2_kernel(c, s) for s, c in grid]
+    assert np.array_equal(_as_bits(folded), _as_bits(unfolded))
+
+
+def _kernel_args(s):
+    """(pref, A, B) of the classical kernel at SNR ``s``, derived as
+    ``classical_chi2_kernel`` derives them; call inside mp.workdps(_DPS)."""
+    s = mpf(s)
+    a = s / (2 * (1 + 2 * s))
+    return (1 + s) / mp.sqrt(1 + 2 * s), a * s, a * (1 + s)
+
+
+@pytest.mark.parametrize("kind, m, N", [
+    (kind, m, None) for kind in KINDS for m in (2, 3, 15, 16)] + [
+    ("gauss_hermite", 3, 7.0), ("equilattice", 4, 7.0)])
+def test_kernel_sum_takes_one_exponential_per_mirror_pair(kind, m, N,
+                                                          monkeypatch):
+    # n points, real or complex, mirror-symmetric: one exp per point, then
+    # one per mirror pair (i, j), (i, n-1-j) with i <= j <= n-1-j, so at
+    # most n + h(h+1)/2 with h = ceil(n/2); mp.exp and mpf_exp both reach
+    # exp_basecase at 50 digits, and an exp of 0 reaches it not at all
+    from mpmath.libmp import libelefun
+
+    c = make_constellation(kind, m)
+    pts = c if N is None else product_constellation(c, N)
+    basecase, calls = libelefun.exp_basecase, []
+
+    def counted(*args):
+        calls.append(args)
+        return basecase(*args)
+
+    monkeypatch.setattr(libelefun, "exp_basecase", counted)
+    with mp.workdps(_DPS):
+        _gaussian_kernel_chi2(pts.points, pts.probs, *_kernel_args(9.435))
+    n = len(pts.points)
+    h = (n + 1) // 2
+    assert 0 < len(calls) <= n + h * (h + 1) // 2
+
+
 @pytest.mark.parametrize("points, probs, mirror", [
     ([-0.7, 1.2], [0.5, 0.5], False),
     ([-1.0, 0.2, 0.9], [0.3, 0.3, 0.4], False),
@@ -150,10 +203,7 @@ def test_kernel_sum_matches_unfolded_oracle_off_the_fold(points, probs,
     points, probs = np.array(points), np.array(probs)
     assert _is_mirror_symmetric(points, probs) == mirror
     with mp.workdps(_DPS):
-        s = mpf(9.435)
-        a = s / (2 * (1 + 2 * s))
-        args = (points, probs, (1 + s) / mp.sqrt(1 + 2 * s), a * s,
-                a * (1 + s))
+        args = (points, probs, *_kernel_args(9.435))
         got = _gaussian_kernel_chi2(*args)
         want = gaussian_kernel_chi2_unfolded(*args)
     assert np.array_equal(_as_bits([got]), _as_bits([want]))

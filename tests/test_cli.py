@@ -288,17 +288,30 @@ def test_negative_quantum_rate_above_resolution_is_kept():
 @pytest.mark.parametrize("command,expect", [("rates", 4), ("chi2", 4),
                                             ("constellation", 0)])
 def test_random_walk_beyond_float_binomials_exits_typed(command, expect):
-    # binomial weights C(m - 1, i) beyond m = 1024 do not fit a double
+    # binomial weights C(m - 1, i) beyond m = 1024 do not fit a double; at
+    # m = 1,050 every weight is still above the smallest subnormal
     with redirect_stderr(io.StringIO()):
         code, text = run_cli([command, "--kinds", "random_walk",
-                              "--m-min", "1100", "--m-max", "1100"])
+                              "--m-min", "1050", "--m-max", "1050"])
     assert code == expect
     if expect == 4:
         assert text == ""
     else:
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 1100
+        assert len(rows) == 1050
+        assert all(float(row["prob"]) > 0.0 for row in rows)
         assert sum(float(row["prob"]) for row in rows) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind, m", [("gauss_hermite", 151),
+                                     ("random_walk", 1076)])
+def test_constellation_with_an_underflowing_weight_exits_3(kind, m):
+    # before, each printed prob 0.0 at its outermost points and exited 0
+    code, text, err = run_cli_stderr(["constellation", "--kinds", kind,
+                                      "--m-min", str(m), "--m-max", str(m),
+                                      "--format", "json"])
+    assert (code, text) == (3, "")
+    assert err == f"numeric failure: {kind} weights underflow at m = {m}\n"
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -306,8 +319,16 @@ def test_random_walk_beyond_float_binomials_exits_typed(command, expect):
                              "gauss_hermite"]),
        m=st.integers(1000, 2048))
 def test_constellation_at_large_m_prints_finite_distributions(kind, m):
-    code, text = run_cli(["constellation", "--kinds", kind,
-                          "--m-min", str(m), "--m-max", str(m)])
+    # a weight that underflows to 0 would drop its point: from m = 151 for
+    # gauss_hermite and m = 1,076 for random_walk the run exits 3 instead
+    underflows = ((kind == "gauss_hermite" and m > 150)
+                  or (kind == "random_walk" and m > 1075))
+    code, text, err = run_cli_stderr(["constellation", "--kinds", kind,
+                                      "--m-min", str(m), "--m-max", str(m)])
+    if underflows:
+        assert (code, text) == (3, "")
+        assert err == f"numeric failure: {kind} weights underflow at m = {m}\n"
+        return
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == m
@@ -315,7 +336,7 @@ def test_constellation_at_large_m_prints_finite_distributions(kind, m):
     probs = [float(row["prob"]) for row in rows]
     assert all(math.isfinite(x) for x in points)
     assert all(np.diff(points) > 0)
-    assert all(q >= 0.0 for q in probs)
+    assert all(q > 0.0 for q in probs)
     assert sum(probs) == pytest.approx(1.0)
 
 

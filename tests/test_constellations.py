@@ -44,6 +44,17 @@ def test_basic_invariants(kind, m):
     np.testing.assert_allclose(c.probs, c.probs[::-1], atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, m_last", [("gauss_hermite", 150),
+                                          ("random_walk", 1075)])
+def test_weight_underflow_raises_from_the_first_m_it_reaches(kind, m_last):
+    # the smallest weight of m_last points is still a positive double; one
+    # point more and it rounds to 0, which would drop that point
+    assert make_constellation(kind, m_last).probs.min() > 0.0
+    with pytest.raises(NumericFailure,
+                       match=f"{kind} weights underflow at m = {m_last + 1}"):
+        make_constellation(kind, m_last + 1)
+
+
 def test_equilattice_m2_is_bpsk():
     c = make_constellation("equilattice", 2)
     np.testing.assert_allclose(c.points, [-1.0, 1.0], atol=1e-15)
