@@ -12,15 +12,14 @@ under every label prefix (the integer a label's leading bits spell), so one
 level's LLRs are a gather of candidate centers and a logaddexp pass.
 Successive cancellation carries only the partial sums of decided bits up
 the butterfly; the decoder returns the decided inputs as the transform of
-those sums.  It decodes three kinds of subtree in closed form, bit for bit
-as plain SC would (simplified and fast SC, Alamdar-Yazdi & Kschischang
-2011, Sarkis et al. 2014): all frozen (rate-0, also when it is a node's
-left half), all frozen but the last input (repetition) and all info
-(rate-1).  A rate-1 subtree's hard decisions are SC's only while no
-f-update in it rounds to +-0, so that shortcut is guarded: it is taken
-only when every LLR of the block is large enough in magnitude that none
-can (the proof is in ``sc_decode_batch``).  The genie-aided construction
-needs every input's LLR and descends into every subtree.
+those sums.  It decodes two kinds of subtree in closed form, bit for bit
+as plain SC would (simplified SC, Alamdar-Yazdi & Kschischang 2011): all
+frozen (rate-0) and all info (rate-1).  A rate-1 subtree's hard decisions
+are SC's only while no f-update in it rounds to +-0, so that shortcut is
+guarded: it is taken only when every LLR of the block is large enough in
+magnitude that none can (the proof is in ``sc_decode_batch``).  The
+genie-aided construction needs every input's LLR and descends into every
+subtree.
 
 SC and the polar transform run on (n, batch) arrays, one frame per column,
 so every butterfly half is one contiguous block and every operation on it
@@ -70,7 +69,7 @@ _GENIE_SAMPLES = 1 << 22
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 _BLOCK = 64  # frames a layout copy moves at a time
 # subtree kinds SC decodes in closed form (``_node_kinds``)
-_RATE0, _RATE1, _REP = "rate-0", "rate-1", "repetition"
+_RATE0, _RATE1 = "rate-0", "rate-1"
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
 _GUARD_B = 600.0
 
@@ -132,10 +131,8 @@ def _transform_batch(u: np.ndarray) -> np.ndarray:
     stages = _check_power_of_two(n, "transform length")
     x = _frame_major(u, copy=True)
     for s in range(stages):
-        step = 1 << (s + 1)
-        half = 1 << s
-        x = x.reshape(-1, step, nrows)
-        x[:, :half] ^= x[:, half:]
+        x = x.reshape(-1, 2, 1 << s, nrows)
+        x[:, 0] ^= x[:, 1]
     return x.reshape(n, nrows).T
 
 
@@ -306,17 +303,15 @@ def _sc_batch(llr: np.ndarray, decide, idx0: int,
     Returns the (n, batch) partial sums x = u F^{x log2 n} of the decided
     inputs u; each half's x comes back up the recursion, so no subtree is
     re-encoded.  ``kinds`` maps a subtree's (first index, length) to its
-    kind (``_node_kinds``); each kind is decoded in closed form, with the
-    bits SC would give (see ``sc_decode_batch``).  With no kinds, every
-    subtree is descended into and every input decided."""
-    n, nrows = llr.shape
+    kind (``_node_kinds``); rate-0 and rate-1 subtrees, and nodes whose
+    left half is rate-0, are decoded in closed form, with the bits SC
+    would give (see ``sc_decode_batch``).  With no kinds, every subtree is
+    descended into and every input decided."""
+    n = len(llr)
     kinds = kinds or {}
     kind = kinds.get((idx0, n))
-    if kind == _REP:
-        while len(llr) > 1:
-            llr = llr[:len(llr) // 2] + llr[len(llr) // 2:]
-        x = decide(idx0 + n - 1, llr[0]).astype(np.int8)
-        return np.repeat(x[None], n, axis=0)
+    if kind == _RATE0:
+        return np.zeros(llr.shape, dtype=np.int8)
     if kind == _RATE1 and _hard_decisions_exact(llr):
         return (llr < 0).view(np.int8)
     if n == 1:
@@ -327,8 +322,6 @@ def _sc_batch(llr: np.ndarray, decide, idx0: int,
         x_right = _sc_batch(a + b, decide, idx0 + half, kinds)
         return np.concatenate([x_right, x_right], axis=0)
     x_left = _sc_batch(_f(a, b), decide, idx0, kinds)
-    if kinds.get((idx0 + half, half)) == _RATE0:
-        return np.concatenate([x_left, np.zeros_like(x_left)], axis=0)
     x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half, kinds)
     return np.concatenate([x_left ^ x_right, x_right], axis=0)
 
@@ -345,21 +338,17 @@ def _hard_decisions_exact(llr: np.ndarray) -> bool:
 def _node_kinds(code: PolarCode) -> dict:
     """(first index, length) -> kind of every subtree whose inputs are
     all frozen (``_RATE0``), single inputs included, and of every subtree
-    of length >= 2 whose inputs are all info (``_RATE1``) or all frozen
-    but the last (``_REP``).  Built bottom-up, one tree level at a time:
-    a parent is rate-0 or rate-1 when both halves are, and a repetition
-    when its left half is rate-0 and its right half a repetition (a single
-    info input counting as one)."""
-    rate0 = np.zeros(code.n, dtype=bool)
-    rate0[code.frozen] = True
-    rate1 = rep = ~rate0
+    of length >= 2 whose inputs are all info (``_RATE1``).  Built
+    bottom-up, one tree level at a time: a parent has a kind when both
+    halves have it."""
+    rate0 = np.isin(np.arange(code.n), code.frozen)
+    rate1 = ~rate0
     kinds = {(i, 1): _RATE0 for i in np.nonzero(rate0)[0].tolist()}
     length = 1
     while length < code.n:
-        rate0, rate1, rep = (rate0[0::2] & rate0[1::2],
-                             rate1[0::2] & rate1[1::2], rate0[0::2] & rep[1::2])
+        rate0, rate1 = rate0[0::2] & rate0[1::2], rate1[0::2] & rate1[1::2]
         length *= 2
-        for kind, mask in ((_RATE0, rate0), (_RATE1, rate1), (_REP, rep)):
+        for kind, mask in ((_RATE0, rate0), (_RATE1, rate1)):
             kinds.update(((i * length, length), kind)
                          for i in np.nonzero(mask)[0].tolist())
     return kinds
@@ -373,16 +362,15 @@ def sc_decode_batch(code: PolarCode,
     transform of x (the transform is its own inverse).  LLRs not of shape
     (batch, n) raise ValueError.
 
-    Three kinds of subtree (``_node_kinds``) are decoded in closed form,
-    bit for bit as SC would (fast simplified SC):
+    Two kinds of subtree (``_node_kinds``) are decoded in closed form,
+    bit for bit as SC would (simplified SC):
 
-    - rate-0, all inputs frozen: x = 0, with no LLR computed.  A node whose
-      left half is rate-0 hands its right half a + b, the bits of the
-      g-update with u = 0, and returns x = (x_right, x_right).
-    - repetition, all frozen but the last: its LLRs are folded as
-      v[:h] + v[h:] down to one row, the bits of the g-updates with the
-      left halves zero; the last input is decided from that row and x is
-      the decision on every row.
+    - rate-0, all inputs frozen: x = 0, checked once at node entry.  A
+      node whose left half is rate-0 hands its right half a + b, the bits
+      of the g-update with x_left = 0, and returns x = (x_right, x_right),
+      computing no f-update; a subtree frozen but for its last input is
+      decoded by this rule alone, level by level.  A rate-0 right half
+      meets the entry check after its g-update, which it discards.
     - rate-1, all inputs info: x is the hard decisions llr < 0, when every
       |LLR| of the (length N, batch) block is at least
       t_N = 2 artanh(e^{-B/N}), B = ``_GUARD_B`` = 600; otherwise SC
@@ -407,11 +395,8 @@ def sc_decode_batch(code: PolarCode,
     if llr.ndim != 2 or llr.shape[1] != code.n:
         raise ValueError(f"LLRs must be of shape (batch, {code.n}), "
                          f"got {llr.shape}")
-    kinds = _node_kinds(code)
-    if kinds.get((0, code.n)) == _RATE0:
-        u = np.zeros(llr.shape[::-1], dtype=np.int8)
-        return u.T, u.T
-    x = _sc_batch(_frame_major(llr), lambda i, row: row < 0, 0, kinds)
+    x = _sc_batch(_frame_major(llr), lambda i, row: row < 0, 0,
+                  _node_kinds(code))
     return _transform_batch(x.T), x.T
 
 
@@ -494,7 +479,10 @@ def construct_multilevel(ch, n: int, sum_rate: float, mc_budget: int,
 def estimate_level_mi(ch, level: int, samples: int,
                       rng: np.random.Generator) -> float:
     """Monte-Carlo estimate of the level's conditional mutual information in
-    bits, from the exact LLRs: I = 1 - E[log2(1 + e^{-(1-2b) LLR})]."""
+    bits, from the exact LLRs: I = 1 - E[log2(1 + e^{-(1-2b) LLR})].
+    Fewer than one sample raises ValueError, before any draw."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     bits, llr = ch.sample_level(rng, level, samples)
     signed = np.clip((1.0 - 2.0 * bits) * llr, -700.0, 700.0)
     return 1.0 - float(np.mean(np.log2(1.0 + np.exp(-signed))))

@@ -13,8 +13,8 @@ library path it checks:
   against the library's product with the int8 sign 1 - 2u;
 - ``sc_decode_reference``: plain SC, descending into every subtree not all
   frozen and deciding each info input from its own LLR, against the
-  library decoder's closed-form rate-1, repetition and frozen-half nodes,
-  bit for bit;
+  library decoder's two closed-form rules, rate-0 (with its frozen-left-
+  half fold) and guarded rate-1, bit for bit;
 - ``msb_llr``: a wrapper, not an oracle: the library's LLR of the first
   level for one heterodyne outcome, for the closed-form BPSK checks;
 - ``oracle_level_llrs``: one level's LLRs by brute force over the Gray

@@ -16,12 +16,12 @@ in ``tests/test_cli.py`` hold at 2 OpenBLAS threads.
 The invocations are every argv ``perfbench/workloads.py`` generates, at
 full and self-test size, for seeds 0-2, each workload's warm-up, and the
 default ``rates``, ``chi2``, ``polar`` and ``constellation``, one long
-polar code (``LONG_POLAR``) and the smallest chi-square rows
-(``SMALLEST_CHI2``); each runs in
-process through ``thermalcomm.cli.main``, imported from the checkout's
-``src/``.  A nonzero exit code is appended to its line.  Each script in
-``demos/`` then runs as ``__main__``.  The whole list takes about a minute
-on a 2-core machine.
+polar code (``LONG_POLAR``), one whose every level is all frozen
+(``FROZEN_POLAR``) and the smallest chi-square rows (``SMALLEST_CHI2``);
+each runs in process through ``thermalcomm.cli.main``, imported from the
+checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
+script in ``demos/`` then runs as ``__main__``.  The whole list takes
+about a minute on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ DEFAULTS = (("rates",), ("chi2",), ("polar",), ("constellation",))
 LONG_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
               "--blocklength", "4096", "--rate-fraction", "0.9",
               "--trials", "200", "--mc-budget", "200")
+# rate fraction 0: every level's code is all frozen, so SC meets a rate-0
+# root on every call
+FROZEN_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
+                "--blocklength", "256", "--rate-fraction", "0",
+                "--trials", "50", "--mc-budget", "100")
 # chi-squares down to 1.15e-33, the smallest of the kernel sum's tested
 # grid: where a reordered 50-digit sum is likeliest to move a last bit
 SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
@@ -59,7 +64,7 @@ SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
 def invocations() -> list[tuple[str, ...]]:
     """Every argv to digest, in a fixed order, each once."""
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
-    argvs += [LONG_POLAR, SMALLEST_CHI2]
+    argvs += [LONG_POLAR, FROZEN_POLAR, SMALLEST_CHI2]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
