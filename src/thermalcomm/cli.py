@@ -89,28 +89,48 @@ def _nonzero(x: float) -> float | None:
     return x if x != 0.0 else None
 
 
+def _check_theorem(kind: str, m: int, claim: str, value: float,
+                   limit: float) -> None:
+    """Raise ``NumericFailure`` naming the row and the ``claim`` when
+    ``value`` exceeds the ``limit`` a theorem puts on it by more than
+    ``rates.GAP_RESOLUTION``: such a row is wrong (its Fock truncation too
+    small for the states, say), not merely unresolved."""
+    if value - limit > GAP_RESOLUTION:
+        raise NumericFailure(f"row {kind} m={m} breaks {claim}: "
+                             f"{value!r} > {limit!r}")
+
+
 def cmd_rates(config: RunConfig) -> list[dict]:
     """Rate table rows over the kind x m grid, preceded by the capacity and
     Gaussian coherent-information reference rows.  ``delta_B`` and
     ``delta_E`` are null where the gap is below ``rates.GAP_RESOLUTION``,
     whose noise can come out negative or above ``chi2_bound``; so are the
-    rates of magnitude below it, and ``chi2_bound`` if it underflowed."""
+    rates of magnitude below it, and ``chi2_bound`` if it underflowed.  A
+    row whose gap in nats exceeds ``chi2_bound``, or whose classical rate
+    exceeds the capacity, by more than that resolution raises
+    ``NumericFailure``."""
     p = channel_params(config.k, config.n0, config.n)
+    capacity = capacity_C(p)
     empty = dict.fromkeys(RATES_COLUMNS)
     rows = [
-        {**empty, "kind": "capacity_C", "classical_rate_bits": capacity_C(p)},
+        {**empty, "kind": "capacity_C", "classical_rate_bits": capacity},
         {**empty, "kind": "gaussian_rate_limit",
          "quantum_rate_bits": gaussian_rate_limit(p)},
     ]
     for kind, m, c, Q in _table_grid(config, p, "BE"):
         r = ensemble_rates(p, Q, config.dim)
+        bound = delta_B_bound(p, c)
+        _check_theorem(kind, m, "delta_B in nats <= chi2_bound",
+                       r.delta_B * math.log(2.0), bound)
+        _check_theorem(kind, m, "classical_rate_bits <= capacity_C",
+                       r.classical, capacity)
         rows.append({
             "kind": kind, "m": m,
             "classical_rate_bits": _resolved(r.classical),
             "quantum_rate_bits": _resolved(r.quantum),
             "delta_B": r.delta_B if r.delta_B >= GAP_RESOLUTION else None,
             "delta_E": r.delta_E if r.delta_E >= GAP_RESOLUTION else None,
-            "chi2_bound": _nonzero(delta_B_bound(p, c)),
+            "chi2_bound": _nonzero(bound),
             "dim": r.dim,
             "trace_deficit": r.trace_deficit,
         })
@@ -126,17 +146,22 @@ def cmd_chi2(config: RunConfig) -> list[dict]:
     can cross the bound where it is tight.  Rate tables stay in bits.  It
     is null where the gap is below ``rates.GAP_RESOLUTION``, whose noise
     can come out negative or above the bound.  ``chi2_classical`` and
-    ``delta_B_bound`` are null where they underflowed to 0.0.
+    ``delta_B_bound`` are null where they underflowed to 0.0.  A row whose
+    gap exceeds its bound by more than that resolution raises
+    ``NumericFailure``.
     """
     p = channel_params(config.k, config.n0, config.n)
     rows = []
     for kind, m, c, Q in _table_grid(config, p, "B"):
         db_entropy, _ = delta_B(p, Q, config.dim)
         chi2_classical = classical_chi2_kernel(c, p.s)
+        bound = _gap_bound(chi2_classical)
+        _check_theorem(kind, m, "delta_B_actual <= delta_B_bound",
+                       db_entropy * math.log(2.0), bound)
         rows.append({
             "kind": kind, "m": m, "s": p.s,
             "chi2_classical": _nonzero(chi2_classical),
-            "delta_B_bound": _nonzero(_gap_bound(chi2_classical)),
+            "delta_B_bound": _nonzero(bound),
             "delta_B_actual": (db_entropy * math.log(2.0)
                                if db_entropy >= GAP_RESOLUTION else None),
             "c_decay": p.c_decay,

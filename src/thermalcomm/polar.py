@@ -14,12 +14,15 @@ Successive cancellation carries only the partial sums of decided bits up
 the butterfly; the decoder returns the decided inputs as the transform of
 those sums.  It decodes two kinds of subtree in closed form, bit for bit
 as plain SC would (simplified SC, Alamdar-Yazdi & Kschischang 2011): all
-frozen (rate-0) and all info (rate-1).  A rate-1 subtree's hard decisions
-are SC's only while no f-update in it rounds to +-0, so that shortcut is
-guarded: it is taken only when every LLR of the block is large enough in
-magnitude that none can (the proof is in ``sc_decode_batch``).  The
-genie-aided construction needs every input's LLR and descends into every
-subtree.
+frozen (rate-0) and all info (rate-1), told apart by the count of frozen
+inputs in the subtree, a difference of two prefix sums.  A rate-1
+subtree's hard decisions are SC's only while no f-update in it rounds to
++-0, so that shortcut is guarded: it is taken only when every LLR of the
+block is large enough in magnitude that none can (the proof is in
+``sc_decode_batch``).  The genie-aided construction knows the codeword
+the channel carried, so it decides nothing: at every node the left
+half's partial sums are the XOR of the codeword's halves, and it walks
+every subtree for every input's LLR.
 
 SC and the polar transform run on (n, batch) arrays, one frame per column,
 so every butterfly half is one contiguous block and every operation on it
@@ -68,8 +71,6 @@ _SLICE = 1 << 20
 _GENIE_SAMPLES = 1 << 22
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 _BLOCK = 64  # frames a layout copy moves at a time
-# subtree kinds SC decodes in closed form (``_node_kinds``)
-_RATE0, _RATE1 = "rate-0", "rate-1"
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
 _GUARD_B = 600.0
 
@@ -292,37 +293,32 @@ def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sc_batch(llr: np.ndarray, decide, idx0: int,
-              kinds: dict | None = None) -> np.ndarray:
-    """SC recursion over an (n, batch) LLR array, one frame per column;
-    ``decide(i, llr_row)`` returns the batch's decisions for input index
-    ``i``.  Trials are independent, so the whole batch moves through the
-    butterfly together, and with the frames on the contiguous axis every
-    half of the butterfly is one contiguous block.
+def _sc_batch(llr: np.ndarray, idx0: int, nfrozen: list) -> np.ndarray:
+    """SC recursion over an (n, batch) LLR array, one frame per column,
+    for the inputs [idx0, idx0 + n); ``nfrozen[i]`` counts the frozen
+    inputs below i, so a subtree's count of frozen inputs is a difference
+    of two entries.  Trials are independent, so the whole batch moves
+    through the butterfly together, and with the frames on the contiguous
+    axis every half of the butterfly is one contiguous block.
 
     Returns the (n, batch) partial sums x = u F^{x log2 n} of the decided
     inputs u; each half's x comes back up the recursion, so no subtree is
-    re-encoded.  ``kinds`` maps a subtree's (first index, length) to its
-    kind (``_node_kinds``); rate-0 and rate-1 subtrees, and nodes whose
-    left half is rate-0, are decoded in closed form, with the bits SC
-    would give (see ``sc_decode_batch``).  With no kinds, every subtree is
-    descended into and every input decided."""
+    re-encoded.  Rate-0 and rate-1 subtrees, and nodes whose left half is
+    rate-0, are decoded in closed form, with the bits SC would give (see
+    ``sc_decode_batch``); an info input is decided as its LLR < 0."""
     n = len(llr)
-    kinds = kinds or {}
-    kind = kinds.get((idx0, n))
-    if kind == _RATE0:
+    frozen = nfrozen[idx0 + n] - nfrozen[idx0]
+    if frozen == n:
         return np.zeros(llr.shape, dtype=np.int8)
-    if kind == _RATE1 and _hard_decisions_exact(llr):
+    if frozen == 0 and (n == 1 or _hard_decisions_exact(llr)):
         return (llr < 0).view(np.int8)
-    if n == 1:
-        return decide(idx0, llr[0]).astype(np.int8)[None]
     half = n // 2
     a, b = llr[:half], llr[half:]
-    if kinds.get((idx0, half)) == _RATE0:
-        x_right = _sc_batch(a + b, decide, idx0 + half, kinds)
+    if nfrozen[idx0 + half] - nfrozen[idx0] == half:
+        x_right = _sc_batch(a + b, idx0 + half, nfrozen)
         return np.concatenate([x_right, x_right], axis=0)
-    x_left = _sc_batch(_f(a, b), decide, idx0, kinds)
-    x_right = _sc_batch(_g(a, b, x_left), decide, idx0 + half, kinds)
+    x_left = _sc_batch(_f(a, b), idx0, nfrozen)
+    x_right = _sc_batch(_g(a, b, x_left), idx0 + half, nfrozen)
     return np.concatenate([x_left ^ x_right, x_right], axis=0)
 
 
@@ -335,25 +331,6 @@ def _hard_decisions_exact(llr: np.ndarray) -> bool:
     return bool(ok.all())
 
 
-def _node_kinds(code: PolarCode) -> dict:
-    """(first index, length) -> kind of every subtree whose inputs are
-    all frozen (``_RATE0``), single inputs included, and of every subtree
-    of length >= 2 whose inputs are all info (``_RATE1``).  Built
-    bottom-up, one tree level at a time: a parent has a kind when both
-    halves have it."""
-    rate0 = np.isin(np.arange(code.n), code.frozen)
-    rate1 = ~rate0
-    kinds = {(i, 1): _RATE0 for i in np.nonzero(rate0)[0].tolist()}
-    length = 1
-    while length < code.n:
-        rate0, rate1 = rate0[0::2] & rate0[1::2], rate1[0::2] & rate1[1::2]
-        length *= 2
-        for kind, mask in ((_RATE0, rate0), (_RATE1, rate1)):
-            kinds.update(((i * length, length), kind)
-                         for i in np.nonzero(mask)[0].tolist())
-    return kinds
-
-
 def sc_decode_batch(code: PolarCode,
                     llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode each row of a (batch, n) LLR array; returns the full
@@ -362,16 +339,18 @@ def sc_decode_batch(code: PolarCode,
     transform of x (the transform is its own inverse).  LLRs not of shape
     (batch, n) raise ValueError.
 
-    Two kinds of subtree (``_node_kinds``) are decoded in closed form,
-    bit for bit as SC would (simplified SC):
+    The frozen inputs below each index are counted once, so the number of
+    them in a subtree [i, i + N) is nfrozen[i + N] - nfrozen[i], and two
+    kinds of subtree are decoded in closed form, bit for bit as SC would
+    (simplified SC):
 
-    - rate-0, all inputs frozen: x = 0, checked once at node entry.  A
-      node whose left half is rate-0 hands its right half a + b, the bits
-      of the g-update with x_left = 0, and returns x = (x_right, x_right),
+    - rate-0, a count of N: x = 0, checked once at node entry.  A node
+      whose left half is rate-0 hands its right half a + b, the bits of
+      the g-update with x_left = 0, and returns x = (x_right, x_right),
       computing no f-update; a subtree frozen but for its last input is
       decoded by this rule alone, level by level.  A rate-0 right half
       meets the entry check after its g-update, which it discards.
-    - rate-1, all inputs info: x is the hard decisions llr < 0, when every
+    - rate-1, a count of 0: x is the hard decisions llr < 0, when every
       |LLR| of the (length N, batch) block is at least
       t_N = 2 artanh(e^{-B/N}), B = ``_GUARD_B`` = 600; otherwise SC
       descends as usual.  Proof: an f-update gives tanh(|v|/2) =
@@ -386,7 +365,8 @@ def sc_decode_batch(code: PolarCode,
       the node's LLRs (the f-update's sign gives x_left = x(a) ^ x(b), and
       the g-update's sign x_right = x(b)).  Without the guard this fails:
       at N = 2 the LLRs (-1, 0) give f = -0, so SC decides x = (1, 1)
-      where the hard decisions are (1, 0).
+      where the hard decisions are (1, 0).  A single info input is the
+      hard decision of its LLR, with no guard.
 
     SC runs on the (n, batch) transpose of ``llr``, copied unless ``llr``
     is already the transpose of such an array; u and x are (batch, n)
@@ -395,38 +375,51 @@ def sc_decode_batch(code: PolarCode,
     if llr.ndim != 2 or llr.shape[1] != code.n:
         raise ValueError(f"LLRs must be of shape (batch, {code.n}), "
                          f"got {llr.shape}")
-    x = _sc_batch(_frame_major(llr), lambda i, row: row < 0, 0,
-                  _node_kinds(code))
+    # nfrozen[i], the frozen inputs below i, from the sorted frozen set
+    nfrozen = np.searchsorted(code.frozen, np.arange(code.n + 1)).tolist()
+    x = _sc_batch(_frame_major(llr), 0, nfrozen)
     return _transform_batch(x.T), x.T
 
 
-def genie_error_counts(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
-    """Run SC over a (batch, n) LLR array with every decision forced to the
-    true bit; return per-index soft error counts.
+def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Genie-aided SC over a (batch, n) LLR array whose frames carried the
+    codewords ``x``; returns per-index soft error counts.
 
-    With genie feeding, the LLR seen at index i is the exact posterior of
-    the i-th synthetic channel, so its hard decision errs with probability
-    1/(1 + e^|L|) given the observation.  Summing that conditional
-    probability instead of the 0/1 outcome estimates the same error count
-    with much lower variance.  ``llr`` and ``u_true`` must share one
-    (batch, n) shape, else ValueError.  As in ``sc_decode_batch``, SC runs
-    on the (n, batch) transposes of both, copied unless given as such.
+    The genie knows every input, so SC decides nothing: at a node over
+    the codeword bits x, the left half's partial sums are x[:h] ^ x[h:]
+    and the right half's are x[h:], which is what re-encoding the true
+    inputs would give.  With genie feeding, the LLR seen at index i is the
+    exact posterior of the i-th synthetic channel, so its hard decision
+    errs with probability 1/(1 + e^|L|) given the observation.  Summing
+    that conditional probability instead of the 0/1 outcome estimates the
+    same error count with much lower variance.  ``llr`` and ``x`` must
+    share one (batch, n) shape, else ValueError.  As in
+    ``sc_decode_batch``, the walk runs on the (n, batch) transposes of
+    both, copied unless given as such.
     """
     llr = np.asarray(llr, dtype=float)
-    u_true = np.asarray(u_true, dtype=np.int8)
-    if llr.ndim != 2 or u_true.shape != llr.shape:
-        raise ValueError(f"llr of shape {llr.shape} and u_true of shape "
-                         f"{u_true.shape}; need one (batch, n) shape")
+    x = np.asarray(x, dtype=np.int8)
+    if llr.ndim != 2 or x.shape != llr.shape:
+        raise ValueError(f"llr of shape {llr.shape} and x of shape "
+                         f"{x.shape}; need one (batch, n) shape")
     errs = np.zeros(llr.shape[1])
-    u_true = _frame_major(u_true)
-
-    def decide(i, row):
-        e = np.exp(-np.abs(row))
-        errs[i] += np.sum(e / (1.0 + e))
-        return u_true[i]
-
-    _sc_batch(_frame_major(llr), decide, 0)
+    _genie_walk(_frame_major(llr), _frame_major(x), 0, errs)
     return errs
+
+
+def _genie_walk(llr: np.ndarray, x: np.ndarray, idx0: int,
+                errs: np.ndarray) -> None:
+    """Add the soft error counts of the inputs [idx0, idx0 + n) of an
+    (n, batch) LLR array and its codeword bits into ``errs``."""
+    if len(llr) == 1:
+        e = np.exp(-np.abs(llr[0]))
+        errs[idx0] += np.sum(e / (1.0 + e))
+        return
+    half = len(llr) // 2
+    a, b = llr[:half], llr[half:]
+    x_left = x[:half] ^ x[half:]
+    _genie_walk(_f(a, b), x_left, idx0, errs)
+    _genie_walk(_g(a, b, x_left), x[half:], idx0 + half, errs)
 
 
 def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
@@ -441,12 +434,13 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     for start in range(0, mc_budget, chunk):
         b = min(chunk, mc_budget - start)
         bits, llr = ch.sample_level(rng, level, b * n)
-        u_true = _transform_batch(bits.reshape(b, n).astype(np.int8))
+        # hand the walk the transposes of (n, b) copies, which it takes as
+        # they are, and drop the row-major draws before it allocates its
+        # own arrays
+        x = _frame_major(bits.reshape(b, n).astype(np.int8)).T
         del bits
-        # hand SC the transpose of an (n, b) copy, which it takes as is,
-        # and drop the row-major draw before SC allocates its own arrays
         llr = _frame_major(llr.reshape(b, n)).T
-        counts += genie_error_counts(llr, u_true)
+        counts += genie_error_counts(llr, x)
     return counts / mc_budget
 
 

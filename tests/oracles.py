@@ -11,10 +11,16 @@ library path it checks:
   row-by-row encoding checks exercise the batched transform itself;
 - ``sc_g_update``: the SC g-update b + (1 - 2u) a as one float expression,
   against the library's product with the int8 sign 1 - 2u;
-- ``sc_decode_reference``: plain SC, descending into every subtree not all
-  frozen and deciding each info input from its own LLR, against the
-  library decoder's two closed-form rules, rate-0 (with its frozen-left-
-  half fold) and guarded rate-1, bit for bit;
+- ``sc_decode_reference``: plain SC, descending into every subtree,
+  frozen ones included, deciding each info input from its own LLR and
+  each frozen input 0, against the library decoder's two closed-form
+  rules, rate-0 (with its frozen-left-half fold) and guarded rate-1, told
+  apart by prefix counts of the frozen inputs, bit for bit;
+- ``genie_sc_reference``: genie-aided SC as a decoder whose every
+  decision is forced to the true input, the inputs the transform of the
+  codeword and the partial sums re-encoded from the decisions, against
+  the library's walk, which decides nothing and takes each node's partial
+  sums from the codeword; it also counts the hard-decision errors;
 - ``msb_llr``: a wrapper, not an oracle: the library's LLR of the first
   level for one heterodyne outcome, for the closed-form BPSK checks;
 - ``oracle_level_llrs``: one level's LLRs by brute force over the Gray
@@ -142,28 +148,52 @@ def sc_g_update(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def sc_decode_reference(code, llr):
     """SC-decode each row of a (batch, n) LLR array with the library's f-
-    and g-updates, skipping only subtrees whose inputs are all frozen:
-    every info input is decided as its own LLR < 0 and written into u as
+    and g-updates, descending into every subtree: every info input is
+    decided as its own LLR < 0, every frozen one 0, and written into u as
     it is decided.  Returns (u, x) as (batch, n) arrays, x the partial
     sums."""
-    frozen = np.zeros(code.n, dtype=bool)
-    frozen[code.frozen] = True
+    frozen = np.isin(np.arange(code.n), code.frozen)
     llr = np.ascontiguousarray(np.asarray(llr, dtype=float).T)
     u = np.zeros(llr.shape, dtype=np.int8)
-    x = _sc_reference(llr, 0, frozen, u)
+
+    def decide(i, row):
+        u[i] = (row < 0) & ~frozen[i]
+        return u[i]
+
+    x = _sc_forced(llr, 0, decide)
     return u.T, x.T
 
 
-def _sc_reference(llr, idx0, frozen, u):
+def genie_sc_reference(llr, x):
+    """Genie-aided SC over a (batch, n) LLR array whose frames carried the
+    codewords ``x``: the true inputs u are the transform of x, every
+    decision is forced to them and the partial sums are re-encoded from
+    the decisions.  Returns per-index (soft, hard) error counts: the soft
+    one sums 1/(1 + e^|L|) as the library does, the hard one the 0/1
+    errors of the decision L < 0, a tie at L = 0 counting half."""
+    llr = np.ascontiguousarray(np.asarray(llr, dtype=float).T)
+    u = np.ascontiguousarray(_transform_batch(np.asarray(x, np.int8)).T)
+    soft, hard = np.zeros(len(llr)), np.zeros(len(llr))
+
+    def decide(i, row):
+        e = np.exp(-np.abs(row))
+        soft[i] += np.sum(e / (1.0 + e))
+        hard[i] += np.sum(np.where(row == 0.0, 0.5, (row < 0) != u[i]))
+        return u[i]
+
+    _sc_forced(llr, 0, decide)
+    return soft, hard
+
+
+def _sc_forced(llr, idx0, decide):
+    """Plain SC over an (n, batch) LLR array, ``decide(i, llr_row)`` giving
+    the batch's bits at input i; returns the (n, batch) partial sums."""
     n = len(llr)
-    if frozen[idx0:idx0 + n].all():
-        return np.zeros(llr.shape, dtype=np.int8)
     if n == 1:
-        u[idx0] = llr[0] < 0
-        return u[idx0:idx0 + 1].copy()
+        return decide(idx0, llr[0]).astype(np.int8)[None]
     a, b = llr[:n // 2], llr[n // 2:]
-    x_left = _sc_reference(_f(a, b), idx0, frozen, u)
-    x_right = _sc_reference(_g(a, b, x_left), idx0 + n // 2, frozen, u)
+    x_left = _sc_forced(_f(a, b), idx0, decide)
+    x_right = _sc_forced(_g(a, b, x_left), idx0 + n // 2, decide)
     return np.concatenate([x_left ^ x_right, x_right])
 
 

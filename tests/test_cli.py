@@ -22,7 +22,7 @@ from thermalcomm import rates
 from thermalcomm.cli import (CHI2_COLUMNS, RATES_COLUMNS, RunConfig,
                              _build_parser, cmd_chi2, cmd_constellation,
                              cmd_polar, cmd_rates, main)
-from thermalcomm.errors import SupportError
+from thermalcomm.errors import SupportError, TruncationWarning
 
 
 def run_cli(argv):
@@ -387,6 +387,39 @@ def test_support_error_exits_3(monkeypatch):
     assert code == 3
     assert text == ""
     assert err.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize("command, claim", [
+    ("rates", "delta_B in nats <= chi2_bound"),
+    ("chi2", "delta_B_actual <= delta_B_bound")])
+def test_row_above_its_gap_bound_exits_3_naming_it(command, claim):
+    # at dim 40 the row's B state is truncated short enough that its gap,
+    # 0.0020528 nats, exceeds the proven bound 0.0020143; both tables
+    # printed it with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        code, text, err = run_cli_stderr([
+            command, "--kinds", "random_walk", "--m-min", "12",
+            "--m-max", "12", "--dim", "40"])
+    assert code == 3
+    assert text == ""
+    assert err.startswith(
+        f"numeric failure: row random_walk m=12 breaks {claim}: 0.00205")
+
+
+def test_row_above_capacity_exits_3_naming_it(monkeypatch):
+    # no argv is known to reach it (the digest argvs' rates stay 7.95e-4
+    # bits or more below capacity), so the capacity is lowered instead
+    from thermalcomm import cli
+    monkeypatch.setattr(cli, "capacity_C", lambda p: 0.5)
+    code, text, err = run_cli_stderr(["rates", "--m-max", "3",
+                                      "--kinds", "equilattice"])
+    assert code == 3
+    assert text == ""
+    # the first row, at m = 2, carries about 2 bits
+    assert re.fullmatch(r"numeric failure: row equilattice m=2 breaks "
+                        r"classical_rate_bits <= capacity_C: \S+ > 0\.5\n",
+                        err), err
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
-                     inverse_gray, msb_llr, oracle_level_llrs,
-                     polar_transform, sc_decode_reference, sc_g_update,
-                     whole_batch_simulate)
+                     genie_sc_reference, inverse_gray, msb_llr,
+                     oracle_level_llrs, polar_transform, sc_decode_reference,
+                     sc_g_update, whole_batch_simulate)
 from thermalcomm import (InducedChannel, PolarCode, channel_params,
                          construct_multilevel, induced_channel,
                          make_constellation, simulate)
 from thermalcomm import polar
-from thermalcomm.polar import (_RATE0, _RATE1, _frame_major, _g,
-                               _node_kinds, _sc_batch, estimate_level_mi,
+from thermalcomm.polar import (_frame_major, _g, estimate_level_mi,
                                genie_error_counts, sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
@@ -99,20 +98,40 @@ def test_genie_soft_and_hard_agree_on_bec():
     rng = np.random.default_rng(11)
     ch = ErasureChannel(0.5)
     bits, llr = ch.sample_level(rng, 0, 64 * 200)
-    bits = bits.reshape(200, 64).astype(np.int8)
-    llr = llr.reshape(200, 64)
-    u = np.stack([polar_transform(row) for row in bits])
-    hard = np.zeros(64)
-
-    def decide(i, row):
-        # 0/1 hard-decision errors, a tie at LLR 0 counting half
-        hard[i] += np.sum((row < 0) != u[:, i]) + 0.5 * np.sum(
-            (row == 0.0) * (1.0 - 2.0 * (u[:, i] != 0)))
-        return u[:, i]
-
-    _sc_batch(np.ascontiguousarray(llr.T), decide, 0)
-    soft = genie_error_counts(llr, u)
+    bits, llr = bits.reshape(200, 64), llr.reshape(200, 64)
+    hard = genie_sc_reference(llr, bits)[1]
+    soft = genie_error_counts(llr, bits)
     np.testing.assert_allclose(soft, hard, atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1024])
+def test_genie_error_counts_match_decided_genie_sc_bitwise(n):
+    # the walk takes each node's partial sums from the codeword, where the
+    # oracle re-encodes its forced decisions; exact zeros and +-40 LLRs
+    # sit among the Gaussian ones
+    rng = np.random.default_rng(30 + n)
+    batch = 8 if n == 1024 else 40
+    llr = rng.normal(size=(batch, n)) * rng.choice([0.05, 1.0, 8.0],
+                                                   size=(batch, 1))
+    hit = rng.random(llr.shape)
+    llr[hit < 0.05] = 0.0
+    llr[(hit >= 0.05) & (hit < 0.1)] = 40.0
+    llr[(hit >= 0.1) & (hit < 0.15)] = -40.0
+    x = rng.integers(0, 2, size=llr.shape).astype(np.int8)
+    got = genie_error_counts(llr, x)
+    want = genie_sc_reference(llr, x)[0]
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_construction_encodes_nothing(monkeypatch):
+    # the genie walk takes the drawn codeword bits as they are, so the
+    # construction never runs the polar transform
+    calls = []
+    transform = polar._transform_batch
+    monkeypatch.setattr(polar, "_transform_batch",
+                        lambda u: calls.append(u.shape) or transform(u))
+    construct_multilevel(make_channel(4), 64, 1.6, 200, seed=6)
+    assert calls == []
 
 
 def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
@@ -140,8 +159,8 @@ def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
         counts = np.zeros(n)
         for b in chunks:
             bits, llr = sample_level(ch, rng, lv, b * n)
-            u = np.stack([polar_transform(row) for row in bits.reshape(b, n)])
-            counts += genie_error_counts(llr.reshape(b, n), u)
+            counts += genie_error_counts(llr.reshape(b, n),
+                                         bits.reshape(b, n))
         want[lv] = counts / budget
         np.testing.assert_array_equal(got.view(np.int64),
                                       want[lv].view(np.int64))
@@ -405,24 +424,15 @@ def test_sc_decode_batch_matches_scalar():
 
 @pytest.mark.parametrize("n", [1, 2, 64])
 def test_sc_decode_batch_skips_frozen_subtrees_exactly(n):
-    # descending into every subtree, frozen ones included, decides the same
+    # plain SC, descending into every subtree, frozen ones included,
+    # decides the same; n = 1 is the one length the bitwise test below
+    # does not run
     rng = np.random.default_rng(n)
     llr = rng.normal(size=(16, n)) * 3.0
     for frozen in (np.arange(n), np.arange(n // 2), np.arange(n // 2, n),
                    np.sort(rng.choice(n, size=n // 2, replace=False)),
                    np.array([], dtype=int)):
-        code = PolarCode(n=n, frozen=frozen)
-        is_frozen = np.isin(np.arange(n), frozen)
-        u = np.zeros((n, 16), dtype=np.int8)
-
-        def decide(i, row):
-            u[i] = (row < 0) & ~is_frozen[i]
-            return u[i]
-
-        x = _sc_batch(np.ascontiguousarray(llr.T), decide, 0)
-        for g, w in zip(sc_decode_batch(code, llr), (u.T, x.T)):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+        _assert_matches_plain_sc(PolarCode(n=n, frozen=frozen), llr)
 
 
 @pytest.mark.parametrize("frozen", [[0], []], ids=["frozen", "free"])
@@ -439,20 +449,17 @@ def test_sc_decode_length_one_code(frozen):
 
 
 def test_sc_partial_sums_are_the_transform_of_the_decisions():
-    # whatever the decisions, the partial sums SC carries up the butterfly
-    # must be the polar transform of the decided inputs
+    # the partial sums plain SC carries up the butterfly, and those the
+    # decoder's closed-form rules return, are the polar transform of the
+    # decided inputs, on random decisions of both
     rng = np.random.default_rng(5)
     llr = rng.normal(size=(16, 64))
-    flips = rng.integers(0, 2, size=(16, 64)).astype(np.int8)
-    u = np.zeros((64, 16), dtype=np.int8)
-
-    def decide(i, row):
-        u[i] = (row < 0) ^ flips[:, i]
-        return u[i]
-
-    x = _sc_batch(np.ascontiguousarray(llr.T), decide, 0)
-    for row_u, row_x in zip(u.T, x.T):
-        np.testing.assert_array_equal(row_x, polar_transform(row_u))
+    for frozen in (np.array([], dtype=int), bec_frozen_set(0.5, 64, 0.5)):
+        code = PolarCode(n=64, frozen=frozen)
+        for u, x in (sc_decode_reference(code, llr),
+                     sc_decode_batch(code, llr)):
+            for row_u, row_x in zip(u, x):
+                np.testing.assert_array_equal(row_x, polar_transform(row_u))
 
 
 def _assert_matches_plain_sc(code, llr):
@@ -466,7 +473,8 @@ def _random_frozen_sets(n, rng):
     # reliability-ordered sets, as a construction gives, hold long rate-1
     # subtrees and subtrees frozen but for their last input; random subsets
     # hold short ones
-    sets = [np.arange(n), np.array([], dtype=int)]
+    sets = [np.arange(n), np.array([], dtype=int), np.arange(n // 2),
+            np.arange(n // 2, n)]
     for rate in (0.25, 0.5, 0.9):
         sets.append(bec_frozen_set(0.5, n, rate))
     # two structured families, for block lengths 2^j: every input frozen
@@ -539,29 +547,6 @@ def test_sc_decode_rate1_guard_catches_an_underflowing_f_chain():
     _assert_matches_plain_sc(code, llr)
 
 
-def _brute_force_kinds(code):
-    frozen = np.isin(np.arange(code.n), code.frozen)
-    kinds = {}
-    length = 1
-    while length <= code.n:
-        for first in range(0, code.n, length):
-            block = frozen[first:first + length]
-            if block.all():
-                kinds[first, length] = _RATE0
-            elif length > 1 and not block.any():
-                kinds[first, length] = _RATE1
-        length *= 2
-    return kinds
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64, 256])
-def test_node_kinds_match_brute_force_classification(n):
-    rng = np.random.default_rng(90 + n)
-    for frozen in _random_frozen_sets(n, rng):
-        code = PolarCode(n=n, frozen=frozen)
-        assert _node_kinds(code) == _brute_force_kinds(code)
-
-
 def test_sc_decode_batch_leaves_no_cyclic_garbage():
     # a reference cycle in the decoder (a recursive closure, say) would be
     # freed only when the collector runs, so the memory a call leaves
@@ -612,20 +597,22 @@ def test_g_update_is_the_float_expression_bitwise(bit):
 
 @pytest.mark.parametrize("call", ["genie", "decode"])
 def test_sc_takes_a_frame_contiguous_view_without_a_second_copy(call):
-    # handed the (batch, n) transpose of an (n, batch) array, SC runs on it
-    # as it is: its traced peak stays near one copy of the LLRs (1.26 of it
-    # in the genie run, which also lays out the int8 bits, and 1.25
-    # decoding), where a second (n, batch) copy would take it to 2.26 and
-    # 2.25
+    # handed the (batch, n) transposes of (n, batch) arrays, as the
+    # construction hands its LLRs and codeword bits, SC runs on them as
+    # they are: its traced peak stays near one copy of the LLRs (1.13 of it
+    # in the genie walk, whose int8 partial sums add an eighth, and 1.0
+    # decoding), where a second (n, batch) copy would take it to 2.13 and
+    # 2.0
     n, batch = 256, 2048
     rng = np.random.default_rng(8)
     llr = np.ascontiguousarray(rng.normal(size=(batch, n)).T * 3.0).T
     code = PolarCode(n=n, frozen=np.arange(n // 2))
-    u = rng.integers(0, 2, size=(batch, n)).astype(np.int8)
+    x = np.ascontiguousarray(
+        rng.integers(0, 2, size=(n, batch)).astype(np.int8)).T
     tracemalloc.start()
     try:
         if call == "genie":
-            genie_error_counts(llr, u)
+            genie_error_counts(llr, x)
         else:
             sc_decode_batch(code, llr)
         peak = tracemalloc.get_traced_memory()[1]
@@ -682,8 +669,9 @@ def test_sc_decode_batch_refuses_llrs_not_batch_by_n(shape):
 @pytest.mark.parametrize("llr_shape, u_shape", [
     ((4, 8), (4, 4)), ((4, 8), (2, 8)), ((8,), (8,)), ((4, 8), (8,))])
 def test_genie_error_counts_refuses_mismatched_shapes(llr_shape, u_shape):
+    # u_shape is the shape of the codeword bits x
     with pytest.raises(ValueError, match=re.escape(
-            f"llr of shape {llr_shape} and u_true of shape {u_shape}")):
+            f"llr of shape {llr_shape} and x of shape {u_shape}")):
         genie_error_counts(np.zeros(llr_shape),
                            np.zeros(u_shape, dtype=np.int8))
 
