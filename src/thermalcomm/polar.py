@@ -27,11 +27,13 @@ every subtree for every input's LLR.
 SC and the polar transform run on (n, batch) arrays, one frame per column,
 so every butterfly half is one contiguous block and every operation on it
 one pass over the whole batch (the inter-frame layout of software polar
-decoders).  The public functions keep their (batch, n) interface: they
-copy their input to the (n, batch) layout, or take it without a copy when
-it already is the transpose of an (n, batch) array, which is how the code
-construction and the link simulation hand over their LLRs.  Their outputs
-are (batch, n) views of (n, batch) arrays.
+decoders).  The public functions keep their (batch, n) interface.  The
+decoder copies its input to the (n, batch) layout, or takes it without a
+copy when it already is the transpose of an (n, batch) array, which is
+how the link simulation hands over its LLRs; its outputs are (batch, n)
+views of (n, batch) arrays.  The genie walk overwrites its LLRs in place
+in either layout, copying out of a row-major chunk only the nodes
+``_GENIE_NODE`` inputs wide.
 
 Both the demapper and the link simulation work in slices of ``_SLICE``
 samples, so only the link's int8 input bits and one flag per frame grow
@@ -40,8 +42,10 @@ construction, is a plain walk ``range(0, total, chunk)`` over row slices
 ``[s:s + chunk]``, the last one ragged.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
-bits whatever the slice size.  The genie sampler frees its int64 symbol
-index before its LLR pass.
+bits whatever the slice size.  The genie-aided construction keeps about
+one copy of a chunk's LLRs: its sampler narrows each slice of symbol
+indices to one-byte labels as it draws them and writes its LLRs slice by
+slice into one array, and its walk overwrites that array in place.
 
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
@@ -69,6 +73,11 @@ _SLICE = 1 << 20
 # changes the last bits of the error probabilities, and so can change a
 # frozen set.
 _GENIE_SAMPLES = 1 << 22
+# Samples sample_level draws, and values the genie walk's butterfly
+# updates, at a time: bounds their transients, changes no bit
+_GENIE_SLICE = 1 << 16
+# Width of the genie walk's nodes copied frame-major out of a row-major chunk
+_GENIE_NODE = 64
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 _BLOCK = 64  # frames a layout copy moves at a time
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
@@ -109,15 +118,16 @@ def _check_power_of_two(n: int, what: str) -> int:
     return int(math.log2(n))
 
 
-def _frame_major(a: np.ndarray, copy: bool = False) -> np.ndarray:
+def _frame_major(a: np.ndarray, copy: bool = False,
+                 dtype=None) -> np.ndarray:
     """The (n, batch) C-contiguous transpose of a (batch, n) array: ``a.T``
     itself when that is C-contiguous and no ``copy`` is asked for, else a
-    copy made ``_BLOCK`` frames at a time.  Each block's source and
-    destination stay in cache, so this runs several times faster than
-    numpy's whole-array transposing copy."""
+    copy, in ``dtype`` if given, made ``_BLOCK`` frames at a time.  Each
+    block's source and destination stay in cache, so this runs several
+    times faster than numpy's whole-array transposing copy."""
     if a.T.flags.c_contiguous and not copy:
         return a.T
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    out = np.empty(a.shape[::-1], dtype=a.dtype if dtype is None else dtype)
     for i in range(0, len(a), _BLOCK):
         out[:, i:i + _BLOCK] = a[i:i + _BLOCK].T
     return out
@@ -183,23 +193,39 @@ class InducedChannel:
         and the exact LLRs of the given level's bit with the true lower-level
         bits as priors (the genie-aided bit channel).
 
+        Every symbol is drawn first, ``_GENIE_SLICE`` at a time, each
+        slice's amplitude index narrowed at once to its one-byte Gray label;
+        then the noise, outcomes and LLRs are made slice by slice into one
+        preallocated output.  So the LLRs are the only n-sized float array,
+        and numpy's stream for consecutive draws is that of one draw: the
+        bits are those of drawing all n indices, then all n noise values.
+
         Returns (transmitted bits of the level, LLRs).
         """
         bpos = level % self.nbits
-        j = rng.integers(0, len(self.amplitudes), size=n)
-        yq = self._heterodyne(rng, j)
-        label = self.labels[j]
-        del j
-        return (label >> (self.nbits - 1 - bpos)) & 1, self.level_llrs(
-            level, label >> (self.nbits - bpos), yq)
+        label = np.empty(n, dtype=self.labels.dtype)
+        for s in range(0, n, _GENIE_SLICE):
+            part = label[s:s + _GENIE_SLICE]
+            np.take(self.labels, rng.integers(0, len(self.amplitudes),
+                                              size=len(part)), out=part)
+        llr = np.empty(n)
+        for s in range(0, n, _GENIE_SLICE):
+            part = label[s:s + _GENIE_SLICE]
+            llr[s:s + _GENIE_SLICE] = self.level_llrs(
+                level, part >> (self.nbits - bpos),
+                self._heterodyne(rng, part))
+        return (label >> (self.nbits - 1 - bpos)) & 1, llr
 
     def _heterodyne(self, rng: np.random.Generator,
-                    j: np.ndarray) -> np.ndarray:
-        """One heterodyne quadrature outcome per amplitude index in ``j``:
-        k times the amplitude plus Gaussian noise of variance (Nc + 1)/2
-        (the Husimi Q function of the output state)."""
-        return self.params.k * self.amplitudes[j] + rng.normal(
-            scale=math.sqrt(self.noise_var), size=j.shape)
+                    label: np.ndarray) -> np.ndarray:
+        """One heterodyne quadrature outcome per Gray label in ``label``:
+        Gaussian noise of variance (Nc + 1)/2, drawn in ``label``'s shape,
+        plus k times the labelled amplitude (the Husimi Q function of the
+        output state)."""
+        centers = (self.params.k * self.amplitudes)[np.argsort(self.labels)]
+        out = rng.normal(scale=math.sqrt(self.noise_var), size=label.shape)
+        out += centers[label]
+        return out
 
     def level_llrs(self, level: int, prefix: np.ndarray,
                    yq: np.ndarray) -> np.ndarray:
@@ -285,12 +311,13 @@ def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray,
+       out=None) -> np.ndarray:
     # b + (1 - 2u) a: the int8 sign multiplies exactly, so the bits are
-    # those of the float expression, in one fresh buffer
-    out = np.multiply(a, 1 - 2 * u, dtype=float)
-    out += b
-    return out
+    # those of the float expression; the product takes one fresh buffer
+    # and the sum goes into it, or into ``out``, which may be b
+    prod = np.multiply(a, 1 - 2 * u, dtype=float)
+    return np.add(prod, b, out=prod if out is None else out)
 
 
 def _sc_batch(llr: np.ndarray, idx0: int, nfrozen: list) -> np.ndarray:
@@ -393,33 +420,65 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
     errs with probability 1/(1 + e^|L|) given the observation.  Summing
     that conditional probability instead of the 0/1 outcome estimates the
     same error count with much lower variance.  ``llr`` and ``x`` must
-    share one (batch, n) shape, else ValueError.  As in
-    ``sc_decode_batch``, the walk runs on the (n, batch) transposes of
-    both, copied unless given as such.
+    share one (batch, n) shape and ``x`` hold only 0s and 1s, else
+    ValueError.
+
+    The walk runs in place and overwrites ``llr`` (a float64 array; any
+    other is converted to a copy first), whatever its layout: each node
+    writes f and g over its own halves, ``_GENIE_SLICE`` values at a time,
+    so no whole level is ever allocated.  A row-major ``llr`` is walked
+    where it lies down to nodes ``_GENIE_NODE`` inputs wide, each copied
+    frame-major and walked there, so every leaf sums one contiguous row of
+    the batch; the transpose of an (n, batch) array is walked as it is.
+    The partial sums are XORed in place in one int8 (n, batch) copy of x.
     """
     llr = np.asarray(llr, dtype=float)
-    x = np.asarray(x, dtype=np.int8)
+    x = np.asarray(x)
     if llr.ndim != 2 or x.shape != llr.shape:
         raise ValueError(f"llr of shape {llr.shape} and x of shape "
                          f"{x.shape}; need one (batch, n) shape")
+    bit = x == 0
+    bit |= x == 1
+    if not bit.all():
+        raise ValueError("codeword bits x must all be 0 or 1")
+    del bit
     errs = np.zeros(llr.shape[1])
-    _genie_walk(_frame_major(llr), _frame_major(x), 0, errs)
+    _genie_walk(llr.T, _frame_major(x, copy=True, dtype=np.int8), 0, errs)
     return errs
 
 
 def _genie_walk(llr: np.ndarray, x: np.ndarray, idx0: int,
                 errs: np.ndarray) -> None:
-    """Add the soft error counts of the inputs [idx0, idx0 + n) of an
-    (n, batch) LLR array and its codeword bits into ``errs``."""
+    """Add the soft error counts of the inputs [idx0, idx0 + w) of a
+    (w, batch) LLR view into ``errs``, overwriting the view; ``x`` is its
+    C-contiguous (w, batch) int8 codeword bits, XORed in place.  A view
+    not C-contiguous is copied frame-major once ``_GENIE_NODE`` wide."""
+    if not llr.flags.c_contiguous and len(llr) <= _GENIE_NODE:
+        llr = _frame_major(llr.T, copy=True)
     if len(llr) == 1:
         e = np.exp(-np.abs(llr[0]))
         errs[idx0] += np.sum(e / (1.0 + e))
         return
     half = len(llr) // 2
-    a, b = llr[:half], llr[half:]
-    x_left = x[:half] ^ x[half:]
-    _genie_walk(_f(a, b), x_left, idx0, errs)
-    _genie_walk(_g(a, b, x_left), x[half:], idx0 + half, errs)
+    a, b, x_left = llr[:half], llr[half:], x[:half]
+    x_left ^= x[half:]
+    _butterfly(a, b, x_left)
+    _genie_walk(a, x_left, idx0, errs)
+    _genie_walk(b, x[half:], idx0 + half, errs)
+
+
+def _butterfly(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> None:
+    """Overwrite the (h, batch) views a with f(a, b) and b with g(a, b, u),
+    about ``_GENIE_SLICE`` values at a time along their outer axis in
+    memory: input rows of a frame-major array, frames of a row-major one."""
+    if a.strides[0] < a.strides[1]:
+        a, b, u = a.T, b.T, u.T
+    step = max(1, _GENIE_SLICE // a.shape[1])
+    for s in range(0, len(a), step):
+        blk = slice(s, s + step)
+        f = _f(a[blk], b[blk])
+        _g(a[blk], b[blk], u[blk], out=b[blk])
+        a[blk] = f
 
 
 def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
@@ -427,20 +486,16 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     """Monte-Carlo per-index error probabilities via genie-aided SC.
 
     Trials are processed in chunks of ``_GENIE_SAMPLES // n`` frames, the
-    last one ragged, so large budgets keep a bounded working set.
+    last one ragged, each drawn by one ``sample_level`` call and walked in
+    place by ``genie_error_counts``, so large budgets keep a working set of
+    about one chunk's LLRs and its one-byte bits and partial sums.
     """
     chunk = max(1, _GENIE_SAMPLES // n)
     counts = np.zeros(n)
     for start in range(0, mc_budget, chunk):
         b = min(chunk, mc_budget - start)
         bits, llr = ch.sample_level(rng, level, b * n)
-        # hand the walk the transposes of (n, b) copies, which it takes as
-        # they are, and drop the row-major draws before it allocates its
-        # own arrays
-        x = _frame_major(bits.reshape(b, n).astype(np.int8)).T
-        del bits
-        llr = _frame_major(llr.reshape(b, n)).T
-        counts += genie_error_counts(llr, x)
+        counts += genie_error_counts(llr.reshape(b, n), bits.reshape(b, n))
     return counts / mc_budget
 
 
@@ -500,8 +555,7 @@ def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
         label |= _transform_batch(u).T.astype(label.dtype)
     # the noise is drawn for the (b, n) frames, in the order of every
     # other layout; only its outcomes are laid out frame-major
-    amp_index = np.argsort(ch.labels)  # Gray label -> amplitude index
-    yq = _frame_major(ch._heterodyne(rng, amp_index[label.T])).reshape(-1)
+    yq = _frame_major(ch._heterodyne(rng, label.T)).reshape(-1)
     # decode level by level, feeding decisions forward as the label prefix
     prefix = np.zeros(b * n, dtype=ch.labels.dtype)
     nerr = np.empty((len(levels), b), dtype=np.int64)

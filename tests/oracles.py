@@ -21,6 +21,15 @@ library path it checks:
   codeword and the partial sums re-encoded from the decisions, against
   the library's walk, which decides nothing and takes each node's partial
   sums from the codeword; it also counts the hard-decision errors;
+- ``sample_level_reference``: the induced channel's genie-aided draw in
+  one piece, every int64 amplitude index, then every noise value, the
+  outcomes k times the amplitude plus the noise and one demapper call,
+  against the library sampler, which narrows each slice of indices to
+  its Gray labels and forms outcomes and LLRs a slice at a time;
+- ``genie_error_probs_reference``: the genie-aided construction chunk by
+  chunk, each chunk drawn in one piece and walked out of place by
+  ``genie_sc_reference``, against the library's in-place walk, bit for
+  bit;
 - ``msb_llr``: a wrapper, not an oracle: the library's LLR of the first
   level for one heterodyne outcome, for the closed-form BPSK checks;
 - ``oracle_level_llrs``: one level's LLRs by brute force over the Gray
@@ -79,7 +88,7 @@ from thermalcomm.constellations import (_DPS, ComplexConstellation,
                                         make_constellation)
 from thermalcomm.errors import NumericFailure, SupportError, TruncationError
 from thermalcomm.fock import EIG_FLOOR, SUPPORT_TOL, DensityOperator
-from thermalcomm.polar import (_check_power_of_two, _f, _g,
+from thermalcomm.polar import (InducedChannel, _check_power_of_two, _f, _g,
                                _transform_batch, sc_decode_batch)
 
 _LLR_BIG = 1000.0
@@ -185,6 +194,38 @@ def genie_sc_reference(llr, x):
     return soft, hard
 
 
+def sample_level_reference(ch, rng, level, n):
+    """Draw ``n`` genie-aided uses of one level of an induced channel in
+    one piece: all n amplitude indices (int64), then all n noise values;
+    the outcomes are k times the amplitude plus the noise, and the LLRs
+    one ``level_llrs`` call.  Returns (bits of the level, LLRs)."""
+    bpos = level % ch.nbits
+    j = rng.integers(0, len(ch.amplitudes), size=n)
+    yq = ch.params.k * ch.amplitudes[j] + rng.normal(
+        scale=math.sqrt(ch.noise_var), size=n)
+    label = ch.labels[j]
+    return ((label >> (ch.nbits - 1 - bpos)) & 1,
+            ch.level_llrs(level, label >> (ch.nbits - bpos), yq))
+
+
+def genie_error_probs_reference(ch, level, n, mc_budget, rng, chunk_samples):
+    """Per-index error probabilities of the genie-aided construction in
+    chunks of ``chunk_samples // n`` frames, the last one ragged, as the
+    library groups its sums.  Each chunk is one draw, by
+    ``sample_level_reference`` for an ``InducedChannel`` and by the
+    channel's own ``sample_level`` otherwise, walked on a frame-major copy
+    by ``genie_sc_reference``, which writes nothing into its input."""
+    draw = (sample_level_reference if isinstance(ch, InducedChannel)
+            else type(ch).sample_level)
+    chunk = max(1, chunk_samples // n)
+    counts = np.zeros(n)
+    for start in range(0, mc_budget, chunk):
+        b = min(chunk, mc_budget - start)
+        bits, llr = draw(ch, rng, level, b * n)
+        counts += genie_sc_reference(llr.reshape(b, n), bits.reshape(b, n))[0]
+    return counts / mc_budget
+
+
 def _sc_forced(llr, idx0, decide):
     """Plain SC over an (n, batch) LLR array, ``decide(i, llr_row)`` giving
     the batch's bits at input i; returns the (n, batch) partial sums."""
@@ -247,7 +288,9 @@ def whole_batch_simulate(ch, codes, trials, seed):
             label = np.zeros((trials, n), dtype=np.int64)
             for b in range(ch.nbits):
                 label = (label << 1) | x_levels[q * ch.nbits + b]
-            ys.append(ch._heterodyne(rng, amp_index[label]))
+            ys.append(ch.params.k * ch.amplitudes[amp_index[label]]
+                      + rng.normal(scale=math.sqrt(ch.noise_var),
+                                   size=label.shape))
         for q in range(2):
             prefix = np.zeros(trials * n, dtype=np.int64)
             for b in range(ch.nbits):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
-                     genie_sc_reference, inverse_gray, msb_llr,
-                     oracle_level_llrs, polar_transform, sc_decode_reference,
-                     sc_g_update, whole_batch_simulate)
+                     genie_error_probs_reference, genie_sc_reference,
+                     inverse_gray, msb_llr, oracle_level_llrs,
+                     polar_transform, sample_level_reference,
+                     sc_decode_reference, sc_g_update, whole_batch_simulate)
 from thermalcomm import (InducedChannel, PolarCode, channel_params,
                          construct_multilevel, induced_channel,
                          make_constellation, simulate)
@@ -118,9 +119,16 @@ def test_genie_error_counts_match_decided_genie_sc_bitwise(n):
     llr[(hit >= 0.05) & (hit < 0.1)] = 40.0
     llr[(hit >= 0.1) & (hit < 0.15)] = -40.0
     x = rng.integers(0, 2, size=llr.shape).astype(np.int8)
-    got = genie_error_counts(llr, x)
     want = genie_sc_reference(llr, x)[0]
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # the walk overwrites its llr in place in any layout, so each gets a
+    # copy: row-major (walked down to nodes 64 wide, each then copied
+    # frame-major), the transpose of a frame-major array, and a view with
+    # a stride between its values
+    strided = np.empty((batch, 2 * n))[:, ::2]
+    strided[...] = llr
+    for given in (llr.copy(), np.ascontiguousarray(llr.T).T, strided):
+        got = genie_error_counts(given, x)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_construction_encodes_nothing(monkeypatch):
@@ -174,6 +182,101 @@ def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
         np.testing.assert_array_equal(code.frozen, np.nonzero(~row)[0])
 
 
+# frames per chunk at each blocklength in the several-chunk and ragged cases
+_GRID_CHUNK = {1: 1000, 2: 500, 64: 100, 1024: 7, 4096: 2}
+
+
+@pytest.mark.parametrize("chunks", ["one", "several", "ragged"])
+@pytest.mark.parametrize("n", sorted(_GRID_CHUNK))
+@pytest.mark.parametrize("m", [2, 4, 8, "bec"])
+def test_genie_error_probs_match_the_one_piece_reference_bitwise(
+        monkeypatch, m, n, chunks):
+    # c frames a chunk: one chunk holds the whole budget, several split it
+    # evenly, and a ragged last chunk holds one frame; the level is the
+    # first, a middle and the last one in turn.  Sampler slices of 997
+    # samples, a prime, end ragged in every chunk, and bound the walk's
+    # butterfly blocks too
+    c = _GRID_CHUNK[n]
+    budget = {"one": c, "several": 2 * c, "ragged": c + 1}[chunks]
+    if chunks != "one":
+        monkeypatch.setattr(polar, "_GENIE_SAMPLES", c * n)
+    monkeypatch.setattr(polar, "_GENIE_SLICE", 997)
+    ch = ErasureChannel(0.4) if m == "bec" else make_channel(m)
+    level = {"one": 0, "several": ch.levels // 2,
+             "ragged": ch.levels - 1}[chunks]
+    got = polar._genie_error_probs(ch, level, n, budget,
+                                   np.random.default_rng(level + n))
+    want = genie_error_probs_reference(ch, level, n, budget,
+                                       np.random.default_rng(level + n),
+                                       polar._GENIE_SAMPLES)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_sample_level_matches_the_one_piece_reference_bitwise(monkeypatch, m):
+    # drawn in slices, the indices first, the bits, LLRs and the stream's
+    # next state are those of one draw: counts below, at and past one
+    # slice, and 2^17 + 777 at the default slice of 2^16
+    ch = make_channel(m)
+    for slice_, count in [(997, 1), (997, 996), (997, 997), (997, 3000),
+                          (polar._GENIE_SLICE, (1 << 17) + 777)]:
+        monkeypatch.setattr(polar, "_GENIE_SLICE", slice_)
+        for level in range(ch.levels):
+            rng = np.random.default_rng(level)
+            ref = np.random.default_rng(level)
+            bits, llr = ch.sample_level(rng, level, count)
+            want_bits, want_llr = sample_level_reference(ch, ref, level, count)
+            assert bits.dtype == want_bits.dtype
+            np.testing.assert_array_equal(bits, want_bits)
+            np.testing.assert_array_equal(llr.view(np.int64),
+                                          want_llr.view(np.int64))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_genie_construction_peaks_below_two_copies_of_its_llrs():
+    # one level at n = 1024 and 4,000 frames is one chunk of 31.25 MiB of
+    # LLRs.  Drawn in slices and walked in place, it peaks at 1.40 of them
+    # (the LLRs and the chunk's one-byte labels, bits and partial sums);
+    # drawn whole, then copied frame-major and walked out of place, it
+    # peaked at 3.0
+    ch, n, frames = make_channel(4), 1024, 4000
+    tracemalloc.start()
+    try:
+        polar._genie_error_probs(ch, 0, n, frames, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * frames * n * 8, peak / (frames * n * 8)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.9], ids=["two", "minus_one",
+                                                  "fraction"])
+def test_genie_error_counts_refuses_bits_not_0_or_1(bad):
+    # the int8 conversion once truncated 0.9 to 0 and XORed 2s as they
+    # came: 2 * bits gave 0.259 at index 3 of a 16-QAM level, where the
+    # bits themselves give 0.858, with no error.  Refused before any work,
+    # so the LLRs are still as given
+    rng = np.random.default_rng(12)
+    llr = rng.normal(size=(5, 8))
+    x = rng.integers(0, 2, size=llr.shape).astype(type(bad))
+    x[2, 3] = bad
+    before = llr.copy()
+    with pytest.raises(ValueError, match="0 or 1"):
+        genie_error_counts(llr, x)
+    np.testing.assert_array_equal(llr, before)
+
+
+def test_genie_error_counts_takes_bits_of_any_dtype():
+    # bool, unsigned, wide and float 0s and 1s all walk as int8 bits
+    rng = np.random.default_rng(13)
+    llr = rng.normal(size=(6, 128)) * 3.0
+    x = rng.integers(0, 2, size=llr.shape)
+    want = genie_error_counts(llr.copy(), x.astype(np.int8))
+    for dtype in (bool, np.uint8, np.int64, float):
+        got = genie_error_counts(llr.copy(), x.astype(dtype))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # ------------------------------------------------------- induced channel
 
 def test_induced_channel_shape():
@@ -220,8 +323,9 @@ def test_induced_channel_refuses_a_single_amplitude():
 def test_heterodyne_noise_variance():
     ch = make_channel(4)
     rng = np.random.default_rng(0)
-    j = np.full(40_000, 3)  # one fixed amplitude per quadrature
-    y = ch._heterodyne(rng, j) + 1j * ch._heterodyne(rng, j)
+    # one fixed amplitude per quadrature, given by its Gray label
+    label = np.full(40_000, ch.labels[3])
+    y = ch._heterodyne(rng, label) + 1j * ch._heterodyne(rng, label)
     assert np.mean(y.real) == pytest.approx(P.k * ch.amplitudes[3], abs=0.02)
     target = (P.Nc + 1.0) / 2.0
     assert np.var(y.real) == pytest.approx(target, rel=0.02)
@@ -372,7 +476,8 @@ def test_sample_level_bits_and_llrs_follow_the_gray_labels(m):
         bits, llr = ch.sample_level(np.random.default_rng(level), level, 300)
         rng = np.random.default_rng(level)
         j = rng.integers(0, m, size=300)
-        yq = ch._heterodyne(rng, j)
+        yq = P.k * ch.amplitudes[j] + rng.normal(
+            scale=math.sqrt(ch.noise_var), size=300)
         gray = j ^ (j >> 1)
         np.testing.assert_array_equal(bits, (gray >> (ch.nbits - 1 - bpos)) & 1)
         want = oracle_level_llrs(m, level, gray >> (ch.nbits - bpos), yq, P)
@@ -381,9 +486,10 @@ def test_sample_level_bits_and_llrs_follow_the_gray_labels(m):
 
 
 def test_sample_level_frees_its_index_before_the_llrs():
-    # 2^20 samples at the study channel peak at 43 MiB when the int64
-    # amplitude index (8 MiB) is dropped after the label gather, and at
-    # 51 MiB when it stays live through level_llrs
+    # 2^20 samples at the study channel peak at 11.1 MiB: the LLRs and the
+    # one-byte labels, 9 MiB, with the bits and one slice's transients.
+    # Each slice's int64 amplitude index is narrowed to its labels as it
+    # is drawn; an int64 index of the whole draw would add 8 MiB
     ch = make_channel(4)
     tracemalloc.start()
     try:
@@ -391,7 +497,7 @@ def test_sample_level_frees_its_index_before_the_llrs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 47 * 2 ** 20, peak / 2 ** 20
+    assert peak < 13 * 2 ** 20, peak / 2 ** 20
 
 
 # ---------------------------------------------------------------- decoding
@@ -597,12 +703,12 @@ def test_g_update_is_the_float_expression_bitwise(bit):
 
 @pytest.mark.parametrize("call", ["genie", "decode"])
 def test_sc_takes_a_frame_contiguous_view_without_a_second_copy(call):
-    # handed the (batch, n) transposes of (n, batch) arrays, as the
-    # construction hands its LLRs and codeword bits, SC runs on them as
-    # they are: its traced peak stays near one copy of the LLRs (1.13 of it
-    # in the genie walk, whose int8 partial sums add an eighth, and 1.0
-    # decoding), where a second (n, batch) copy would take it to 2.13 and
-    # 2.0
+    # handed the (batch, n) transposes of (n, batch) arrays, SC runs on
+    # them as they are: its traced peak stays within one copy of the LLRs
+    # (1.0 of it decoding, and 0.50 in the genie walk, which overwrites
+    # the LLRs in place and allocates its int8 partial sums, the bit
+    # check's bools and bounded blocks), where a second (n, batch) copy
+    # would take it to 2.0
     n, batch = 256, 2048
     rng = np.random.default_rng(8)
     llr = np.ascontiguousarray(rng.normal(size=(batch, n)).T * 3.0).T

@@ -17,7 +17,8 @@ The invocations are every argv ``perfbench/workloads.py`` generates, at
 full and self-test size, for seeds 0-2, each workload's warm-up, and the
 default ``rates``, ``chi2``, ``polar`` and ``constellation``, one long
 polar code (``LONG_POLAR``), one whose every level is all frozen
-(``FROZEN_POLAR``) and the smallest chi-square rows (``SMALLEST_CHI2``);
+(``FROZEN_POLAR``), one whose construction runs a full and a ragged chunk
+(``RAGGED_GENIE``) and the smallest chi-square rows (``SMALLEST_CHI2``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -55,6 +56,12 @@ LONG_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
 FROZEN_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
                 "--blocklength", "256", "--rate-fraction", "0",
                 "--trials", "50", "--mc-budget", "100")
+# n = 1024 and mc budget 5,000: each level's genie-aided construction
+# walks one chunk of 4,096 frames and a ragged one of 904, where every
+# benchmark argv at that blocklength fits one chunk
+RAGGED_GENIE = ("polar", "--kinds", "equilattice", "--m-min", "4",
+                "--blocklength", "1024", "--mc-budget", "5000",
+                "--trials", "100")
 # chi-squares down to 1.15e-33, the smallest of the kernel sum's tested
 # grid: where a reordered 50-digit sum is likeliest to move a last bit
 SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
@@ -64,7 +71,7 @@ SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
 def invocations() -> list[tuple[str, ...]]:
     """Every argv to digest, in a fixed order, each once."""
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
-    argvs += [LONG_POLAR, FROZEN_POLAR, SMALLEST_CHI2]
+    argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, SMALLEST_CHI2]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
