@@ -31,9 +31,9 @@ decoders).  The public functions keep their (batch, n) interface.  The
 decoder copies its input to the (n, batch) layout, or takes it without a
 copy when it already is the transpose of an (n, batch) array, which is
 how the link simulation hands over its LLRs; its outputs are (batch, n)
-views of (n, batch) arrays.  The genie walk overwrites its LLRs in place
-in either layout, copying out of a row-major chunk only the nodes
-``_GENIE_NODE`` inputs wide.
+views of (n, batch) arrays.  The genie walk takes its LLRs the same way
+and overwrites the (n, batch) array in place; the construction's sampler
+writes its LLRs as one, so the walk copies none of them.
 
 Both the demapper and the link simulation work in slices of ``_SLICE``
 samples, so only the link's int8 input bits and one flag per frame grow
@@ -45,7 +45,8 @@ is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the slice size.  The genie-aided construction keeps about
 one copy of a chunk's LLRs: its sampler narrows each slice of symbol
 indices to one-byte labels as it draws them and writes its LLRs slice by
-slice into one array, and its walk overwrites that array in place.
+slice into one (n, batch) array, and its walk overwrites that array in
+place.
 
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
@@ -73,11 +74,10 @@ _SLICE = 1 << 20
 # changes the last bits of the error probabilities, and so can change a
 # frozen set.
 _GENIE_SAMPLES = 1 << 22
-# Samples sample_level draws, and values the genie walk's butterfly
-# updates, at a time: bounds their transients, changes no bit
+# Samples sample_level draws (in whole frames, at least one), and values
+# the genie walk's butterfly updates, at a time: bounds their transients,
+# changes no bit
 _GENIE_SLICE = 1 << 16
-# Width of the genie walk's nodes copied frame-major out of a row-major chunk
-_GENIE_NODE = 64
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 _BLOCK = 64  # frames a layout copy moves at a time
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
@@ -188,33 +188,49 @@ class InducedChannel:
         return (self.params.Nc + 1.0) / 2.0
 
     def sample_level(self, rng: np.random.Generator, level: int,
-                     n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``n`` independent uses: uniform symbols, heterodyne outputs,
-        and the exact LLRs of the given level's bit with the true lower-level
-        bits as priors (the genie-aided bit channel).
+                     size) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``size`` independent uses, an int or a (batch, n) pair of
+        frames: uniform symbols, heterodyne outputs, and the exact LLRs of
+        the given level's bit with the true lower-level bits as priors (the
+        genie-aided bit channel).  A level outside [0, levels) raises
+        ValueError before any draw.
 
-        Every symbol is drawn first, ``_GENIE_SLICE`` at a time, each
-        slice's amplitude index narrowed at once to its one-byte Gray label;
-        then the noise, outcomes and LLRs are made slice by slice into one
-        preallocated output.  So the LLRs are the only n-sized float array,
-        and numpy's stream for consecutive draws is that of one draw: the
-        bits are those of drawing all n indices, then all n noise values.
+        Every symbol is drawn first, ``max(1, _GENIE_SLICE // n)`` frames
+        at a time (an int size is frames of n = 1), each slice's amplitude
+        index narrowed at once to its one-byte Gray label; then the noise
+        and LLRs are made slice by slice, each slice's LLRs written
+        transposed into one (n, batch) array, the only full-size float
+        array.  numpy's stream for consecutive draws is that of one draw,
+        so the bits are those of drawing every index, then every noise
+        value, in row order.
 
-        Returns (transmitted bits of the level, LLRs).
+        Returns the level's transmitted bits and the LLRs, both of shape
+        ``size``: the bits C-ordered, the LLRs the transpose of their
+        (n, batch) array, which SC and the genie walk take as it is.
         """
-        bpos = level % self.nbits
-        label = np.empty(n, dtype=self.labels.dtype)
-        for s in range(0, n, _GENIE_SLICE):
-            part = label[s:s + _GENIE_SLICE]
+        bpos = self._bit_position(level)
+        batch, n = (size, 1) if np.ndim(size) == 0 else size
+        step = max(1, _GENIE_SLICE // n)
+        label = np.empty((batch, n), dtype=self.labels.dtype)
+        for s in range(0, batch, step):
+            part = label[s:s + step]
             np.take(self.labels, rng.integers(0, len(self.amplitudes),
-                                              size=len(part)), out=part)
-        llr = np.empty(n)
-        for s in range(0, n, _GENIE_SLICE):
-            part = label[s:s + _GENIE_SLICE]
-            llr[s:s + _GENIE_SLICE] = self.level_llrs(
-                level, part >> (self.nbits - bpos),
-                self._heterodyne(rng, part))
-        return (label >> (self.nbits - 1 - bpos)) & 1, llr
+                                              size=part.shape), out=part)
+        llr = np.empty((n, batch))
+        for s in range(0, batch, step):
+            part = label[s:s + step]
+            llr[:, s:s + step] = self.level_llrs(
+                level, (part >> (self.nbits - bpos)).reshape(-1),
+                self._heterodyne(rng, part).reshape(-1)).reshape(-1, n).T
+        bits = (label >> (self.nbits - 1 - bpos)) & 1
+        return bits.reshape(size), llr.T.reshape(size)
+
+    def _bit_position(self, level: int) -> int:
+        # the level's bit position in its quadrature's labels; a level
+        # outside [0, levels) raises ValueError
+        if not 0 <= level < self.levels:
+            raise ValueError(f"level must be in [0, {self.levels}), got {level}")
+        return level % self.nbits
 
     def _heterodyne(self, rng: np.random.Generator,
                     label: np.ndarray) -> np.ndarray:
@@ -238,9 +254,7 @@ class InducedChannel:
         the centers of its two candidate subsets and reduces each with
         np.logaddexp, ``_SLICE`` outcomes at a time.  A prefix not of
         ``yq``'s shape, or outside the table, raises ValueError."""
-        bpos = level % self.nbits
-        if not 0 <= level < self.levels:
-            raise ValueError(f"level must be in [0, {self.levels}), got {level}")
+        bpos = self._bit_position(level)
         yq = np.asarray(yq, dtype=float)
         prefix = np.asarray(prefix)
         if prefix.shape != yq.shape:
@@ -420,41 +434,39 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
     errs with probability 1/(1 + e^|L|) given the observation.  Summing
     that conditional probability instead of the 0/1 outcome estimates the
     same error count with much lower variance.  ``llr`` and ``x`` must
-    share one (batch, n) shape and ``x`` hold only 0s and 1s, else
-    ValueError.
+    share one (batch, n) shape, n a power of 2, and ``x`` hold only 0s
+    and 1s, else ValueError, raised before any work.
 
-    The walk runs in place and overwrites ``llr`` (a float64 array; any
-    other is converted to a copy first), whatever its layout: each node
-    writes f and g over its own halves, ``_GENIE_SLICE`` values at a time,
-    so no whole level is ever allocated.  A row-major ``llr`` is walked
-    where it lies down to nodes ``_GENIE_NODE`` inputs wide, each copied
-    frame-major and walked there, so every leaf sums one contiguous row of
-    the batch; the transpose of an (n, batch) array is walked as it is.
-    The partial sums are XORed in place in one int8 (n, batch) copy of x.
+    The walk runs on the (n, batch) transpose of ``llr``, as SC does, and
+    overwrites it in place: each node writes f and g over its own halves,
+    ``_GENIE_SLICE`` values at a time, so no whole level is ever
+    allocated.  A float64 ``llr`` that already is the transpose of an
+    (n, batch) array, as ``sample_level`` returns it, is that array and
+    is overwritten; any other is copied once, and left as it was.  The
+    partial sums are XORed in place in one int8 (n, batch) copy of x.
     """
     llr = np.asarray(llr, dtype=float)
     x = np.asarray(x)
     if llr.ndim != 2 or x.shape != llr.shape:
         raise ValueError(f"llr of shape {llr.shape} and x of shape "
                          f"{x.shape}; need one (batch, n) shape")
+    _check_power_of_two(llr.shape[1], "genie walk width")
     bit = x == 0
     bit |= x == 1
     if not bit.all():
         raise ValueError("codeword bits x must all be 0 or 1")
     del bit
     errs = np.zeros(llr.shape[1])
-    _genie_walk(llr.T, _frame_major(x, copy=True, dtype=np.int8), 0, errs)
+    _genie_walk(_frame_major(llr),
+                _frame_major(x, copy=True, dtype=np.int8), 0, errs)
     return errs
 
 
 def _genie_walk(llr: np.ndarray, x: np.ndarray, idx0: int,
                 errs: np.ndarray) -> None:
     """Add the soft error counts of the inputs [idx0, idx0 + w) of a
-    (w, batch) LLR view into ``errs``, overwriting the view; ``x`` is its
-    C-contiguous (w, batch) int8 codeword bits, XORed in place.  A view
-    not C-contiguous is copied frame-major once ``_GENIE_NODE`` wide."""
-    if not llr.flags.c_contiguous and len(llr) <= _GENIE_NODE:
-        llr = _frame_major(llr.T, copy=True)
+    C-contiguous (w, batch) LLR array into ``errs``, overwriting it;
+    ``x`` is its (w, batch) int8 codeword bits, XORed in place."""
     if len(llr) == 1:
         e = np.exp(-np.abs(llr[0]))
         errs[idx0] += np.sum(e / (1.0 + e))
@@ -468,14 +480,11 @@ def _genie_walk(llr: np.ndarray, x: np.ndarray, idx0: int,
 
 
 def _butterfly(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> None:
-    """Overwrite the (h, batch) views a with f(a, b) and b with g(a, b, u),
-    about ``_GENIE_SLICE`` values at a time along their outer axis in
-    memory: input rows of a frame-major array, frames of a row-major one."""
-    if a.strides[0] < a.strides[1]:
-        a, b, u = a.T, b.T, u.T
-    step = max(1, _GENIE_SLICE // a.shape[1])
-    for s in range(0, len(a), step):
-        blk = slice(s, s + step)
+    """Overwrite the C-contiguous (h, batch) arrays a with f(a, b) and b
+    with g(a, b, u), ``_GENIE_SLICE`` values at a time."""
+    a, b, u = a.reshape(-1), b.reshape(-1), u.reshape(-1)
+    for s in range(0, len(a), _GENIE_SLICE):
+        blk = slice(s, s + _GENIE_SLICE)
         f = _f(a[blk], b[blk])
         _g(a[blk], b[blk], u[blk], out=b[blk])
         a[blk] = f
@@ -486,16 +495,17 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     """Monte-Carlo per-index error probabilities via genie-aided SC.
 
     Trials are processed in chunks of ``_GENIE_SAMPLES // n`` frames, the
-    last one ragged, each drawn by one ``sample_level`` call and walked in
-    place by ``genie_error_counts``, so large budgets keep a working set of
-    about one chunk's LLRs and its one-byte bits and partial sums.
+    last one ragged, each drawn by one ``sample_level`` call as (n, batch)
+    LLRs and walked in place there by ``genie_error_counts``, so large
+    budgets keep a working set of about one chunk's LLRs and its one-byte
+    bits and partial sums.
     """
     chunk = max(1, _GENIE_SAMPLES // n)
     counts = np.zeros(n)
     for start in range(0, mc_budget, chunk):
-        b = min(chunk, mc_budget - start)
-        bits, llr = ch.sample_level(rng, level, b * n)
-        counts += genie_error_counts(llr.reshape(b, n), bits.reshape(b, n))
+        bits, llr = ch.sample_level(rng, level,
+                                    (min(chunk, mc_budget - start), n))
+        counts += genie_error_counts(llr, bits)
     return counts / mc_budget
 
 

@@ -24,12 +24,13 @@ library path it checks:
 - ``sample_level_reference``: the induced channel's genie-aided draw in
   one piece, every int64 amplitude index, then every noise value, the
   outcomes k times the amplitude plus the noise and one demapper call,
-  against the library sampler, which narrows each slice of indices to
-  its Gray labels and forms outcomes and LLRs a slice at a time;
+  against the library sampler, which narrows each slice of frames'
+  indices to their Gray labels and forms outcomes and LLRs a slice at a
+  time, written into one (n, batch) array;
 - ``genie_error_probs_reference``: the genie-aided construction chunk by
   chunk, each chunk drawn in one piece and walked out of place by
-  ``genie_sc_reference``, against the library's in-place walk, bit for
-  bit;
+  ``genie_sc_reference``, against the library's walk of the sampler's
+  (n, batch) LLRs in place, bit for bit;
 - ``msb_llr``: a wrapper, not an oracle: the library's LLR of the first
   level for one heterodyne outcome, for the closed-form BPSK checks;
 - ``oracle_level_llrs``: one level's LLRs by brute force over the Gray

@@ -120,15 +120,19 @@ def test_genie_error_counts_match_decided_genie_sc_bitwise(n):
     llr[(hit >= 0.1) & (hit < 0.15)] = -40.0
     x = rng.integers(0, 2, size=llr.shape).astype(np.int8)
     want = genie_sc_reference(llr, x)[0]
-    # the walk overwrites its llr in place in any layout, so each gets a
-    # copy: row-major (walked down to nodes 64 wide, each then copied
-    # frame-major), the transpose of a frame-major array, and a view with
-    # a stride between its values
+    # the walk runs on the (n, batch) transpose of its llr: a row-major
+    # llr, and a view with a stride between its values, are copied once
+    # and left as they were; the transpose of a frame-major array is
+    # walked, and overwritten, in place, so it is a copy of llr
     strided = np.empty((batch, 2 * n))[:, ::2]
     strided[...] = llr
-    for given in (llr.copy(), np.ascontiguousarray(llr.T).T, strided):
+    for given in (llr, np.ascontiguousarray(llr.T).T, strided):
+        before = given.copy()
         got = genie_error_counts(given, x)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        if not given.T.flags.c_contiguous:
+            np.testing.assert_array_equal(given.view(np.int64),
+                                          before.view(np.int64))
 
 
 def test_construction_encodes_nothing(monkeypatch):
@@ -144,17 +148,18 @@ def test_construction_encodes_nothing(monkeypatch):
 
 def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
     # 3 frames of n = 64 per chunk, so a budget of 100 frames runs 33 full
-    # chunks and a ragged one of 1 frame; the soft error sums are grouped
-    # by chunk, so the reference sums the same draws chunk by chunk
+    # chunks and a ragged one of 1 frame, each drawn as a (frames, n)
+    # size; the soft error sums are grouped by chunk, so the reference sums
+    # the same draws chunk by chunk, drawn flat and handed over row-major
     monkeypatch.setattr(polar, "_GENIE_SAMPLES", 3 * 64)
     ch, n, budget, seed = make_channel(4), 64, 100, 5
     chunks = [3] * 33 + [1]
     sample_level = InducedChannel.sample_level
     sizes = []
 
-    def recording(self, rng, level, count):
-        sizes.append(count)
-        return sample_level(self, rng, level, count)
+    def recording(self, rng, level, size):
+        sizes.append(size)
+        return sample_level(self, rng, level, size)
 
     monkeypatch.setattr(InducedChannel, "sample_level", recording)
     want = np.empty((ch.levels, n))
@@ -162,7 +167,7 @@ def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
         sizes.clear()
         got = polar._genie_error_probs(ch, lv, n, budget,
                                        np.random.default_rng(seed + lv))
-        assert sizes == [b * n for b in chunks]
+        assert sizes == [(b, n) for b in chunks]
         rng = np.random.default_rng(seed + lv)
         counts = np.zeros(n)
         for b in chunks:
@@ -216,30 +221,39 @@ def test_genie_error_probs_match_the_one_piece_reference_bitwise(
 def test_sample_level_matches_the_one_piece_reference_bitwise(monkeypatch, m):
     # drawn in slices, the indices first, the bits, LLRs and the stream's
     # next state are those of one draw: counts below, at and past one
-    # slice, and 2^17 + 777 at the default slice of 2^16
+    # slice, and 2^17 + 777 at the default slice of 2^16.  A (batch, n)
+    # size slices whole frames, 15 of n = 64 in 997 samples and one of
+    # n = 1024 or 2^17 at a time, past the slice; its bits are C-ordered
+    # and its LLRs the transpose of an (n, batch) array
     ch = make_channel(m)
-    for slice_, count in [(997, 1), (997, 996), (997, 997), (997, 3000),
-                          (polar._GENIE_SLICE, (1 << 17) + 777)]:
+    for slice_, size in [(997, 1), (997, 996), (997, 997), (997, 3000),
+                         (polar._GENIE_SLICE, (1 << 17) + 777),
+                         (997, (1, 64)), (997, (31, 64)), (997, (3, 1024)),
+                         (polar._GENIE_SLICE, (3, 1 << 17))]:
         monkeypatch.setattr(polar, "_GENIE_SLICE", slice_)
         for level in range(ch.levels):
             rng = np.random.default_rng(level)
             ref = np.random.default_rng(level)
-            bits, llr = ch.sample_level(rng, level, count)
-            want_bits, want_llr = sample_level_reference(ch, ref, level, count)
+            bits, llr = ch.sample_level(rng, level, size)
+            want_bits, want_llr = (a.reshape(size) for a in
+                                   sample_level_reference(
+                                       ch, ref, level, int(np.prod(size))))
             assert bits.dtype == want_bits.dtype
+            assert bits.flags.c_contiguous and llr.T.flags.c_contiguous
             np.testing.assert_array_equal(bits, want_bits)
             np.testing.assert_array_equal(llr.view(np.int64),
                                           want_llr.view(np.int64))
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_genie_construction_peaks_below_two_copies_of_its_llrs():
-    # one level at n = 1024 and 4,000 frames is one chunk of 31.25 MiB of
-    # LLRs.  Drawn in slices and walked in place, it peaks at 1.40 of them
-    # (the LLRs and the chunk's one-byte labels, bits and partial sums);
-    # drawn whole, then copied frame-major and walked out of place, it
-    # peaked at 3.0
-    ch, n, frames = make_channel(4), 1024, 4000
+@pytest.mark.parametrize("n", [32, 64, 1024])
+def test_genie_construction_peaks_below_two_copies_of_its_llrs(n):
+    # one level over one full chunk, 2^22 / n frames, is 32 MiB of LLRs,
+    # drawn as one (n, batch) array and walked in place there: it peaks at
+    # 1.375 of them at every n (the LLRs and the chunk's one-byte labels,
+    # bits and partial sums).  A frame-major copy of the chunk's nodes 64
+    # inputs wide, all of it at n = 32 and 64, took it to 2.34 and 2.30
+    ch, frames = make_channel(4), polar._GENIE_SAMPLES // n
     tracemalloc.start()
     try:
         polar._genie_error_probs(ch, 0, n, frames, np.random.default_rng(3))
@@ -264,6 +278,28 @@ def test_genie_error_counts_refuses_bits_not_0_or_1(bad):
     with pytest.raises(ValueError, match="0 or 1"):
         genie_error_counts(llr, x)
     np.testing.assert_array_equal(llr, before)
+
+
+@pytest.mark.parametrize("n", [0, 3, 6])
+def test_genie_error_counts_refuses_a_width_not_a_power_of_two(n):
+    # width 0 once recursed until RecursionError, and 3 and 6 failed in
+    # numpy's broadcasting; refused before any work, so the LLRs are
+    # still as given
+    rng = np.random.default_rng(14)
+    llr = rng.normal(size=(4, n))
+    x = rng.integers(0, 2, size=llr.shape)
+    before = llr.copy()
+    with pytest.raises(ValueError, match="power of 2"):
+        genie_error_counts(llr, x)
+    np.testing.assert_array_equal(llr, before)
+
+
+def test_genie_error_counts_of_no_frames_are_zero():
+    # the butterfly once sized its blocks by the frame count and divided
+    # by 0; it now slices values, so zero frames count zero errors
+    for llr in (np.zeros((0, 4)), np.zeros((4, 0)).T):
+        got = genie_error_counts(llr, np.zeros((0, 4), dtype=np.int8))
+        np.testing.assert_array_equal(got, np.zeros(4))
 
 
 def test_genie_error_counts_takes_bits_of_any_dtype():
@@ -443,6 +479,18 @@ def test_estimate_level_mi_refuses_no_samples_before_drawing(samples):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="samples must be >= 1"):
         estimate_level_mi(make_channel(4), 0, samples, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("level, size", [(7, 0), (4, 10), (-1, (2, 8))])
+def test_sample_level_refuses_a_level_out_of_range_before_drawing(level,
+                                                                   size):
+    # 16-QAM has levels 0-3: level 7 with no samples once returned two
+    # empty arrays, and level 4 raised only after drawing the indices
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"level must be in \[0, 4\)"):
+        make_channel(4).sample_level(rng, level, size)
     assert rng.bit_generator.state == state
 
 
