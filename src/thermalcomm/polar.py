@@ -20,9 +20,11 @@ subtree's hard decisions are SC's only while no f-update in it rounds to
 +-0, so that shortcut is guarded: it is taken only when every LLR of the
 block is large enough in magnitude that none can (the proof is in
 ``sc_decode_batch``).  The genie-aided construction knows the codeword
-the channel carried, so it decides nothing: at every node the left
-half's partial sums are the XOR of the codeword's halves, and it walks
-every subtree for every input's LLR.
+the channel carried, so it decides nothing: it flips each LLR's sign by
+its codeword bit once and walks every subtree for every input's LLR as
+on the all-zero codeword, f-updates and sums with no partial sums, bit
+for bit the genie-aided SC of that codeword (the proof is in
+``genie_error_counts``).
 
 SC and the polar transform run on (n, batch) arrays, one frame per column,
 so every butterfly half is one contiguous block and every operation on it
@@ -33,7 +35,11 @@ copy when it already is the transpose of an (n, batch) array, which is
 how the link simulation hands over its LLRs; its outputs are (batch, n)
 views of (n, batch) arrays.  The genie walk takes its LLRs the same way
 and overwrites the (n, batch) array in place; the construction's sampler
-writes its LLRs as one, so the walk copies none of them.
+writes its LLRs as one, so the walk copies none of them.  The transform
+runs in place on an (n, batch) array its caller owns: the link
+simulation packs every level of a quadrature into one array of labels,
+one bit plane per level, and transforms it once, since XOR acts on
+every plane at once.
 
 Both the demapper and the link simulation work in slices of ``_SLICE``
 samples, so only the link's int8 input bits and one flag per frame grow
@@ -118,33 +124,30 @@ def _check_power_of_two(n: int, what: str) -> int:
     return int(math.log2(n))
 
 
-def _frame_major(a: np.ndarray, copy: bool = False,
-                 dtype=None) -> np.ndarray:
+def _frame_major(a: np.ndarray) -> np.ndarray:
     """The (n, batch) C-contiguous transpose of a (batch, n) array: ``a.T``
-    itself when that is C-contiguous and no ``copy`` is asked for, else a
-    copy, in ``dtype`` if given, made ``_BLOCK`` frames at a time.  Each
-    block's source and destination stay in cache, so this runs several
-    times faster than numpy's whole-array transposing copy."""
-    if a.T.flags.c_contiguous and not copy:
+    itself when that is C-contiguous, else a copy made ``_BLOCK`` frames
+    at a time.  Each block's source and destination stay in cache, so this
+    runs several times faster than numpy's whole-array transposing copy."""
+    if a.T.flags.c_contiguous:
         return a.T
-    out = np.empty(a.shape[::-1], dtype=a.dtype if dtype is None else dtype)
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
     for i in range(0, len(a), _BLOCK):
         out[:, i:i + _BLOCK] = a[i:i + _BLOCK].T
     return out
 
 
-def _transform_batch(u: np.ndarray) -> np.ndarray:
-    """x = u F^{x log2 n} over GF(2) in natural order, applied to each row
-    of a (batch, n) bit array; self-inverse.  Like SC it runs with the
-    frames on the contiguous axis: x is the (batch, n) view of a fresh
-    (n, batch) array."""
-    nrows, n = u.shape
-    stages = _check_power_of_two(n, "transform length")
-    x = _frame_major(u, copy=True)
-    for s in range(stages):
-        x = x.reshape(-1, 2, 1 << s, nrows)
-        x[:, 0] ^= x[:, 1]
-    return x.reshape(n, nrows).T
+def _transform(x: np.ndarray) -> np.ndarray:
+    """x F^{x log2 n} over GF(2) in natural order, in place on an (n, batch)
+    C-contiguous array of bits, one frame per column, which it returns;
+    self-inverse.  XOR acts on every bit of an element at once, so an
+    array whose elements pack several bit arrays, one bit plane each, is
+    transformed plane by plane."""
+    n, batch = x.shape
+    for s in range(_check_power_of_two(n, "transform length")):
+        pairs = x.reshape(n >> s + 1, 2, 1 << s, batch)
+        pairs[:, 0] ^= pairs[:, 1]
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +195,8 @@ class InducedChannel:
         """Draw ``size`` independent uses, an int or a (batch, n) pair of
         frames: uniform symbols, heterodyne outputs, and the exact LLRs of
         the given level's bit with the true lower-level bits as priors (the
-        genie-aided bit channel).  A level outside [0, levels) raises
-        ValueError before any draw.
+        genie-aided bit channel).  A level outside [0, levels), or frames
+        of n < 1 uses, raise ValueError before any draw.
 
         Every symbol is drawn first, ``max(1, _GENIE_SLICE // n)`` frames
         at a time (an int size is frames of n = 1), each slice's amplitude
@@ -210,6 +213,8 @@ class InducedChannel:
         """
         bpos = self._bit_position(level)
         batch, n = (size, 1) if np.ndim(size) == 0 else size
+        if n < 1:
+            raise ValueError(f"frames must hold n >= 1 uses, got size {size}")
         step = max(1, _GENIE_SLICE // n)
         label = np.empty((batch, n), dtype=self.labels.dtype)
         for s in range(0, batch, step):
@@ -325,13 +330,12 @@ def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray,
-       out=None) -> np.ndarray:
+def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     # b + (1 - 2u) a: the int8 sign multiplies exactly, so the bits are
     # those of the float expression; the product takes one fresh buffer
-    # and the sum goes into it, or into ``out``, which may be b
+    # and the sum goes into it
     prod = np.multiply(a, 1 - 2 * u, dtype=float)
-    return np.add(prod, b, out=prod if out is None else out)
+    return np.add(prod, b, out=prod)
 
 
 def _sc_batch(llr: np.ndarray, idx0: int, nfrozen: list) -> np.ndarray:
@@ -419,31 +423,52 @@ def sc_decode_batch(code: PolarCode,
     # nfrozen[i], the frozen inputs below i, from the sorted frozen set
     nfrozen = np.searchsorted(code.frozen, np.arange(code.n + 1)).tolist()
     x = _sc_batch(_frame_major(llr), 0, nfrozen)
-    return _transform_batch(x.T), x.T
+    return _transform(x.copy()).T, x.T
 
 
 def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Genie-aided SC over a (batch, n) LLR array whose frames carried the
     codewords ``x``; returns per-index soft error counts.
 
-    The genie knows every input, so SC decides nothing: at a node over
-    the codeword bits x, the left half's partial sums are x[:h] ^ x[h:]
-    and the right half's are x[h:], which is what re-encoding the true
-    inputs would give.  With genie feeding, the LLR seen at index i is the
-    exact posterior of the i-th synthetic channel, so its hard decision
-    errs with probability 1/(1 + e^|L|) given the observation.  Summing
-    that conditional probability instead of the 0/1 outcome estimates the
-    same error count with much lower variance.  ``llr`` and ``x`` must
-    share one (batch, n) shape, n a power of 2, and ``x`` hold only 0s
-    and 1s, else ValueError, raised before any work.
+    The genie knows every input, so SC decides nothing.  With genie
+    feeding, the LLR seen at index i is the exact posterior of the i-th
+    synthetic channel, so its hard decision errs with probability
+    1/(1 + e^|L|) given the observation.  Summing that conditional
+    probability instead of the 0/1 outcome estimates the same error count
+    with much lower variance.  ``llr`` and ``x`` must share one (batch, n)
+    shape, n a power of 2, and ``x`` hold only 0s and 1s, else
+    ValueError, raised before any work.
+
+    Each LLR's sign is flipped once by its codeword bit, and the walk then
+    runs as on the all-zero codeword, with no partial sums: each node
+    hands its left half f(a, b) and its right half a + b, the g-update
+    with u = 0.  This is the genie-aided SC of the codeword x bit for bit,
+    for any channel, because the reduction is applied to the computed
+    LLRs and not assumed of the channel.  Proof: write s = 1 - 2x for a
+    bit's sign, so a node whose halves carry the codeword bits (x_a, x_b)
+    sees the flipped LLRs (s_a a, s_b b), and its left child's codeword
+    x_a ^ x_b has the sign s_u = s_a s_b.  f is odd in each argument to
+    the bit: halving, numpy's tanh and arctanh (tested to the bit), the
+    symmetric clip and doubling are odd, and the product of the two tanh
+    factors takes the product of their signs exactly, so f(s_a a, s_b b)
+    = s_u f(a, b).  Under round-to-nearest the rounded sum of negated
+    operands is the negated rounded sum, so fl(s_a a + s_b b) =
+    s_b fl(b + s_u a), the right child's g-update times its sign s_b.
+    The one exception is the sign of a zero: an exact cancellation rounds
+    to +0 either way, and a zero stays a zero through f and adds as
+    nothing in a + b, so signed zeros move only signs.  By induction
+    every node's flipped LLRs are its genie-aided LLRs times its
+    codeword's signs, up to the signs of zeros, and each leaf reads only
+    |L|.
 
     The walk runs on the (n, batch) transpose of ``llr``, as SC does, and
-    overwrites it in place: each node writes f and g over its own halves,
-    ``_GENIE_SLICE`` values at a time, so no whole level is ever
-    allocated.  A float64 ``llr`` that already is the transpose of an
-    (n, batch) array, as ``sample_level`` returns it, is that array and
-    is overwritten; any other is copied once, and left as it was.  The
-    partial sums are XORed in place in one int8 (n, batch) copy of x.
+    overwrites it in place: the sign flip is one masked negation, and
+    each node writes f and a + b over its own halves, ``_GENIE_SLICE``
+    values at a time, so no whole level is ever allocated.  A float64
+    ``llr`` that already is the transpose of an (n, batch) array, as
+    ``sample_level`` returns it, is that array and is overwritten; any
+    other is copied once, and left as it was.  The mask is one bool per
+    bit, taken frame-major.
     """
     llr = np.asarray(llr, dtype=float)
     x = np.asarray(x)
@@ -456,37 +481,37 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
     if not bit.all():
         raise ValueError("codeword bits x must all be 0 or 1")
     del bit
-    errs = np.zeros(llr.shape[1])
-    _genie_walk(_frame_major(llr),
-                _frame_major(x, copy=True, dtype=np.int8), 0, errs)
+    llr = _frame_major(llr)
+    flip = _frame_major(x == 1)
+    np.negative(llr, out=llr, where=flip)
+    errs = np.zeros(len(llr))
+    _genie_walk(llr, 0, errs)
     return errs
 
 
-def _genie_walk(llr: np.ndarray, x: np.ndarray, idx0: int,
-                errs: np.ndarray) -> None:
+def _genie_walk(llr: np.ndarray, idx0: int, errs: np.ndarray) -> None:
     """Add the soft error counts of the inputs [idx0, idx0 + w) of a
-    C-contiguous (w, batch) LLR array into ``errs``, overwriting it;
-    ``x`` is its (w, batch) int8 codeword bits, XORed in place."""
+    C-contiguous (w, batch) array of sign-flipped LLRs into ``errs``,
+    overwriting it."""
     if len(llr) == 1:
         e = np.exp(-np.abs(llr[0]))
         errs[idx0] += np.sum(e / (1.0 + e))
         return
     half = len(llr) // 2
-    a, b, x_left = llr[:half], llr[half:], x[:half]
-    x_left ^= x[half:]
-    _butterfly(a, b, x_left)
-    _genie_walk(a, x_left, idx0, errs)
-    _genie_walk(b, x[half:], idx0 + half, errs)
+    a, b = llr[:half], llr[half:]
+    _butterfly(a, b)
+    _genie_walk(a, idx0, errs)
+    _genie_walk(b, idx0 + half, errs)
 
 
-def _butterfly(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> None:
+def _butterfly(a: np.ndarray, b: np.ndarray) -> None:
     """Overwrite the C-contiguous (h, batch) arrays a with f(a, b) and b
-    with g(a, b, u), ``_GENIE_SLICE`` values at a time."""
-    a, b, u = a.reshape(-1), b.reshape(-1), u.reshape(-1)
+    with a + b, ``_GENIE_SLICE`` values at a time."""
+    a, b = a.reshape(-1), b.reshape(-1)
     for s in range(0, len(a), _GENIE_SLICE):
         blk = slice(s, s + _GENIE_SLICE)
         f = _f(a[blk], b[blk])
-        _g(a[blk], b[blk], u[blk], out=b[blk])
+        b[blk] += a[blk]
         a[blk] = f
 
 
@@ -497,8 +522,8 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     Trials are processed in chunks of ``_GENIE_SAMPLES // n`` frames, the
     last one ragged, each drawn by one ``sample_level`` call as (n, batch)
     LLRs and walked in place there by ``genie_error_counts``, so large
-    budgets keep a working set of about one chunk's LLRs and its one-byte
-    bits and partial sums.
+    budgets keep a working set of about one chunk's LLRs, its one-byte
+    bits and its one-byte sign mask.
     """
     chunk = max(1, _GENIE_SAMPLES // n)
     counts = np.zeros(n)
@@ -558,11 +583,16 @@ def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
     b, n = u_levels[0].shape
     # map the label bits to symbols and sample the heterodyne outcomes;
     # labels and prefixes are built in place, in the labels' dtype, and
-    # like SC's arrays they are (n, b), frames on the contiguous axis
+    # like SC's arrays they are (n, b), frames on the contiguous axis.
+    # Each level's inputs fill one bit plane of the labels (int8 bits
+    # viewed as uint8 widen to any label dtype), and one transform of the
+    # labels turns every plane into its level's codeword, the label bits
+    # the symbols carry
     label = np.zeros((n, b), dtype=ch.labels.dtype)
     for u in u_levels:
         label <<= 1
-        label |= _transform_batch(u).T.astype(label.dtype)
+        label |= _frame_major(u).view(np.uint8)
+    _transform(label)
     # the noise is drawn for the (b, n) frames, in the order of every
     # other layout; only its outcomes are laid out frame-major
     yq = _frame_major(ch._heterodyne(rng, label.T)).reshape(-1)

@@ -6,9 +6,10 @@ library path it checks:
 - ``ErasureChannel``, ``bec_bhattacharyya`` and ``bec_frozen_set``: a binary
   erasure channel and its exact frozen set, the oracle for Monte-Carlo
   polar code construction;
-- ``polar_transform``: a wrapper, not an oracle: one row through the
-  library butterfly, so the transform's algebraic property tests and the
-  row-by-row encoding checks exercise the batched transform itself;
+- ``polar_transform``: x = u F^{x log2 n} of each row by the recursion
+  x = ((u_L ^ u_R) G, u_R G) over the halves of u, G the transform of
+  half the length, against the library's in-place butterfly stages on
+  (n, batch) arrays of packed bit planes;
 - ``sc_g_update``: the SC g-update b + (1 - 2u) a as one float expression,
   against the library's product with the int8 sign 1 - 2u;
 - ``sc_decode_reference``: plain SC, descending into every subtree,
@@ -19,8 +20,9 @@ library path it checks:
 - ``genie_sc_reference``: genie-aided SC as a decoder whose every
   decision is forced to the true input, the inputs the transform of the
   codeword and the partial sums re-encoded from the decisions, against
-  the library's walk, which decides nothing and takes each node's partial
-  sums from the codeword; it also counts the hard-decision errors;
+  the library's walk, which decides nothing: it flips each LLR's sign by
+  its codeword bit and walks as on the all-zero codeword, with no
+  partial sums; it also counts the hard-decision errors;
 - ``sample_level_reference``: the induced channel's genie-aided draw in
   one piece, every int64 amplitude index, then every noise value, the
   outcomes k times the amplitude plus the noise and one demapper call,
@@ -90,7 +92,7 @@ from thermalcomm.constellations import (_DPS, ComplexConstellation,
 from thermalcomm.errors import NumericFailure, SupportError, TruncationError
 from thermalcomm.fock import EIG_FLOOR, SUPPORT_TOL, DensityOperator
 from thermalcomm.polar import (InducedChannel, _check_power_of_two, _f, _g,
-                               _transform_batch, sc_decode_batch)
+                               sc_decode_batch)
 
 _LLR_BIG = 1000.0
 _SERIES_TOL = 1e-30  # term envelope the Hermite series stops below
@@ -146,9 +148,16 @@ def inverse_gray(v: np.ndarray) -> np.ndarray:
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
-    """x = u F^{x log2 n} over GF(2) in natural order; self-inverse."""
+    """x = u F^{x log2 n} over GF(2) in natural order, F = [[1, 0], [1, 1]],
+    of each row of a 1-D or (batch, n) bit array; self-inverse.  By the
+    recursion x = ((u_L ^ u_R) G, u_R G) over the halves of u, with
+    G = F^{x (k - 1)}: F^{x k} has the block form [[G, 0], [G, G]]."""
     u = np.asarray(u, dtype=np.int8) % 2
-    return _transform_batch(u[None, :])[0]
+    if _check_power_of_two(u.shape[-1], "transform length") == 0:
+        return u
+    half = u.shape[-1] // 2
+    return np.concatenate([polar_transform(u[..., :half] ^ u[..., half:]),
+                           polar_transform(u[..., half:])], axis=-1)
 
 
 def sc_g_update(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -182,7 +191,7 @@ def genie_sc_reference(llr, x):
     one sums 1/(1 + e^|L|) as the library does, the hard one the 0/1
     errors of the decision L < 0, a tie at L = 0 counting half."""
     llr = np.ascontiguousarray(np.asarray(llr, dtype=float).T)
-    u = np.ascontiguousarray(_transform_batch(np.asarray(x, np.int8)).T)
+    u = np.ascontiguousarray(polar_transform(x).T)
     soft, hard = np.zeros(len(llr)), np.zeros(len(llr))
 
     def decide(i, row):
@@ -282,7 +291,7 @@ def whole_batch_simulate(ch, codes, trials, seed):
             u[:, code.info_set] = rng.integers(
                 0, 2, size=(trials, len(code.info_set)))
             u_levels.append(u)
-            x_levels.append(_transform_batch(u))
+            x_levels.append(polar_transform(u))
         amp_index = inverse_gray(np.arange(len(ch.amplitudes)))
         ys = []
         for q in range(2):
@@ -303,7 +312,7 @@ def whole_batch_simulate(ch, codes, trials, seed):
                 nerr = np.sum(u_hat[:, info] != u_levels[lv][:, info], axis=1)
                 bit_errors[lv] += int(nerr.sum())
                 frame_bad |= nerr > 0
-                prefix = (prefix << 1) | _transform_batch(u_hat).reshape(-1)
+                prefix = (prefix << 1) | polar_transform(u_hat).reshape(-1)
     fer = float(np.mean(frame_bad)) if trials else None
     sum_rate = float(info_bits.sum()) / n
     return {

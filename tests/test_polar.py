@@ -17,8 +17,9 @@ from thermalcomm import (InducedChannel, PolarCode, channel_params,
                          construct_multilevel, induced_channel,
                          make_constellation, simulate)
 from thermalcomm import polar
-from thermalcomm.polar import (_frame_major, _g, estimate_level_mi,
-                               genie_error_counts, sc_decode_batch)
+from thermalcomm.polar import (_f, _frame_major, _g, _transform,
+                               estimate_level_mi, genie_error_counts,
+                               sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -60,6 +61,26 @@ def test_transform_linearity(a, b):
 def test_transform_rejects_bad_length():
     with pytest.raises(ValueError):
         polar_transform(np.array([1, 0, 1]))
+    with pytest.raises(ValueError, match="power of 2, got 3"):
+        _transform(np.zeros((3, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1024])
+@pytest.mark.parametrize("planes", [1, 2, 4])
+def test_transform_of_packed_labels_is_each_planes_transform(n, planes):
+    # XOR acts on every bit of an element at once, so the transform of
+    # labels packing several levels' inputs, one bit plane each, is each
+    # level's codeword in its plane; done in place, frames on columns
+    rng = np.random.default_rng(n + planes)
+    u = rng.integers(0, 2, size=(planes, 5, n), dtype=np.uint8)
+    label = np.zeros((n, 5), dtype=np.uint8)
+    for plane in u:
+        label <<= 1
+        label |= plane.T
+    assert _transform(label) is label
+    for p, plane in enumerate(u):
+        got = (label >> (planes - 1 - p)) & 1
+        np.testing.assert_array_equal(got.T, polar_transform(plane))
 
 
 # ------------------------------------------------------------ BEC recursion
@@ -107,15 +128,17 @@ def test_genie_soft_and_hard_agree_on_bec():
 
 @pytest.mark.parametrize("n", [1, 2, 64, 1024])
 def test_genie_error_counts_match_decided_genie_sc_bitwise(n):
-    # the walk takes each node's partial sums from the codeword, where the
-    # oracle re-encodes its forced decisions; exact zeros and +-40 LLRs
-    # sit among the Gaussian ones
+    # the walk flips each LLR's sign by its codeword bit and walks with no
+    # partial sums, where the oracle re-encodes its forced decisions;
+    # exact zeros of both signs and +-40 LLRs sit among the Gaussian ones,
+    # so f-updates give zeros and g-updates cancel exactly
     rng = np.random.default_rng(30 + n)
     batch = 8 if n == 1024 else 40
     llr = rng.normal(size=(batch, n)) * rng.choice([0.05, 1.0, 8.0],
                                                    size=(batch, 1))
     hit = rng.random(llr.shape)
-    llr[hit < 0.05] = 0.0
+    llr[hit < 0.025] = -0.0
+    llr[(hit >= 0.025) & (hit < 0.05)] = 0.0
     llr[(hit >= 0.05) & (hit < 0.1)] = 40.0
     llr[(hit >= 0.1) & (hit < 0.15)] = -40.0
     x = rng.integers(0, 2, size=llr.shape).astype(np.int8)
@@ -139,9 +162,9 @@ def test_construction_encodes_nothing(monkeypatch):
     # the genie walk takes the drawn codeword bits as they are, so the
     # construction never runs the polar transform
     calls = []
-    transform = polar._transform_batch
-    monkeypatch.setattr(polar, "_transform_batch",
-                        lambda u: calls.append(u.shape) or transform(u))
+    transform = polar._transform
+    monkeypatch.setattr(polar, "_transform",
+                        lambda x: calls.append(x.shape) or transform(x))
     construct_multilevel(make_channel(4), 64, 1.6, 200, seed=6)
     assert calls == []
 
@@ -300,6 +323,15 @@ def test_genie_error_counts_of_no_frames_are_zero():
     for llr in (np.zeros((0, 4)), np.zeros((4, 0)).T):
         got = genie_error_counts(llr, np.zeros((0, 4), dtype=np.int8))
         np.testing.assert_array_equal(got, np.zeros(4))
+
+
+def test_sc_decode_batch_of_no_frames_is_empty():
+    # the transform once reshaped its zero-size stages with a -1 axis, an
+    # ambiguous shape numpy refuses
+    u, x = sc_decode_batch(PolarCode(n=8, frozen=np.array([0, 1])),
+                           np.zeros((0, 8)))
+    for got in (u, x):
+        assert got.shape == (0, 8) and got.dtype == np.int8
 
 
 def test_genie_error_counts_takes_bits_of_any_dtype():
@@ -479,6 +511,16 @@ def test_estimate_level_mi_refuses_no_samples_before_drawing(samples):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="samples must be >= 1"):
         estimate_level_mi(make_channel(4), 0, samples, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("size", [(3, 0), (0, 0), (2, -4)])
+def test_sample_level_refuses_frames_of_no_uses_before_drawing(size):
+    # (3, 0) once raised ZeroDivisionError from the slice's frame count
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(f"got size {size}")):
+        make_channel(4).sample_level(rng, 0, size)
     assert rng.bit_generator.state == state
 
 
@@ -722,13 +764,11 @@ def test_frame_major_is_the_transpose_copied_only_when_needed(shape):
     # blocks of 64 frames, so 63, 65 and 130 frames end on a ragged block
     rng = np.random.default_rng(len(shape) + shape[0])
     a = rng.normal(size=shape)
-    for given in (a, a[:, ::-1], np.ascontiguousarray(a.T).T):
-        for copy in (False, True):
-            got = _frame_major(given, copy=copy)
-            assert got.flags.c_contiguous
-            np.testing.assert_array_equal(got, given.T)
-            view = given.T.flags.c_contiguous and not copy
-            assert np.shares_memory(got, given) == view
+    for given in (a, a[:, ::-1], np.ascontiguousarray(a.T).T, a > 0):
+        got = _frame_major(given)
+        assert got.flags.c_contiguous and got.dtype == given.dtype
+        np.testing.assert_array_equal(got, given.T)
+        assert np.shares_memory(got, given) == given.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("bit", [0, 1])
@@ -749,13 +789,31 @@ def test_g_update_is_the_float_expression_bitwise(bit):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_f_update_is_odd_in_each_argument_bitwise():
+    # the genie walk flips LLR signs by the codeword bits before its
+    # f-updates, exact only because each flips f's sign and nothing else:
+    # signed zeros, subnormals, values whose tanh rounds to 1 and
+    # infinities included
+    special = np.array([0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+                        1e-200, 0.3, 1.0, 37.4, 710.0, np.inf])
+    rand = np.random.default_rng(6).normal(size=10) * 9.0
+    values = np.concatenate([special, -special, rand])
+    a, b = (g.ravel() for g in np.meshgrid(values, values))
+    want = -_f(a, b)
+    for got in (_f(-a, b), _f(a, -b)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(_f(-a, -b).view(np.int64),
+                                  _f(a, b).view(np.int64))
+
+
 @pytest.mark.parametrize("call", ["genie", "decode"])
 def test_sc_takes_a_frame_contiguous_view_without_a_second_copy(call):
     # handed the (batch, n) transposes of (n, batch) arrays, SC runs on
     # them as they are: its traced peak stays within one copy of the LLRs
-    # (1.0 of it decoding, and 0.50 in the genie walk, which overwrites
-    # the LLRs in place and allocates its int8 partial sums, the bit
-    # check's bools and bounded blocks), where a second (n, batch) copy
+    # (1.0 of it decoding, and 0.50 in the genie walk, which negates the
+    # LLRs in place under a frame-major bool mask of the codeword bits,
+    # 0.125 of them, and overwrites them through f-update blocks of 2^16
+    # values, three at a time, 0.375), where a second (n, batch) copy
     # would take it to 2.0
     n, batch = 256, 2048
     rng = np.random.default_rng(8)
@@ -851,15 +909,19 @@ def test_simulate_deterministic():
 def test_sliced_simulate_matches_whole_batch_bitwise(monkeypatch, trials,
                                                      slice_):
     # slices of 1 or 5 frames, so 7 and 33 trials end on a ragged chunk,
-    # and LLR slices that straddle frame boundaries
-    ch = make_channel(4)
-    codes = construct_multilevel(ch, 64, 1.6, 200, seed=6)
-    want = whole_batch_simulate(ch, codes, trials, seed=19)
-    monkeypatch.setattr(polar, "_SLICE", slice_)
-    got = simulate(ch, codes, trials, seed=19)
-    assert got == want
-    if trials >= 7:
-        assert 0.0 < got["fer"] < 1.0  # both outcomes were compared
+    # and LLR slices that straddle frame boundaries; m = 2, 4 and 8 pack
+    # 1 to 3 levels per quadrature into the labels, one bit plane each,
+    # at sum rates where some frames fail and some decode
+    for m, sum_rate in [(2, 1.9), (4, 1.6), (8, 1.2)]:
+        ch = make_channel(m)
+        codes = construct_multilevel(ch, 64, sum_rate, 200, seed=6)
+        want = whole_batch_simulate(ch, codes, trials, seed=19)
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "_SLICE", slice_)
+            got = simulate(ch, codes, trials, seed=19)
+        assert got == want, m
+        if trials >= 7:
+            assert 0.0 < got["fer"] < 1.0, m  # both outcomes were compared
 
 
 def _simulate_peak_bytes(ch, codes, trials):

@@ -18,7 +18,8 @@ full and self-test size, for seeds 0-2, each workload's warm-up, and the
 default ``rates``, ``chi2``, ``polar`` and ``constellation``, one long
 polar code (``LONG_POLAR``), one whose every level is all frozen
 (``FROZEN_POLAR``), one whose construction runs a full and a ragged chunk
-(``RAGGED_GENIE``) and the smallest chi-square rows (``SMALLEST_CHI2``);
+(``RAGGED_GENIE``), one of 8 points per quadrature (``WIDE_POLAR``) and
+the smallest chi-square rows (``SMALLEST_CHI2``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -62,6 +63,11 @@ FROZEN_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
 RAGGED_GENIE = ("polar", "--kinds", "equilattice", "--m-min", "4",
                 "--blocklength", "1024", "--mc-budget", "5000",
                 "--trials", "100")
+# m = 8, three bits per quadrature, where every other polar argv has at
+# most two: the link packs three levels into each label and transforms
+# them at once
+WIDE_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "8",
+              "--blocklength", "256", "--trials", "300", "--mc-budget", "400")
 # chi-squares down to 1.15e-33, the smallest of the kernel sum's tested
 # grid: where a reordered 50-digit sum is likeliest to move a last bit
 SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
@@ -71,7 +77,8 @@ SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
 def invocations() -> list[tuple[str, ...]]:
     """Every argv to digest, in a fixed order, each once."""
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
-    argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, SMALLEST_CHI2]
+    argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, WIDE_POLAR,
+              SMALLEST_CHI2]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
