@@ -41,18 +41,21 @@ simulation packs every level of a quadrature into one array of labels,
 one bit plane per level, and transforms it once, since XOR acts on
 every plane at once.
 
-Both the demapper and the link simulation work in slices of ``_SLICE``
-samples, so only the link's int8 input bits and one flag per frame grow
-with the trials.  Every chunk loop, here and in the genie-aided
+The link simulation sends ``_SLICE`` samples a chunk, and keeps each
+level's info bits packed, so only those bits, ceil(k/8) bytes a trial
+for a level of k, and one flag per frame grow with the trials.  Inside a
+chunk every transient is a slice of ``_WORK_SLICE`` values: the demapper
+evaluates its log-sum-exp, and the link draws its heterodyne outcomes,
+one slice at a time.  Every chunk loop, here and in the genie-aided
 construction, is a plain walk ``range(0, total, chunk)`` over row slices
 ``[s:s + chunk]``, the last one ragged.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
-bits whatever the slice size.  The genie-aided construction keeps about
-one copy of a chunk's LLRs: its sampler narrows each slice of symbol
-indices to one-byte labels as it draws them and writes its LLRs slice by
-slice into one (n, batch) array, and its walk overwrites that array in
-place.
+bits whatever the chunk and slice sizes.  The genie-aided construction
+keeps about one copy of a chunk's LLRs: its sampler narrows each slice of
+symbol indices to one-byte labels as it draws them and writes its LLRs
+slice by slice into one (n, batch) array, and its walk overwrites that
+array in place.
 
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
@@ -71,19 +74,19 @@ from .channel import ChannelParams
 from .constellations import RealConstellation
 
 _TANH_CLIP = 1.0 - 1e-16
-# Samples one slice holds: level_llrs evaluates its log-sum-exp this many
-# outcomes at a time, and simulate demaps and decodes max(1, _SLICE // n)
-# frames at a time.
+# Samples one chunk of the link simulation holds: simulate sends, demaps
+# and decodes max(1, _SLICE // n) frames at a time.
 _SLICE = 1 << 20
 # Samples one chunk of the genie-aided construction draws.  Its soft error
 # counts are summed per chunk, so another value regroups the sums and
 # changes the last bits of the error probabilities, and so can change a
 # frozen set.
 _GENIE_SAMPLES = 1 << 22
-# Samples sample_level draws (in whole frames, at least one), and values
-# the genie walk's butterfly updates, at a time: bounds their transients,
-# changes no bit
-_GENIE_SLICE = 1 << 16
+# Values one transient holds: sample_level and _send_chunk draw their
+# outcomes max(1, _WORK_SLICE // n) frames at a time, and _heterodyne,
+# level_llrs and the genie walk's butterfly work this many values at a
+# time; bounds their transients, changes no bit
+_WORK_SLICE = 1 << 16
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 _BLOCK = 64  # frames a layout copy moves at a time
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
@@ -198,7 +201,7 @@ class InducedChannel:
         genie-aided bit channel).  A level outside [0, levels), or frames
         of n < 1 uses, raise ValueError before any draw.
 
-        Every symbol is drawn first, ``max(1, _GENIE_SLICE // n)`` frames
+        Every symbol is drawn first, ``max(1, _WORK_SLICE // n)`` frames
         at a time (an int size is frames of n = 1), each slice's amplitude
         index narrowed at once to its one-byte Gray label; then the noise
         and LLRs are made slice by slice, each slice's LLRs written
@@ -215,7 +218,7 @@ class InducedChannel:
         batch, n = (size, 1) if np.ndim(size) == 0 else size
         if n < 1:
             raise ValueError(f"frames must hold n >= 1 uses, got size {size}")
-        step = max(1, _GENIE_SLICE // n)
+        step = max(1, _WORK_SLICE // n)
         label = np.empty((batch, n), dtype=self.labels.dtype)
         for s in range(0, batch, step):
             part = label[s:s + step]
@@ -242,10 +245,13 @@ class InducedChannel:
         """One heterodyne quadrature outcome per Gray label in ``label``:
         Gaussian noise of variance (Nc + 1)/2, drawn in ``label``'s shape,
         plus k times the labelled amplitude (the Husimi Q function of the
-        output state)."""
+        output state), gathered and added ``_WORK_SLICE`` values at a
+        time."""
         centers = (self.params.k * self.amplitudes)[np.argsort(self.labels)]
         out = rng.normal(scale=math.sqrt(self.noise_var), size=label.shape)
-        out += centers[label]
+        flat, label = out.reshape(-1), label.reshape(-1)
+        for s in range(0, len(flat), _WORK_SLICE):
+            flat[s:s + _WORK_SLICE] += centers[label[s:s + _WORK_SLICE]]
         return out
 
     def level_llrs(self, level: int, prefix: np.ndarray,
@@ -257,7 +263,7 @@ class InducedChannel:
 
         The prefix indexes the level's point table, so each outcome gathers
         the centers of its two candidate subsets and reduces each with
-        np.logaddexp, ``_SLICE`` outcomes at a time.  A prefix not of
+        np.logaddexp, ``_WORK_SLICE`` outcomes at a time.  A prefix not of
         ``yq``'s shape, or outside the table, raises ValueError."""
         bpos = self._bit_position(level)
         yq = np.asarray(yq, dtype=float)
@@ -277,12 +283,12 @@ class InducedChannel:
         # so no slice-sized array is freed and requested again.  A table of
         # one row (bit position 0) has one center per candidate, which is
         # subtracted as a scalar, with no gather: the same IEEE subtraction
-        width = min(len(yq), _SLICE)
+        width = min(len(yq), _WORK_SLICE)
         work = np.empty((1 + (centers.shape[2] > 1), width))
         gather = len(centers) > 1
         idx = np.empty(width, dtype=np.intp) if gather else None
-        for start in range(0, len(yq), _SLICE):
-            part = slice(start, start + _SLICE)
+        for start in range(0, len(yq), _WORK_SLICE):
+            part = slice(start, start + _WORK_SLICE)
             y = yq[part]
             if gather:
                 pattern = idx[:len(y)]
@@ -462,13 +468,15 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
     |L|.
 
     The walk runs on the (n, batch) transpose of ``llr``, as SC does, and
-    overwrites it in place: the sign flip is one masked negation, and
-    each node writes f and a + b over its own halves, ``_GENIE_SLICE``
-    values at a time, so no whole level is ever allocated.  A float64
-    ``llr`` that already is the transpose of an (n, batch) array, as
-    ``sample_level`` returns it, is that array and is overwritten; any
-    other is copied once, and left as it was.  The mask is one bool per
-    bit, taken frame-major.
+    overwrites it in place: the sign flip is one multiplication by the
+    int8 signs s, exact since x * -1.0 is -x for every double, +-0 and
+    +-inf included, and each node writes f and a + b over its own halves,
+    ``_WORK_SLICE`` values at a time, so no whole level is ever
+    allocated.  A float64 ``llr`` that already is the transpose of an
+    (n, batch) array, as ``sample_level`` returns it, is that array and is
+    overwritten; any other is copied once, and left as it was.  The signs
+    are one byte per bit, frame-major, made in place from the bool mask
+    x == 1.
     """
     llr = np.asarray(llr, dtype=float)
     x = np.asarray(x)
@@ -482,8 +490,12 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError("codeword bits x must all be 0 or 1")
     del bit
     llr = _frame_major(llr)
-    flip = _frame_major(x == 1)
-    np.negative(llr, out=llr, where=flip)
+    # the one-byte mask x == 1 becomes the sign 1 - 2x in place
+    sign = _frame_major(x == 1).view(np.int8)
+    sign *= -2
+    sign += 1
+    np.multiply(llr, sign, out=llr)
+    del sign
     errs = np.zeros(len(llr))
     _genie_walk(llr, 0, errs)
     return errs
@@ -506,13 +518,14 @@ def _genie_walk(llr: np.ndarray, idx0: int, errs: np.ndarray) -> None:
 
 def _butterfly(a: np.ndarray, b: np.ndarray) -> None:
     """Overwrite the C-contiguous (h, batch) arrays a with f(a, b) and b
-    with a + b, ``_GENIE_SLICE`` values at a time."""
+    with a + b, ``_WORK_SLICE`` values at a time."""
     a, b = a.reshape(-1), b.reshape(-1)
-    for s in range(0, len(a), _GENIE_SLICE):
-        blk = slice(s, s + _GENIE_SLICE)
+    for s in range(0, len(a), _WORK_SLICE):
+        blk = slice(s, s + _WORK_SLICE)
         f = _f(a[blk], b[blk])
         b[blk] += a[blk]
         a[blk] = f
+        del f  # before the next block's _f asks for its two buffers
 
 
 def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
@@ -593,9 +606,15 @@ def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
         label <<= 1
         label |= _frame_major(u).view(np.uint8)
     _transform(label)
-    # the noise is drawn for the (b, n) frames, in the order of every
-    # other layout; only its outcomes are laid out frame-major
-    yq = _frame_major(ch._heterodyne(rng, label.T)).reshape(-1)
+    # the noise is drawn frame by frame, in the order of every other
+    # layout, max(1, _WORK_SLICE // n) frames at a time (numpy's stream is
+    # that of one draw), and each slice's outcomes are written transposed
+    # into one frame-major array
+    yq = np.empty((n, b))
+    step = max(1, _WORK_SLICE // n)
+    for s in range(0, b, step):
+        yq[:, s:s + step] = ch._heterodyne(rng, label[:, s:s + step].T).T
+    yq = yq.reshape(-1)
     # decode level by level, feeding decisions forward as the label prefix
     prefix = np.zeros(b * n, dtype=ch.labels.dtype)
     nerr = np.empty((len(levels), b), dtype=np.int64)
@@ -618,10 +637,13 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     partial sums) feeding the next level's LLRs as priors.  The work goes
     in chunks of ``max(1, _SLICE // n)`` frames: every level's info bits
     are drawn first, a chunk at a time (numpy's stream does not depend on
-    how consecutive draws split the rows), then each quadrature is
-    modulated, sent and decoded by ``_send_chunk``, so one chunk's arrays
-    are freed before the next chunk's are made.  Returns a report dict with
-    per-level BER, frame error rate and effective throughput in bits/mode.
+    how consecutive draws split the rows), and kept packed, ceil(k/8)
+    bytes per trial for a level of k info bits; then each quadrature's
+    chunk is unpacked to one (frames, n) int8 array per level, modulated,
+    sent and decoded by ``_send_chunk``, so one chunk's arrays are freed
+    before the next chunk's are made.  Only the packed bits and one flag
+    per frame grow with the trials.  Returns a report dict with per-level
+    BER, frame error rate and effective throughput in bits/mode.
     """
     if len(codes) != ch.levels:
         raise ValueError(f"need {ch.levels} codes, got {len(codes)}")
@@ -630,21 +652,29 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
         raise ValueError("all level codes must share the blocklength")
     rng = np.random.default_rng(seed)
     bit_errors = np.zeros(ch.levels)
-    info_bits = np.array([c.n - len(c.frozen) for c in codes])
+    info_sets = [c.info_set for c in codes]
+    info_bits = np.array([len(info) for info in info_sets])
     frame_bad = np.zeros(trials, dtype=bool)
     chunk = max(1, _SLICE // n)
     starts = range(0, trials, chunk)
-    u_levels = [np.zeros((trials, n), dtype=np.int8) for _ in codes]
-    for u, code in zip(u_levels, codes):
-        info = code.info_set
+    packed = [np.empty((trials, (len(info) + 7) // 8), dtype=np.uint8)
+              for info in info_sets]
+    for bits, info in zip(packed, info_sets):
         for s in starts:
-            part = u[s:s + chunk]
-            part[:, info] = rng.integers(0, 2, size=(len(part), len(info)))
+            part = bits[s:s + chunk]
+            part[:] = np.packbits(
+                rng.integers(0, 2, size=(len(part), len(info))), axis=1)
     for q in range(2):
         levels = range(q * ch.nbits, (q + 1) * ch.nbits)
         for s in starts:
-            nerr = _send_chunk(ch, levels, codes,
-                               [u_levels[lv][s:s + chunk] for lv in levels], rng)
+            u_levels = []
+            for lv in levels:
+                part = packed[lv][s:s + chunk]
+                u = np.zeros((len(part), n), dtype=np.int8)
+                u[:, info_sets[lv]] = np.unpackbits(
+                    part, axis=1, count=len(info_sets[lv]))
+                u_levels.append(u)
+            nerr = _send_chunk(ch, levels, codes, u_levels, rng)
             bit_errors[levels.start:levels.stop] += nerr.sum(axis=1)
             frame_bad[s:s + chunk] |= np.any(nerr > 0, axis=0)
 

@@ -18,8 +18,9 @@ full and self-test size, for seeds 0-2, each workload's warm-up, and the
 default ``rates``, ``chi2``, ``polar`` and ``constellation``, one long
 polar code (``LONG_POLAR``), one whose every level is all frozen
 (``FROZEN_POLAR``), one whose construction runs a full and a ragged chunk
-(``RAGGED_GENIE``), one of 8 points per quadrature (``WIDE_POLAR``) and
-the smallest chi-square rows (``SMALLEST_CHI2``);
+(``RAGGED_GENIE``), one of 8 points per quadrature (``WIDE_POLAR``), one
+whose link runs a full and a ragged chunk of short frames
+(``PACKED_POLAR``) and the smallest chi-square rows (``SMALLEST_CHI2``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -68,6 +69,12 @@ RAGGED_GENIE = ("polar", "--kinds", "equilattice", "--m-min", "4",
 # them at once
 WIDE_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "8",
               "--blocklength", "256", "--trials", "300", "--mc-budget", "400")
+# n = 16 and 70,000 trials: the link sends one chunk of 65,536 frames and
+# a ragged one of 4,464, and each level packs its few info bits into one
+# or two bytes a trial, most of them ending in padding
+PACKED_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
+                "--blocklength", "16", "--trials", "70000",
+                "--mc-budget", "200")
 # chi-squares down to 1.15e-33, the smallest of the kernel sum's tested
 # grid: where a reordered 50-digit sum is likeliest to move a last bit
 SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
@@ -78,7 +85,7 @@ def invocations() -> list[tuple[str, ...]]:
     """Every argv to digest, in a fixed order, each once."""
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
     argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, WIDE_POLAR,
-              SMALLEST_CHI2]
+              PACKED_POLAR, SMALLEST_CHI2]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
