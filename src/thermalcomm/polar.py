@@ -41,21 +41,25 @@ simulation packs every level of a quadrature into one array of labels,
 one bit plane per level, and transforms it once, since XOR acts on
 every plane at once.
 
-The link simulation sends ``_SLICE`` samples a chunk, and keeps each
-level's info bits packed, so only those bits, ceil(k/8) bytes a trial
-for a level of k, and one flag per frame grow with the trials.  Inside a
-chunk every transient is a slice of ``_WORK_SLICE`` values: the demapper
-evaluates its log-sum-exp, and the link draws its heterodyne outcomes,
-one slice at a time.  Every chunk loop, here and in the genie-aided
-construction, is a plain walk ``range(0, total, chunk)`` over row slices
-``[s:s + chunk]``, the last one ragged.
+The link simulation sends ``_SLICE`` samples a chunk, but never fewer
+than ``_FLOOR_FRAMES`` frames unless that would exceed ``_FLOOR_SLICE``
+samples (``_link_frames``), and keeps each level's info bits packed, so
+only those bits, ceil(k/8) bytes a trial for a level of k, and one flag
+per frame grow with the trials.  A chunk unpacks them straight into its
+labels' bit planes and counts errors on packed decisions, and frees its
+labels once the outcomes are drawn.  Inside a chunk every transient is a
+slice of ``_WORK_SLICE`` values: the demapper evaluates its log-sum-exp,
+and the link draws its heterodyne outcomes, one slice at a time.  Every
+chunk loop, here and in the genie-aided construction, is a plain walk
+``range(0, total, chunk)`` over row slices ``[s:s + chunk]``, the last
+one ragged.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the chunk and slice sizes.  The genie-aided construction
 keeps about one copy of a chunk's LLRs: its sampler narrows each slice of
-symbol indices to one-byte labels as it draws them and writes its LLRs
-slice by slice into one (n, batch) array, and its walk overwrites that
-array in place.
+symbol indices to one-byte labels as it draws them, writes its LLRs
+slice by slice into one (n, batch) array and cuts the level's bits from
+the labels in place, and its walk overwrites that array in place.
 
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
@@ -74,9 +78,17 @@ from .channel import ChannelParams
 from .constellations import RealConstellation
 
 _TANH_CLIP = 1.0 - 1e-16
-# Samples one chunk of the link simulation holds: simulate sends, demaps
-# and decodes max(1, _SLICE // n) frames at a time.
-_SLICE = 1 << 20
+# Samples one chunk of the link simulation aims at: simulate sends, demaps
+# and decodes _link_frames(n) frames at a time.  Batched SC costs the same
+# per frame from 512 frames a call up, so 2^19 samples cost n = 1024 no
+# time, and holding half of 2^20 cuts the decode's peak
+_SLICE = 1 << 19
+# The chunk's floor, min(_FLOOR_FRAMES, _FLOOR_SLICE // n) frames: below
+# about 128 frames a call SC's per-call overhead shows (halving the
+# 64-frame chunk of n = 16,384 took simulate +22%), so long codes keep
+# the chunk of 2^20 samples, and no chunk holds more than that
+_FLOOR_FRAMES = 128
+_FLOOR_SLICE = 1 << 20
 # Samples one chunk of the genie-aided construction draws.  Its soft error
 # counts are summed per chunk, so another value regroups the sums and
 # changes the last bits of the error probabilities, and so can change a
@@ -91,6 +103,9 @@ MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 _BLOCK = 64  # frames a layout copy moves at a time
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
 _GUARD_B = 600.0
+# set bits of each byte value
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                          axis=1).sum(axis=1, dtype=np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +134,13 @@ class PolarCode:
     @property
     def info_set(self) -> np.ndarray:
         return np.setdiff1d(np.arange(self.n), self.frozen)
+
+
+def _link_frames(n: int) -> int:
+    """Frames one chunk of the link simulation sends at blocklength n:
+    ``_SLICE // n``, at least min(``_FLOOR_FRAMES``, ``_FLOOR_SLICE // n``)
+    and at least 1."""
+    return max(1, _SLICE // n, min(_FLOOR_FRAMES, _FLOOR_SLICE // n))
 
 
 def _check_power_of_two(n: int, what: str) -> int:
@@ -206,9 +228,10 @@ class InducedChannel:
         index narrowed at once to its one-byte Gray label; then the noise
         and LLRs are made slice by slice, each slice's LLRs written
         transposed into one (n, batch) array, the only full-size float
-        array.  numpy's stream for consecutive draws is that of one draw,
-        so the bits are those of drawing every index, then every noise
-        value, in row order.
+        array; the level's bits are then cut from the labels in place.
+        numpy's stream for consecutive draws is that of one draw, so the
+        bits are those of drawing every index, then every noise value, in
+        row order.
 
         Returns the level's transmitted bits and the LLRs, both of shape
         ``size``: the bits C-ordered, the LLRs the transpose of their
@@ -230,8 +253,9 @@ class InducedChannel:
             llr[:, s:s + step] = self.level_llrs(
                 level, (part >> (self.nbits - bpos)).reshape(-1),
                 self._heterodyne(rng, part).reshape(-1)).reshape(-1, n).T
-        bits = (label >> (self.nbits - 1 - bpos)) & 1
-        return bits.reshape(size), llr.T.reshape(size)
+        label >>= self.nbits - 1 - bpos  # the level's bit, in place
+        label &= 1
+        return label.reshape(size), llr.T.reshape(size)
 
     def _bit_position(self, level: int) -> int:
         # the level's bit position in its quadrature's labels; a level
@@ -476,7 +500,8 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
     (n, batch) array, as ``sample_level`` returns it, is that array and is
     overwritten; any other is copied once, and left as it was.  The signs
     are one byte per bit, frame-major, made in place from the bool mask
-    x == 1.
+    x == 1, which also checks the bits: they are 0s and 1s when x has as
+    many nonzeros as the mask, so no other full-size array is made.
     """
     llr = np.asarray(llr, dtype=float)
     x = np.asarray(x)
@@ -484,14 +509,17 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"llr of shape {llr.shape} and x of shape "
                          f"{x.shape}; need one (batch, n) shape")
     _check_power_of_two(llr.shape[1], "genie walk width")
-    bit = x == 0
-    bit |= x == 1
-    if not bit.all():
+    # the frame-major mask x == 1, written _BLOCK frames at a time; x holds
+    # only 0s and 1s when its nonzeros are exactly the mask's
+    mask = np.empty(x.shape[::-1], dtype=bool)
+    for i in range(0, len(x), _BLOCK):
+        np.equal(x[i:i + _BLOCK].T, 1, out=mask[:, i:i + _BLOCK])
+    if np.count_nonzero(x) != np.count_nonzero(mask):
         raise ValueError("codeword bits x must all be 0 or 1")
-    del bit
     llr = _frame_major(llr)
-    # the one-byte mask x == 1 becomes the sign 1 - 2x in place
-    sign = _frame_major(x == 1).view(np.int8)
+    # the mask becomes the sign 1 - 2x in place
+    sign = mask.view(np.int8)
+    del mask
     sign *= -2
     sign += 1
     np.multiply(llr, sign, out=llr)
@@ -586,43 +614,49 @@ def estimate_level_mi(ch, level: int, samples: int,
 
 
 def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
-                u_levels: list[np.ndarray],
+                rows: list[np.ndarray],
                 rng: np.random.Generator) -> np.ndarray:
     """Send one chunk of frames over the quadrature whose bit levels are
-    ``levels`` and decode it level by level; ``u_levels`` holds the chunk's
-    (frames, n) input bits of each of those levels.  Returns the (levels,
-    frames) info-bit error counts.  The chunk's arrays are freed on return,
-    before the next chunk asks for its own."""
-    b, n = u_levels[0].shape
+    ``levels`` and decode it level by level; ``rows`` holds the chunk's
+    packed info bits of each of those levels, (frames, ceil(k/8)) bytes
+    for a level of k info bits.  Returns the (levels, frames) info-bit
+    error counts.  The chunk's arrays are freed on return, before the
+    next chunk asks for its own."""
+    b, n = len(rows[0]), codes[levels.start].n
+    info_sets = [codes[lv].info_set for lv in levels]
     # map the label bits to symbols and sample the heterodyne outcomes;
     # labels and prefixes are built in place, in the labels' dtype, and
     # like SC's arrays they are (n, b), frames on the contiguous axis.
-    # Each level's inputs fill one bit plane of the labels (int8 bits
-    # viewed as uint8 widen to any label dtype), and one transform of the
-    # labels turns every plane into its level's codeword, the label bits
-    # the symbols carry
+    # Each level's info bits, unpacked, fill its info rows of one bit
+    # plane of the labels, and one transform of the labels turns every
+    # plane into its level's codeword, the label bits the symbols carry
     label = np.zeros((n, b), dtype=ch.labels.dtype)
-    for u in u_levels:
+    for info, packed in zip(info_sets, rows):
         label <<= 1
-        label |= _frame_major(u).view(np.uint8)
+        label[info] |= np.unpackbits(packed, axis=1, count=len(info)).T
     _transform(label)
     # the noise is drawn frame by frame, in the order of every other
     # layout, max(1, _WORK_SLICE // n) frames at a time (numpy's stream is
     # that of one draw), and each slice's outcomes are written transposed
-    # into one frame-major array
+    # into one frame-major array; the labels are needed no further
     yq = np.empty((n, b))
     step = max(1, _WORK_SLICE // n)
     for s in range(0, b, step):
         yq[:, s:s + step] = ch._heterodyne(rng, label[:, s:s + step].T).T
+    del label
     yq = yq.reshape(-1)
     # decode level by level, feeding decisions forward as the label prefix
     prefix = np.zeros(b * n, dtype=ch.labels.dtype)
     nerr = np.empty((len(levels), b), dtype=np.int64)
-    for i, (lv, u) in enumerate(zip(levels, u_levels)):
+    for i, (lv, info, packed) in enumerate(zip(levels, info_sets, rows)):
         u_hat, x_hat = sc_decode_batch(
             codes[lv], ch.level_llrs(lv, prefix, yq).reshape(n, b).T)
-        info = codes[lv].info_set
-        nerr[i] = np.sum(u_hat[:, info] != u[:, info], axis=1)
+        # a frame's errors are the set bits of its decided info bits,
+        # packed as the sent ones were, XOR the sent ones; the info rows
+        # of the decisions go to (frames, k) by the blocked layout copy
+        diff = np.packbits(_frame_major(u_hat.T[info]), axis=1)
+        diff ^= packed
+        nerr[i] = _POPCOUNT[diff].sum(axis=1)
         prefix <<= 1
         prefix |= x_hat.T.reshape(-1).astype(prefix.dtype)
     return nerr
@@ -635,15 +669,17 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     ``codes`` holds one code per bit level, all of the same blocklength.
     Levels are decoded in order, each level's decided codeword (the SC
     partial sums) feeding the next level's LLRs as priors.  The work goes
-    in chunks of ``max(1, _SLICE // n)`` frames: every level's info bits
-    are drawn first, a chunk at a time (numpy's stream does not depend on
-    how consecutive draws split the rows), and kept packed, ceil(k/8)
-    bytes per trial for a level of k info bits; then each quadrature's
-    chunk is unpacked to one (frames, n) int8 array per level, modulated,
-    sent and decoded by ``_send_chunk``, so one chunk's arrays are freed
-    before the next chunk's are made.  Only the packed bits and one flag
-    per frame grow with the trials.  Returns a report dict with per-level
-    BER, frame error rate and effective throughput in bits/mode.
+    in chunks of ``_link_frames(n)`` frames, 2^19 samples, but at least
+    min(128, 2^20 // n) frames: every level's info bits are drawn first,
+    a chunk at a time (numpy's stream does not depend on how consecutive
+    draws split the rows), and kept packed, ceil(k/8) bytes per trial for
+    a level of k info bits; then each quadrature's chunk of packed rows
+    is modulated, sent and decoded by ``_send_chunk``, which unpacks each
+    level's rows into its bit plane of the labels and counts errors on
+    packed decisions, so one chunk's arrays are freed before the next
+    chunk's are made.  Only the packed bits and one flag per frame grow
+    with the trials.  Returns a report dict with per-level BER, frame
+    error rate and effective throughput in bits/mode.
     """
     if len(codes) != ch.levels:
         raise ValueError(f"need {ch.levels} codes, got {len(codes)}")
@@ -655,7 +691,7 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     info_sets = [c.info_set for c in codes]
     info_bits = np.array([len(info) for info in info_sets])
     frame_bad = np.zeros(trials, dtype=bool)
-    chunk = max(1, _SLICE // n)
+    chunk = _link_frames(n)
     starts = range(0, trials, chunk)
     packed = [np.empty((trials, (len(info) + 7) // 8), dtype=np.uint8)
               for info in info_sets]
@@ -667,14 +703,8 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     for q in range(2):
         levels = range(q * ch.nbits, (q + 1) * ch.nbits)
         for s in starts:
-            u_levels = []
-            for lv in levels:
-                part = packed[lv][s:s + chunk]
-                u = np.zeros((len(part), n), dtype=np.int8)
-                u[:, info_sets[lv]] = np.unpackbits(
-                    part, axis=1, count=len(info_sets[lv]))
-                u_levels.append(u)
-            nerr = _send_chunk(ch, levels, codes, u_levels, rng)
+            nerr = _send_chunk(ch, levels, codes,
+                               [packed[lv][s:s + chunk] for lv in levels], rng)
             bit_errors[levels.start:levels.stop] += nerr.sum(axis=1)
             frame_bad[s:s + chunk] |= np.any(nerr > 0, axis=0)
 

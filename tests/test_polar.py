@@ -273,9 +273,11 @@ def test_sample_level_matches_the_one_piece_reference_bitwise(monkeypatch, m):
 def test_genie_construction_peaks_below_two_copies_of_its_llrs(n):
     # one level over one full chunk, 2^22 / n frames, is 32 MiB of LLRs,
     # drawn as one (n, batch) array and walked in place there: it peaks at
-    # 1.375 of them at every n (the LLRs and the chunk's one-byte labels,
-    # bits and partial sums).  A frame-major copy of the chunk's nodes 64
-    # inputs wide, all of it at n = 32 and 64, took it to 2.34 and 2.30
+    # 1.252 of them at every n (the LLRs and the chunk's one-byte bits and
+    # signs, as the signs flip the LLRs).  Cutting the bits from a copy of
+    # the labels and checking them on two bool temporaries took it to
+    # 1.375; a frame-major copy of the chunk's nodes 64 inputs wide, all
+    # of it at n = 32 and 64, to 2.34 and 2.30
     ch, frames = make_channel(4), polar._GENIE_SAMPLES // n
     tracemalloc.start()
     try:
@@ -283,7 +285,7 @@ def test_genie_construction_peaks_below_two_copies_of_its_llrs(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * frames * n * 8, peak / (frames * n * 8)
+    assert peak <= 1.3 * frames * n * 8, peak / (frames * n * 8)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.9], ids=["two", "minus_one",
@@ -576,8 +578,9 @@ def test_sample_level_bits_and_llrs_follow_the_gray_labels(m):
 
 
 def test_sample_level_frees_its_index_before_the_llrs():
-    # 2^20 samples at the study channel peak at 11.1 MiB: the LLRs and the
-    # one-byte labels, 9 MiB, with the bits and one slice's transients.
+    # 2^20 samples at the study channel peak at 11.8 MiB: the LLRs and the
+    # one-byte labels, 9 MiB, with one slice's transients; the bits are
+    # cut from the labels in place.
     # Each slice's int64 amplitude index is narrowed to its labels as it
     # is drawn; an int64 index of the whole draw would add 8 MiB
     ch = make_channel(4)
@@ -930,7 +933,9 @@ def test_sliced_simulate_matches_whole_batch_bitwise(monkeypatch, trials,
         want = whole_batch_simulate(ch, codes, trials, seed=19)
         with monkeypatch.context() as patch:
             patch.setattr(polar, "_SLICE", slice_)
+            patch.setattr(polar, "_FLOOR_FRAMES", 1)  # no floor above 1
             patch.setattr(polar, "_WORK_SLICE", slice_ // 3)
+            assert polar._link_frames(64) == {40: 1, 5 * 64 + 3: 5}[slice_]
             got = simulate(ch, codes, trials, seed=19)
         assert got == want, m
         if trials >= 7:
@@ -957,6 +962,8 @@ def test_simulate_working_set_does_not_grow_with_trials(monkeypatch):
     # trials; the unpacked bits, noise, labels, LLRs and SC state are one
     # chunk's worth
     monkeypatch.setattr(polar, "_SLICE", 64 * 64)
+    monkeypatch.setattr(polar, "_FLOOR_FRAMES", 0)  # no floor
+    assert polar._link_frames(64) == 64
     ch = make_channel(4)
     codes = construct_multilevel(ch, 64, 1.6, 200, seed=6)
     # an untraced run first: a process's first simulate makes allocations
@@ -977,18 +984,30 @@ def test_simulate_working_set_does_not_grow_with_trials(monkeypatch):
 
 @pytest.mark.parametrize("n", [64, 1024])
 def test_one_chunk_of_the_link_peaks_within_its_llr_budget(n):
-    # one full chunk of 16-QAM frames, 2^20 uses and 8 MiB of LLRs: the
+    # one full chunk of 16-QAM frames, 2^19 uses and 4 MiB of LLRs: the
     # run holds the chunk's noise outcomes and one level's LLRs, SC's
-    # f-updates (about one more copy) and one-byte labels, prefixes,
-    # unpacked bits and decisions, 3.9 of the LLRs in all.  Every trial's
-    # int8 info bits and the demapper's 2^20-sample work arrays took it
-    # to 5.0
+    # f-updates (about one more copy) and one-byte prefixes and
+    # decisions, 3.55-3.58 of the LLRs in all.  Keeping the labels and
+    # each level's unpacked (frames, n) int8 input bits through the
+    # decode took it to 3.90-3.94; every trial's int8 info bits and the
+    # demapper's 2^20-sample work arrays, to 5.0
     ch = make_channel(4)
     codes = construct_multilevel(ch, n, 2.0, 200, seed=6)
-    frames = polar._SLICE // n
+    frames = polar._link_frames(n)
     simulate(ch, codes, 8, seed=2)  # first-use caches, untraced
     peak = _simulate_peak_bytes(ch, codes, frames)
-    assert peak <= 4.25 * frames * n * 8, peak / (frames * n * 8)
+    assert peak <= 3.65 * frames * n * 8, peak / (frames * n * 8)
+
+
+@pytest.mark.parametrize("n, frames", [(16, 32768), (1024, 512), (4096, 128),
+                                       (8192, 128), (16384, 64),
+                                       (1 << 20, 1)])
+def test_link_chunk_is_half_a_mebisample_above_its_floor(n, frames):
+    # 2^19 samples a chunk, but at least min(128, 2^20 // n) frames: from
+    # n = 8,192 up the floor keeps the chunk of 2^20 samples, and a frame
+    # of 2^20 uses or more goes alone
+    assert polar._link_frames(n) == frames
+    assert frames * n <= max(n, 1 << 20)
 
 
 @pytest.mark.parametrize("rows", [(7,), (3, 4), (1, 5, 2), (4, 4, 4, 1)])

@@ -19,8 +19,9 @@ default ``rates``, ``chi2``, ``polar`` and ``constellation``, one long
 polar code (``LONG_POLAR``), one whose every level is all frozen
 (``FROZEN_POLAR``), one whose construction runs a full and a ragged chunk
 (``RAGGED_GENIE``), one of 8 points per quadrature (``WIDE_POLAR``), one
-whose link runs a full and a ragged chunk of short frames
-(``PACKED_POLAR``) and the smallest chi-square rows (``SMALLEST_CHI2``);
+whose link runs full and ragged chunks of short frames
+(``PACKED_POLAR``), one whose link chunk is set by its floor of frames
+(``FLOOR_POLAR``) and the smallest chi-square rows (``SMALLEST_CHI2``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -69,12 +70,18 @@ RAGGED_GENIE = ("polar", "--kinds", "equilattice", "--m-min", "4",
 # them at once
 WIDE_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "8",
               "--blocklength", "256", "--trials", "300", "--mc-budget", "400")
-# n = 16 and 70,000 trials: the link sends one chunk of 65,536 frames and
+# n = 16 and 70,000 trials: the link sends two chunks of 32,768 frames and
 # a ragged one of 4,464, and each level packs its few info bits into one
 # or two bytes a trial, most of them ending in padding
 PACKED_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
                 "--blocklength", "16", "--trials", "70000",
                 "--mc-budget", "200")
+# n = 16,384 and 100 trials: the link chunk is set by its floor, one
+# chunk of 64 frames (2^20 samples) and a ragged one of 36, at a rate
+# fraction where some frames fail and some decode
+FLOOR_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
+               "--blocklength", "16384", "--rate-fraction", "0.85",
+               "--trials", "100", "--mc-budget", "100")
 # chi-squares down to 1.15e-33, the smallest of the kernel sum's tested
 # grid: where a reordered 50-digit sum is likeliest to move a last bit
 SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
@@ -85,7 +92,7 @@ def invocations() -> list[tuple[str, ...]]:
     """Every argv to digest, in a fixed order, each once."""
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
     argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, WIDE_POLAR,
-              PACKED_POLAR, SMALLEST_CHI2]
+              PACKED_POLAR, FLOOR_POLAR, SMALLEST_CHI2]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
