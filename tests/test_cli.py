@@ -444,22 +444,40 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_polar_run_loads_neither_scipy_nor_mpmath():
-    # importing scipy was most of the polar command's set-up time; only the
-    # rates, chi2 and non-uniform constellation paths need scipy or mpmath
+def _top_modules_loaded_by(argv):
+    """Run ``cli.main(argv)`` in a fresh interpreter; its exit code and the
+    top-level names of every module it loaded."""
     import thermalcomm
     src = Path(thermalcomm.__file__).parent.parent
-    probe = ("import io, sys, contextlib, thermalcomm.cli as cli\n"
+    probe = ("import io, json, sys, contextlib, thermalcomm.cli as cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = cli.main(['polar', '--kinds', 'equilattice',\n"
-             "                     '--blocklength', '64', '--trials', '8',\n"
-             "                     '--mc-budget', '100'])\n"
-             "print(code, sorted({k.split('.')[0] for k in sys.modules}\n"
-             "                   & {'scipy', 'mpmath'}))")
+             f"    code = cli.main({list(argv)!r})\n"
+             "print(json.dumps([code, sorted({k.split('.')[0]\n"
+             "                                for k in sys.modules})]))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "0 []"
+    code, names = json.loads(out.stdout)
+    return code, set(names)
+
+
+def test_polar_run_loads_neither_scipy_nor_mpmath():
+    # importing scipy was most of the polar command's set-up time; only the
+    # rates, chi2 and non-uniform constellation paths need scipy or mpmath
+    code, names = _top_modules_loaded_by(
+        ["polar", "--kinds", "equilattice", "--blocklength", "64",
+         "--trials", "8", "--mc-budget", "100"])
+    assert (code, names & {"scipy", "mpmath"}) == (0, set())
+
+
+def test_thermal_run_over_computed_constellations_loads_no_scipy():
+    # the Fock layer computes its own log-factorials, and equilattice and
+    # random-walk points need no quantile or Gauss-Hermite nodes; the chi2
+    # bound on each row may load mpmath
+    code, names = _top_modules_loaded_by(
+        ["rates", "--n0", "0.5", "--m-max", "3",
+         "--kinds", "equilattice", "random_walk"])
+    assert (code, "scipy" in names) == (0, False)
 
 
 def _count_calls(monkeypatch, module, name):

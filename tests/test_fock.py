@@ -14,7 +14,8 @@ from thermalcomm import (DensityOperator, coherent_state, default_dim,
                          relative_entropy, thermal_state, von_neumann_entropy)
 from thermalcomm.errors import (NumericFailure, SupportError,
                                 TruncationError, TruncationWarning)
-from thermalcomm.fock import _make_basis
+from thermalcomm.fock import (_density_operator, _log_factorials,
+                              _make_basis)
 
 
 def test_coherent_state_is_poisson():
@@ -218,6 +219,35 @@ def test_batched_laguerre_tables_match_per_radius_oracle_bitwise(dim):
         assert row.shape == (dim * (dim + 1) // 2,)
         assert np.array_equal(row.view(np.uint64),
                               _laguerre_table(r, dim).view(np.uint64)), r
+
+
+def test_log_factorials_match_gammaln_bitwise():
+    # every dimension up to rates.MAX_DIM, well past x = 1000, where cephes
+    # cuts its series; the Laguerre oracles above keep scipy's gammaln
+    n = 100_000
+    got = _log_factorials(n)
+    want = gammaln(np.arange(n) + 1.0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# exact zeros of either sign, subnormals and normal numbers, in every pair
+_SIGNED_ZEROS = [0.0, -0.0, 5e-324, -5e-324, 3e-310, -3e-310, 1.0, -2.5]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 57, 168, 330, "signed_zeros"])
+def test_density_operator_hermitizes_with_the_bits_of_the_plain_form(dim):
+    rng = np.random.default_rng(11)
+    if dim == "signed_zeros":
+        parts = rng.choice(_SIGNED_ZEROS, (2, 40, 40))
+    else:
+        parts = rng.standard_normal((2, dim, dim))
+    # set the parts directly: x + 1j * y would drop some zero signs
+    mat = np.empty(parts.shape[1:], dtype=complex)
+    mat.real, mat.imag = parts
+    got = _density_operator(mat).matrix
+    want = (mat + mat.conj().T) / 2.0
+    # the bits of every real and imaginary part, signs of zeros included
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # non-real numpy centers: imaginary-axis points of either zero sign, both

@@ -21,7 +21,8 @@ polar code (``LONG_POLAR``), one whose every level is all frozen
 (``RAGGED_GENIE``), one of 8 points per quadrature (``WIDE_POLAR``), one
 whose link runs full and ragged chunks of short frames
 (``PACKED_POLAR``), one whose link chunk is set by its floor of frames
-(``FLOOR_POLAR``) and the smallest chi-square rows (``SMALLEST_CHI2``);
+(``FLOOR_POLAR``), the smallest chi-square rows (``SMALLEST_CHI2``) and
+thermal rows at a dimension past 1,000 (``WIDE_FOCK``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -87,12 +88,18 @@ FLOOR_POLAR = ("polar", "--kinds", "equilattice", "--m-min", "4",
 SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
                  "--m-min", "19", "--m-max", "24")
 
+# dim 1,100: the Laguerre tables' log-factorials reach x = n + 1 >= 1000,
+# where cephes' log-gamma cuts its series: the only argv here whose
+# dimension passes 1,000
+WIDE_FOCK = ("rates", "--n0", "0.5", "--m-max", "2", "--kinds", "equilattice",
+             "--dim", "1100")
+
 
 def invocations() -> list[tuple[str, ...]]:
     """Every argv to digest, in a fixed order, each once."""
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
     argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, WIDE_POLAR,
-              PACKED_POLAR, FLOOR_POLAR, SMALLEST_CHI2]
+              PACKED_POLAR, FLOOR_POLAR, SMALLEST_CHI2, WIDE_FOCK]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
