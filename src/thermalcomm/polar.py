@@ -29,17 +29,19 @@ for bit the genie-aided SC of that codeword (the proof is in
 SC and the polar transform run on (n, batch) arrays, one frame per column,
 so every butterfly half is one contiguous block and every operation on it
 one pass over the whole batch (the inter-frame layout of software polar
-decoders).  The public functions keep their (batch, n) interface.  The
-decoder copies its input to the (n, batch) layout, or takes it without a
-copy when it already is the transpose of an (n, batch) array, which is
-how the link simulation hands over its LLRs; its outputs are (batch, n)
-views of (n, batch) arrays.  The genie walk takes its LLRs the same way
-and overwrites the (n, batch) array in place; the construction's sampler
-writes its LLRs as one, so the walk copies none of them.  The transform
-runs in place on an (n, batch) array its caller owns: the link
-simulation packs every level of a quadrature into one array of labels,
-one bit plane per level, and transforms it once, since XOR acts on
-every plane at once.
+decoders).  The public functions keep their (batch, n) interface and
+take their inputs with ``np.ascontiguousarray(a.T)``, which copies only
+an input that is not already the transpose of an (n, batch) array;
+every array the library hands them is one.  The link simulation hands
+the decoder its LLRs that way, and the decoder returns (batch, n) views
+of (n, batch) arrays.  The genie walk takes its LLRs the same way and
+overwrites them in place, and makes its (n, batch) signs from the
+codeword bits' transpose; the construction's sampler draws its labels
+and writes its LLRs as (n, batch) arrays, so the walk copies no LLRs and
+its signs are one contiguous pass.  The transform runs in place on an
+(n, batch) array its caller owns: the link simulation packs every level
+of a quadrature into one array of labels, one bit plane per level, and
+transforms it once, since XOR acts on every plane at once.
 
 The link simulation sends ``_SLICE`` samples a chunk, but never fewer
 than ``_FLOOR_FRAMES`` frames unless that would exceed ``_FLOOR_SLICE``
@@ -57,9 +59,9 @@ Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the chunk and slice sizes.  The genie-aided construction
 keeps about one copy of a chunk's LLRs: its sampler narrows each slice of
-symbol indices to one-byte labels as it draws them, writes its LLRs
-slice by slice into one (n, batch) array and cuts the level's bits from
-the labels in place, and its walk overwrites that array in place.
+symbol indices to one-byte labels as it draws them, writes its labels
+and LLRs slice by slice into (n, batch) arrays and cuts the level's bits
+from the labels in place, and its walk overwrites the LLRs in place.
 
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
@@ -100,7 +102,6 @@ _GENIE_SAMPLES = 1 << 22
 # time; bounds their transients, changes no bit
 _WORK_SLICE = 1 << 16
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
-_BLOCK = 64  # frames a layout copy moves at a time
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
 _GUARD_B = 600.0
 # set bits of each byte value
@@ -147,19 +148,6 @@ def _check_power_of_two(n: int, what: str) -> int:
     if n < 1 or n & (n - 1):
         raise ValueError(f"{what} must be a power of 2, got {n}")
     return int(math.log2(n))
-
-
-def _frame_major(a: np.ndarray) -> np.ndarray:
-    """The (n, batch) C-contiguous transpose of a (batch, n) array: ``a.T``
-    itself when that is C-contiguous, else a copy made ``_BLOCK`` frames
-    at a time.  Each block's source and destination stay in cache, so this
-    runs several times faster than numpy's whole-array transposing copy."""
-    if a.T.flags.c_contiguous:
-        return a.T
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
-    for i in range(0, len(a), _BLOCK):
-        out[:, i:i + _BLOCK] = a[i:i + _BLOCK].T
-    return out
 
 
 def _transform(x: np.ndarray) -> np.ndarray:
@@ -225,37 +213,37 @@ class InducedChannel:
 
         Every symbol is drawn first, ``max(1, _WORK_SLICE // n)`` frames
         at a time (an int size is frames of n = 1), each slice's amplitude
-        index narrowed at once to its one-byte Gray label; then the noise
-        and LLRs are made slice by slice, each slice's LLRs written
-        transposed into one (n, batch) array, the only full-size float
-        array; the level's bits are then cut from the labels in place.
-        numpy's stream for consecutive draws is that of one draw, so the
-        bits are those of drawing every index, then every noise value, in
-        row order.
+        index narrowed at once to its one-byte Gray labels and written
+        transposed into one (n, batch) array; then the noise and LLRs are
+        made slice by slice, each slice's LLRs written transposed into one
+        (n, batch) array, the only full-size float array; the level's bits
+        are then cut from the labels in place.  numpy's stream for
+        consecutive draws is that of one draw, so the bits are those of
+        drawing every index, then every noise value, in row order.
 
         Returns the level's transmitted bits and the LLRs, both of shape
-        ``size``: the bits C-ordered, the LLRs the transpose of their
-        (n, batch) array, which SC and the genie walk take as it is.
+        ``size`` and each the transpose of its (n, batch) array, which SC
+        and the genie walk take as it is.
         """
         bpos = self._bit_position(level)
         batch, n = (size, 1) if np.ndim(size) == 0 else size
         if n < 1:
             raise ValueError(f"frames must hold n >= 1 uses, got size {size}")
         step = max(1, _WORK_SLICE // n)
-        label = np.empty((batch, n), dtype=self.labels.dtype)
+        label = np.empty((n, batch), dtype=self.labels.dtype)
         for s in range(0, batch, step):
-            part = label[s:s + step]
-            np.take(self.labels, rng.integers(0, len(self.amplitudes),
-                                              size=part.shape), out=part)
+            part = label[:, s:s + step].T
+            part[...] = self.labels[rng.integers(0, len(self.amplitudes),
+                                                 size=part.shape)]
         llr = np.empty((n, batch))
         for s in range(0, batch, step):
-            part = label[s:s + step]
+            part = label[:, s:s + step].T
             llr[:, s:s + step] = self.level_llrs(
                 level, (part >> (self.nbits - bpos)).reshape(-1),
                 self._heterodyne(rng, part).reshape(-1)).reshape(-1, n).T
         label >>= self.nbits - 1 - bpos  # the level's bit, in place
         label &= 1
-        return label.reshape(size), llr.T.reshape(size)
+        return label.T.reshape(size), llr.T.reshape(size)
 
     def _bit_position(self, level: int) -> int:
         # the level's bit position in its quadrature's labels; a level
@@ -443,16 +431,16 @@ def sc_decode_batch(code: PolarCode,
       where the hard decisions are (1, 0).  A single info input is the
       hard decision of its LLR, with no guard.
 
-    SC runs on the (n, batch) transpose of ``llr``, copied unless ``llr``
-    is already the transpose of such an array; u and x are (batch, n)
-    views of their (n, batch) arrays."""
+    SC runs on ``np.ascontiguousarray(llr.T)``, the (n, batch) transpose
+    of ``llr``, copied unless ``llr`` is already the transpose of such an
+    array; u and x are (batch, n) views of their (n, batch) arrays."""
     llr = np.asarray(llr, dtype=float)
     if llr.ndim != 2 or llr.shape[1] != code.n:
         raise ValueError(f"LLRs must be of shape (batch, {code.n}), "
                          f"got {llr.shape}")
     # nfrozen[i], the frozen inputs below i, from the sorted frozen set
     nfrozen = np.searchsorted(code.frozen, np.arange(code.n + 1)).tolist()
-    x = _sc_batch(_frame_major(llr), 0, nfrozen)
+    x = _sc_batch(np.ascontiguousarray(llr.T), 0, nfrozen)
     return _transform(x.copy()).T, x.T
 
 
@@ -491,7 +479,7 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
     codeword's signs, up to the signs of zeros, and each leaf reads only
     |L|.
 
-    The walk runs on the (n, batch) transpose of ``llr``, as SC does, and
+    The walk runs on ``np.ascontiguousarray(llr.T)``, as SC does, and
     overwrites it in place: the sign flip is one multiplication by the
     int8 signs s, exact since x * -1.0 is -x for every double, +-0 and
     +-inf included, and each node writes f and a + b over its own halves,
@@ -499,9 +487,10 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
     allocated.  A float64 ``llr`` that already is the transpose of an
     (n, batch) array, as ``sample_level`` returns it, is that array and is
     overwritten; any other is copied once, and left as it was.  The signs
-    are one byte per bit, frame-major, made in place from the bool mask
-    x == 1, which also checks the bits: they are 0s and 1s when x has as
-    many nonzeros as the mask, so no other full-size array is made.
+    are one byte per bit, (n, batch), made in place from the bool mask
+    x.T == 1, one contiguous pass on bits laid out as ``sample_level``
+    returns them, which also checks the bits: they are 0s and 1s when x
+    has as many nonzeros as the mask, so no other full-size array is made.
     """
     llr = np.asarray(llr, dtype=float)
     x = np.asarray(x)
@@ -509,17 +498,13 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"llr of shape {llr.shape} and x of shape "
                          f"{x.shape}; need one (batch, n) shape")
     _check_power_of_two(llr.shape[1], "genie walk width")
-    # the frame-major mask x == 1, written _BLOCK frames at a time; x holds
-    # only 0s and 1s when its nonzeros are exactly the mask's
-    mask = np.empty(x.shape[::-1], dtype=bool)
-    for i in range(0, len(x), _BLOCK):
-        np.equal(x[i:i + _BLOCK].T, 1, out=mask[:, i:i + _BLOCK])
-    if np.count_nonzero(x) != np.count_nonzero(mask):
+    # the (n, batch) mask x == 1, as int8; x holds only 0s and 1s when its
+    # nonzeros are exactly the mask's
+    sign = np.equal(x.T, 1, order="C").view(np.int8)
+    if np.count_nonzero(x) != np.count_nonzero(sign):
         raise ValueError("codeword bits x must all be 0 or 1")
-    llr = _frame_major(llr)
+    llr = np.ascontiguousarray(llr.T)
     # the mask becomes the sign 1 - 2x in place
-    sign = mask.view(np.int8)
-    del mask
     sign *= -2
     sign += 1
     np.multiply(llr, sign, out=llr)
@@ -652,9 +637,8 @@ def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
         u_hat, x_hat = sc_decode_batch(
             codes[lv], ch.level_llrs(lv, prefix, yq).reshape(n, b).T)
         # a frame's errors are the set bits of its decided info bits,
-        # packed as the sent ones were, XOR the sent ones; the info rows
-        # of the decisions go to (frames, k) by the blocked layout copy
-        diff = np.packbits(_frame_major(u_hat.T[info]), axis=1)
+        # packed as the sent ones were, XOR the sent ones
+        diff = np.packbits(u_hat[:, info], axis=1)
         diff ^= packed
         nerr[i] = _POPCOUNT[diff].sum(axis=1)
         prefix <<= 1

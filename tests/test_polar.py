@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betaincinv
 
 from oracles import (ErasureChannel, bec_bhattacharyya, bec_frozen_set,
                      genie_error_probs_reference, genie_sc_reference,
@@ -17,9 +18,8 @@ from thermalcomm import (InducedChannel, PolarCode, channel_params,
                          construct_multilevel, induced_channel,
                          make_constellation, simulate)
 from thermalcomm import polar
-from thermalcomm.polar import (_f, _frame_major, _g, _transform,
-                               estimate_level_mi, genie_error_counts,
-                               sc_decode_batch)
+from thermalcomm.polar import (_f, _g, _transform, estimate_level_mi,
+                               genie_error_counts, sc_decode_batch)
 
 P = channel_params(0.8, 0.0, 7.0)
 
@@ -146,16 +146,20 @@ def test_genie_error_counts_match_decided_genie_sc_bitwise(n):
     # the walk runs on the (n, batch) transpose of its llr: a row-major
     # llr, and a view with a stride between its values, are copied once
     # and left as they were; the transpose of a frame-major array is
-    # walked, and overwritten, in place, so it is a copy of llr
+    # walked, and overwritten, in place, so it is a copy of llr.  The
+    # codeword bits come row-major, as the transpose of an (n, batch)
+    # array, as sample_level draws them, and as bool
     strided = np.empty((batch, 2 * n))[:, ::2]
     strided[...] = llr
-    for given in (llr, np.ascontiguousarray(llr.T).T, strided):
-        before = given.copy()
-        got = genie_error_counts(given, x)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        if not given.T.flags.c_contiguous:
-            np.testing.assert_array_equal(given.view(np.int64),
-                                          before.view(np.int64))
+    for bits in (x, np.ascontiguousarray(x.T).T, x.astype(bool)):
+        for given in (llr, np.ascontiguousarray(llr.T).T, strided):
+            before = given.copy()
+            got = genie_error_counts(given, bits)
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+            if not given.T.flags.c_contiguous:
+                np.testing.assert_array_equal(given.view(np.int64),
+                                              before.view(np.int64))
 
 
 def test_construction_encodes_nothing(monkeypatch):
@@ -246,8 +250,8 @@ def test_sample_level_matches_the_one_piece_reference_bitwise(monkeypatch, m):
     # next state are those of one draw: counts below, at and past one
     # slice, and 2^17 + 777 at the default slice of 2^16.  A (batch, n)
     # size slices whole frames, 15 of n = 64 in 997 samples and one of
-    # n = 1024 or 2^17 at a time, past the slice; its bits are C-ordered
-    # and its LLRs the transpose of an (n, batch) array
+    # n = 1024 or 2^17 at a time, past the slice; its bits and its LLRs
+    # are each the transpose of an (n, batch) array
     ch = make_channel(m)
     for slice_, size in [(997, 1), (997, 996), (997, 997), (997, 3000),
                          (polar._WORK_SLICE, (1 << 17) + 777),
@@ -262,7 +266,7 @@ def test_sample_level_matches_the_one_piece_reference_bitwise(monkeypatch, m):
                                    sample_level_reference(
                                        ch, ref, level, int(np.prod(size))))
             assert bits.dtype == want_bits.dtype
-            assert bits.flags.c_contiguous and llr.T.flags.c_contiguous
+            assert bits.T.flags.c_contiguous and llr.T.flags.c_contiguous
             np.testing.assert_array_equal(bits, want_bits)
             np.testing.assert_array_equal(llr.view(np.int64),
                                           want_llr.view(np.int64))
@@ -662,10 +666,20 @@ def test_sc_partial_sums_are_the_transform_of_the_decisions():
 
 
 def _assert_matches_plain_sc(code, llr):
-    for got, want in zip(sc_decode_batch(code, llr),
-                         sc_decode_reference(code, llr)):
-        assert got.dtype == want.dtype == np.int8
-        np.testing.assert_array_equal(got, want)
+    # SC runs on the (n, batch) transpose of its llr: a row-major llr, and
+    # a view with a stride between its values, are copied and left as
+    # they were; the transpose of an (n, batch) array is decoded as it is
+    want = sc_decode_reference(code, llr)
+    strided = np.empty((len(llr), 2 * code.n))[:, ::2]
+    strided[...] = llr
+    for given in (llr, strided, np.ascontiguousarray(llr.T).T):
+        before = given.copy()
+        for got, w in zip(sc_decode_batch(code, given), want):
+            assert got.dtype == w.dtype == np.int8
+            np.testing.assert_array_equal(got, w)
+        if not given.T.flags.c_contiguous:
+            np.testing.assert_array_equal(given.view(np.int64),
+                                          before.view(np.int64))
 
 
 def _random_frozen_sets(n, rng):
@@ -695,7 +709,8 @@ def _random_frozen_sets(n, rng):
 def test_sc_decode_batch_matches_plain_sc_bitwise(monkeypatch, n):
     # the closed-form nodes decide as plain SC does, in u and in x; zeros
     # and subnormals sprinkled into some frames make the rate-1 guard fall
-    # back at every length, and the test checks that it also passes
+    # back at every length, and the test checks that it also passes.  63,
+    # 65 and 130 frames are no multiple of a power-of-two block of frames
     rng = np.random.default_rng(700 + n)
     tiny = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e-200])
     guard = []
@@ -704,8 +719,8 @@ def test_sc_decode_batch_matches_plain_sc_bitwise(monkeypatch, n):
                         lambda llr: guard.append(exact(llr)) or guard[-1])
     for frozen in _random_frozen_sets(n, rng):
         code = PolarCode(n=n, frozen=frozen)
-        for scale in (0.05, 1.0, 30.0):
-            llr = rng.normal(size=(24, n)) * scale
+        for scale, batch in ((0.05, 63), (1.0, 65), (30.0, 130)):
+            llr = rng.normal(size=(batch, n)) * scale
             _assert_matches_plain_sc(code, llr)
             hit = rng.random(llr.shape) < 0.03
             llr[hit] = rng.choice(tiny, size=hit.sum())
@@ -760,18 +775,6 @@ def test_sc_decode_batch_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert found == 0
-
-
-@pytest.mark.parametrize("shape", [(1, 8), (63, 4), (65, 16), (130, 2)])
-def test_frame_major_is_the_transpose_copied_only_when_needed(shape):
-    # blocks of 64 frames, so 63, 65 and 130 frames end on a ragged block
-    rng = np.random.default_rng(len(shape) + shape[0])
-    a = rng.normal(size=shape)
-    for given in (a, a[:, ::-1], np.ascontiguousarray(a.T).T, a > 0):
-        got = _frame_major(given)
-        assert got.flags.c_contiguous and got.dtype == given.dtype
-        np.testing.assert_array_equal(got, given.T)
-        assert np.shares_memory(got, given) == given.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("bit", [0, 1])
@@ -1054,3 +1057,105 @@ def test_construct_multilevel_respects_budget():
     assert total_info == round(1.5 * 128)
     with pytest.raises(ValueError):
         construct_multilevel(ch, 128, 4.5, 500, seed=1)
+
+
+# ------------------------------------------------ FER against the genie
+
+# SC's frame error probability is at least the genie-aided error
+# probability of any info index (a genie error there is a frame error,
+# whether or not SC erred before it) and at most their sum (Arikan's union
+# bound), over every level's info indices.  The probabilities come from an
+# estimate independent of the construction's own, which is biased low over
+# the set it picked.  Sum rates are a fraction of the level-MI sum of each
+# channel (estimate_level_mi, 20,000 samples a level), keyed by (m, N0)
+_FER_LEVEL_MI = {(2, 0.0): 1.868, (2, 0.5): 1.805,
+                 (4, 0.0): 2.335, (4, 0.5): 2.164}
+
+
+def _fer_case(m, n0, n, fraction):
+    """A study-channel link at environment photon number n0, its codes at
+    ``fraction`` of the level-MI sum, and its genie bounds: the largest of
+    the info set's genie error probabilities and their sum, each with its
+    standard error.  The probabilities are the means of 8 batches of 64
+    frames a level, drawn from streams 1000 + level, and the errors come
+    from the spread of those batch means."""
+    ch = induced_channel(channel_params(0.8, n0, 7.0),
+                         make_constellation("equilattice", m))
+    codes = construct_multilevel(ch, n, fraction * _FER_LEVEL_MI[m, n0],
+                                 200, seed=1)
+    means, ses, total, total_var = [], [], 0.0, 0.0
+    for lv, code in enumerate(codes):
+        rng = np.random.default_rng(1000 + lv)
+        p = np.empty((8, n))
+        for row in p:
+            bits, llr = ch.sample_level(rng, lv, (64, n))
+            row[:] = genie_error_counts(llr, bits) / 64
+        p = p[:, code.info_set]
+        means.append(p.mean(axis=0))
+        ses.append(p.std(axis=0, ddof=1) / math.sqrt(len(p)))
+        total += p.sum(axis=1).mean()
+        total_var += p.sum(axis=1).var(ddof=1) / len(p)
+    means, ses = np.concatenate(means), np.concatenate(ses)
+    top = np.argmax(means)
+    return ch, codes, (means[top], ses[top], total, math.sqrt(total_var))
+
+
+def _fer_meets_genie_bounds(ch, codes, bounds, trials=400):
+    """Whether the link's FER over ``trials`` frames, as a two-sided 99.9%
+    Clopper-Pearson interval, meets [max - 3 sigma, sum + 3 sigma]."""
+    top, top_se, total, total_se = bounds
+    errors = round(simulate(ch, codes, trials, seed=7)["fer"] * trials)
+    lo = betaincinv(errors, trials - errors + 1, 5e-4) if errors else 0.0
+    hi = (betaincinv(errors + 1, trials - errors, 1 - 5e-4)
+          if errors < trials else 1.0)
+    return hi >= top - 3 * top_se and lo <= total + 3 * total_se
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("n0", [0.0, 0.5])
+@pytest.mark.parametrize("m", [2, 4])
+def test_link_fer_meets_its_genie_bounds(m, n0, n):
+    # at 0.9 of the level-MI sum at m = 2 and 0.7 at m = 4 the FER reads
+    # 0.045-0.135 and 0.155-0.435.  At m = 4 the FER runs up to 1.2 times
+    # the sum and meets the bounds only through its interval; where the
+    # sum is tight it does not (the xfail below)
+    ch, codes, bounds = _fer_case(m, n0, n, {2: 0.9, 4: 0.7}[m])
+    assert _fer_meets_genie_bounds(ch, codes, bounds)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the genie draws uniform i.i.d. bits on every level, but the link "
+    "sends each level's polar codeword with its frozen bits 0, so a level "
+    "that marginalizes the next level's bits sees other interference "
+    "than the construction modelled: at n = 64 the first level of each "
+    "16-QAM quadrature fails its blocks 2.3-2.8 times as often as its "
+    "genie sum"))
+@pytest.mark.parametrize("n0", [0.0, 0.5])
+def test_link_fer_meets_its_genie_bounds_where_they_are_tight(n0):
+    # at 0.6 of the level-MI sum the sum of 16-QAM's genie probabilities
+    # is 0.10-0.12 and the FER 0.18-0.23 (20,000 frames).  With the second
+    # level of each quadrature sending uniform i.i.d. bits (a rate-1
+    # code), the first level's block error falls from 2.3-2.8 times its
+    # genie sum to 0.90-1.02 times it
+    ch, codes, bounds = _fer_case(4, n0, 64, 0.6)
+    assert _fer_meets_genie_bounds(ch, codes, bounds)
+
+
+@pytest.mark.parametrize("mutant", ["prefix_ignored", "u_fed_forward"])
+@pytest.mark.parametrize("n0", [0.0, 0.5])
+def test_fer_check_fails_a_broken_demapper_or_decision_feed(monkeypatch,
+                                                           mutant, n0):
+    # a demapper that takes every prefix as 0, and a decoder that feeds
+    # the next level its decided inputs u in place of their codeword x,
+    # each take the FER to 1; m = 2 has no prefix for either to break
+    ch, codes, bounds = _fer_case(4, n0, 64, 0.7)
+    if mutant == "prefix_ignored":
+        level_llrs = InducedChannel.level_llrs
+        monkeypatch.setattr(
+            InducedChannel, "level_llrs", lambda self, level, prefix, yq:
+            level_llrs(self, level, np.zeros_like(prefix), yq))
+    else:
+        decode = polar.sc_decode_batch
+        monkeypatch.setattr(polar, "sc_decode_batch",
+                            lambda code, llr: (decode(code, llr)[0],) * 2)
+    assert not _fer_meets_genie_bounds(ch, codes, bounds)
