@@ -48,13 +48,14 @@ than ``_FLOOR_FRAMES`` frames unless that would exceed ``_FLOOR_SLICE``
 samples (``_link_frames``), and keeps each level's info bits packed, so
 only those bits, ceil(k/8) bytes a trial for a level of k, and one flag
 per frame grow with the trials.  A chunk unpacks them straight into its
-labels' bit planes and counts errors on packed decisions, and frees its
-labels once the outcomes are drawn.  Inside a chunk every transient is a
-slice of ``_WORK_SLICE`` values: the demapper evaluates its log-sum-exp,
-and the link draws its heterodyne outcomes, one slice at a time.  Every
-chunk loop, here and in the genie-aided construction, is a plain walk
-``range(0, total, chunk)`` over row slices ``[s:s + chunk]``, the last
-one ragged.
+labels' bit planes, frees its labels once the outcomes are drawn, and
+counts each level's errors against its sent bits, unpacked again, with
+no unpacked bits kept through the decode.  Inside a chunk every transient
+is a slice of ``_WORK_SLICE`` values: the demapper evaluates its
+log-sum-exp, and the link draws its heterodyne outcomes, one slice at a
+time.  Every chunk loop, here and in the genie-aided construction, is a
+plain walk ``range(0, total, chunk)`` over row slices ``[s:s + chunk]``,
+the last one ragged.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the chunk and slice sizes.  The genie-aided construction
@@ -104,9 +105,6 @@ _WORK_SLICE = 1 << 16
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
 _GUARD_B = 600.0
-# set bits of each byte value
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
-                          axis=1).sum(axis=1, dtype=np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,33 +295,30 @@ class InducedChannel:
         # subtracted as a scalar, with no gather: the same IEEE subtraction
         width = min(len(yq), _WORK_SLICE)
         work = np.empty((1 + (centers.shape[2] > 1), width))
-        gather = len(centers) > 1
-        idx = np.empty(width, dtype=np.intp) if gather else None
+        idx = np.empty(width, dtype=np.intp) if len(centers) > 1 else None
         for start in range(0, len(yq), _WORK_SLICE):
             part = slice(start, start + _WORK_SLICE)
             y = yq[part]
-            if gather:
-                pattern = idx[:len(y)]
-                np.copyto(pattern, prefix[part])
+            if idx is not None:
+                np.copyto(idx[:len(y)], prefix[part])
             lse = (out[part], work[0, :len(y)])
-            e = work[-1, :len(y)]
             for bit, acc in enumerate(lse):
                 # fold each candidate's exponent -(y - c)^2 / (2 var) into a
                 # running log-sum-exp
                 for i, c in enumerate(centers[:, bit, :].T):
-                    dst = e if i else acc
-                    if gather:
+                    dst = work[-1, :len(y)] if i else acc
+                    if idx is None:
+                        np.subtract(y, c[0], out=dst)
+                    else:
                         # checked above, so clip never clips; unlike the
                         # default mode it gathers without a buffer
-                        np.take(c, pattern, out=dst, mode="clip")
+                        np.take(c, idx[:len(y)], out=dst, mode="clip")
                         np.subtract(y, dst, out=dst)
-                    else:
-                        np.subtract(y, c[0], out=dst)
                     np.square(dst, out=dst)
                     dst *= scale
                     if i:
-                        np.logaddexp(acc, e, out=acc)
-            np.subtract(lse[0], lse[1], out=lse[0])
+                        np.logaddexp(acc, dst, out=acc)
+            np.subtract(*lse, out=lse[0])
         return out
 
 
@@ -605,8 +600,9 @@ def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
     ``levels`` and decode it level by level; ``rows`` holds the chunk's
     packed info bits of each of those levels, (frames, ceil(k/8)) bytes
     for a level of k info bits.  Returns the (levels, frames) info-bit
-    error counts.  The chunk's arrays are freed on return, before the
-    next chunk asks for its own."""
+    error counts: the decided info bits that differ from the sent ones,
+    which are unpacked again for the count.  The chunk's arrays are freed
+    on return, before the next chunk asks for its own."""
     b, n = len(rows[0]), codes[levels.start].n
     info_sets = [codes[lv].info_set for lv in levels]
     # map the label bits to symbols and sample the heterodyne outcomes;
@@ -636,11 +632,11 @@ def _send_chunk(ch: InducedChannel, levels: range, codes: list[PolarCode],
     for i, (lv, info, packed) in enumerate(zip(levels, info_sets, rows)):
         u_hat, x_hat = sc_decode_batch(
             codes[lv], ch.level_llrs(lv, prefix, yq).reshape(n, b).T)
-        # a frame's errors are the set bits of its decided info bits,
-        # packed as the sent ones were, XOR the sent ones
-        diff = np.packbits(u_hat[:, info], axis=1)
-        diff ^= packed
-        nerr[i] = _POPCOUNT[diff].sum(axis=1)
+        # a frame's errors are its decided info bits that differ from the
+        # sent ones, unpacked again as the labels took them; u_hat.T is
+        # SC's (n, b) array, so [info] gathers rows
+        nerr[i] = np.count_nonzero(u_hat.T[info] != np.unpackbits(
+            packed, axis=1, count=len(info)).T, axis=0)
         prefix <<= 1
         prefix |= x_hat.T.reshape(-1).astype(prefix.dtype)
     return nerr
@@ -659,11 +655,12 @@ def simulate(ch: InducedChannel, codes: list[PolarCode], trials: int,
     draws split the rows), and kept packed, ceil(k/8) bytes per trial for
     a level of k info bits; then each quadrature's chunk of packed rows
     is modulated, sent and decoded by ``_send_chunk``, which unpacks each
-    level's rows into its bit plane of the labels and counts errors on
-    packed decisions, so one chunk's arrays are freed before the next
-    chunk's are made.  Only the packed bits and one flag per frame grow
-    with the trials.  Returns a report dict with per-level BER, frame
-    error rate and effective throughput in bits/mode.
+    level's rows into its bit plane of the labels and counts each level's
+    decided info bits that differ from the sent ones, so one chunk's
+    arrays are freed before the next chunk's are made.  Only the packed
+    bits and one flag per frame grow with the trials.  Returns a report
+    dict with per-level BER, frame error rate and effective throughput in
+    bits/mode.
     """
     if len(codes) != ch.levels:
         raise ValueError(f"need {ch.levels} codes, got {len(codes)}")

@@ -33,6 +33,20 @@ def test_coherent_vacuum():
     assert np.all(vec[1:] == 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda dim: coherent_state(0.5, dim),
+    lambda dim: displacement_operator(0.5, dim),
+    lambda dim: thermal_state(1.0, dim),
+    lambda dim: displaced_thermal(0.5, 1.0, dim),
+], ids=["coherent_state", "displacement_operator", "thermal_state",
+        "displaced_thermal"])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_fock_builders_refuse_a_dim_below_1(build, dim):
+    # rates.ensemble_dim checks first, so only a library caller reaches these
+    with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+        build(dim)
+
+
 # the origin, every axis point with either zero sign, and 12 seeded random
 # points of scale 2
 _COHERENT_POINTS = [

@@ -542,6 +542,24 @@ def test_sample_level_refuses_a_level_out_of_range_before_drawing(level,
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("n, sum_rate, mc_budget, bad", [
+    (0, 1.6, 200, "blocklength must be a power of 2, got 0"),
+    (48, 1.6, 200, "blocklength must be a power of 2, got 48"),
+    (64, -0.1, 200, r"sum rate must be in \[0, 4\), got -0.1"),
+    (64, 4, 200, r"sum rate must be in \[0, 4\), got 4"),
+    (64, math.nan, 200, r"sum rate must be in \[0, 4\), got nan"),
+    (64, 1.6, 99, "mc_budget must be >= 100, got 99"),
+])
+def test_construct_multilevel_refuses_bad_input_before_sampling(
+        monkeypatch, n, sum_rate, mc_budget, bad):
+    # cmd_polar checks these first, so only a library caller reaches them
+    def no_draw(*args):
+        raise AssertionError("sample_level called before the input check")
+    monkeypatch.setattr(InducedChannel, "sample_level", no_draw)
+    with pytest.raises(ValueError, match=bad):
+        construct_multilevel(make_channel(4), n, sum_rate, mc_budget, seed=6)
+
+
 def test_inverse_gray_roundtrip():
     v = np.arange(64)
     gray = v ^ (v >> 1)
@@ -990,7 +1008,7 @@ def test_one_chunk_of_the_link_peaks_within_its_llr_budget(n):
     # one full chunk of 16-QAM frames, 2^19 uses and 4 MiB of LLRs: the
     # run holds the chunk's noise outcomes and one level's LLRs, SC's
     # f-updates (about one more copy) and one-byte prefixes and
-    # decisions, 3.55-3.58 of the LLRs in all.  Keeping the labels and
+    # decisions, 3.54-3.57 of the LLRs in all.  Keeping the labels and
     # each level's unpacked (frames, n) int8 input bits through the
     # decode took it to 3.90-3.94; every trial's int8 info bits and the
     # demapper's 2^20-sample work arrays, to 5.0
