@@ -108,14 +108,26 @@ def cmd_rates(config: RunConfig) -> list[dict]:
     rates of magnitude below it, and ``chi2_bound`` if it underflowed.  A
     row whose gap in nats exceeds ``chi2_bound``, or whose classical rate
     exceeds the capacity, by more than that resolution raises
-    ``NumericFailure``."""
+    ``NumericFailure``.
+
+    So does an N0 = 0 row whose quantum rate breaks the pure-loss bound by
+    more than that resolution.  There the rate is the coherent information
+    S(B) - S(E) of the ensemble's average input, whose mean photon number
+    is N (``product_constellation`` scales every kind to it, to within
+    about 1e-14 photons, which moves the limit far less than the
+    resolution).  For k^2 >= 1/2 the channel is degradable, and that
+    coherent information is at most g(k^2 N) - g((1 - k^2) N), the
+    ``gaussian_rate_limit`` row (Wolf, Perez-Garcia & Giedke, PRL 98,
+    130501 (2007)).  For k^2 < 1/2 it is antidegradable, so the rate is at
+    most 0, and its complement obeys the same theorem, so it is at least
+    the limit.  Thermal rows have no such theorem and are not checked."""
     p = channel_params(config.k, config.n0, config.n)
     capacity = capacity_C(p)
+    limit = gaussian_rate_limit(p)
     empty = dict.fromkeys(RATES_COLUMNS)
     rows = [
         {**empty, "kind": "capacity_C", "classical_rate_bits": capacity},
-        {**empty, "kind": "gaussian_rate_limit",
-         "quantum_rate_bits": gaussian_rate_limit(p)},
+        {**empty, "kind": "gaussian_rate_limit", "quantum_rate_bits": limit},
     ]
     for kind, m, c, Q in _table_grid(config, p, "BE"):
         r = ensemble_rates(p, Q, config.dim)
@@ -124,6 +136,13 @@ def cmd_rates(config: RunConfig) -> list[dict]:
                        r.delta_B * math.log(2.0), bound)
         _check_theorem(kind, m, "classical_rate_bits <= capacity_C",
                        r.classical, capacity)
+        if p.N0 == 0.0 and p.k * p.k >= 0.5:
+            _check_theorem(kind, m, "quantum_rate_bits <= gaussian_rate_limit",
+                           r.quantum, limit)
+        elif p.N0 == 0.0:
+            _check_theorem(kind, m, "gaussian_rate_limit <= quantum_rate_bits",
+                           limit, r.quantum)
+            _check_theorem(kind, m, "quantum_rate_bits <= 0", r.quantum, 0.0)
         rows.append({
             "kind": kind, "m": m,
             "classical_rate_bits": _resolved(r.classical),

@@ -22,7 +22,14 @@ every point on that circle, and each point adds only its phase powers.
 A ``_Basis`` holds what a dimension's displacements share: the lower
 triangle's layout and one table per radius, from a single recurrence over
 all radii (``_laguerre_tables``).  ``_mixture`` builds every ensemble
-average state sum_j q_j theta_j, one basis per call.
+average state sum_j q_j theta_j, one basis per call, and one displaced
+thermal state per orbit {z, conj z, -z, -conj z} of the centers: conj z
+takes the conjugate state, and -z the state times the checkerboard
+(-1)^(m+n) (D(-z) = P D(z) P, P = diag((-1)^n)), where ``_parity_holds``
+finds numpy's phase powers flip sign exactly, below power 100.  Both
+shares keep every value, so every bit of the sum.  ``_density_operator``
+Hermitizes by halving the float parts, with the bits of the complex
+division by 2 on every input without a -0 part, and divides on the rest.
 
 The layer imports only numpy and math: the tables' log-factorials come
 from ``_log_factorials``, cephes' log-gamma at the integers, with the bits
@@ -269,12 +276,35 @@ def _density_operator(mat: np.ndarray) -> DensityOperator:
     """Wrap an assembled state matrix, Hermitized: (M + M^dag)/2 mirrors
     each entry as its exact conjugate, so the state reads it as it is.
     Built in one buffer with the bits of ``(mat + mat.conj().T) / 2.0``:
-    the sum commutes exactly, and the division is the same complex one
-    (multiplying by 0.5 would flip the sign of some zeros)."""
+    the sum commutes exactly, and each float part is halved in place.
+    numpy divides a + bi by 2 + 0i as ((a + b*0) * 0.5, (b - a*0) * 0.5),
+    which is (0.5a, 0.5b) bit for bit unless a part is -0 (the division
+    can make it +0); a NaN or inf part stays non-finite either way and is
+    refused.  So the complex division runs only when some part of
+    M + M^dag is -0, which no state of the rate tables has."""
     out = np.conj(mat.T, order="C")
     out += mat
-    out /= 2.0
+    parts = out.view(float)
+    # -0.0 is the one double whose bits, read as an int64, are the least
+    if parts.view(np.int64).min() == np.iinfo(np.int64).min:
+        out /= 2.0
+    else:
+        parts *= 0.5
     return DensityOperator(matrix=out)
+
+
+def _parity_holds(z, dim: int) -> bool:
+    """Whether ``displacement_operator`` at -z takes (-1)^d times each
+    phase power it takes at z, d < ``dim``: (-p) ** d equals p ** d at
+    even d and -(p ** d) at odd d in value, with p = z/|z| and -p = (-z)/|z|
+    as it forms them.  numpy raises a complex scalar to an integer power
+    below 100 by repeated squaring, which commutes exactly with a sign
+    flip, and from 100 on by exp-log, which does not; so it holds at
+    dim <= 100.  The check runs from the top power down, so a larger dim
+    fails at its first step."""
+    p, minus_p = z / abs(z), -z / abs(z)
+    return all(minus_p ** d == (p ** d if d % 2 == 0 else -p ** d)
+               for d in range(dim - 1, 0, -1))
 
 
 def _mixture(probs, centers, Nbar: float, dim: int) -> DensityOperator:
@@ -282,31 +312,51 @@ def _mixture(probs, centers, Nbar: float, dim: int) -> DensityOperator:
     z, Hermitized.  At Nbar = 0 it is one product of the weighted amplitude
     columns of one ``coherent_state`` call with their adjoint.  Otherwise
     one ``_make_basis`` over every distinct nonzero |z| serves each
-    ``displaced_thermal``, and a non-real center's conjugate reuses its
-    state.  For a non-real numpy complex z, displaced_thermal(conj z)
-    equals displaced_thermal(z).matrix.conj() in every value; the bits
-    differ at most in the sign of exact zeros, which the sum, starting from
-    +0.0, absorbs; so the average state keeps every bit.  A center whose
-    conjugate comes later holds that conjugate state until its turn, so the
-    sum keeps its order; a symmetric product constellation puts conj z in
-    z's row, so at most floor(m/2) states are held at once.  Real centers
-    are never shared: past dim 100, where numpy's complex power leaves
-    repeated squaring, a negative real center's conjugate state differs
-    from its state's conjugate."""
+    ``displaced_thermal``, and a built state also serves the next later
+    occurrence of each other center of its orbit {z, conj z, -z, -conj z}:
+
+    - conj z, for a non-real numpy complex z, takes the state's conjugate:
+      displaced_thermal(conj z) equals displaced_thermal(z).matrix.conj()
+      in every value.  Real centers never share by conjugation: past dim
+      100 a negative real center's conjugate state differs from its
+      state's conjugate.
+    - -z, for z != 0 where ``_parity_holds``, takes the state times the
+      checkerboard (-1)^(m+n).  D(-z) = P D(z) P with P = diag((-1)^n), the
+      (-1)^(m-n) symmetry of the Laguerre form; given the phase powers,
+      every later step (table products, the product of D sqrt(tau) with
+      its adjoint, the Hermitization) commutes exactly with sign flips, so
+      each value is the checkerboard's image of z's.
+    - -conj z takes the conjugate times the checkerboard, by both.
+
+    A shared state's bits differ from a built one's at most in the sign of
+    exact zeros, which the sum, starting from +0.0, absorbs; so the average
+    state keeps every bit.  Each such center holds the source state and its
+    transform, not a derived copy, until its turn: the sum keeps its order,
+    and one matrix per orbit stays alive (for an m x m product
+    constellation at dim <= 100, about m^2/4 at once).  A repeat of a built
+    center is built again."""
     if Nbar == 0.0:
         cols = np.sqrt(probs) * coherent_state(centers, dim)
         return _density_operator(cols @ cols.conj().T)
     basis = _make_basis(dim, list({abs(z) for z in centers} - {0.0}))
+    sign = np.ones(dim)
+    sign[1::2] = -1.0
+    checkerboard = np.outer(sign, sign)
     last = {z: j for j, z in enumerate(centers)}
-    held = {}  # center -> its state, the conjugate of an earlier one's
+    held = {}  # center -> (source state, conjugate it?, checkerboard it?)
     mat = np.zeros((dim, dim), dtype=complex)
     for j, (q, z) in enumerate(zip(probs, centers)):
-        state = held.pop(z, None)
-        if state is None:
-            state = displaced_thermal(z, Nbar, dim, _basis=basis).matrix
-        if z.imag != 0.0 and last.get(z.conjugate(), -1) > j:
-            held[z.conjugate()] = state.conj()
-        mat += q * state
+        source, conj, flip = held.pop(z, (None, False, False))
+        if source is None:
+            source = displaced_thermal(z, Nbar, dim, _basis=basis).matrix
+            parity = z != 0 and _parity_holds(z, dim)
+            for w, c, f in ((z.conjugate(), True, False), (-z, False, True),
+                            (-z.conjugate(), True, True)):
+                if ((z.imag != 0.0 or not c) and (parity or not f)
+                        and last.get(w, -1) > j):
+                    held[w] = (source, c, f)
+        state = source.conj() if conj else source
+        mat += q * (state * checkerboard if flip else state)
     return _density_operator(mat)
 
 

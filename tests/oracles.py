@@ -64,6 +64,10 @@ library path it checks:
   and matrix-exponential checks of the Fock layer;
 - ``_laguerre_table``: one radius's Laguerre table by its own recurrence
   over every k, against the library's batched recurrence over all radii;
+- ``unshared_thermal_mixture``: an ensemble's average state from one
+  public ``displaced_thermal`` call per center, in order, summed and
+  Hermitized, against the library's ``_mixture``, which shares each built
+  state across the center's orbit {z, conj z, -z, -conj z}, bit for bit;
 - ``inverse_gray``: the amplitude index of each Gray label by prefix XOR,
   against the labels and their inverse the induced channel holds;
 - ``coherent_mixture_entropy_gram``: the entropy of a coherent-state
@@ -90,7 +94,8 @@ from thermalcomm.constellations import (_DPS, ComplexConstellation,
                                         _gaussian_kernel_chi2,
                                         make_constellation)
 from thermalcomm.errors import NumericFailure, SupportError, TruncationError
-from thermalcomm.fock import EIG_FLOOR, SUPPORT_TOL, DensityOperator
+from thermalcomm.fock import (EIG_FLOOR, SUPPORT_TOL, DensityOperator,
+                             displaced_thermal)
 from thermalcomm.polar import (InducedChannel, _check_power_of_two, _f, _g,
                                sc_decode_batch)
 
@@ -456,6 +461,18 @@ def _laguerre_table(r: float, dim: int) -> np.ndarray:
         loglag = np.log(np.abs(lvals))
     mag = np.exp(logpref + loglag).astype(float)
     return np.sign(lvals).astype(float) * mag
+
+
+def unshared_thermal_mixture(probs, centers, width: float,
+                             dim: int) -> np.ndarray:
+    """sum_j q_j D(z_j) tau_width D(z_j)^dag as a matrix: one
+    ``displaced_thermal`` call per center, each with its own table, summed
+    in order from +0.0 and Hermitized as (M + M^dag) / 2; nothing is
+    shared between centers."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    for q, z in zip(probs, centers):
+        mat += q * displaced_thermal(z, width, dim).matrix
+    return (mat + mat.conj().T) / 2.0
 
 
 def gaussian_kernel_chi2_unfolded(points, probs, pref, A, B) -> float:

@@ -422,6 +422,67 @@ def test_row_above_capacity_exits_3_naming_it(monkeypatch):
                         err), err
 
 
+def _quantum_rates(monkeypatch, shift):
+    """Patch the rates table's ``ensemble_rates`` to add ``shift`` bits to
+    each row's quantum rate; returns the unshifted rates it computes."""
+    from dataclasses import replace
+
+    from thermalcomm import cli
+    computed, compute = [], cli.ensemble_rates
+
+    def shifted(*args):
+        computed.append(compute(*args))
+        return replace(computed[-1], quantum=computed[-1].quantum + shift)
+
+    monkeypatch.setattr(cli, "ensemble_rates", shifted)
+    return computed
+
+
+@pytest.mark.parametrize("k, shift, claim", [
+    ("0.8", 0.1, "quantum_rate_bits <= gaussian_rate_limit"),
+    ("0.6", -0.3, "gaussian_rate_limit <= quantum_rate_bits"),
+    ("0.6", 0.8, "quantum_rate_bits <= 0")])
+def test_pure_loss_row_past_the_quantum_rate_limit_exits_3(
+        monkeypatch, k, shift, claim):
+    # no argv is known to reach it (the benchmark grid's rates stay 1.8e-4
+    # bits or more inside), so each row's rate is pushed past the bound:
+    # g(k^2 N) - g((1 - k^2) N) above for k^2 >= 1/2, [that limit, 0]
+    # below.  random_walk m = 16 reads 0.7256 at k = 0.8 (limit 0.7258) and
+    # -0.7256 at k = 0.6 (limit -0.7258)
+    _quantum_rates(monkeypatch, shift)
+    code, text, err = run_cli_stderr(["rates", "--k", k, "--m-min", "16",
+                                      "--m-max", "16", "--kinds",
+                                      "random_walk"])
+    assert code == 3
+    assert text == ""
+    assert err.startswith(
+        f"numeric failure: row random_walk m=16 breaks {claim}: "), err
+
+
+@pytest.mark.parametrize("k, n0", [("0.8", "0"), ("0.6", "0"),
+                                   ("0.8", "0.5")])
+def test_quantum_rate_check_allows_its_resolution_and_skips_thermal_rows(
+        monkeypatch, k, n0):
+    # the highest row, moved half a GAP_RESOLUTION past the limit (past 0
+    # below k^2 = 1/2), still prints; a thermal row has no such theorem,
+    # so one moved far past it prints too
+    from thermalcomm import cli
+    from thermalcomm.channel import gaussian_rate_limit
+    argv = ["rates", "--k", k, "--n0", n0, "--m-max", "3", "--kinds",
+            "equilattice", "--format", "json"]
+    first = _quantum_rates(monkeypatch, 0.0)
+    assert run_cli(argv)[0] == 0
+    bound = (gaussian_rate_limit(cli.channel_params(float(k), float(n0), 7.0))
+             if float(k) ** 2 >= 0.5 else 0.0)
+    shift = (bound - max(r.quantum for r in first)
+             + 0.5 * rates.GAP_RESOLUTION if n0 == "0" else 5.0)
+    monkeypatch.undo()
+    _quantum_rates(monkeypatch, shift)
+    code, text = run_cli(argv)
+    assert code == 0
+    assert len(json.loads(text)["rows"]) == 4
+
+
 @pytest.mark.parametrize("dim", ["0", "-3"])
 @pytest.mark.parametrize("n0", ["0", "0.5"])
 @pytest.mark.parametrize("command", ["rates", "chi2"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (_laguerre_table, coherent_mixture_entropy_gram,
-                     relative_entropy_eigh_overlap)
+                     relative_entropy_eigh_overlap, unshared_thermal_mixture)
 from thermalcomm import (Ensemble, build_ensemble, capacity_C, cli,
                          channel_params, coherent_state, delta_B,
                          displaced_thermal, ensemble_average_state,
@@ -274,6 +274,48 @@ def test_conjugate_sharing_bitwise_on_irregular_ensembles(centers, builds,
     _assert_bitwise_equal(rho.matrix, _unshared_average_state(e, 120))
 
 
+# Ensembles with the number of states each builds at dim <= 100, where a
+# built state serves the next occurrence of each other center of its orbit
+# {z, conj z, -z, -conj z}, and above, where numpy's exp-log powers break
+# the parity share and only non-real conjugates share.  The origin never
+# shares, a real center shares only by parity, and a repeat of a built
+# center is built again.
+@pytest.mark.parametrize("centers, orbit_builds, conjugate_builds", [
+    ([_Z, _Z.conjugate(), -_Z, -_Z.conjugate()], 1, 2),
+    ([-_Z, 0.3, _Z, -0.3], 2, 4),
+    ([-_Z.conjugate(), _Z, -_Z, 0.5 - 0.2j], 2, 3),
+    ([complex(-0.7, 0.0), 0.7, complex(-0.7, -0.0), 0.7, -1.9], 3, 5),
+    ([0j, _Z, 0j, -_Z, 0j], 4, 5),
+    ([_Z, _Z, -_Z, _Z.conjugate(), -_Z, _Z], 3, 5),
+    ([complex(0.0, 0.8), complex(-0.0, -0.8), complex(0.0, -0.8)], 2, 2),
+], ids=["whole_orbit", "minus_z_first", "minus_conjugate_first",
+        "negative_reals", "origin", "duplicates", "imaginary_axis"])
+@pytest.mark.parametrize("dim", [99, 100, 101, 120])
+def test_parity_sharing_bitwise_on_both_sides_of_dim_100(
+        centers, orbit_builds, conjugate_builds, dim, monkeypatch):
+    probs = np.linspace(1.0, 2.0, len(centers))
+    e = Ensemble(probs=probs / probs.sum(),
+                 centers=np.array(centers, dtype=complex), width=0.4)
+    thermals = _record_calls(monkeypatch, fock.displaced_thermal)
+    rho = ensemble_average_state(e, dim)
+    assert len(thermals) == (orbit_builds if dim <= 100 else conjugate_builds)
+    _assert_bitwise_equal(rho.matrix, unshared_thermal_mixture(
+        e.probs, e.centers, e.width, dim))
+
+
+def test_parity_sharing_past_dim_100_would_change_bits(monkeypatch):
+    # the check is what keeps dim 101 exact: shared regardless, -z takes
+    # z's state times the checkerboard where numpy's exp-log powers at
+    # d = 100 no longer flip sign exactly, and the bits move
+    e = Ensemble(probs=np.full(4, 0.25), width=0.4, centers=np.array(
+        [_Z, -_Z, complex(-0.7, 0.0), 0.7]))
+    monkeypatch.setattr(fock, "_parity_holds", lambda z, dim: True)
+    rho = ensemble_average_state(e, 101)
+    want = unshared_thermal_mixture(e.probs, e.centers, e.width, 101)
+    assert not np.array_equal(rho.matrix.view(np.uint64),
+                              want.view(np.uint64))
+
+
 @pytest.mark.parametrize("n0", [0.46, 0.54])
 @pytest.mark.parametrize("kind", ["equilattice", "quantile", "random_walk",
                                   "gauss_hermite"])
@@ -286,10 +328,8 @@ def test_thermal_average_state_sums_standalone_states_bitwise(kind, n0):
         for side in ("B", "E"):
             e = build_ensemble(p, Q, side)
             rho = ensemble_average_state(e)
-            mat = np.zeros((rho.dim, rho.dim), dtype=complex)
-            for q, z in zip(e.probs, e.centers):
-                mat += q * displaced_thermal(z, e.width, rho.dim).matrix
-            _assert_bitwise_equal(rho.matrix, (mat + mat.conj().T) / 2.0)
+            _assert_bitwise_equal(rho.matrix, unshared_thermal_mixture(
+                e.probs, e.centers, e.width, rho.dim))
 
 
 def test_thermal_build_takes_one_layout_and_no_thermal_state(monkeypatch):
@@ -370,25 +410,32 @@ def test_displacements_receive_numpy_complex_centers(kind, monkeypatch):
     monkeypatch.setattr(fock, "displacement_operator", spy)
     Q = make_Q(kind, 3, P_THERMAL)
     ensemble_rates(P_THERMAL, Q)
-    # every point on both sides, but for the non-real centers whose
-    # conjugate came earlier and lent them its state
+    # every point on both sides, but for those an earlier center of their
+    # orbit lent its state: a conjugate if non-real, and at these dims, all
+    # at most 100, a nonzero center's -z or -conj z
+    def lenders(z):
+        return ([z.conjugate()] if z.imag != 0.0 else []) + (
+            [-z, -z.conjugate()] if z != 0 else [])
+
     expected = 0
     for side in ("B", "E"):
-        centers = list(build_ensemble(P_THERMAL, Q, side).centers)
-        expected += len(centers) - sum(
-            z.imag != 0.0 and z.conjugate() in centers[j + 1:]
-            for j, z in enumerate(centers))
+        e = build_ensemble(P_THERMAL, Q, side)
+        assert ensemble_dim(e) <= 100
+        centers = list(e.centers)
+        expected += sum(not any(w in centers[:j] for w in lenders(z))
+                        for j, z in enumerate(centers))
     assert len(alpha_types) == expected < 2 * len(Q.points)
     assert set(alpha_types) == {np.complex128}
 
 
-def test_thermal_rates_pass_builds_872_states(monkeypatch, capsys):
+def test_thermal_rates_pass_builds_543_states(monkeypatch, capsys):
     # one pass of the benchmark's thermal_rates workload at N0 = 0.5: 1,624
-    # points over both sides, less the 752 conjugates that reuse a state
+    # points over both sides, less the 1,081 that reuse a state of their
+    # orbit {z, conj z, -z, -conj z} (conjugates only, past dim 100)
     thermals = _record_calls(monkeypatch, fock.displaced_thermal)
     displacements = _record_calls(monkeypatch, fock.displacement_operator)
     assert cli.main(["rates", "--n0", "0.5", "--m-max", "8"]) == 0
-    assert len(thermals) == len(displacements) == 872
+    assert len(thermals) == len(displacements) == 543
 
 
 def test_pure_loss_tables_pass_builds_one_coherent_array_per_ensemble(

@@ -21,8 +21,10 @@ polar code (``LONG_POLAR``), one whose every level is all frozen
 (``RAGGED_GENIE``), one of 8 points per quadrature (``WIDE_POLAR``), one
 whose link runs full and ragged chunks of short frames
 (``PACKED_POLAR``), one whose link chunk is set by its floor of frames
-(``FLOOR_POLAR``), the smallest chi-square rows (``SMALLEST_CHI2``) and
-thermal rows at a dimension past 1,000 (``WIDE_FOCK``);
+(``FLOOR_POLAR``), the smallest chi-square rows (``SMALLEST_CHI2``),
+thermal rows at a dimension past 1,000 (``WIDE_FOCK``) and thermal rows at
+dims 100 and 101, on both sides of the parity share's edge
+(``PARITY_EDGE``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -93,13 +95,20 @@ SMALLEST_CHI2 = ("chi2", "--k", "0.3", "--n", "1", "--kinds", "gauss_hermite",
 # dimension passes 1,000
 WIDE_FOCK = ("rates", "--n0", "0.5", "--m-max", "2", "--kinds", "equilattice",
              "--dim", "1100")
+# the thermal build shares a state with -z and -conj z only where numpy's
+# phase powers flip sign exactly, below power 100: the same rows at dim 100
+# (228 builds) and at dim 101 (420, conjugates only)
+PARITY_EDGE = tuple(
+    ("rates", "--n0", "0.5", "--m-min", "7", "--m-max", "9", "--kinds",
+     "equilattice", "quantile", "--dim", dim) for dim in ("100", "101"))
 
 
 def invocations() -> list[tuple[str, ...]]:
     """Every argv to digest, in a fixed order, each once."""
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
     argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, WIDE_POLAR,
-              PACKED_POLAR, FLOOR_POLAR, SMALLEST_CHI2, WIDE_FOCK]
+              PACKED_POLAR, FLOOR_POLAR, SMALLEST_CHI2, WIDE_FOCK,
+              *PARITY_EDGE]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
