@@ -20,11 +20,11 @@ subtree's hard decisions are SC's only while no f-update in it rounds to
 +-0, so that shortcut is guarded: it is taken only when every LLR of the
 block is large enough in magnitude that none can (the proof is in
 ``sc_decode_batch``).  The genie-aided construction knows the codeword
-the channel carried, so it decides nothing: it flips each LLR's sign by
-its codeword bit once and walks every subtree for every input's LLR as
-on the all-zero codeword, f-updates and sums with no partial sums, bit
-for bit the genie-aided SC of that codeword (the proof is in
-``genie_error_counts``).
+the channel carried, so it decides nothing: its sampler returns each LLR
+with its sign flipped by the bit it sent, and the walk takes every
+subtree for every input's LLR as on the all-zero codeword, f-updates and
+sums with no partial sums, bit for bit the genie-aided SC of that
+codeword (the proof is in ``genie_error_counts``).
 
 SC and the polar transform run on (n, batch) arrays, one frame per column,
 so every butterfly half is one contiguous block and every operation on it
@@ -35,10 +35,9 @@ an input that is not already the transpose of an (n, batch) array;
 every array the library hands them is one.  The link simulation hands
 the decoder its LLRs that way, and the decoder returns (batch, n) views
 of (n, batch) arrays.  The genie walk takes its LLRs the same way and
-overwrites them in place, and makes its (n, batch) signs from the
-codeword bits' transpose; the construction's sampler draws its labels
-and writes its LLRs as (n, batch) arrays, so the walk copies no LLRs and
-its signs are one contiguous pass.  The transform runs in place on an
+overwrites them in place; the construction's sampler draws its labels
+and writes its signed LLRs as (n, batch) arrays, so the walk copies no
+LLRs.  The transform runs in place on an
 (n, batch) array its caller owns: the link simulation packs every level
 of a quadrature into one array of labels, one bit plane per level, and
 transforms it once, since XOR acts on every plane at once.
@@ -61,8 +60,9 @@ is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the chunk and slice sizes.  The genie-aided construction
 keeps about one copy of a chunk's LLRs: its sampler narrows each slice of
 symbol indices to one-byte labels as it draws them, writes its labels
-and LLRs slice by slice into (n, batch) arrays and cuts the level's bits
-from the labels in place, and its walk overwrites the LLRs in place.
+and LLRs slice by slice into (n, batch) arrays, turns the labels in
+place into the signs of the level's bits and flips the LLRs by them in
+place, and its walk overwrites the LLRs in place.
 
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
@@ -202,26 +202,32 @@ class InducedChannel:
         return (self.params.Nc + 1.0) / 2.0
 
     def sample_level(self, rng: np.random.Generator, level: int,
-                     size) -> tuple[np.ndarray, np.ndarray]:
+                     size) -> np.ndarray:
         """Draw ``size`` independent uses, an int or a (batch, n) pair of
         frames: uniform symbols, heterodyne outputs, and the exact LLRs of
         the given level's bit with the true lower-level bits as priors (the
-        genie-aided bit channel).  A level outside [0, levels), or frames
-        of n < 1 uses, raise ValueError before any draw.
+        genie-aided bit channel), each times the sign 1 - 2b of the bit b
+        it sent.  A level outside [0, levels), or frames of n < 1 uses,
+        raise ValueError before any draw.
 
         Every symbol is drawn first, ``max(1, _WORK_SLICE // n)`` frames
         at a time (an int size is frames of n = 1), each slice's amplitude
         index narrowed at once to its one-byte Gray labels and written
         transposed into one (n, batch) array; then the noise and LLRs are
         made slice by slice, each slice's LLRs written transposed into one
-        (n, batch) array, the only full-size float array; the level's bits
-        are then cut from the labels in place.  numpy's stream for
-        consecutive draws is that of one draw, so the bits are those of
-        drawing every index, then every noise value, in row order.
+        (n, batch) array, the only full-size float array.  The level's
+        bits are then cut from the labels in place, made their signs in
+        place, as signed integers of the labels' width (int8 for m up to
+        256), and the LLRs multiplied by them in place: each sign
+        converts to +-1.0 exactly, so the product is the float (1 - 2b) L,
+        which is -L or L for every double, +-0 and +-inf included (NaN
+        stays NaN).  numpy's stream for consecutive draws is that of one
+        draw, so the LLRs are those of drawing every index, then every
+        noise value, in row order.
 
-        Returns the level's transmitted bits and the LLRs, both of shape
-        ``size`` and each the transpose of its (n, batch) array, which SC
-        and the genie walk take as it is.
+        Returns the signed LLRs, of shape ``size`` and the transpose of
+        their (n, batch) array, which the genie walk takes as it is; the
+        labels are freed on return.
         """
         bpos = self._bit_position(level)
         batch, n = (size, 1) if np.ndim(size) == 0 else size
@@ -241,7 +247,11 @@ class InducedChannel:
                 self._heterodyne(rng, part).reshape(-1)).reshape(-1, n).T
         label >>= self.nbits - 1 - bpos  # the level's bit, in place
         label &= 1
-        return label.T.reshape(size), llr.T.reshape(size)
+        sign = label.view(f"i{label.itemsize}")  # 1 - 2b, in place
+        sign *= -2
+        sign += 1
+        llr *= sign
+        return llr.T.reshape(size)
 
     def _bit_position(self, level: int) -> int:
         # the level's bit position in its quadrature's labels; a level
@@ -439,71 +449,53 @@ def sc_decode_batch(code: PolarCode,
     return _transform(x.copy()).T, x.T
 
 
-def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Genie-aided SC over a (batch, n) LLR array whose frames carried the
-    codewords ``x``; returns per-index soft error counts.
+def genie_error_counts(llr: np.ndarray) -> np.ndarray:
+    """Genie-aided SC over a (batch, n) array of LLRs each multiplied by
+    the sign 1 - 2x of its frame's codeword bit x, as ``sample_level``
+    returns them; returns per-index soft error counts.
 
     The genie knows every input, so SC decides nothing.  With genie
     feeding, the LLR seen at index i is the exact posterior of the i-th
     synthetic channel, so its hard decision errs with probability
     1/(1 + e^|L|) given the observation.  Summing that conditional
     probability instead of the 0/1 outcome estimates the same error count
-    with much lower variance.  ``llr`` and ``x`` must share one (batch, n)
-    shape, n a power of 2, and ``x`` hold only 0s and 1s, else
-    ValueError, raised before any work.
+    with much lower variance.  ``llr`` must be 2-D with n a power of 2,
+    else ValueError, raised before any work.
 
-    Each LLR's sign is flipped once by its codeword bit, and the walk then
-    runs as on the all-zero codeword, with no partial sums: each node
-    hands its left half f(a, b) and its right half a + b, the g-update
-    with u = 0.  This is the genie-aided SC of the codeword x bit for bit,
-    for any channel, because the reduction is applied to the computed
-    LLRs and not assumed of the channel.  Proof: write s = 1 - 2x for a
-    bit's sign, so a node whose halves carry the codeword bits (x_a, x_b)
-    sees the flipped LLRs (s_a a, s_b b), and its left child's codeword
-    x_a ^ x_b has the sign s_u = s_a s_b.  f is odd in each argument to
-    the bit: halving, numpy's tanh and arctanh (tested to the bit), the
-    symmetric clip and doubling are odd, and the product of the two tanh
-    factors takes the product of their signs exactly, so f(s_a a, s_b b)
-    = s_u f(a, b).  Under round-to-nearest the rounded sum of negated
+    The walk runs as on the all-zero codeword, with no partial sums: each
+    node hands its left half f(a, b) and its right half a + b, the
+    g-update with u = 0.  On LLRs signed by their codeword x this is the
+    genie-aided SC of x bit for bit, up to the signs of zeros, for any
+    channel, because the reduction is applied to the computed LLRs and
+    not assumed of the channel.  Proof: write s = 1 - 2x for a bit's sign,
+    so a node whose halves carry the codeword bits (x_a, x_b) sees the
+    signed LLRs (s_a a, s_b b), and its left child's codeword x_a ^ x_b
+    has the sign s_u = s_a s_b.  f is odd in each argument to the bit:
+    halving, numpy's tanh and arctanh (tested to the bit), the symmetric
+    clip and doubling are odd, and the product of the two tanh factors
+    takes the product of their signs exactly, so f(s_a a, s_b b) =
+    s_u f(a, b).  Under round-to-nearest the rounded sum of negated
     operands is the negated rounded sum, so fl(s_a a + s_b b) =
     s_b fl(b + s_u a), the right child's g-update times its sign s_b.
     The one exception is the sign of a zero: an exact cancellation rounds
     to +0 either way, and a zero stays a zero through f and adds as
     nothing in a + b, so signed zeros move only signs.  By induction
-    every node's flipped LLRs are its genie-aided LLRs times its
+    every node's signed LLRs are its genie-aided LLRs times its
     codeword's signs, up to the signs of zeros, and each leaf reads only
     |L|.
 
     The walk runs on ``np.ascontiguousarray(llr.T)``, as SC does, and
-    overwrites it in place: the sign flip is one multiplication by the
-    int8 signs s, exact since x * -1.0 is -x for every double, +-0 and
-    +-inf included, and each node writes f and a + b over its own halves,
-    ``_WORK_SLICE`` values at a time, so no whole level is ever
+    overwrites it in place: each node writes f and a + b over its own
+    halves, ``_WORK_SLICE`` values at a time, so no whole level is ever
     allocated.  A float64 ``llr`` that already is the transpose of an
     (n, batch) array, as ``sample_level`` returns it, is that array and is
-    overwritten; any other is copied once, and left as it was.  The signs
-    are one byte per bit, (n, batch), made in place from the bool mask
-    x.T == 1, one contiguous pass on bits laid out as ``sample_level``
-    returns them, which also checks the bits: they are 0s and 1s when x
-    has as many nonzeros as the mask, so no other full-size array is made.
+    overwritten; any other is copied once, and left as it was.
     """
     llr = np.asarray(llr, dtype=float)
-    x = np.asarray(x)
-    if llr.ndim != 2 or x.shape != llr.shape:
-        raise ValueError(f"llr of shape {llr.shape} and x of shape "
-                         f"{x.shape}; need one (batch, n) shape")
+    if llr.ndim != 2:
+        raise ValueError(f"LLRs must be of shape (batch, n), got {llr.shape}")
     _check_power_of_two(llr.shape[1], "genie walk width")
-    # the (n, batch) mask x == 1, as int8; x holds only 0s and 1s when its
-    # nonzeros are exactly the mask's
-    sign = np.equal(x.T, 1, order="C").view(np.int8)
-    if np.count_nonzero(x) != np.count_nonzero(sign):
-        raise ValueError("codeword bits x must all be 0 or 1")
     llr = np.ascontiguousarray(llr.T)
-    # the mask becomes the sign 1 - 2x in place
-    sign *= -2
-    sign += 1
-    np.multiply(llr, sign, out=llr)
-    del sign
     errs = np.zeros(len(llr))
     _genie_walk(llr, 0, errs)
     return errs
@@ -511,7 +503,7 @@ def genie_error_counts(llr: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _genie_walk(llr: np.ndarray, idx0: int, errs: np.ndarray) -> None:
     """Add the soft error counts of the inputs [idx0, idx0 + w) of a
-    C-contiguous (w, batch) array of sign-flipped LLRs into ``errs``,
+    C-contiguous (w, batch) array of signed LLRs into ``errs``,
     overwriting it."""
     if len(llr) == 1:
         e = np.exp(-np.abs(llr[0]))
@@ -542,16 +534,16 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
 
     Trials are processed in chunks of ``_GENIE_SAMPLES // n`` frames, the
     last one ragged, each drawn by one ``sample_level`` call as (n, batch)
-    LLRs and walked in place there by ``genie_error_counts``, so large
-    budgets keep a working set of about one chunk's LLRs, its one-byte
-    bits and its one-byte sign mask.
+    signed LLRs and walked in place there by ``genie_error_counts``, so
+    large budgets keep a working set of about one chunk's LLRs: while it
+    draws, the sampler holds them and the chunk's one-byte labels, and
+    the walk holds them and two f-update blocks.
     """
     chunk = max(1, _GENIE_SAMPLES // n)
     counts = np.zeros(n)
     for start in range(0, mc_budget, chunk):
-        bits, llr = ch.sample_level(rng, level,
-                                    (min(chunk, mc_budget - start), n))
-        counts += genie_error_counts(llr, bits)
+        counts += genie_error_counts(ch.sample_level(
+            rng, level, (min(chunk, mc_budget - start), n)))
     return counts / mc_budget
 
 
@@ -584,12 +576,12 @@ def construct_multilevel(ch, n: int, sum_rate: float, mc_budget: int,
 def estimate_level_mi(ch, level: int, samples: int,
                       rng: np.random.Generator) -> float:
     """Monte-Carlo estimate of the level's conditional mutual information in
-    bits, from the exact LLRs: I = 1 - E[log2(1 + e^{-(1-2b) LLR})].
-    Fewer than one sample raises ValueError, before any draw."""
+    bits, from the exact LLRs: I = 1 - E[log2(1 + e^{-(1-2b) LLR})], the
+    signed LLRs (1 - 2b) LLR as ``sample_level`` returns them.  Fewer than
+    one sample raises ValueError, before any draw."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    bits, llr = ch.sample_level(rng, level, samples)
-    signed = np.clip((1.0 - 2.0 * bits) * llr, -700.0, 700.0)
+    signed = np.clip(ch.sample_level(rng, level, samples), -700.0, 700.0)
     return 1.0 - float(np.mean(np.log2(1.0 + np.exp(-signed))))
 
 

@@ -20,19 +20,22 @@ library path it checks:
 - ``genie_sc_reference``: genie-aided SC as a decoder whose every
   decision is forced to the true input, the inputs the transform of the
   codeword and the partial sums re-encoded from the decisions, against
-  the library's walk, which decides nothing: it flips each LLR's sign by
-  its codeword bit and walks as on the all-zero codeword, with no
-  partial sums; it also counts the hard-decision errors;
+  the library's walk, which decides nothing: it takes each LLR with its
+  sign flipped by its codeword bit and walks as on the all-zero
+  codeword, with no partial sums; it also counts the hard-decision
+  errors;
 - ``sample_level_reference``: the induced channel's genie-aided draw in
   one piece, every int64 amplitude index, then every noise value, the
   outcomes k times the amplitude plus the noise and one demapper call,
-  against the library sampler, which narrows each slice of frames'
-  indices to their Gray labels and forms outcomes and LLRs a slice at a
-  time, written into one (n, batch) array;
+  returning the level's bits and unsigned LLRs, against the library
+  sampler, which narrows each slice of frames' indices to their Gray
+  labels, forms outcomes and LLRs a slice at a time, written into one
+  (n, batch) array, and returns the LLRs signed by the bits;
 - ``genie_error_probs_reference``: the genie-aided construction chunk by
   chunk, each chunk drawn in one piece and walked out of place by
-  ``genie_sc_reference``, against the library's walk of the sampler's
-  (n, batch) LLRs in place, bit for bit;
+  ``genie_sc_reference`` on its bits and unsigned LLRs, against the
+  library's walk of the sampler's (n, batch) signed LLRs in place, bit
+  for bit;
 - ``msb_llr``: a wrapper, not an oracle: the library's LLR of the first
   level for one heterodyne outcome, for the closed-form BPSK checks;
 - ``oracle_level_llrs``: one level's LLRs by brute force over the Gray
@@ -113,11 +116,13 @@ class ErasureChannel:
     levels: int = 1
 
     def sample_level(self, rng: np.random.Generator, level: int,
-                     n: int) -> tuple[np.ndarray, np.ndarray]:
-        bits = rng.integers(0, 2, size=n).astype(np.int8)
+                     n: int) -> np.ndarray:
+        """The LLRs of ``n`` uses times the signs of the bits sent, as the
+        induced channel's sampler returns them: +large unless erased.  The
+        bits are still drawn, so the erasures come from the same stream."""
+        rng.integers(0, 2, size=n)
         erased = rng.random(n) < self.eps
-        llr = np.where(erased, 0.0, (1.0 - 2.0 * bits) * _LLR_BIG)
-        return bits, llr
+        return np.where(erased, 0.0, _LLR_BIG)
 
 
 def bec_bhattacharyya(eps: float, n: int) -> np.ndarray:
@@ -227,16 +232,19 @@ def genie_error_probs_reference(ch, level, n, mc_budget, rng, chunk_samples):
     """Per-index error probabilities of the genie-aided construction in
     chunks of ``chunk_samples // n`` frames, the last one ragged, as the
     library groups its sums.  Each chunk is one draw, by
-    ``sample_level_reference`` for an ``InducedChannel`` and by the
-    channel's own ``sample_level`` otherwise, walked on a frame-major copy
-    by ``genie_sc_reference``, which writes nothing into its input."""
-    draw = (sample_level_reference if isinstance(ch, InducedChannel)
-            else type(ch).sample_level)
+    ``sample_level_reference`` for an ``InducedChannel``, and otherwise by
+    the channel's own ``sample_level``, whose signed LLRs are those of the
+    all-zero codeword; it is walked on a frame-major copy by
+    ``genie_sc_reference``, which writes nothing into its input."""
     chunk = max(1, chunk_samples // n)
     counts = np.zeros(n)
     for start in range(0, mc_budget, chunk):
         b = min(chunk, mc_budget - start)
-        bits, llr = draw(ch, rng, level, b * n)
+        if isinstance(ch, InducedChannel):
+            bits, llr = sample_level_reference(ch, rng, level, b * n)
+        else:
+            llr = ch.sample_level(rng, level, b * n)
+            bits = np.zeros(llr.shape, dtype=np.int8)
         counts += genie_sc_reference(llr.reshape(b, n), bits.reshape(b, n))[0]
     return counts / mc_budget
 

@@ -25,9 +25,10 @@ polar code (``LONG_POLAR``), one whose every level is all frozen
 whose link runs full and ragged chunks of short frames
 (``PACKED_POLAR``), one whose link chunk is set by its floor of frames
 (``FLOOR_POLAR``), the smallest chi-square rows (``SMALLEST_CHI2``),
-thermal rows at a dimension past 1,000 (``WIDE_FOCK``) and thermal rows at
+thermal rows at a dimension past 1,000 (``WIDE_FOCK``), thermal rows at
 dims 100 and 101, on both sides of the parity share's edge
-(``PARITY_EDGE``);
+(``PARITY_EDGE``), and one polar link at N = 1e-9, whose level MIs sit
+at the Monte-Carlo noise around 0 (``TINY_SNR_POLAR``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -104,6 +105,11 @@ WIDE_FOCK = ("rates", "--n0", "0.5", "--m-max", "2", "--kinds", "equilattice",
 PARITY_EDGE = tuple(
     ("rates", "--n0", "0.5", "--m-min", "7", "--m-max", "9", "--kinds",
      "equilattice", "quantile", "--dim", dim) for dim in ("100", "101"))
+# N = 1e-9: the LLRs are of order 1e-4, and the level MIs, Monte-Carlo
+# noise around 0, print as 1.5371e-07 and -1.2367e-07 bits with exit 0;
+# pins the signed LLRs where their signs carry almost all of the estimate
+TINY_SNR_POLAR = ("polar", "--n", "1e-9", "--blocklength", "16",
+                  "--trials", "10", "--mc-budget", "100")
 
 
 def invocations() -> list[tuple[str, ...]]:
@@ -111,7 +117,7 @@ def invocations() -> list[tuple[str, ...]]:
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
     argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, WIDE_POLAR,
               PACKED_POLAR, FLOOR_POLAR, SMALLEST_CHI2, WIDE_FOCK,
-              *PARITY_EDGE]
+              *PARITY_EDGE, TINY_SNR_POLAR]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
