@@ -6,7 +6,9 @@ Gauss-Hermite).  Each has mean 0 and variance 1 exactly, so the derived
 complex product constellation matches the first two moments of the thermal
 state it emulates.  The chi-square divergence of the constellation's AWGN
 output from the Gaussian output is computed by a closed-form kernel double
-sum in extended precision.
+sum over the real points in extended precision.  The quantum chi-square of
+a product constellation needs no sum over its complex points: its kernel
+factorizes into one such classical kernel per quadrature.
 """
 
 from __future__ import annotations
@@ -190,79 +192,64 @@ def make_constellation(kind: str, m: int) -> RealConstellation:
 def classical_chi2_kernel(c: RealConstellation, s: float) -> float:
     """chi^2 of the constellation's AWGN(s) output from the Gaussian output,
     by the closed-form kernel double sum
-    1 + chi^2 = sum_ij p_i p_j K_s(x_i, x_j).
+    1 + chi^2 = sum_ij p_i p_j K_s(x_i, x_j), with
+    K_s(x, x') = pref exp(-A (x^2 + x'^2) + 2 B x x'),
+    pref = (1 + s) / sqrt(1 + 2s), A = a s, B = a (1 + s), a = s / (2 + 4s).
 
-    Evaluated in high precision: the sum is O(1) while chi^2 itself can be
-    as small as 1e-30, so the trailing -1 cancels catastrophically in double
-    (see ``_gaussian_kernel_chi2``).
+    Evaluated at ``_DPS`` digits: the sum is O(1) while chi^2 itself can be
+    as small as 1e-30, so the trailing -1 cancels catastrophically in
+    double.  The -1 is folded into each term, p_i p_j (K_ij - 1), so the
+    (sum p)^2 - 1 rounding offset of the stored probabilities never enters:
+    that offset is linear in the input rounding while every other term
+    enters squared.  mpmath is imported here, on the first call, so a run
+    that takes no chi-square loads none.
+
+    The sum runs on libmp's mpf values at the working precision, rounding
+    to nearest.  e_i = exp(-A x_i^2) and p_i are formed once per point, so
+    term (i, j) is p_i p_j (pref e_i e_j exp(2B x_i x_j) - 1).  Each
+    unordered pair i <= j is summed once.  The mirror fold: when
+    points[::-1] == -points and probs[::-1] == probs hold exactly, as for
+    every constellation of the four kinds, term (i, j) equals term
+    (n-1-j, n-1-i) at every digit, so row i needs only j <= n-1-i, and
+    each term off that antidiagonal counts twice.  The reciprocal pair:
+    then x_{n-1-j} = -x_j exactly, so e_{n-1-j} = e_j, p_{n-1-j} = p_j,
+    and term (i, n-1-j), which takes the same weight as (i, j), is
+    p_i p_j (pref e_i e_j / exp(2B x_i x_j) - 1).  So j runs only to the
+    middle, j <= n-1-j, and one exponential serves j and its partner
+    n-1-j.  Both steps reorder the 50-digit sum only; any other
+    constellation takes the full loop, one exponential per pair.  The
+    total is rounded to the nearest double, as ``float(mpf)`` does:
+    libmp's ``to_float`` rounds down by default.
     """
     from mpmath import mp, mpf
-
-    if s <= 0.0:
-        raise ValueError(f"signal-to-noise ratio s must be > 0, got {s}")
-    with mp.workdps(_DPS):
-        ss = mpf(s)
-        a = ss / (2 * (1 + 2 * ss))
-        # -a (s (x - x')^2 - 2 x x') = -a s (x^2 + x'^2) + 2 a (1 + s) x x'
-        return _gaussian_kernel_chi2(c.points, c.probs,
-                                     (1 + ss) / mp.sqrt(1 + 2 * ss),
-                                     a * ss, a * (1 + ss))
-
-
-def _gaussian_kernel_chi2(points, probs, pref, A, B) -> float:
-    """sum_ij p_i p_j (pref exp(-A (|u_i|^2 + |u_j|^2) + 2 B <u_i, u_j>) - 1)
-    over real or complex points u, accumulated at ``_DPS`` digits.
-
-    Every chi-square kernel double sum has this form.  The -1 is folded into
-    each term, so the (sum p)^2 - 1 rounding offset of the stored
-    probabilities never enters: that offset is linear in the input rounding
-    while every other term enters squared.  Call inside ``mp.workdps(_DPS)``
-    with ``pref``, ``A`` and ``B`` already derived in working precision.
-
-    The sum runs on libmp's mpf tuples at ``mp.prec``, rounding to nearest.
-    e_i = exp(-A |u_i|^2) and p_i are formed once per point, so term (i, j)
-    is p_i p_j (pref e_i e_j exp(2B <u_i, u_j>) - 1).  Each unordered pair
-    i <= j is summed once.  The mirror fold: when points[::-1] == -points
-    and probs[::-1] == probs hold exactly, as for every constellation and
-    product constellation, term (i, j) equals term (n-1-j, n-1-i) at every
-    digit, so row i needs only j <= n-1-i, and each term off that
-    antidiagonal counts twice.  The reciprocal pair: then u_{n-1-j} = -u_j
-    exactly, so <u_i, u_{n-1-j}> = -<u_i, u_j>, e_{n-1-j} = e_j and
-    p_{n-1-j} = p_j, and term (i, n-1-j), which takes the same weight as
-    (i, j), is p_i p_j (pref e_i e_j / exp(2B <u_i, u_j>) - 1).  So j runs
-    only to the middle, j <= n-1-j, and one exponential serves j and its
-    partner n-1-j.  Both steps reorder the 50-digit sum only; any other
-    input takes the full loop, one exponential per pair.  The total is
-    rounded to the nearest double, as ``float(mpf)`` does: libmp's
-    ``to_float`` rounds down by default.
-    """
-    from mpmath import mp
     from mpmath.libmp import (fone, fzero, from_float, mpf_add, mpf_div,
                               mpf_exp, mpf_mul, mpf_shift, mpf_sub, to_float)
 
-    pts, wts = np.asarray(points), np.asarray(probs)
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"SNR s must be finite and > 0, got {s}")
+    pts, wts = np.asarray(c.points), np.asarray(c.probs)
     mirror = np.array_equal(pts[::-1], -pts) and np.array_equal(wts[::-1], wts)
-    prec = mp.prec
-
-    def dot(a, b):
-        return mpf_add(mpf_mul(a[0], b[0], prec, "n"),
-                       mpf_mul(a[1], b[1], prec, "n"), prec, "n")
-
-    u = [(from_float(z.real), from_float(z.imag)) for z in map(complex, pts)]
+    with mp.workdps(_DPS):
+        prec, ss = mp.prec, mpf(s)
+        a = ss / (2 * (1 + 2 * ss))
+        pref = ((1 + ss) / mp.sqrt(1 + 2 * ss))._mpf_
+        neg_a, two_b = (-(a * ss))._mpf_, mpf_shift((a * (1 + ss))._mpf_, 1)
+    x = [from_float(v) for v in pts.tolist()]
     p = [from_float(q) for q in wts.tolist()]
-    e = [mpf_exp(mpf_mul((-A)._mpf_, dot(v, v), prec, "n"), prec, "n")
-         for v in u]
-    two_b, n = mpf_shift(B._mpf_, 1), len(u)
+    e = [mpf_exp(mpf_mul(neg_a, mpf_mul(v, v, prec, "n"), prec, "n"),
+                 prec, "n") for v in x]
+    n = len(x)
     stop = (n + 1) // 2 if mirror else n
     total = fzero
     for i in range(stop):
-        ei = mpf_mul(pref._mpf_, e[i], prec, "n")
+        ei = mpf_mul(pref, e[i], prec, "n")
         for j in range(i, stop):
-            c = mpf_exp(mpf_mul(two_b, dot(u[i], u[j]), prec, "n"), prec, "n")
+            g = mpf_exp(mpf_mul(two_b, mpf_mul(x[i], x[j], prec, "n"), prec,
+                                "n"), prec, "n")
             ee, pp = mpf_mul(ei, e[j], prec, "n"), mpf_mul(p[i], p[j], prec, "n")
-            kernels = [mpf_mul(ee, c, prec, "n")]
+            kernels = [mpf_mul(ee, g, prec, "n")]
             if mirror and j != n - 1 - j:
-                kernels.append(mpf_div(ee, c, prec, "n"))
+                kernels.append(mpf_div(ee, g, prec, "n"))
             # weight 2 off the diagonal, times 2 off the fold's antidiagonal
             log2_weight = (j != i) + (mirror and j != n - 1 - i)
             for kij in kernels:
@@ -274,8 +261,8 @@ def _gaussian_kernel_chi2(points, probs, pref, A, B) -> float:
 def product_constellation(c: RealConstellation, N: float) -> ComplexConstellation:
     """Complex constellation sqrt(N/2) (x_j + i x_k) with product weights,
     emulating the P function of a thermal state of mean photon number N."""
-    if N <= 0.0:
-        raise ValueError(f"mean photon number N must be > 0, got {N}")
+    if not 0.0 < N < math.inf:
+        raise ValueError(f"photon number N must be finite and > 0, got {N}")
     scale = math.sqrt(N / 2.0)
     zx, zy = np.meshgrid(c.points, c.points, indexing="ij")
     points = scale * (zx + 1j * zy).ravel()

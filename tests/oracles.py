@@ -49,13 +49,20 @@ library path it checks:
   against the library's kernel double sum;
 - ``classical_one_plus_chi2_quadrature``: the classical chi-square by direct
   quadrature of the output densities, against the series and kernel paths;
-- ``gaussian_kernel_chi2_unfolded``: the chi-square kernel double sum over
-  every pair i <= j, one exponential each on ``mpf`` objects, against the
-  library's mirror-folded sum on libmp tuples, which forms the per-point
-  factors once and one exponential per mirror pair;
-- ``quantum_chi2_constellation``: the quantum chi-square by the
+- ``gaussian_kernel_chi2_unfolded``: a chi-square kernel double sum over
+  real or complex points, every pair i <= j with one exponential of its
+  whole exponent on ``mpf`` objects, the sum both chi-square oracles
+  below take;
+- ``classical_chi2_unfolded``: the classical chi-square kernel sum, its
+  coefficients derived as the library derives them and summed unfolded,
+  against ``classical_chi2_kernel``'s mirror-folded sum on libmp values,
+  which forms the per-point factors once and one exponential per mirror
+  pair, bit for bit;
+- ``quantum_chi2_constellation``: the quantum chi-square by the unfolded
   constellation double sum over the complex Gaussian kernel, against the
-  square of the classical kernel value and the direct Fock summation;
+  square of the library's classical kernel value (the kernel factorizes
+  over the quadratures of a product constellation) and the direct Fock
+  summation;
 - ``quantum_chi2_direct``: the quantum chi-square by direct summation in the
   number basis, against the constellation kernel double sum;
 - ``relative_entropy_eigh_overlap``: D(rho || sigma) from both
@@ -75,7 +82,11 @@ library path it checks:
   against the labels and their inverse the induced channel holds;
 - ``coherent_mixture_entropy_gram``: the entropy of a coherent-state
   mixture from the spectrum of its Gram matrix, with no Fock truncation,
-  against the library's truncated average state.
+  against the library's truncated average state;
+- ``coherent_mixture_entropy_blocked``: the same entropy from the Gram
+  matrix split into four blocks by the characters of the quarter-turn
+  z -> iz, one block eigensolve each, for ensembles the turn maps to
+  themselves, against the library's truncated average state.
 
 Not collected by pytest (no ``test_`` prefix); test modules import it by
 name from the tests directory.
@@ -93,9 +104,7 @@ from scipy.special import gammaln, logsumexp
 
 from thermalcomm.channel import ChannelParams
 from thermalcomm.constellations import (_DPS, ComplexConstellation,
-                                        RealConstellation,
-                                        _gaussian_kernel_chi2,
-                                        make_constellation)
+                                        RealConstellation, make_constellation)
 from thermalcomm.errors import NumericFailure, SupportError, TruncationError
 from thermalcomm.fock import (EIG_FLOOR, SUPPORT_TOL, DensityOperator,
                              displaced_thermal)
@@ -485,10 +494,13 @@ def unshared_thermal_mixture(probs, centers, width: float,
 
 def gaussian_kernel_chi2_unfolded(points, probs, pref, A, B) -> float:
     """sum_ij p_i p_j (pref exp(-A (|u_i|^2 + |u_j|^2) + 2 B <u_i, u_j>) - 1)
-    over every pair i <= j, off-diagonal terms doubled, at the caller's
-    working precision: the same terms as the library's kernel sum, each
-    with its own exponential of the whole exponent, without the library's
-    mirror fold, reciprocal pairs or per-point factors."""
+    over real or complex points u and every pair i <= j, off-diagonal terms
+    doubled, at the caller's working precision: on real points the same
+    terms as the library's kernel sum, each with its own exponential of the
+    whole exponent, without the library's mirror fold, reciprocal pairs or
+    per-point factors.  Every chi-square kernel double sum has this form;
+    call inside ``mp.workdps(_DPS)`` with ``pref``, ``A`` and ``B`` already
+    derived in working precision."""
     u = [(mpf(complex(z).real), mpf(complex(z).imag)) for z in points]
     p = [mpf(q) for q in probs]
     r2 = [x * x + y * y for x, y in u]
@@ -502,9 +514,25 @@ def gaussian_kernel_chi2_unfolded(points, probs, pref, A, B) -> float:
     return float(total)
 
 
+def classical_chi2_unfolded(c: RealConstellation, s: float) -> float:
+    """chi^2 of the constellation's AWGN(s) output by the classical kernel
+    sum, with (pref, A, B) derived from ``s`` at ``_DPS`` digits as
+    ``classical_chi2_kernel`` derives them and summed unfolded."""
+    with mp.workdps(_DPS):
+        ss = mpf(s)
+        a = ss / (2 * (1 + 2 * ss))
+        return gaussian_kernel_chi2_unfolded(
+            c.points, c.probs, (1 + ss) / mp.sqrt(1 + 2 * ss), a * ss,
+            a * (1 + ss))
+
+
 def quantum_chi2_constellation(p: ChannelParams, Q: ComplexConstellation) -> float:
     """chi^2(rho_m^B, tau_N') by the constellation double sum
     1 + chi^2 = sum_{z z'} Q(z) Q(z') R_{N'}(z, z').
+
+    Summed by ``gaussian_kernel_chi2_unfolded``, every pair i <= j of the
+    m^2 complex points with its own exponential, so it shares no code with
+    the library's classical kernel sum it is checked against.
 
     High-precision accumulation: the sum is O(1) while chi^2 can be far below
     double-precision resolution of the trailing -1.  The kernel coefficients
@@ -518,7 +546,7 @@ def quantum_chi2_constellation(p: ChannelParams, Q: ComplexConstellation) -> flo
         Nc = (1 - k2) * mpf(p.N0)
         Np = k2 * mpf(p.N) + Nc
         denom = Np + 2 * Np * Nc - Nc * Nc
-        result = _gaussian_kernel_chi2(
+        result = gaussian_kernel_chi2_unfolded(
             Q.points, Q.probs, Np * (Np + 1) / denom,
             k2 * (Np - Nc) / denom, k2 * mp.sqrt(Np * (Np + 1)) / denom)
     if result < -1e-12:
@@ -596,4 +624,52 @@ def coherent_mixture_entropy_gram(points, probs):
     G = np.sqrt(np.outer(q, q)) * ov
     ev = np.linalg.eigvalsh(G)
     ev = ev[ev > 1e-15]
+    return float(-np.sum(ev * np.log2(ev)))
+
+
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])  # i^d, d = 0..3, exactly
+
+
+def coherent_mixture_entropy_blocked(points, probs):
+    """The entropy of sum q |z><z|, bits, from the spectrum of its Gram
+    matrix G_ij = sqrt(q_i q_j) <z_i|z_j> split by the quarter-turn z -> iz,
+    for an ensemble of distinct points the turn maps to itself, weights
+    included (every product constellation, on either side of the channel).
+
+    Each orbit {w, iw, -w, -iw} of a point off the origin has one
+    representative w with Re w > 0 and Im w >= 0.  Ordered by orbit, G is
+    block-circulant in the turn: its (w, l), (w', l') entry is
+    C_ww'(l' - l mod 4), C_ww'(d) = sqrt(q_w q_w') <w|i^d w'>.  The four
+    characters i^r of the turn make it block-diagonal, and G's spectrum is
+    the union of those of H^r = sum_d i^(rd) C(d), r = 0..3, each a
+    Hermitian matrix over the representatives.  The origin, which the turn
+    fixes, enters as four copies of weight q_0/4, which leave
+    sum q |z><z| as it is; they cancel in every block but the trivial one,
+    r = 0, so it joins that block alone.  Eigenvalues at or below
+    ``EIG_FLOOR`` are dropped, as the library drops them from its
+    truncated state's spectrum."""
+    z = np.asarray(points, dtype=complex)
+    q = np.asarray(probs, dtype=float)
+    weight = dict(zip(z.tolist(), q.tolist()))
+    rep = (z.real > 0.0) & (z.imag >= 0.0)
+    w, qw = z[rep], q[rep]
+    origin = 0j in weight
+    if (len(weight) != len(z) or 4 * len(w) + origin != len(z)
+            or any(weight.get(v) != qv for turned in _QUARTER_TURNS[:, None] * w
+                   for v, qv in zip(turned.tolist(), qw.tolist()))):
+        raise ValueError("ensemble is not invariant under z -> iz")
+    spectra = []
+    for r in range(4):
+        u, qu = w, qw
+        if r == 0 and origin:
+            u, qu = np.append(w, 0j), np.append(qw, weight[0j] / 4.0)
+        H = np.zeros((len(u), len(u)), dtype=complex)
+        for d in range(4):
+            v = _QUARTER_TURNS[d] * u
+            H += _QUARTER_TURNS[r * d % 4] * np.exp(
+                -0.5 * (np.abs(u)[:, None] ** 2 + np.abs(v)[None, :] ** 2)
+                + np.conj(u)[:, None] * v[None, :])
+        spectra.append(np.linalg.eigvalsh(np.sqrt(np.outer(qu, qu)) * H))
+    ev = np.concatenate(spectra)
+    ev = ev[ev > EIG_FLOOR]
     return float(-np.sum(ev * np.log2(ev)))

@@ -5,18 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
 
-import oracles
-from oracles import (classical_chi2_series,
+from oracles import (classical_chi2_series, classical_chi2_unfolded,
                      classical_one_plus_chi2_quadrature,
-                     gaussian_kernel_chi2_unfolded,
                      quantum_chi2_constellation)
 from thermalcomm import (KINDS, ComplexConstellation, RealConstellation,
-                         channel_params, classical_chi2_kernel, constellations,
-                         delta_B_bound, make_constellation,
-                         product_constellation)
-from thermalcomm.constellations import _DPS, _gaussian_kernel_chi2
+                         channel_params, classical_chi2_kernel, delta_B_bound,
+                         make_constellation, product_constellation)
 
 
 def pure_loss_with_snr(s, k=0.8):
@@ -118,7 +113,7 @@ def _as_bits(values):
 
 
 @pytest.mark.parametrize("k", [0.3, 0.6, 0.8, 0.95])
-def test_folded_kernel_matches_unfolded_oracle_bitwise(k, monkeypatch):
+def test_folded_kernel_matches_unfolded_oracle_bitwise(k):
     # every constellation is exactly mirror-symmetric, so the library sums
     # each mirror pair once; that reorders the 50-digit sum, and the double
     # it rounds to must not move
@@ -126,9 +121,7 @@ def test_folded_kernel_matches_unfolded_oracle_bitwise(k, monkeypatch):
             for N in (1.0, 7.0, 30.0) for kind in KINDS for m in range(2, 25)]
     assert all(_is_mirror_symmetric(c.points, c.probs) for _, c in grid)
     folded = [classical_chi2_kernel(c, s) for s, c in grid]
-    monkeypatch.setattr(constellations, "_gaussian_kernel_chi2",
-                        gaussian_kernel_chi2_unfolded)
-    unfolded = [classical_chi2_kernel(c, s) for s, c in grid]
+    unfolded = [classical_chi2_unfolded(c, s) for s, c in grid]
     assert np.array_equal(_as_bits(folded), _as_bits(unfolded))
 
 
@@ -138,39 +131,29 @@ BENCHMARK_K_GRID = ("0.790", "0.7925", "0.795", "0.7975", "0.800", "0.8025",
                     "0.805", "0.8075", "0.810")
 
 
-def test_folded_kernel_matches_unfolded_oracle_on_the_benchmark_grid(
-        monkeypatch):
+def test_folded_kernel_matches_unfolded_oracle_on_the_benchmark_grid():
     # every kernel sum a pure_loss_tables pass takes: N = 7, m <= 16
     grid = [(channel_params(float(k), 0.0, 7.0).s, make_constellation(kind, m))
             for k in BENCHMARK_K_GRID for kind in KINDS for m in range(2, 17)]
     folded = [classical_chi2_kernel(c, s) for s, c in grid]
-    monkeypatch.setattr(constellations, "_gaussian_kernel_chi2",
-                        gaussian_kernel_chi2_unfolded)
-    unfolded = [classical_chi2_kernel(c, s) for s, c in grid]
+    unfolded = [classical_chi2_unfolded(c, s) for s, c in grid]
     assert np.array_equal(_as_bits(folded), _as_bits(unfolded))
 
 
-def _kernel_args(s):
-    """(pref, A, B) of the classical kernel at SNR ``s``, derived as
-    ``classical_chi2_kernel`` derives them; call inside mp.workdps(_DPS)."""
-    s = mpf(s)
-    a = s / (2 * (1 + 2 * s))
-    return (1 + s) / mp.sqrt(1 + 2 * s), a * s, a * (1 + s)
-
-
-@pytest.mark.parametrize("kind, m, N", [
-    (kind, m, None) for kind in KINDS for m in (2, 3, 15, 16)] + [
-    ("gauss_hermite", 3, 7.0), ("equilattice", 4, 7.0)])
-def test_kernel_sum_takes_one_exponential_per_mirror_pair(kind, m, N,
+# ids kind-m-None: m real points, not a product constellation of photon
+# number N
+@pytest.mark.parametrize("kind, m", [
+    (kind, m) for kind in KINDS for m in (2, 3, 15, 16)],
+    ids=[f"{kind}-{m}-None" for kind in KINDS for m in (2, 3, 15, 16)])
+def test_kernel_sum_takes_one_exponential_per_mirror_pair(kind, m,
                                                           monkeypatch):
-    # n points, real or complex, mirror-symmetric: one exp per point, then
-    # one per mirror pair (i, j), (i, n-1-j) with i <= j <= n-1-j, so at
-    # most n + h(h+1)/2 with h = ceil(n/2); mp.exp and mpf_exp both reach
-    # exp_basecase at 50 digits, and an exp of 0 reaches it not at all
+    # m mirror-symmetric points: one exp per point, then one per mirror
+    # pair (i, j), (i, m-1-j) with i <= j <= m-1-j, so at most
+    # m + h(h+1)/2 with h = ceil(m/2); mpf_exp reaches exp_basecase at 50
+    # digits, and an exp of 0 reaches it not at all
     from mpmath.libmp import libelefun
 
     c = make_constellation(kind, m)
-    pts = c if N is None else product_constellation(c, N)
     basecase, calls = libelefun.exp_basecase, []
 
     def counted(*args):
@@ -178,11 +161,9 @@ def test_kernel_sum_takes_one_exponential_per_mirror_pair(kind, m, N,
         return basecase(*args)
 
     monkeypatch.setattr(libelefun, "exp_basecase", counted)
-    with mp.workdps(_DPS):
-        _gaussian_kernel_chi2(pts.points, pts.probs, *_kernel_args(9.435))
-    n = len(pts.points)
-    h = (n + 1) // 2
-    assert 0 < len(calls) <= n + h * (h + 1) // 2
+    classical_chi2_kernel(c, 9.435)
+    h = (m + 1) // 2
+    assert 0 < len(calls) <= m + h * (h + 1) // 2
 
 
 @pytest.mark.parametrize("points, probs, mirror", [
@@ -199,28 +180,10 @@ def test_kernel_sum_takes_one_exponential_per_mirror_pair(kind, m, N,
         "signed_zero_center", "symmetric_even"])
 def test_kernel_sum_matches_unfolded_oracle_off_the_fold(points, probs,
                                                           mirror):
-    # inputs the fold must not take, and the small cases at its edges
-    points, probs = np.array(points), np.array(probs)
-    assert _is_mirror_symmetric(points, probs) == mirror
-    with mp.workdps(_DPS):
-        args = (points, probs, *_kernel_args(9.435))
-        got = _gaussian_kernel_chi2(*args)
-        want = gaussian_kernel_chi2_unfolded(*args)
+    # inputs the fold must not take, and the small cases at its edges: a
+    # constellation built directly need not be mirror-symmetric
+    c = RealConstellation(np.array(points), np.array(probs), "test")
+    assert _is_mirror_symmetric(c.points, c.probs) == mirror
+    got = classical_chi2_kernel(c, 9.435)
+    want = classical_chi2_unfolded(c, 9.435)
     assert np.array_equal(_as_bits([got]), _as_bits([want]))
-
-
-@pytest.mark.parametrize("k, N0, N", [(0.8, 0.0, 7.0), (0.75, 0.8, 5.0),
-                                      (0.95, 0.3, 10.0)])
-def test_folded_kernel_on_complex_product_points_bitwise(k, N0, N,
-                                                         monkeypatch):
-    # the quantum oracle's input: point a m + b is sqrt(N/2)(x_a + i x_b),
-    # so the reversed list is the negated one and the fold applies
-    p = channel_params(k, N0, N)
-    Qs = [product_constellation(make_constellation(kind, m), p.N)
-          for kind in KINDS for m in range(2, 7)]
-    assert all(_is_mirror_symmetric(Q.points, Q.probs) for Q in Qs)
-    folded = [quantum_chi2_constellation(p, Q) for Q in Qs]
-    monkeypatch.setattr(oracles, "_gaussian_kernel_chi2",
-                        gaussian_kernel_chi2_unfolded)
-    unfolded = [quantum_chi2_constellation(p, Q) for Q in Qs]
-    assert np.array_equal(_as_bits(folded), _as_bits(unfolded))

@@ -195,6 +195,13 @@ def test_chi2_rejects_bad_s():
         classical_chi2_kernel(c, -1.0)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_kernel_refuses_an_snr_not_finite_and_positive(s):
+    # a NaN or infinite s would otherwise give a NaN chi-square
+    with pytest.raises(ValueError, match="finite and > 0"):
+        classical_chi2_kernel(make_constellation("equilattice", 4), s)
+
+
 def test_chi2_series_fails_typed_without_convergence(monkeypatch):
     # a series still above its envelope tolerance at the last order raises
     # instead of returning the partial sum
@@ -215,6 +222,14 @@ def test_product_constellation_layout():
     # mean photon number of the ensemble equals the input budget N
     assert sum(q * abs(z) ** 2 for q, z in zip(Q.probs, Q.points)) == \
         pytest.approx(8.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_product_constellation_refuses_an_n_not_finite_and_positive(N):
+    # a NaN or infinite N would otherwise give NaN and infinite points
+    # with only a RuntimeWarning
+    with pytest.raises(ValueError, match="finite and > 0"):
+        product_constellation(make_constellation("equilattice", 4), N)
 
 
 def test_constellation_arrays_are_read_only():

@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import (_laguerre_table, coherent_mixture_entropy_gram,
+import thermalcomm
+from oracles import (_laguerre_table, coherent_mixture_entropy_blocked,
+                     coherent_mixture_entropy_gram,
                      relative_entropy_eigh_overlap, unshared_thermal_mixture)
-from thermalcomm import (Ensemble, build_ensemble, capacity_C, cli,
+from thermalcomm import (KINDS, Ensemble, build_ensemble, capacity_C, cli,
                          channel_params, coherent_state, delta_B,
                          displaced_thermal, ensemble_average_state,
                          ensemble_rates, fock, g_entropy, gaussian_rate_limit,
@@ -40,6 +45,46 @@ def test_holevo_rate_against_gram_oracle(kind):
     assert r.quantum == pytest.approx(h_b - h_e, abs=1e-8)
     assert r.delta_E == pytest.approx(
         g_entropy((1.0 - P.k ** 2) * P.N) - h_e, abs=1e-8)
+
+
+def _pure_loss_ensembles():
+    """The 120 coherent ensembles of one pure_loss_tables rates pass at
+    k = 0.8: four kinds, m = 2..16, B and E sides."""
+    return [build_ensemble(P, make_Q(kind, m), side)
+            for kind in KINDS for m in range(2, 17) for side in "BE"]
+
+
+def test_blocked_gram_entropy_matches_the_library_on_pure_loss_states():
+    # the quarter-turn blocks of each coherent ensemble's Gram matrix give
+    # the spectrum of its untruncated average state, kept above EIG_FLOOR
+    # as the library keeps its truncated one's
+    ensembles = _pure_loss_ensembles()
+    assert len(ensembles) == 120
+    worst = max(abs(coherent_mixture_entropy_blocked(e.centers, e.probs)
+                    - von_neumann_entropy(ensemble_average_state(e)))
+                for e in ensembles)
+    assert worst <= 1e-13
+
+
+def test_blocked_gram_entropy_bits_do_not_depend_on_blas_threads():
+    # the blocks are eigensolved at 1 and at 2 OpenBLAS threads, each in
+    # its own interpreter, since OpenBLAS reads the count when it loads
+    script = ("import json, numpy as np\n"
+              "from oracles import coherent_mixture_entropy_blocked\n"
+              "from test_rates import _pure_loss_ensembles\n"
+              "h = [coherent_mixture_entropy_blocked(e.centers, e.probs)\n"
+              "     for e in _pure_loss_ensembles()]\n"
+              "print(json.dumps(np.array(h).view(np.uint64).tolist()))\n")
+    path = os.pathsep.join([str(Path(thermalcomm.__file__).parent.parent),
+                            str(Path(__file__).parent)])
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+        for threads in ("1", "2")]
+    outs = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    bits = [json.loads(out) for out in outs]
+    assert len(bits[0]) == 120 and bits[0] == bits[1]
 
 
 def test_holevo_rate_below_capacity():
