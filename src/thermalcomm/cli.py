@@ -205,11 +205,12 @@ def cmd_polar(config: RunConfig) -> dict:
     estimated heterodyne mutual information, then simulate; returns the
     report, whose mutual-information fields are that same estimate.
     ``rate_fraction`` must be finite and >= 0, and the sum rate it gives
-    in [0, levels), the range ``construct_multilevel`` accepts."""
+    in [0, levels), the range ``construct_multilevel`` accepts.  Any kind
+    whose points at m are equally likely runs (``induced_channel`` refuses
+    the rest before any sampling): equilattice and quantile at every m,
+    random_walk and gauss_hermite at m = 2, where they are equilattice's
+    +-1 points."""
     kind = config.kinds[0]
-    if kind not in ("equilattice", "quantile"):
-        raise ValueError(
-            f"polar simulation requires a uniform-probability kind, got {kind!r}")
     if config.trials < 0:
         raise ValueError(f"trials must be >= 0, got {config.trials}")
     if config.seed < 0:
@@ -360,8 +361,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("polar reads one kind from --kinds, got "
                          + " ".join(values["kinds"]))
     config = RunConfig(**values)
-    if config.m_min < 2:
-        raise ValueError(f"m_min must be >= 2, got {config.m_min}")
     if "m_max" in reads and config.m_max < config.m_min:
         raise ValueError("need 2 <= m_min <= m_max")
     return config

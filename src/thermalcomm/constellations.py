@@ -25,12 +25,21 @@ _DPS = 50  # digits for the kernel double sums; chi2 can be ~1e-30
 
 @dataclass(frozen=True, eq=False)
 class RealConstellation:
-    """``m`` real points with probabilities approximating N(0, 1)."""
+    """``m`` real points with probabilities approximating N(0, 1).  Points
+    and probs that are not real, finite and 1-D of one length raise
+    ``ValueError``: the kernel sum would return NaN or a wrong number."""
 
     points: np.ndarray
     probs: np.ndarray
     kind: str
     m = property(lambda self: len(self.points))
+
+    def __post_init__(self):
+        x, q = np.asarray(self.points), np.asarray(self.probs)
+        if not (x.ndim == 1 and x.shape == q.shape and all(
+                np.isrealobj(a) and np.isfinite(a).all() for a in (x, q))):
+            raise ValueError("points and probs must be real, finite and 1-D "
+                             f"of one length, got {x!r} and {q!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,10 @@ about 1,424 its amplitudes overflow, and it raises ``NumericFailure``.
 one call; each column has the bits of that point's own call.  A state
 holds only its matrix, finite (else ``NumericFailure``) and read-only; its
 dimension and trace deficit are read off it, its entropy kept with it.
-``relative_entropy`` is -S(rho) from ``von_neumann_entropy`` less
-sum_k <v_k|rho|v_k> log2 lam_k over sigma's eigenpairs (lam_k, v_k), read
-off the diagonal of a diagonal sigma in the order ``np.linalg.eigh`` gives.
+``relative_entropy`` takes a sigma diagonal in the number basis, as the
+thermal reference of every gap is: -S(rho) from ``von_neumann_entropy``
+less sum_k <k|rho|k> log2 <k|sigma|k>, in ascending order of sigma's
+diagonal, the order ``np.linalg.eigh`` would give.
 
 Displacement matrices rest on the phase identity
 <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|), f real (the Laguerre
@@ -366,28 +367,24 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """D(rho || sigma) = -S(rho) - Tr[rho log2 sigma], bits.
+    """D(rho || sigma) = -S(rho) - Tr[rho log2 sigma], bits, for a sigma
+    diagonal in the number basis (a thermal state); any other sigma is a
+    ``ValueError``.
 
-    S(rho) is ``von_neumann_entropy``, kept with rho.  With sigma's
-    eigenpairs (lam_k, v_k) and w_k = <v_k|rho|v_k>, Tr[rho log2 sigma] =
-    sum w_k log2 lam_k over lam_k above the floor; the other w_k sum to
-    rho's weight on sigma's numerical null space, and ``SupportError`` is
-    raised above SUPPORT_TOL.  A diagonal sigma (a thermal state) is not
-    eigensolved: lam_k and w_k are the two diagonals, stably sorted into
-    the ascending order ``eigh`` returns, so the sums run in its order.
+    S(rho) is ``von_neumann_entropy``, kept with rho.  sigma's eigenvalues
+    lam_k are its diagonal and w_k = <k|rho|k> rho's, both stably sorted
+    into ascending lam_k, so Tr[rho log2 sigma] = sum w_k log2 lam_k over
+    lam_k above the floor; the other w_k sum to rho's weight on sigma's
+    numerical null space, and ``SupportError`` is raised above
+    SUPPORT_TOL.
     """
     if rho.dim != sigma.dim:
         raise ValueError("operators must share the truncation dimension")
     diag = sigma.matrix.diagonal().real
-    if np.count_nonzero(sigma.matrix) == np.count_nonzero(diag):  # diagonal
-        order = np.argsort(diag, kind="stable")
-        lam, w = diag[order], rho.matrix.diagonal().real[order]
-    else:
-        try:
-            lam, V = np.linalg.eigh(sigma.matrix)
-        except np.linalg.LinAlgError as e:
-            raise NumericFailure("eigensolver failed") from e
-        w = np.einsum("ij,ij->j", V.conj(), rho.matrix @ V).real
+    if np.count_nonzero(sigma.matrix) != np.count_nonzero(diag):
+        raise ValueError("sigma must be diagonal in the number basis")
+    order = np.argsort(diag, kind="stable")
+    lam, w = diag[order], rho.matrix.diagonal().real[order]
     keep = lam > EIG_FLOOR
     null_mass = float(w[~keep].sum())
     if null_mass > SUPPORT_TOL:

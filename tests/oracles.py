@@ -65,11 +65,11 @@ library path it checks:
   summation;
 - ``quantum_chi2_direct``: the quantum chi-square by direct summation in the
   number basis, against the constellation kernel double sum;
-- ``relative_entropy_eigh_overlap``: D(rho || sigma) from both
-  eigendecompositions and their overlaps |<u_i|v_j>|^2, against the
-  library's -S(rho) less sum_k <v_k|rho|v_k> log2 lambda_k over sigma's
-  eigenpairs, which it takes from ``eigh`` for a non-diagonal sigma and
-  reads off the diagonal of a diagonal one;
+- ``relative_entropy_eigh_overlap``: D(rho || sigma) for any sigma, from
+  both eigendecompositions and their overlaps |<u_i|v_j>|^2, against the
+  library's -S(rho) less sum_k <k|rho|k> log2 <k|sigma|k>, read off the
+  diagonals of a sigma diagonal in the number basis, the only sigma it
+  takes;
 - ``annihilation_matrix``: the truncated annihilation operator, for moment
   and matrix-exponential checks of the Fock layer;
 - ``_laguerre_table``: one radius's Laguerre table by its own recurrence

@@ -216,10 +216,31 @@ def test_usage_error_bad_k():
 
 
 def test_usage_error_polar_nonuniform_kind():
-    code, _ = run_cli(["polar", "--kinds", "random_walk",
-                       "--blocklength", "64", "--trials", "0",
-                       "--mc-budget", "100"])
+    # random_walk at m = 4 weighs its points 1/8 and 3/8
+    code, _, err = run_cli_stderr(["polar", "--kinds", "random_walk",
+                                   "--m-min", "4", "--blocklength", "64",
+                                   "--trials", "0", "--mc-budget", "100"])
     assert code == 2
+    assert "kind" in err
+
+
+@pytest.mark.parametrize("kind", ["random_walk", "gauss_hermite"])
+def test_polar_two_point_kinds_report_what_equilattice_reports(kind):
+    # at m = 2 every kind is the same +-1, 1/2-1/2 constellation, so
+    # induced_channel takes it and every number comes out the same
+    cfg = dict(m_min=2, blocklength=64, trials=20, mc_budget=100)
+    want = cmd_polar(RunConfig(kinds=["equilattice"], **cfg))
+    got = cmd_polar(RunConfig(kinds=[kind], **cfg))
+    assert got.pop("constellation_kind") == kind
+    assert want.pop("constellation_kind") == "equilattice"
+    assert got == want
+
+
+@pytest.mark.parametrize("command", ["rates", "constellation", "polar"])
+def test_m_min_below_2_exits_2_naming_the_point_count(command):
+    code, text, err = run_cli_stderr([command, "--m-min", "1"])
+    assert (code, text) == (2, "")
+    assert "m >= 2" in err
 
 
 def test_low_photon_number_gap_below_resolution_is_null():
@@ -1168,13 +1189,15 @@ def test_polar_fuzz_exits_typed_with_valid_report(argv):
     ("rate-fraction", "nan", 2, "rate"),
     ("rate-fraction", "0", 0, None),
     ("rate-fraction", "2", 2, "rate"),
-    ("kinds", "random_walk", 2, "kind"),
+    # random_walk weighs its 4 points 1/8 and 3/8; at m = 2 it is equilattice
+    pytest.param("kinds", "random_walk --m-min 4", 2, "kind",
+                 id="kinds-random_walk-2-kind"),
     ("n0", "1e6", 0, None),
     ("n0", "1e300", 2, "N0"),
 ])
 def test_polar_extreme_flag(flag, value, code, named):
     got, err = _run_polar(["polar", "--blocklength", "32", "--trials", "8",
-                           "--mc-budget", "100", f"--{flag}", value])
+                           "--mc-budget", "100", *f"--{flag} {value}".split()])
     assert got == code, err
     if named:
         assert named in err

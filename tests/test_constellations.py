@@ -32,6 +32,24 @@ def test_point_count_is_the_number_of_points():
                           probs=np.array([0.5, 0.5]), kind="pair", m=3)
 
 
+@pytest.mark.parametrize("points, probs", [
+    ([-1j, 1j], [0.5, 0.5]),
+    ([-1.0, 1.0], [0.5 + 0j, 0.5 + 0j]),
+    ([-np.inf, np.inf], [0.5, 0.5]),
+    ([-1.0, np.nan], [0.5, 0.5]),
+    ([-1.0, 1.0], [np.inf, 0.5]),
+    ([-1.0, 0.0, 1.0], [0.5, 0.5]),
+    ([[-1.0, 1.0]], [[0.5, 0.5]]),
+], ids=["complex_points", "complex_probs", "infinite_points", "nan_point",
+        "infinite_prob", "three_points_two_probs", "two_dimensional"])
+def test_constellation_refuses_points_and_probs_not_real_finite_1d(points,
+                                                                   probs):
+    # built directly, such a constellation gave a NaN or a wrong chi-square
+    # and a product constellation of mismatched sizes
+    with pytest.raises(ValueError, match="real, finite and 1-D"):
+        RealConstellation(np.array(points), np.array(probs), "bad")
+
+
 @given(kind=st.sampled_from(KINDS), m=st.integers(2, 40))
 @settings(max_examples=60, deadline=None)
 def test_basic_invariants(kind, m):

@@ -1062,6 +1062,23 @@ def test_info_bit_draws_in_row_chunks_are_one_draw(rows, width):
     assert parts.normal() == whole.normal()
 
 
+def test_simulate_refuses_a_code_count_other_than_the_levels():
+    ch = make_channel(4)
+    codes = construct_multilevel(ch, 16, 1.0, 100, seed=4)
+    for wrong in (codes[:1], codes + codes[:1]):
+        with pytest.raises(ValueError,
+                           match=f"need {ch.levels} codes, got {len(wrong)}"):
+            simulate(ch, wrong, 1, seed=17)
+
+
+def test_simulate_refuses_codes_of_mixed_blocklengths():
+    ch = make_channel(4)
+    codes = [PolarCode(n=16, frozen=np.arange(8))] * (ch.levels - 1)
+    codes.append(PolarCode(n=32, frozen=np.arange(16)))
+    with pytest.raises(ValueError, match="share the blocklength"):
+        simulate(ch, codes, 1, seed=17)
+
+
 def test_simulate_trials_zero_reports_construction_only():
     ch = make_channel(2)
     codes = construct_multilevel(ch, 64, 0.5, 500, seed=4)

@@ -123,6 +123,12 @@ def test_delta_E_vanishes_only_with_noisy_environment():
     assert ensemble_rates(P, make_Q("equilattice", 3)).delta_E > 1e-3
 
 
+@pytest.mark.parametrize("side", ["b", "BE", ""])
+def test_build_ensemble_refuses_a_side_other_than_B_or_E(side):
+    with pytest.raises(ValueError, match="side must be 'B' or 'E'"):
+        build_ensemble(P, make_Q("equilattice", 2), side)
+
+
 def test_ensemble_average_state_trace():
     e = build_ensemble(P, make_Q("quantile", 3), "B")
     rho = ensemble_average_state(e)

@@ -28,7 +28,9 @@ whose link runs full and ragged chunks of short frames
 thermal rows at a dimension past 1,000 (``WIDE_FOCK``), thermal rows at
 dims 100 and 101, on both sides of the parity share's edge
 (``PARITY_EDGE``), and one polar link at N = 1e-9, whose level MIs sit
-at the Monte-Carlo noise around 0 (``TINY_SNR_POLAR``);
+at the Monte-Carlo noise around 0 (``TINY_SNR_POLAR``), and a random-walk
+polar link at m = 2, equilattice's +-1 points, which runs as any
+equally weighted kind does (``UNIFORM_KIND_POLAR``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -110,6 +112,11 @@ PARITY_EDGE = tuple(
 # pins the signed LLRs where their signs carry almost all of the estimate
 TINY_SNR_POLAR = ("polar", "--n", "1e-9", "--blocklength", "16",
                   "--trials", "10", "--mc-budget", "100")
+# random_walk at m = 2 is equilattice's +-1, 1/2-1/2 constellation, so
+# induced_channel's equal-weight rule lets the link run: pins that the
+# CLI keeps no kind list of its own
+UNIFORM_KIND_POLAR = ("polar", "--kinds", "random_walk", "--blocklength", "64",
+                      "--trials", "50", "--mc-budget", "100")
 
 
 def invocations() -> list[tuple[str, ...]]:
@@ -117,7 +124,7 @@ def invocations() -> list[tuple[str, ...]]:
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
     argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, WIDE_POLAR,
               PACKED_POLAR, FLOOR_POLAR, SMALLEST_CHI2, WIDE_FOCK,
-              *PARITY_EDGE, TINY_SNR_POLAR]
+              *PARITY_EDGE, TINY_SNR_POLAR, UNIFORM_KIND_POLAR]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
