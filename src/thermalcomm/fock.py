@@ -297,14 +297,17 @@ def _parity_holds(z, dim: int) -> bool:
     """Whether ``displacement_operator`` at -z takes (-1)^d times each
     phase power it takes at z, d < ``dim``: (-p) ** d equals p ** d at
     even d and -(p ** d) at odd d in value, with p = z/|z| and -p = (-z)/|z|
-    as it forms them.  numpy raises a complex scalar to an integer power
+    as it forms them.  numpy raises a complex number to an integer power
     below 100 by repeated squaring, which commutes exactly with a sign
     flip, and from 100 on by exp-log, which does not; so it holds at
-    dim <= 100.  The check runs from the top power down, so a larger dim
-    fails at its first step."""
-    p, minus_p = z / abs(z), -z / abs(z)
-    return all(minus_p ** d == (p ** d if d % 2 == 0 else -p ** d)
-               for d in range(dim - 1, 0, -1))
+    dim <= 100.  Each sign's powers come from one ``np.power`` call over
+    ``np.arange(dim)``, whose values have the bits of numpy's scalar
+    powers p ** d, as ``displacement_operator`` forms them, at a
+    numpy-typed z, the only kind ``_mixture`` passes."""
+    d = np.arange(dim)
+    p_pow = np.power(z / abs(z), d)
+    return bool(np.all(np.power(-z / abs(z), d)
+                       == np.where(d % 2 == 0, p_pow, -p_pow)))
 
 
 def _mixture(probs, centers, Nbar: float, dim: int) -> DensityOperator:

@@ -35,9 +35,10 @@ an input that is not already the transpose of an (n, batch) array;
 every array the library hands them is one.  The link simulation hands
 the decoder its LLRs that way, and the decoder returns (batch, n) views
 of (n, batch) arrays.  The genie walk takes its LLRs the same way and
-overwrites them in place; the construction's sampler draws its labels
-and writes its signed LLRs as (n, batch) arrays, so the walk copies no
-LLRs.  The transform runs in place on an
+overwrites them in place, breadth first, one stage of the butterfly over
+all its nodes at a time; the construction's sampler draws its labels and
+writes its signed LLRs as (n, batch) arrays, so the walk copies no LLRs.
+The transform runs in place on an
 (n, batch) array its caller owns: the link simulation packs every level
 of a quadrature into one array of labels, one bit plane per level, and
 transforms it once, since XOR acts on every plane at once.
@@ -58,11 +59,15 @@ the last one ragged.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the chunk and slice sizes.  The genie-aided construction
-keeps about one copy of a chunk's LLRs: its sampler narrows each slice of
-symbol indices to one-byte labels as it draws them, writes its labels
-and LLRs slice by slice into (n, batch) arrays, turns the labels in
-place into the signs of the level's bits and flips the LLRs by them in
-place, and its walk overwrites the LLRs in place.
+keeps a chunk's one-byte labels and one block of its LLRs: its sampler
+narrows each slice of symbol indices to one-byte labels as it draws
+them, for the whole chunk first.  The chunk's soft error counts are one
+numpy sum over its frames, which splits pairwise, so the chunk is then
+made block by block along that split: each block's LLRs written slice
+by slice into an (n, b) array, flipped in place by the signs of the
+level's bits, made in place from its labels, and walked in place, and
+the blocks' counts added back up the split, bit for bit the whole
+chunk's sum.
 
 Conventions: natural-order (non-bit-reversed) transform, Gray labeling per
 quadrature, quadratures handled as independent bit-level groups with the real
@@ -71,6 +76,7 @@ quadrature's levels first.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,10 +103,16 @@ _FLOOR_SLICE = 1 << 20
 # changes the last bits of the error probabilities, and so can change a
 # frozen set.
 _GENIE_SAMPLES = 1 << 22
-# Values one transient holds: sample_level and _send_chunk draw their
+# Samples one block of a genie chunk holds at most, 1 MiB of LLRs: a chunk
+# is drawn and walked block by block, along numpy's pairwise split of its
+# sums down to nodes of at most _GENIE_BLOCK samples or _PAIRWISE_LEAF
+# frames, the node numpy sums in one unrolled loop; changes no bit
+_GENIE_BLOCK = 1 << 17
+_PAIRWISE_LEAF = 128
+# Values one transient holds: sample_blocks and _send_chunk draw their
 # outcomes max(1, _WORK_SLICE // n) frames at a time, and _heterodyne,
-# level_llrs and the genie walk's butterfly work this many values at a
-# time; bounds their transients, changes no bit
+# level_llrs and the genie walk's stages and leaves work this many values
+# at a time; bounds their transients, changes no bit
 _WORK_SLICE = 1 << 16
 MIN_MC_BUDGET = 100  # fewest Monte-Carlo frames a construction may use
 # -ln of the smallest tanh(|LLR|/2) product the rate-1 shortcut admits
@@ -204,43 +216,69 @@ class InducedChannel:
     def sample_level(self, rng: np.random.Generator, level: int,
                      size) -> np.ndarray:
         """Draw ``size`` independent uses, an int or a (batch, n) pair of
-        frames: uniform symbols, heterodyne outputs, and the exact LLRs of
-        the given level's bit with the true lower-level bits as priors (the
-        genie-aided bit channel), each times the sign 1 - 2b of the bit b
-        it sent.  A level outside [0, levels), or frames of n < 1 uses,
-        raise ValueError before any draw.
-
-        Every symbol is drawn first, ``max(1, _WORK_SLICE // n)`` frames
-        at a time (an int size is frames of n = 1), each slice's amplitude
-        index narrowed at once to its one-byte Gray labels and written
-        transposed into one (n, batch) array; then the noise and LLRs are
-        made slice by slice, each slice's LLRs written transposed into one
-        (n, batch) array, the only full-size float array.  The level's
-        bits are then cut from the labels in place, made their signs in
-        place, as signed integers of the labels' width (int8 for m up to
-        256), and the LLRs multiplied by them in place: each sign
-        converts to +-1.0 exactly, so the product is the float (1 - 2b) L,
-        which is -L or L for every double, +-0 and +-inf included (NaN
-        stays NaN).  numpy's stream for consecutive draws is that of one
-        draw, so the LLRs are those of drawing every index, then every
-        noise value, in row order.
+        frames, as one block of ``sample_blocks`` (an int size is frames
+        of n = 1): uniform symbols, heterodyne outputs, and the exact LLRs
+        of the given level's bit with the true lower-level bits as priors
+        (the genie-aided bit channel), each times the sign 1 - 2b of the
+        bit b it sent.  A level outside [0, levels), or frames of n < 1
+        uses, raise ValueError before any draw.
 
         Returns the signed LLRs, of shape ``size`` and the transpose of
         their (n, batch) array, which the genie walk takes as it is; the
         labels are freed on return.
         """
-        bpos = self._bit_position(level)
         batch, n = (size, 1) if np.ndim(size) == 0 else size
         if n < 1:
             raise ValueError(f"frames must hold n >= 1 uses, got size {size}")
+        llr, = self.sample_blocks(rng, level, n, [batch])
+        return llr.reshape(size)
+
+    def sample_blocks(self, rng: np.random.Generator, level: int, n: int,
+                      blocks: list[int]):
+        """Draw sum(``blocks``) frames of n genie-aided uses of the level,
+        as ``sample_level`` does, and return a generator of their signed
+        LLRs, one block of b frames per entry b of ``blocks``, in frame
+        order: each a (b, n) transpose of a fresh (n, b) array, n >= 1.  A
+        level outside [0, levels) raises ValueError before any draw.
+
+        Every frame's symbol is drawn first, here, ``max(1, _WORK_SLICE //
+        n)`` frames at a time, each slice's amplitude index narrowed at
+        once to its one-byte Gray labels and written transposed into one
+        (n, frames) array.  Each block is then made as the generator
+        reaches it: its noise and LLRs slice by slice, each slice's LLRs
+        written transposed into the block's (n, b) array, its only
+        block-size float array.  The level's bits are then cut from the
+        block's labels in place, made their signs in place, as signed
+        integers of the labels' width (int8 for m up to 256), and the
+        LLRs multiplied by them in place: each sign converts to +-1.0
+        exactly, so the product is the float (1 - 2b) L, which is -L or L
+        for every double, +-0 and +-inf included (NaN stays NaN).  numpy's
+        stream for consecutive draws is that of one draw, so whatever the
+        blocks, the LLRs are those of drawing every index, then every
+        noise value, in row order.  The labels are freed with the
+        generator.
+        """
+        self._bit_position(level)
         step = max(1, _WORK_SLICE // n)
-        label = np.empty((n, batch), dtype=self.labels.dtype)
-        for s in range(0, batch, step):
+        label = np.empty((n, sum(blocks)), dtype=self.labels.dtype)
+        for s in range(0, label.shape[1], step):
             part = label[:, s:s + step].T
             part[...] = self.labels[rng.integers(0, len(self.amplitudes),
                                                  size=part.shape)]
-        llr = np.empty((n, batch))
-        for s in range(0, batch, step):
+        return (self._signed_llrs(rng, level, label[:, start:start + b])
+                for start, b in zip(itertools.accumulate(blocks, initial=0),
+                                    blocks))
+
+    def _signed_llrs(self, rng: np.random.Generator, level: int,
+                     label: np.ndarray) -> np.ndarray:
+        """The level's signed LLRs of the frames whose Gray labels are the
+        (n, b) array ``label``, which it turns into the signs of their
+        bits in place; a (b, n) transpose of a fresh (n, b) array."""
+        bpos = self._bit_position(level)
+        n, b = label.shape
+        step = max(1, _WORK_SLICE // n)
+        llr = np.empty((n, b))
+        for s in range(0, b, step):
             part = label[:, s:s + step].T
             llr[:, s:s + step] = self.level_llrs(
                 level, (part >> (self.nbits - bpos)).reshape(-1),
@@ -251,7 +289,7 @@ class InducedChannel:
         sign *= -2
         sign += 1
         llr *= sign
-        return llr.T.reshape(size)
+        return llr.T
 
     def _bit_position(self, level: int) -> int:
         # the level's bit position in its quadrature's labels; a level
@@ -485,47 +523,60 @@ def genie_error_counts(llr: np.ndarray) -> np.ndarray:
     |L|.
 
     The walk runs on ``np.ascontiguousarray(llr.T)``, as SC does, and
-    overwrites it in place: each node writes f and a + b over its own
-    halves, ``_WORK_SLICE`` values at a time, so no whole level is ever
-    allocated.  A float64 ``llr`` that already is the transpose of an
-    (n, batch) array, as ``sample_level`` returns it, is that array and is
+    overwrites it in place, breadth first: stage s writes f and a + b
+    over the halves of all 2^s nodes of its depth at once, ``_WORK_SLICE``
+    values at a time (whole nodes, or one node's values in slices), so no
+    whole level is ever allocated; each value sees the operations of the
+    depth-first walk, so every bit is the same.  The leaves' error
+    probabilities are then formed whole rows at a time, ``_WORK_SLICE``
+    values or one row, and each index's count is numpy's pairwise sum of
+    its row.  A float64 ``llr`` that already is the transpose of an
+    (n, batch) array, as the sampler returns it, is that array and is
     overwritten; any other is copied once, and left as it was.
     """
     llr = np.asarray(llr, dtype=float)
     if llr.ndim != 2:
         raise ValueError(f"LLRs must be of shape (batch, n), got {llr.shape}")
-    _check_power_of_two(llr.shape[1], "genie walk width")
+    stages = _check_power_of_two(llr.shape[1], "genie walk width")
     llr = np.ascontiguousarray(llr.T)
-    errs = np.zeros(len(llr))
-    _genie_walk(llr, 0, errs)
-    return errs
+    n, batch = llr.shape
+    for s in range(stages):
+        # each of the 2^s nodes' halves, a and b, one row each
+        halves = llr.reshape(1 << s, 2, (n >> s + 1) * batch)
+        width = halves.shape[2]
+        rows = max(1, _WORK_SLICE // max(width, 1))
+        for i in range(0, 1 << s, rows):
+            for j in range(0, width, _WORK_SLICE):
+                a = halves[i:i + rows, 0, j:j + _WORK_SLICE]
+                b = halves[i:i + rows, 1, j:j + _WORK_SLICE]
+                f = _f(a, b)
+                b += a
+                a[...] = f
+                del f  # before the next slice's _f asks for its two buffers
+    counts = np.empty(n)
+    rows = max(1, _WORK_SLICE // max(batch, 1))
+    for i in range(0, n, rows):
+        e = np.abs(llr[i:i + rows])  # e^{-|L|} / (1 + e^{-|L|})
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        e /= 1.0 + e
+        counts[i:i + rows] = e.sum(axis=1)
+    return counts
 
 
-def _genie_walk(llr: np.ndarray, idx0: int, errs: np.ndarray) -> None:
-    """Add the soft error counts of the inputs [idx0, idx0 + w) of a
-    C-contiguous (w, batch) array of signed LLRs into ``errs``,
-    overwriting it."""
-    if len(llr) == 1:
-        e = np.exp(-np.abs(llr[0]))
-        errs[idx0] += np.sum(e / (1.0 + e))
-        return
-    half = len(llr) // 2
-    a, b = llr[:half], llr[half:]
-    _butterfly(a, b)
-    _genie_walk(a, idx0, errs)
-    _genie_walk(b, idx0 + half, errs)
-
-
-def _butterfly(a: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite the C-contiguous (h, batch) arrays a with f(a, b) and b
-    with a + b, ``_WORK_SLICE`` values at a time."""
-    a, b = a.reshape(-1), b.reshape(-1)
-    for s in range(0, len(a), _WORK_SLICE):
-        blk = slice(s, s + _WORK_SLICE)
-        f = _f(a[blk], b[blk])
-        b[blk] += a[blk]
-        a[blk] = f
-        del f  # before the next block's _f asks for its two buffers
+def _pairwise(frames: int, n: int, leaf):
+    """``leaf(b)`` of each block of b frames of numpy's pairwise split of
+    ``frames`` frames of n uses, in frame order, added up the split: left
+    half plus right half at each node, as numpy's pairwise sum adds the
+    sums of its halves.  Over N > ``_PAIRWISE_LEAF`` values numpy sums the
+    first floor(N/2) less its remainder mod 8, then the rest; the split
+    stops at blocks of at most ``_PAIRWISE_LEAF`` frames, which numpy sums
+    in one unrolled loop, or at most ``_GENIE_BLOCK`` samples.  With a
+    leaf of ``[b]`` it lists the blocks."""
+    if frames <= _PAIRWISE_LEAF or frames * n <= _GENIE_BLOCK:
+        return leaf(frames)
+    half = frames // 2 - frames // 2 % 8
+    return _pairwise(half, n, leaf) + _pairwise(frames - half, n, leaf)
 
 
 def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
@@ -533,17 +584,27 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     """Monte-Carlo per-index error probabilities via genie-aided SC.
 
     Trials are processed in chunks of ``_GENIE_SAMPLES // n`` frames, the
-    last one ragged, each drawn by one ``sample_level`` call as (n, batch)
-    signed LLRs and walked in place there by ``genie_error_counts``, so
-    large budgets keep a working set of about one chunk's LLRs: while it
-    draws, the sampler holds them and the chunk's one-byte labels, and
-    the walk holds them and two f-update blocks.
+    last one ragged, and each chunk's soft error counts are summed as one
+    sum over its frames: numpy's pairwise sum, which for more than 128
+    values adds the sums of two halves.  So a chunk is made block by
+    block along that split (``_pairwise``), down to blocks of at most 128
+    frames or ``_GENIE_BLOCK`` samples: ``ch.sample_blocks`` draws the
+    chunk's one-byte labels, then each block's signed LLRs as they are
+    needed, each is walked in place by ``genie_error_counts``, and the
+    blocks' count vectors are added back up the same split, bit for bit
+    the whole chunk's sum (numpy's split is pinned by a test).  The
+    working set is the chunk's labels and one block, with its slice
+    transients while it is drawn and two f-update slices while it is
+    walked.
     """
     chunk = max(1, _GENIE_SAMPLES // n)
     counts = np.zeros(n)
     for start in range(0, mc_budget, chunk):
-        counts += genie_error_counts(ch.sample_level(
-            rng, level, (min(chunk, mc_budget - start), n)))
+        frames = min(chunk, mc_budget - start)
+        blocks = ch.sample_blocks(rng, level, n,
+                                  _pairwise(frames, n, lambda b: [b]))
+        counts += _pairwise(frames, n,
+                            lambda b: genie_error_counts(next(blocks)))
     return counts / mc_budget
 
 

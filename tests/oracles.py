@@ -5,7 +5,8 @@ library path it checks:
 
 - ``ErasureChannel``, ``bec_bhattacharyya`` and ``bec_frozen_set``: a binary
   erasure channel and its exact frozen set, the oracle for Monte-Carlo
-  polar code construction;
+  polar code construction; the channel draws in one piece, or block by
+  block as the induced channel's ``sample_blocks`` does;
 - ``polar_transform``: x = u F^{x log2 n} of each row by the recursion
   x = ((u_L ^ u_R) G, u_R G) over the halves of u, G the transform of
   half the length, against the library's in-place butterfly stages on
@@ -34,8 +35,9 @@ library path it checks:
 - ``genie_error_probs_reference``: the genie-aided construction chunk by
   chunk, each chunk drawn in one piece and walked out of place by
   ``genie_sc_reference`` on its bits and unsigned LLRs, against the
-  library's walk of the sampler's (n, batch) signed LLRs in place, bit
-  for bit;
+  library's, which makes each chunk in blocks along numpy's pairwise
+  split of its sums, walks each block's (n, b) signed LLRs in place,
+  breadth first, and adds the blocks' counts up the split, bit for bit;
 - ``msb_llr``: a wrapper, not an oracle: the library's LLR of the first
   level for one heterodyne outcome, for the closed-form BPSK checks;
 - ``oracle_level_llrs``: one level's LLRs by brute force over the Gray
@@ -132,6 +134,17 @@ class ErasureChannel:
         rng.integers(0, 2, size=n)
         erased = rng.random(n) < self.eps
         return np.where(erased, 0.0, _LLR_BIG)
+
+    def sample_blocks(self, rng: np.random.Generator, level: int, n: int,
+                      blocks: list[int]):
+        """The uses of one ``sample_level`` draw of sum(``blocks``) frames
+        of n uses, made block by block as the induced channel's
+        ``sample_blocks`` makes them: every bit drawn first, then a
+        generator of each block's erasures, a (b, n) array of LLRs per
+        entry b; numpy's stream for consecutive draws is that of one."""
+        rng.integers(0, 2, size=sum(blocks) * n)
+        return (np.where(rng.random(b * n) < self.eps, 0.0,
+                         _LLR_BIG).reshape(b, n) for b in blocks)
 
 
 def bec_bhattacharyya(eps: float, n: int) -> np.ndarray:

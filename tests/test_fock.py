@@ -12,6 +12,7 @@ from oracles import (_laguerre_table, annihilation_matrix, quantum_chi2_direct,
 from thermalcomm import (DensityOperator, coherent_state, default_dim,
                          displaced_thermal, displacement_operator,
                          relative_entropy, thermal_state, von_neumann_entropy)
+from thermalcomm import fock
 from thermalcomm.errors import (NumericFailure, SupportError,
                                 TruncationError, TruncationWarning)
 from thermalcomm.fock import (_density_operator, _log_factorials,
@@ -309,6 +310,31 @@ def test_displacement_negated_alpha_is_checkerboard_on_lower_triangle(alpha):
     sign = (-1.0) ** (m - n)
     assert np.array_equal(displacement_operator(-alpha, dim)[m, n],
                           sign * displacement_operator(alpha, dim)[m, n])
+
+
+@pytest.mark.parametrize("dim", [2, 99, 100, 101, 150, 199])
+def test_parity_holds_takes_the_scalar_phase_powers_bitwise(dim):
+    # _parity_holds forms each sign's phase powers with one np.power call
+    # over np.arange(dim), where displacement_operator takes the numpy
+    # scalar powers p ** d one by one: at numpy-typed centers they have
+    # the same bits on both sides of d = 100, where numpy leaves repeated
+    # squaring for exp-log, and the check's verdict is the scalar loop's,
+    # True up to dim 100
+    rng = np.random.default_rng(dim)
+    centers = [*2.0 * rng.standard_normal(40).view(complex),
+               np.float64(-0.7), np.float64(1.3)]
+    verdicts = []
+    for z in centers:
+        for c in (z, -z):
+            p = c / abs(c)
+            want = np.array([p ** d for d in range(dim)])
+            got = np.power(p, np.arange(dim))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), z
+        p, minus_p = z / abs(z), -z / abs(z)
+        verdicts.append(all(minus_p ** d == (p ** d if d % 2 == 0 else -p ** d)
+                            for d in range(1, dim)))
+        assert fock._parity_holds(z, dim) is verdicts[-1], z
+    assert all(verdicts) == (dim <= 100)
 
 
 def test_displaced_thermal_moments():

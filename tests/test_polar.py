@@ -172,32 +172,37 @@ def test_construction_encodes_nothing(monkeypatch):
 
 
 def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
-    # 3 frames of n = 64 per chunk, so a budget of 100 frames runs 33 full
-    # chunks and a ragged one of 1 frame, each drawn as a (frames, n)
-    # size; the soft error sums are grouped by chunk, so the reference sums
-    # the same draws chunk by chunk, drawn flat and walked row-major
-    monkeypatch.setattr(polar, "_GENIE_SAMPLES", 3 * 64)
-    ch, n, budget, seed = make_channel(4), 64, 100, 5
-    chunks = [3] * 33 + [1]
-    sample_level = InducedChannel.sample_level
-    sizes = []
+    # 300 frames of n = 64 per chunk, so a budget of 700 frames runs two
+    # full chunks and a ragged one of 100.  With blocks of at most 64
+    # frames' samples, each full chunk is made in the blocks of numpy's
+    # pairwise split of its sums, 300 = 144 + 156, 144 = 72 + 72 and
+    # 156 = 72 + 84, and the ragged one, of at most 128 frames, in one
+    # block.  The soft error sums are grouped by chunk, so the reference
+    # sums the same draws chunk by chunk, each drawn flat and walked
+    # row-major in one piece
+    monkeypatch.setattr(polar, "_GENIE_SAMPLES", 300 * 64)
+    monkeypatch.setattr(polar, "_GENIE_BLOCK", 64 * 64)
+    ch, n, budget, seed = make_channel(4), 64, 700, 5
+    chunks = [300, 300, 100]
+    sample_blocks = InducedChannel.sample_blocks
+    calls = []
 
-    def recording(self, rng, level, size):
-        sizes.append(size)
-        return sample_level(self, rng, level, size)
+    def recording(self, rng, level, n, blocks):
+        calls.append((n, list(blocks)))
+        return sample_blocks(self, rng, level, n, blocks)
 
-    monkeypatch.setattr(InducedChannel, "sample_level", recording)
+    monkeypatch.setattr(InducedChannel, "sample_blocks", recording)
     want = np.empty((ch.levels, n))
     for lv in range(ch.levels):
-        sizes.clear()
+        calls.clear()
         got = polar._genie_error_probs(ch, lv, n, budget,
                                        np.random.default_rng(seed + lv))
-        assert sizes == [(b, n) for b in chunks]
+        assert calls == [(n, [72, 72, 72, 84])] * 2 + [(n, [100])]
         rng = np.random.default_rng(seed + lv)
         counts = np.zeros(n)
         for b in chunks:
             counts += genie_error_counts(
-                sample_level(ch, rng, lv, b * n).reshape(b, n))
+                ch.sample_level(rng, lv, b * n).reshape(b, n))
         want[lv] = counts / budget
         np.testing.assert_array_equal(got.view(np.int64),
                                       want[lv].view(np.int64))
@@ -241,6 +246,97 @@ def test_genie_error_probs_match_the_one_piece_reference_bitwise(
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("m, n, budget, blocks", [
+    (4, 64, 5000, [1248, 1248, 1248, 1256]),
+    ("bec", 64, 5000, [1248, 1248, 1248, 1256]),
+    (8, 1024, 300, [72, 72, 72, 84])])
+def test_genie_error_probs_in_pairwise_blocks_match_the_one_piece_reference(
+        m, n, budget, blocks):
+    # at the default sizes one chunk of 5,000 frames of n = 64, 320,000
+    # samples, is made in four blocks of more than 128 frames, which numpy
+    # sums pairwise inside, and one of 300 frames of n = 1024 in blocks of
+    # at most 128 frames; the reference draws and walks each chunk in one
+    # piece
+    ch = ErasureChannel(0.4) if m == "bec" else make_channel(m)
+    assert polar._pairwise(budget, n, lambda b: [b]) == blocks
+    got = polar._genie_error_probs(ch, ch.levels - 1, n, budget,
+                                   np.random.default_rng(n))
+    want = genie_error_probs_reference(ch, ch.levels - 1, n, budget,
+                                       np.random.default_rng(n),
+                                       polar._GENIE_SAMPLES)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# N past 128, where numpy's pairwise sum first splits, densely, then to
+# 100,000 on a geometric grid, past its 8,192-value buffer, with the
+# multiples of 8 and 8,192 and their neighbours
+_PAIRWISE_SIZES = sorted({*range(129, 1100), *np.geomspace(1100, 100_000, 300)
+                          .astype(int).tolist(), 8191, 8192, 8193, 16383,
+                          16384, 16385, 65535, 65536, 65537, 99_999, 100_000})
+
+
+def test_numpy_sum_x_is_sum_of_first_n2_plus_sum_of_the_rest():
+    # the genie construction sums a chunk block by block on numpy's
+    # pairwise split: over N > 128 contiguous float64 values, np.sum(x) ==
+    # np.sum(x[:n2]) + np.sum(x[n2:]) bit for bit, n2 = N // 2 less its
+    # remainder mod 8.  If a numpy upgrade changes the split, this fails
+    # before the bitwise construction tests do
+    rng = np.random.default_rng(40)
+    for size in _PAIRWISE_SIZES:
+        x = rng.random(size) * np.exp(rng.uniform(-20.0, 20.0, size))
+        n2 = size // 2 - size // 2 % 8
+        assert np.sum(x) == np.sum(x[:n2]) + np.sum(x[n2:]), size
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 7), (64, 128), (1024, 84),
+                                   (8, 2048), (2, 9000), (3, 100_000)])
+def test_numpy_row_sums_of_a_c_contiguous_array_are_each_rows_sum(shape):
+    # the genie walk sums each index's error probabilities over the
+    # frames with one sum along axis 1 of its C-contiguous leaves, where
+    # the depth-first walk summed each row on its own
+    rng = np.random.default_rng(shape[1])
+    x = rng.random(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    want = np.array([np.sum(row) for row in x])
+    np.testing.assert_array_equal(x.sum(axis=1).view(np.int64),
+                                  want.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_sample_blocks_concatenate_to_the_one_piece_reference_bitwise(
+        monkeypatch, m):
+    # every label is drawn first, then each block's noise in frame order,
+    # so the blocks, empty ones included, are the rows of one draw and
+    # leave the stream where it leaves it; 997-sample slices end ragged
+    # inside the blocks
+    monkeypatch.setattr(polar, "_WORK_SLICE", 997)
+    ch, n, blocks = make_channel(m), 64, [3, 0, 17, 1, 11]
+    for level in range(ch.levels):
+        rng = np.random.default_rng(level)
+        ref = np.random.default_rng(level)
+        parts = list(ch.sample_blocks(rng, level, n, blocks))
+        assert [p.shape for p in parts] == [(b, n) for b in blocks]
+        assert all(p.T.flags.c_contiguous for p in parts)
+        bits, want = (a.reshape(-1, n) for a in sample_level_reference(
+            ch, ref, level, sum(blocks) * n))
+        np.testing.assert_array_equal(
+            np.concatenate(parts).view(np.int64),
+            ((1.0 - 2.0 * bits) * want).view(np.int64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("blocks", [[5], [2, 3], [1, 1, 1, 2], [0, 5, 0]])
+def test_erasure_channel_blocks_concatenate_to_its_one_piece_draw(blocks):
+    # the oracle channel makes its blocks as the induced channel does:
+    # every bit first, then each block's erasures
+    ch, n = ErasureChannel(0.4), 8
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    parts = list(ch.sample_blocks(rng, 0, n, blocks))
+    assert [p.shape for p in parts] == [(b, n) for b in blocks]
+    want = ch.sample_level(ref, 0, sum(blocks) * n).reshape(-1, n)
+    np.testing.assert_array_equal(np.concatenate(parts), want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("m", [2, 4, 8])
 def test_sample_level_matches_the_one_piece_reference_bitwise(monkeypatch, m):
     # drawn in slices, the indices first, the bits, LLRs and the stream's
@@ -270,16 +366,15 @@ def test_sample_level_matches_the_one_piece_reference_bitwise(monkeypatch, m):
 
 @pytest.mark.parametrize("n", [32, 64, 1024])
 def test_genie_construction_peaks_below_two_copies_of_its_llrs(n):
-    # one level over one full chunk, 2^22 / n frames, is 32 MiB of LLRs,
-    # drawn as one (n, batch) array, signed there by the labels turned
-    # into one-byte signs in place, and walked in place there: it peaks
-    # at 1.19-1.21 of them (the LLRs, the one-byte labels and one slice's
-    # transients while the sampler draws).  Handing the walk the level's
-    # one-byte bits, for it to make its own one-byte signs, took it to
-    # 1.252 at n = 64 and 1024 and 1.275 at n = 32; cutting the bits from
-    # a copy of the labels and checking them on two bool temporaries to
-    # 1.375; a frame-major copy of the chunk's nodes 64 inputs wide, all
-    # of it at n = 32 and 64, to 2.34 and 2.30
+    # one level over one full chunk, 2^22 / n frames, would be 32 MiB of
+    # LLRs; the construction holds the chunk's one-byte labels, 4 MiB, and
+    # one block of at most 2^17 samples, 1 MiB of LLRs, at a time, with the
+    # sampler's slice transients (a slice's noise, its LLRs and the
+    # demapper's two work rows) while the block is drawn.  It peaks at
+    # 7.07-7.12 MiB, 5-6% below the bound of labels, one block and five
+    # slices, 7.5 MiB.  Holding the chunk's LLRs, drawn as one (n, batch)
+    # array and walked in place there, peaked at 1.19-1.21 of them, 38-39
+    # MiB
     ch, frames = make_channel(4), polar._GENIE_SAMPLES // n
     tracemalloc.start()
     try:
@@ -287,7 +382,8 @@ def test_genie_construction_peaks_below_two_copies_of_its_llrs(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * frames * n * 8, peak / (frames * n * 8)
+    bound = frames * n + 8 * (polar._GENIE_BLOCK + 5 * polar._WORK_SLICE)
+    assert peak <= bound, (peak / 2 ** 20, bound / 2 ** 20)
 
 
 @pytest.mark.parametrize("n", [0, 3, 6])
@@ -546,8 +642,9 @@ def test_construct_multilevel_refuses_bad_input_before_sampling(
         monkeypatch, n, sum_rate, mc_budget, bad):
     # cmd_polar checks these first, so only a library caller reaches them
     def no_draw(*args):
-        raise AssertionError("sample_level called before the input check")
+        raise AssertionError("a sampler called before the input check")
     monkeypatch.setattr(InducedChannel, "sample_level", no_draw)
+    monkeypatch.setattr(InducedChannel, "sample_blocks", no_draw)
     with pytest.raises(ValueError, match=bad):
         construct_multilevel(make_channel(4), n, sum_rate, mc_budget, seed=6)
 

@@ -30,7 +30,9 @@ dims 100 and 101, on both sides of the parity share's edge
 (``PARITY_EDGE``), and one polar link at N = 1e-9, whose level MIs sit
 at the Monte-Carlo noise around 0 (``TINY_SNR_POLAR``), and a random-walk
 polar link at m = 2, equilattice's +-1 points, which runs as any
-equally weighted kind does (``UNIFORM_KIND_POLAR``);
+equally weighted kind does (``UNIFORM_KIND_POLAR``), and one whose
+construction makes a full and a ragged chunk in blocks of more than 128
+frames, along numpy's pairwise split of its sums (``PAIRWISE_GENIE``);
 each runs in process through ``thermalcomm.cli.main``, imported from the
 checkout's ``src/``.  A nonzero exit code is appended to its line.  Each
 script in ``demos/`` then runs as ``__main__``.  The whole list takes
@@ -117,6 +119,13 @@ TINY_SNR_POLAR = ("polar", "--n", "1e-9", "--blocklength", "16",
 # CLI keeps no kind list of its own
 UNIFORM_KIND_POLAR = ("polar", "--kinds", "random_walk", "--blocklength", "64",
                       "--trials", "50", "--mc-budget", "100")
+# n = 64 and mc budget 70,001: each level's construction makes a full
+# chunk of 65,536 frames in 32 blocks of 2,048 and a ragged one of 4,465
+# in blocks of 1,112 to 1,121 frames, each summed pairwise inside by numpy
+# and added up its split, where the construction's benchmark argvs make
+# blocks of at most 128 frames
+PAIRWISE_GENIE = ("polar", "--blocklength", "64", "--mc-budget", "70001",
+                  "--trials", "200")
 
 
 def invocations() -> list[tuple[str, ...]]:
@@ -124,7 +133,8 @@ def invocations() -> list[tuple[str, ...]]:
     argvs = [w.warmup for w in WORKLOADS.values()] + list(DEFAULTS)
     argvs += [LONG_POLAR, FROZEN_POLAR, RAGGED_GENIE, WIDE_POLAR,
               PACKED_POLAR, FLOOR_POLAR, SMALLEST_CHI2, WIDE_FOCK,
-              *PARITY_EDGE, TINY_SNR_POLAR, UNIFORM_KIND_POLAR]
+              *PARITY_EDGE, TINY_SNR_POLAR, UNIFORM_KIND_POLAR,
+              PAIRWISE_GENIE]
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for small in (False, True):
