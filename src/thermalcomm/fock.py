@@ -19,7 +19,9 @@ Displacement matrices rest on the phase identity
 <m|D(alpha)|n> = e^{i(m-n) arg alpha} f_mn(|alpha|), f real (the Laguerre
 closed form of Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): the costly
 Laguerre table depends on |alpha| alone, so one table per radius serves
-every point on that circle, and each point adds only its phase powers.
+every point on that circle, and each point adds only its phase powers,
+from one ``np.power`` call at alpha taken as ``np.complex128``
+(``_phase_powers``), so every caller gets numpy's bits.
 A ``_Basis`` holds what a dimension's displacements share: the lower
 triangle's layout and one table per radius, from a single recurrence over
 all radii (``_laguerre_tables``).  ``_mixture`` builds every ensemble
@@ -27,10 +29,11 @@ average state sum_j q_j theta_j, one basis per call, and one displaced
 thermal state per orbit {z, conj z, -z, -conj z} of the centers: conj z
 takes the conjugate state, and -z the state times the checkerboard
 (-1)^(m+n) (D(-z) = P D(z) P, P = diag((-1)^n)), where ``_parity_holds``
-finds numpy's phase powers flip sign exactly, below power 100.  Both
-shares keep every value, so every bit of the sum.  ``_density_operator``
-Hermitizes by halving the float parts, with the bits of the complex
-division by 2 on every input without a -0 part, and divides on the rest.
+finds that the same ``_phase_powers`` flip sign exactly, below power 100.
+Both shares keep every value, so every bit of the sum.
+``_density_operator`` Hermitizes by halving the float parts, with the bits
+of the complex division by 2 on every input without a -0 part, and
+divides on the rest.
 
 The layer imports only numpy and math: the tables' log-factorials come
 from ``_log_factorials``, cephes' log-gamma at the integers, with the bits
@@ -238,9 +241,13 @@ def displacement_operator(alpha: complex, dim: int, *,
     table f depends on |alpha| alone, so a caller displacing by many points
     passes one ``_make_basis(dim, radii)`` as ``_basis`` for all of them.
     The table serves both triangles, since D(alpha)^dag = D(-alpha) and
-    <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n> for m >= n."""
+    <m|D(-alpha)|n> = (-1)^(m-n) <m|D(alpha)|n> for m >= n.  alpha is
+    taken as ``np.complex128``, so its phase and phase powers
+    (``_phase_powers``) have numpy's bits whatever its type: CPython's
+    complex division, and its complex power past 100, round differently."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    alpha = np.complex128(alpha)
     if abs(alpha) ** 2 > dim:
         warnings.warn(
             f"displacement with |alpha|^2 = {abs(alpha)**2:.1f} at dim = {dim}: "
@@ -249,12 +256,7 @@ def displacement_operator(alpha: complex, dim: int, *,
         return np.eye(dim, dtype=complex)
     if _basis is None:
         _basis = _make_basis(dim, [abs(alpha)])
-    phase = alpha / abs(alpha)
-    # rates passes np.complex128 centers, so the division above and these
-    # powers are numpy scalar arithmetic, whose bits (pinned by the thermal
-    # rate golden) differ from CPython complex's: keep centers numpy-typed
-    phase_pow = np.array([phase ** d for d in range(dim)])
-    lower = _basis.tables[abs(alpha)] * phase_pow[_basis.k]
+    lower = _basis.tables[abs(alpha)] * _phase_powers(alpha, dim)[_basis.k]
     out = np.empty((dim, dim), dtype=complex)
     flat = out.reshape(-1)
     flat[_basis.upper] = np.where(_basis.odd, -lower, lower).conj()
@@ -293,21 +295,26 @@ def _density_operator(mat: np.ndarray) -> DensityOperator:
     return DensityOperator(matrix=out)
 
 
-def _parity_holds(z, dim: int) -> bool:
+def _phase_powers(z: np.complex128, dim: int) -> np.ndarray:
+    """(z/|z|)^d for d < ``dim`` at a nonzero ``np.complex128`` z, from one
+    ``np.power`` call, as ``displacement_operator`` takes them.  numpy
+    raises a complex number to an integer power below 100 by repeated
+    squaring and from 100 on by exp-log; the values have the bits of its
+    scalar powers (z/|z|) ** d."""
+    return np.power(z / abs(z), np.arange(dim))
+
+
+def _parity_holds(z: np.complex128, dim: int) -> bool:
     """Whether ``displacement_operator`` at -z takes (-1)^d times each
     phase power it takes at z, d < ``dim``: (-p) ** d equals p ** d at
     even d and -(p ** d) at odd d in value, with p = z/|z| and -p = (-z)/|z|
-    as it forms them.  numpy raises a complex number to an integer power
-    below 100 by repeated squaring, which commutes exactly with a sign
-    flip, and from 100 on by exp-log, which does not; so it holds at
-    dim <= 100.  Each sign's powers come from one ``np.power`` call over
-    ``np.arange(dim)``, whose values have the bits of numpy's scalar
-    powers p ** d, as ``displacement_operator`` forms them, at a
-    numpy-typed z, the only kind ``_mixture`` passes."""
-    d = np.arange(dim)
-    p_pow = np.power(z / abs(z), d)
-    return bool(np.all(np.power(-z / abs(z), d)
-                       == np.where(d % 2 == 0, p_pow, -p_pow)))
+    as ``_phase_powers`` forms them for both.  Repeated squaring commutes
+    exactly with a sign flip, and exp-log does not; so it holds at
+    dim <= 100.  z is an ``np.complex128`` center, as ``_mixture`` passes
+    and as ``displacement_operator`` takes every alpha."""
+    p_pow, even = _phase_powers(z, dim), np.arange(dim) % 2 == 0
+    return bool(np.all(_phase_powers(-z, dim)
+                       == np.where(even, p_pow, -p_pow)))
 
 
 def _mixture(probs, centers, Nbar: float, dim: int) -> DensityOperator:

@@ -59,9 +59,11 @@ the last one ragged.
 Every step inside a slice is element-wise or row-independent, and the noise
 is drawn slice by slice from the same stream, so a fixed seed gives the same
 bits whatever the chunk and slice sizes.  The genie-aided construction
-keeps a chunk's one-byte labels and one block of its LLRs: its sampler
-narrows each slice of symbol indices to one-byte labels as it draws
-them, for the whole chunk first.  The chunk's soft error counts are one
+keeps a chunk's one-byte labels and one block of its LLRs: the one
+sampler, ``InducedChannel.sample_level``, narrows each slice of symbol
+indices to one-byte labels as it draws them, for the whole chunk first,
+and returns a generator of the chunk's blocks (the Monte-Carlo level MI
+takes its uses as one block).  The chunk's soft error counts are one
 numpy sum over its frames, which splits pairwise, so the chunk is then
 made block by block along that split: each block's LLRs written slice
 by slice into an (n, b) array, flipped in place by the signs of the
@@ -109,7 +111,7 @@ _GENIE_SAMPLES = 1 << 22
 # frames, the node numpy sums in one unrolled loop; changes no bit
 _GENIE_BLOCK = 1 << 17
 _PAIRWISE_LEAF = 128
-# Values one transient holds: sample_blocks and _send_chunk draw their
+# Values one transient holds: sample_level and _send_chunk draw their
 # outcomes max(1, _WORK_SLICE // n) frames at a time, and _heterodyne,
 # level_llrs and the genie walk's stages and leaves work this many values
 # at a time; bounds their transients, changes no bit
@@ -213,33 +215,18 @@ class InducedChannel:
         """Per-quadrature heterodyne variance (Nc + 1)/2."""
         return (self.params.Nc + 1.0) / 2.0
 
-    def sample_level(self, rng: np.random.Generator, level: int,
-                     size) -> np.ndarray:
-        """Draw ``size`` independent uses, an int or a (batch, n) pair of
-        frames, as one block of ``sample_blocks`` (an int size is frames
-        of n = 1): uniform symbols, heterodyne outputs, and the exact LLRs
-        of the given level's bit with the true lower-level bits as priors
-        (the genie-aided bit channel), each times the sign 1 - 2b of the
-        bit b it sent.  A level outside [0, levels), or frames of n < 1
-        uses, raise ValueError before any draw.
+    def sample_level(self, rng: np.random.Generator, level: int, n: int,
+                     blocks: list[int]):
+        """Draw sum(``blocks``) frames of n independent uses of the level:
+        uniform symbols, heterodyne outputs, and the exact LLRs of the
+        level's bit with the true lower-level bits as priors (the
+        genie-aided bit channel), each times the sign 1 - 2b of the bit b
+        it sent.  A level outside [0, levels), or n < 1, raises ValueError
+        before any draw.
 
-        Returns the signed LLRs, of shape ``size`` and the transpose of
-        their (n, batch) array, which the genie walk takes as it is; the
-        labels are freed on return.
-        """
-        batch, n = (size, 1) if np.ndim(size) == 0 else size
-        if n < 1:
-            raise ValueError(f"frames must hold n >= 1 uses, got size {size}")
-        llr, = self.sample_blocks(rng, level, n, [batch])
-        return llr.reshape(size)
-
-    def sample_blocks(self, rng: np.random.Generator, level: int, n: int,
-                      blocks: list[int]):
-        """Draw sum(``blocks``) frames of n genie-aided uses of the level,
-        as ``sample_level`` does, and return a generator of their signed
-        LLRs, one block of b frames per entry b of ``blocks``, in frame
-        order: each a (b, n) transpose of a fresh (n, b) array, n >= 1.  A
-        level outside [0, levels) raises ValueError before any draw.
+        Returns a generator of the signed LLRs, one block of b frames per
+        entry b of ``blocks``, in frame order: each a (b, n) transpose of a
+        fresh (n, b) array, which the genie walk takes as it is.
 
         Every frame's symbol is drawn first, here, ``max(1, _WORK_SLICE //
         n)`` frames at a time, each slice's amplitude index narrowed at
@@ -259,6 +246,8 @@ class InducedChannel:
         generator.
         """
         self._bit_position(level)
+        if n < 1:
+            raise ValueError(f"frames must hold n >= 1 uses, got n = {n}")
         step = max(1, _WORK_SLICE // n)
         label = np.empty((n, sum(blocks)), dtype=self.labels.dtype)
         for s in range(0, label.shape[1], step):
@@ -588,7 +577,7 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     sum over its frames: numpy's pairwise sum, which for more than 128
     values adds the sums of two halves.  So a chunk is made block by
     block along that split (``_pairwise``), down to blocks of at most 128
-    frames or ``_GENIE_BLOCK`` samples: ``ch.sample_blocks`` draws the
+    frames or ``_GENIE_BLOCK`` samples: ``ch.sample_level`` draws the
     chunk's one-byte labels, then each block's signed LLRs as they are
     needed, each is walked in place by ``genie_error_counts``, and the
     blocks' count vectors are added back up the same split, bit for bit
@@ -601,8 +590,8 @@ def _genie_error_probs(ch, level: int, n: int, mc_budget: int,
     counts = np.zeros(n)
     for start in range(0, mc_budget, chunk):
         frames = min(chunk, mc_budget - start)
-        blocks = ch.sample_blocks(rng, level, n,
-                                  _pairwise(frames, n, lambda b: [b]))
+        blocks = ch.sample_level(rng, level, n,
+                                 _pairwise(frames, n, lambda b: [b]))
         counts += _pairwise(frames, n,
                             lambda b: genie_error_counts(next(blocks)))
     return counts / mc_budget
@@ -638,11 +627,13 @@ def estimate_level_mi(ch, level: int, samples: int,
                       rng: np.random.Generator) -> float:
     """Monte-Carlo estimate of the level's conditional mutual information in
     bits, from the exact LLRs: I = 1 - E[log2(1 + e^{-(1-2b) LLR})], the
-    signed LLRs (1 - 2b) LLR as ``sample_level`` returns them.  Fewer than
-    one sample raises ValueError, before any draw."""
+    signed LLRs (1 - 2b) LLR of ``samples`` uses, drawn as one
+    ``sample_level`` block of frames of one use.  Fewer than one sample
+    raises ValueError, before any draw."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    signed = np.clip(ch.sample_level(rng, level, samples), -700.0, 700.0)
+    llr, = ch.sample_level(rng, level, 1, [samples])
+    signed = np.clip(llr, -700.0, 700.0)
     return 1.0 - float(np.mean(np.log2(1.0 + np.exp(-signed))))
 
 

@@ -5,8 +5,9 @@ library path it checks:
 
 - ``ErasureChannel``, ``bec_bhattacharyya`` and ``bec_frozen_set``: a binary
   erasure channel and its exact frozen set, the oracle for Monte-Carlo
-  polar code construction; the channel draws in one piece, or block by
-  block as the induced channel's ``sample_blocks`` does;
+  polar code construction; the channel has the induced channel's one
+  sampler, ``sample_level(rng, level, n, blocks)``, which draws every bit
+  first and returns a generator of each block's erasures;
 - ``polar_transform``: x = u F^{x log2 n} of each row by the recursion
   x = ((u_L ^ u_R) G, u_R G) over the halves of u, G the transform of
   half the length, against the library's in-place butterfly stages on
@@ -126,22 +127,14 @@ class ErasureChannel:
     eps: float
     levels: int = 1
 
-    def sample_level(self, rng: np.random.Generator, level: int,
-                     n: int) -> np.ndarray:
-        """The LLRs of ``n`` uses times the signs of the bits sent, as the
-        induced channel's sampler returns them: +large unless erased.  The
-        bits are still drawn, so the erasures come from the same stream."""
-        rng.integers(0, 2, size=n)
-        erased = rng.random(n) < self.eps
-        return np.where(erased, 0.0, _LLR_BIG)
-
-    def sample_blocks(self, rng: np.random.Generator, level: int, n: int,
-                      blocks: list[int]):
-        """The uses of one ``sample_level`` draw of sum(``blocks``) frames
-        of n uses, made block by block as the induced channel's
-        ``sample_blocks`` makes them: every bit drawn first, then a
-        generator of each block's erasures, a (b, n) array of LLRs per
-        entry b; numpy's stream for consecutive draws is that of one."""
+    def sample_level(self, rng: np.random.Generator, level: int, n: int,
+                     blocks: list[int]):
+        """sum(``blocks``) frames of n uses, as the induced channel's
+        sampler draws them: every bit first, then a generator of each
+        block's LLRs times the signs of the bits sent, +large unless
+        erased, a (b, n) array per entry b.  The bits are still drawn, so
+        the erasures come from the same stream, and numpy's stream for
+        consecutive draws is that of one."""
         rng.integers(0, 2, size=sum(blocks) * n)
         return (np.where(rng.random(b * n) < self.eps, 0.0,
                          _LLR_BIG).reshape(b, n) for b in blocks)
@@ -254,9 +247,9 @@ def genie_error_probs_reference(ch, level, n, mc_budget, rng, chunk_samples):
     """Per-index error probabilities of the genie-aided construction in
     chunks of ``chunk_samples // n`` frames, the last one ragged, as the
     library groups its sums.  Each chunk is one draw, by
-    ``sample_level_reference`` for an ``InducedChannel``, and otherwise by
-    the channel's own ``sample_level``, whose signed LLRs are those of the
-    all-zero codeword; it is walked on a frame-major copy by
+    ``sample_level_reference`` for an ``InducedChannel``, and otherwise one
+    block of the channel's own ``sample_level``, whose signed LLRs are
+    those of the all-zero codeword; it is walked on a frame-major copy by
     ``genie_sc_reference``, which writes nothing into its input."""
     chunk = max(1, chunk_samples // n)
     counts = np.zeros(n)
@@ -265,7 +258,7 @@ def genie_error_probs_reference(ch, level, n, mc_budget, rng, chunk_samples):
         if isinstance(ch, InducedChannel):
             bits, llr = sample_level_reference(ch, rng, level, b * n)
         else:
-            llr = ch.sample_level(rng, level, b * n)
+            llr, = ch.sample_level(rng, level, n, [b])
             bits = np.zeros(llr.shape, dtype=np.int8)
         counts += genie_sc_reference(llr.reshape(b, n), bits.reshape(b, n))[0]
     return counts / mc_budget

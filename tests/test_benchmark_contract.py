@@ -125,3 +125,20 @@ def test_workload_run_reaches_every_exercised_layer(monkeypatch, workload):
         with redirect_stdout(io.StringIO()):
             assert thermalcomm.cli.main(argv) == 0
     assert [name for name in layers if not calls[name]] == []
+
+
+def test_construction_samples_once_per_genie_chunk_in_the_listed_layer(
+        monkeypatch):
+    # polar_construct lists polar.InducedChannel.sample_level, and the
+    # construction alone calls it once per genie chunk of each level, in
+    # level order, so the chunk's label draws count in that layer.  Chunks
+    # of 300 frames of n = 64 split a budget of 700 into 300, 300 and 100
+    monkeypatch.setattr(polar, "_GENIE_SAMPLES", 300 * 64)
+    ch = polar.induced_channel(channel_params(0.8, 0.0, 7.0),
+                               make_constellation("equilattice", 4))
+    calls = _count_calls(monkeypatch, polar.InducedChannel.sample_level)
+    polar.construct_multilevel(ch, 64, 1.6, 700, seed=5)
+    # each call is (channel, rng, level, n, blocks)
+    assert [(args[2], args[3], sum(args[4])) for args in calls] == [
+        (level, 64, frames) for level in range(ch.levels)
+        for frames in (300, 300, 100)]

@@ -162,7 +162,10 @@ def test_displacement_unitary_on_interior():
 
 def _oracle_lower_triangle(alpha, dim):
     """<m|D(alpha)|n> for m >= n, one offset m - n at a time: the Laguerre
-    closed form with its own recurrence table per call."""
+    closed form with its own recurrence table per call, its phase powers
+    numpy's scalar powers, with alpha taken as ``np.complex128`` as the
+    library takes it."""
+    alpha = np.complex128(alpha)
     x = abs(alpha) ** 2
     n_idx = np.arange(dim)
     k = np.arange(dim, dtype=np.longdouble)
@@ -233,6 +236,25 @@ def test_displacement_matches_per_offset_oracle_bitwise(dim):
             else:
                 np.testing.assert_allclose(got, two_tables, rtol=1e-12,
                                            atol=0.0, err_msg=str(alpha))
+
+
+# -1j and 6 seeded points of scale 2, each as a Python complex
+_PYTHON_ALPHAS = [-1j, *(complex(a) for a in 2.0 * np.random.default_rng(17)
+                         .standard_normal(12).view(complex))]
+
+
+@pytest.mark.parametrize("dim", [40, 120, 168])
+def test_displacement_of_python_and_numpy_complex_alpha_is_bitwise_equal(dim):
+    # displacement_operator takes alpha as np.complex128, so a Python
+    # complex gets numpy's phase and phase powers.  A Python complex once
+    # got other last bits: CPython's complex division by |alpha| rounds
+    # differently at about half of all points, and past power 100, where
+    # CPython's complex power and numpy's each leave repeated squaring for
+    # their own exp-log, so does the power
+    for a in _PYTHON_ALPHAS:
+        got = displacement_operator(a, dim)
+        want = displacement_operator(np.complex128(a), dim)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), a
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 40, 57, 100, 168, 250])
@@ -314,21 +336,22 @@ def test_displacement_negated_alpha_is_checkerboard_on_lower_triangle(alpha):
 
 @pytest.mark.parametrize("dim", [2, 99, 100, 101, 150, 199])
 def test_parity_holds_takes_the_scalar_phase_powers_bitwise(dim):
-    # _parity_holds forms each sign's phase powers with one np.power call
-    # over np.arange(dim), where displacement_operator takes the numpy
-    # scalar powers p ** d one by one: at numpy-typed centers they have
-    # the same bits on both sides of d = 100, where numpy leaves repeated
-    # squaring for exp-log, and the check's verdict is the scalar loop's,
-    # True up to dim 100
+    # _parity_holds and displacement_operator take each sign's phase
+    # powers from one np.power call over np.arange(dim), _phase_powers, at
+    # np.complex128 centers (the operator takes every alpha so, and
+    # _mixture's centers are so): its values have the bits of numpy's
+    # scalar powers p ** d, which the per-offset oracle takes, on both
+    # sides of d = 100, where numpy leaves repeated squaring for exp-log,
+    # and the check's verdict is the scalar powers', True up to dim 100
     rng = np.random.default_rng(dim)
     centers = [*2.0 * rng.standard_normal(40).view(complex),
-               np.float64(-0.7), np.float64(1.3)]
+               np.complex128(-0.7), np.complex128(1.3)]
     verdicts = []
     for z in centers:
         for c in (z, -z):
             p = c / abs(c)
             want = np.array([p ** d for d in range(dim)])
-            got = np.power(p, np.arange(dim))
+            got = fock._phase_powers(c, dim)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), z
         p, minus_p = z / abs(z), -z / abs(z)
         verdicts.append(all(minus_p ** d == (p ** d if d % 2 == 0 else -p ** d)

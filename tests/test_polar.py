@@ -119,7 +119,7 @@ def test_genie_soft_and_hard_agree_on_bec():
     # probability collapses to the tie-counting hard rule; its signed LLRs
     # are those of the all-zero codeword
     rng = np.random.default_rng(11)
-    llr = ErasureChannel(0.5).sample_level(rng, 0, 64 * 200).reshape(200, 64)
+    llr, = ErasureChannel(0.5).sample_level(rng, 0, 64, [200])
     hard = genie_sc_reference(llr, np.zeros(llr.shape, dtype=np.int8))[1]
     soft = genie_error_counts(llr)
     np.testing.assert_allclose(soft, hard, atol=1e-6)
@@ -178,20 +178,20 @@ def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
     # pairwise split of its sums, 300 = 144 + 156, 144 = 72 + 72 and
     # 156 = 72 + 84, and the ragged one, of at most 128 frames, in one
     # block.  The soft error sums are grouped by chunk, so the reference
-    # sums the same draws chunk by chunk, each drawn flat and walked
-    # row-major in one piece
+    # sums the same draws chunk by chunk, each drawn as one block by the
+    # unpatched sampler and walked in one piece
     monkeypatch.setattr(polar, "_GENIE_SAMPLES", 300 * 64)
     monkeypatch.setattr(polar, "_GENIE_BLOCK", 64 * 64)
     ch, n, budget, seed = make_channel(4), 64, 700, 5
     chunks = [300, 300, 100]
-    sample_blocks = InducedChannel.sample_blocks
+    sample_level = InducedChannel.sample_level
     calls = []
 
     def recording(self, rng, level, n, blocks):
         calls.append((n, list(blocks)))
-        return sample_blocks(self, rng, level, n, blocks)
+        return sample_level(self, rng, level, n, blocks)
 
-    monkeypatch.setattr(InducedChannel, "sample_blocks", recording)
+    monkeypatch.setattr(InducedChannel, "sample_level", recording)
     want = np.empty((ch.levels, n))
     for lv in range(ch.levels):
         calls.clear()
@@ -201,8 +201,8 @@ def test_genie_construction_in_ragged_chunks_is_pinned_bitwise(monkeypatch):
         rng = np.random.default_rng(seed + lv)
         counts = np.zeros(n)
         for b in chunks:
-            counts += genie_error_counts(
-                ch.sample_level(rng, lv, b * n).reshape(b, n))
+            llr, = sample_level(ch, rng, lv, n, [b])
+            counts += genie_error_counts(llr)
         want[lv] = counts / budget
         np.testing.assert_array_equal(got.view(np.int64),
                                       want[lv].view(np.int64))
@@ -313,7 +313,7 @@ def test_sample_blocks_concatenate_to_the_one_piece_reference_bitwise(
     for level in range(ch.levels):
         rng = np.random.default_rng(level)
         ref = np.random.default_rng(level)
-        parts = list(ch.sample_blocks(rng, level, n, blocks))
+        parts = list(ch.sample_level(rng, level, n, blocks))
         assert [p.shape for p in parts] == [(b, n) for b in blocks]
         assert all(p.T.flags.c_contiguous for p in parts)
         bits, want = (a.reshape(-1, n) for a in sample_level_reference(
@@ -327,12 +327,13 @@ def test_sample_blocks_concatenate_to_the_one_piece_reference_bitwise(
 @pytest.mark.parametrize("blocks", [[5], [2, 3], [1, 1, 1, 2], [0, 5, 0]])
 def test_erasure_channel_blocks_concatenate_to_its_one_piece_draw(blocks):
     # the oracle channel makes its blocks as the induced channel does:
-    # every bit first, then each block's erasures
+    # every bit first, then each block's erasures, so they are the rows of
+    # its one-block draw
     ch, n = ErasureChannel(0.4), 8
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    parts = list(ch.sample_blocks(rng, 0, n, blocks))
+    parts = list(ch.sample_level(rng, 0, n, blocks))
     assert [p.shape for p in parts] == [(b, n) for b in blocks]
-    want = ch.sample_level(ref, 0, sum(blocks) * n).reshape(-1, n)
+    want, = ch.sample_level(ref, 0, n, [sum(blocks)])
     np.testing.assert_array_equal(np.concatenate(parts), want)
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -340,25 +341,27 @@ def test_erasure_channel_blocks_concatenate_to_its_one_piece_draw(blocks):
 @pytest.mark.parametrize("m", [2, 4, 8])
 def test_sample_level_matches_the_one_piece_reference_bitwise(monkeypatch, m):
     # drawn in slices, the indices first, the bits, LLRs and the stream's
-    # next state are those of one draw: counts below, at and past one
-    # slice, and 2^17 + 777 at the default slice of 2^16.  A (batch, n)
-    # size slices whole frames, 15 of n = 64 in 997 samples and one of
-    # n = 1024 or 2^17 at a time, past the slice; its LLRs, each the
-    # reference's times the sign 1 - 2b of its bit b, are the transpose
-    # of an (n, batch) array
+    # next state are those of one draw, here one block of (batch, n): in
+    # frames of one use, counts below, at and past one slice, and
+    # 2^17 + 777 at the default slice of 2^16.  Longer frames slice whole
+    # frames, 15 of n = 64 in 997 samples and one of n = 1024 or 2^17 at
+    # a time, past the slice; the LLRs, each the reference's times the
+    # sign 1 - 2b of its bit b, are the transpose of an (n, batch) array
     ch = make_channel(m)
-    for slice_, size in [(997, 1), (997, 996), (997, 997), (997, 3000),
-                         (polar._WORK_SLICE, (1 << 17) + 777),
-                         (997, (1, 64)), (997, (31, 64)), (997, (3, 1024)),
-                         (polar._WORK_SLICE, (3, 1 << 17))]:
+    for slice_, (batch, n) in [(997, (1, 1)), (997, (996, 1)),
+                               (997, (997, 1)), (997, (3000, 1)),
+                               (polar._WORK_SLICE, ((1 << 17) + 777, 1)),
+                               (997, (1, 64)), (997, (31, 64)),
+                               (997, (3, 1024)),
+                               (polar._WORK_SLICE, (3, 1 << 17))]:
         monkeypatch.setattr(polar, "_WORK_SLICE", slice_)
         for level in range(ch.levels):
             rng = np.random.default_rng(level)
             ref = np.random.default_rng(level)
-            llr = ch.sample_level(rng, level, size)
-            bits, want = (a.reshape(size) for a in sample_level_reference(
-                ch, ref, level, int(np.prod(size))))
-            assert llr.T.flags.c_contiguous
+            llr, = ch.sample_level(rng, level, n, [batch])
+            bits, want = (a.reshape(batch, n) for a in sample_level_reference(
+                ch, ref, level, batch * n))
+            assert llr.shape == (batch, n) and llr.T.flags.c_contiguous
             np.testing.assert_array_equal(
                 llr.view(np.int64), ((1.0 - 2.0 * bits) * want).view(np.int64))
             assert rng.bit_generator.state == ref.bit_generator.state
@@ -610,23 +613,30 @@ def test_estimate_level_mi_refuses_no_samples_before_drawing(samples):
 
 @pytest.mark.parametrize("size", [(3, 0), (0, 0), (2, -4)])
 def test_sample_level_refuses_frames_of_no_uses_before_drawing(size):
-    # (3, 0) once raised ZeroDivisionError from the slice's frame count
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match=re.escape(f"got size {size}")):
-        make_channel(4).sample_level(rng, 0, size)
-    assert rng.bit_generator.state == state
+    # (batch, n) frames in one block, and in three: (3, 0), blocks of 3
+    # frames of no uses, once raised ZeroDivisionError from the slice's
+    # frame count
+    batch, n = size
+    for blocks in ([batch], [batch, 0, batch]):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(f"got n = {n}")):
+            make_channel(4).sample_level(rng, 0, n, blocks)
+        assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("level, size", [(7, 0), (4, 10), (-1, (2, 8))])
 def test_sample_level_refuses_a_level_out_of_range_before_drawing(level,
                                                                    size):
     # 16-QAM has levels 0-3: level 7 with no samples once returned two
-    # empty arrays, and level 4 raised only after drawing the indices
+    # empty arrays, and level 4 raised only after drawing the indices; a
+    # count is one block of frames of one use, a pair one block of
+    # (batch, n)
+    batch, n = size if isinstance(size, tuple) else (size, 1)
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"level must be in \[0, 4\)"):
-        make_channel(4).sample_level(rng, level, size)
+        make_channel(4).sample_level(rng, level, n, [batch])
     assert rng.bit_generator.state == state
 
 
@@ -642,9 +652,8 @@ def test_construct_multilevel_refuses_bad_input_before_sampling(
         monkeypatch, n, sum_rate, mc_budget, bad):
     # cmd_polar checks these first, so only a library caller reaches them
     def no_draw(*args):
-        raise AssertionError("a sampler called before the input check")
+        raise AssertionError("the sampler called before the input check")
     monkeypatch.setattr(InducedChannel, "sample_level", no_draw)
-    monkeypatch.setattr(InducedChannel, "sample_blocks", no_draw)
     with pytest.raises(ValueError, match=bad):
         construct_multilevel(make_channel(4), n, sum_rate, mc_budget, seed=6)
 
@@ -679,7 +688,8 @@ def test_sample_level_signs_its_llrs_by_the_gray_label_bits(m):
     ch = make_channel(m)
     for level in range(ch.levels):
         bpos = level % ch.nbits
-        llr = ch.sample_level(np.random.default_rng(level), level, 300)
+        llr, = ch.sample_level(np.random.default_rng(level), level, 1, [300])
+        llr = llr.reshape(-1)
         rng = np.random.default_rng(level)
         j = rng.integers(0, m, size=300)
         yq = P.k * ch.amplitudes[j] + rng.normal(
@@ -694,9 +704,10 @@ def test_sample_level_signs_its_llrs_by_the_gray_label_bits(m):
         assert np.all(np.abs(unsigned - want) <= tol)
 
 
-@pytest.mark.parametrize("size", [192, (3, 64)], ids=["flat", "frames"])
+@pytest.mark.parametrize("batch, n", [(192, 1), (3, 64)],
+                         ids=["flat", "frames"])
 def test_sample_level_flips_zeros_infinities_and_nans_exactly(monkeypatch,
-                                                              size):
+                                                              batch, n):
     # the genie walk's proof needs each signed LLR to be its LLR with the
     # sign of its bit, signed zeros and infinities included: the demapper
     # is patched to give +-0, +-inf and NaN among finite LLRs, in one
@@ -707,8 +718,9 @@ def test_sample_level_flips_zeros_infinities_and_nans_exactly(monkeypatch,
                         np.resize(special, len(yq)))
     ch = make_channel(4)
     for level in range(ch.levels):
-        got = ch.sample_level(np.random.default_rng(level), level,
-                              size).reshape(-1)
+        got, = ch.sample_level(np.random.default_rng(level), level, n,
+                               [batch])
+        got = got.reshape(-1)
         bits, llr = sample_level_reference(ch, np.random.default_rng(level),
                                            level, len(got))
         # every special value is sent with both bits
@@ -731,7 +743,7 @@ def test_sample_level_frees_its_index_before_the_llrs():
     ch = make_channel(4)
     tracemalloc.start()
     try:
-        ch.sample_level(np.random.default_rng(3), 0, 1 << 20)
+        llr, = ch.sample_level(np.random.default_rng(3), 0, 1, [1 << 20])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1233,7 +1245,8 @@ def _fer_case(m, n0, n, fraction):
         rng = np.random.default_rng(1000 + lv)
         p = np.empty((8, n))
         for row in p:
-            row[:] = genie_error_counts(ch.sample_level(rng, lv, (64, n))) / 64
+            llr, = ch.sample_level(rng, lv, n, [64])
+            row[:] = genie_error_counts(llr) / 64
         p = p[:, code.info_set]
         means.append(p.mean(axis=0))
         ses.append(p.std(axis=0, ddof=1) / math.sqrt(len(p)))

@@ -462,9 +462,9 @@ def test_one_table_build_per_distinct_radius_per_call(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["equilattice", "gauss_hermite"])
 def test_displacements_receive_numpy_complex_centers(kind, monkeypatch):
-    # displacement_operator's phase division and integer powers run as
-    # np.complex128 scalar arithmetic on the rates path, and the pinned
-    # thermal rates depend on those bits; a Python complex would change them
+    # the rates path hands displacement_operator its ensembles' numpy
+    # complex centers, the type the operator takes every alpha as, once
+    # per center an earlier center of its orbit did not lend its state
     alpha_types = []
     build = fock.displacement_operator
 
